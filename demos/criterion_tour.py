@@ -10,7 +10,6 @@ best possible.
 from chainlines import (
     DefiningData,
     ci_length,
-    covered_by_lines_in_range,
     fano_index_ci,
     lx_dim_ci,
     min_chain_length,
@@ -29,8 +28,6 @@ print("  least length:", min_chain_length(cubic3fold))
 print("  complete-intersection length formula:", ci_length(cubic3fold))
 print("  Fano index:", fano_index_ci(cubic3fold),
       " dim of lines through a general point:", lx_dim_ci(cubic3fold))
-print("  in criterion range => covered by lines:",
-      covered_by_lines_in_range(cubic3fold, 3))
 print()
 
 print("a cubic surface in P^3 is never in range (D >= N):")

@@ -22,7 +22,6 @@ from .criteria import (
     DefiningData,
     SharpnessReport,
     ci_length,
-    covered_by_lines_in_range,
     fano_index_ci,
     lx_dim_ci,
     min_chain_length,
@@ -39,6 +38,7 @@ from .chains import (
     PositiveExpectedDimensionError,
     Witness,
     chain_count,
+    class_term_count,
     condition_tally,
     counting_class,
     counting_factors,

@@ -24,18 +24,57 @@ degree-d coefficient, so the y side contributes only 1..d-1; the two
 endpoint blocks collapse onto the one factor and the class becomes
 h^{2D - m} in P^N.
 
-Multiplying all condition classes in the truncated ring gives the counting
-class; its top coefficient is the number of chains (with multiplicity, for
-generic defining polynomials).  Dropping the degree coefficients gives the
-simpler existence class whose nonvanishing already certifies a chain.
+Block factorisation.  Grouped by the factors they constrain, the conditions
+multiply to
+
+    scale * h_1^D * h_2^m * ... * h_{l-2}^m * h_{l-1}^D
+          * B(h_1, h_2) * B(h_2, h_3) * ... * B(h_{l-2}, h_{l-1}),
+
+with scale = prod_i d_i! (d_i-1)! d_i^{l-2} (the two endpoint blocks
+contribute prod d_i! each, every interior factor prod d_i) and the mixed
+block of one adjacent pair
+
+    B(u, v) = prod_i prod_{j=1}^{d_i-1} (j*u + (d_i-j)*v),
+
+of degree D - m; B[a] is its coefficient of u^a v^{D-m-a}.  For l = 2 there
+is no pair block and the class is scale * h^{2D-m}.  Picking the term
+u^{a_k} from the block of pair k fixes every exponent: with a_1 = 0 and
+a_l = D - m,
+
+    e_k = D - a_k + a_{k+1}    (k = 1..l-1),
+
+so each monomial of the class comes from exactly one choice (a_2..a_{l-1}),
+with coefficient scale * prod B[a_k].  A monomial survives truncation iff
+every step rises by at most N - D.  All coefficients are positive, so no
+term cancels and truncating at the end equals truncating as the ring
+product grows.  This is a transfer-matrix structure (Stanley, EC1 4.7):
+the counting class lists the surviving paths, and the existence class --
+the coefficient-free product, whose nonvanishing already certifies a
+chain -- is the same listing with binomials C(D-m, a) and scale 1.  A
+dynamic program over (k, a_k) counts the terms before any is built, and
+classes with more than CLASS_TERM_BUDGET terms are refused with
+BudgetExceededError.
+
+At zero expected dimension (l-1)(N-D) = D - m, and the top monomial forces
+a_k = (k-1)(N-D), so the top coefficient -- the number of chains, with
+multiplicity, for generic defining polynomials -- is the closed form
+
+    scale * prod_{k=2}^{l-1} B[(k-1)(N-D)].
+
+counting_factors keeps the individual condition classes; their product in
+the truncated ring is the reference the tests compare the blocks against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .chow import ChowClass, Monomial, ProductSpace, hyperplane, one
+from .chow import ChowClass, Monomial, ProductSpace, hyperplane
 from .criteria import DefiningData, rc_criterion
+from .finite_geometry import BudgetExceededError
+
+CLASS_TERM_BUDGET = 10**6  # hard cap on the terms of a class, and on (D-m)^2
 
 
 class ExpectedDimensionError(ValueError):
@@ -167,18 +206,100 @@ def counting_factors(problem: ChainProblem) -> CountingFactors:
     return factors
 
 
-def _product(factors, space: ProductSpace) -> ChowClass:
-    # single-monomial factors first: they only shift/scale, so the expensive
-    # binomial factors meet the smallest possible intermediate classes
-    result = one(space)
-    for f in sorted(factors, key=lambda c: len(c.terms)):
-        result = result * f
-    return result
+def _pair_block(data: DefiningData) -> list[int]:
+    """Coefficients B[a] of u^a v^{D-m-a} in the mixed block of one pair."""
+    coeffs = [1]
+    for d in data.degrees:
+        for j in range(1, d):
+            # multiply by j*u + (d-j)*v
+            coeffs = [
+                j * lower + (d - j) * same
+                for lower, same in zip([0] + coeffs, coeffs + [0])
+            ]
+    return coeffs
+
+
+def _check_budget(measure: int, what: str) -> None:
+    if measure > CLASS_TERM_BUDGET:
+        raise BudgetExceededError(
+            f"{what} {measure} exceeds the {CLASS_TERM_BUDGET} budget"
+        )
+
+
+def _check_block_budget(data: DefiningData) -> None:
+    # building the pair block takes O((D-m)^2) operations
+    _check_budget((data.total_degree - data.m) ** 2, "pair block size (D-m)^2")
+
+
+def class_term_count(problem: ChainProblem) -> int:
+    """Number of terms of the counting class, and of the existence class.
+
+    Counts the paths 0 = a_1, a_2, ..., a_l = D-m in [0, D-m] whose steps
+    rise by at most N - D, one row of the transfer matrix at a time, in
+    O(l*(D-m)) without listing any term.
+    """
+    data, l = problem.data, problem.length
+    top = data.total_degree - data.m
+    rise = data.ambient - data.total_degree
+    ways = [1] + [0] * top  # paths ending at a_1 = 0
+    for _ in range(l - 1):
+        # tail[a] = number of paths ending at some value >= a
+        tail = [0] * (top + 2)
+        for a in range(top, -1, -1):
+            tail[a] = tail[a + 1] + ways[a]
+        ways = [tail[min(max(0, b - rise), top + 1)] for b in range(top + 1)]
+    return ways[top]
+
+
+def _check_class_budget(problem: ChainProblem) -> None:
+    _check_block_budget(problem.data)
+    _check_budget(class_term_count(problem), "class term count")
+
+
+def _block_class(problem: ChainProblem, weights: list[int], scale: int) -> ChowClass:
+    """The class with pair-block coefficients `weights`, one term per
+    surviving path (a_2, ..., a_{l-1}); see the module docstring."""
+    data, l = problem.data, problem.length
+    D, top = data.total_degree, data.total_degree - data.m
+    rise = data.ambient - data.total_degree
+    # lows[k-1]: least a_k from which a_l = D-m is still reachable
+    lows = [top]
+    for _ in range(l - 1):
+        lows.append(max(0, lows[-1] - rise))
+    lows.reverse()
+    if lows[0] > 0:
+        return ChowClass(problem.space, {})
+    partial: list[tuple[Monomial, int, int]] = [((), 0, scale)]
+    for low in lows[1:-1]:
+        partial = [
+            (exps + (D - a + b,), b, coeff * weights[b])
+            for exps, a, coeff in partial
+            for b in range(low, min(top, a + rise) + 1)
+        ]
+    return ChowClass(
+        problem.space,
+        {exps + (D - a + top,): coeff for exps, a, coeff in partial},
+    )
+
+
+def _counting_scale(problem: ChainProblem) -> int:
+    """prod d_i! (d_i-1)! d_i^{l-2}: endpoint blocks and interior monomials."""
+    return math.prod(
+        math.factorial(d) * math.factorial(d - 1) * d ** (problem.length - 2)
+        for d in problem.data.degrees
+    )
 
 
 def counting_class(problem: ChainProblem) -> ChowClass:
-    """Product of all condition classes in the truncated ring."""
-    return _product(counting_factors(problem).all(), problem.space)
+    """Product of all condition classes in the truncated ring.
+
+    Listed from the blocks; raises BudgetExceededError beyond
+    CLASS_TERM_BUDGET terms.
+    """
+    _check_class_budget(problem)
+    return _block_class(
+        problem, _pair_block(problem.data), _counting_scale(problem)
+    )
 
 
 def existence_class(problem: ChainProblem) -> ChowClass:
@@ -189,19 +310,11 @@ def existence_class(problem: ChainProblem) -> ChowClass:
         (h_1+h_2)^{D-m} * ... * (h_{l-2}+h_{l-1})^{D-m},
     and for l = 2 simply h^{2D-m}.  Every surviving term has total degree
     l*D - m; the class is nonzero whenever the chain criterion holds.
+    Raises BudgetExceededError beyond CLASS_TERM_BUDGET terms.
     """
-    data, l = problem.data, problem.length
-    D, m = data.total_degree, data.m
-    space = problem.space
-    if l == 2:
-        return hyperplane(space, 1) ** (2 * D - m)
-    factors = [hyperplane(space, 1) ** D, hyperplane(space, l - 1) ** D]
-    factors += [hyperplane(space, k) ** m for k in range(2, l - 1)]
-    factors += [
-        (hyperplane(space, k - 1) + hyperplane(space, k)) ** (D - m)
-        for k in range(2, l)
-    ]
-    return _product(factors, space)
+    _check_class_budget(problem)
+    top = problem.data.total_degree - problem.data.m
+    return _block_class(problem, [math.comb(top, a) for a in range(top + 1)], 1)
 
 
 def expected_dimension(problem: ChainProblem) -> int:
@@ -216,7 +329,9 @@ def chain_count(problem: ChainProblem) -> int:
     This is the intersection number of the counting class, valid when the
     expected dimension is zero.  It assumes generic transversality: for
     special defining polynomials the actual chains may be fewer (with higher
-    multiplicities) or form positive-dimensional families.
+    multiplicities) or form positive-dimensional families.  Computed in
+    closed form from the pair block in O(l + (D-m)^2); raises
+    BudgetExceededError when (D-m)^2 exceeds CLASS_TERM_BUDGET.
     """
     dim = expected_dimension(problem)
     if dim > 0:
@@ -227,7 +342,14 @@ def chain_count(problem: ChainProblem) -> int:
         raise NegativeExpectedDimensionError(
             dim, f"expected dimension {dim} < 0: the condition system is overdetermined"
         )
-    return counting_class(problem).top_coefficient()
+    data = problem.data
+    _check_block_budget(data)
+    block = _pair_block(data)
+    rise = data.ambient - data.total_degree
+    # (l-1)(N-D) = D-m at dimension zero, so every index lies in 0..D-m
+    return _counting_scale(problem) * math.prod(
+        block[k * rise] for k in range(1, problem.length - 1)
+    )
 
 
 def witness_exponents(problem: ChainProblem) -> tuple[int, ...]:

@@ -21,6 +21,7 @@ factors omitted, terms joined by `` + ``; the zero class renders as ``0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 
 Monomial = tuple[int, ...]
 
@@ -66,9 +67,9 @@ class ChowClass:
                 raise ValueError(
                     f"monomial {mono} has {len(mono)} exponents, expected {len(dims)}"
                 )
-            if any(e < 0 for e in mono):
+            if min(mono) < 0:
                 raise ValueError(f"negative exponent in monomial {mono}")
-            if coeff == 0 or any(e > n for e, n in zip(mono, dims)):
+            if coeff == 0 or any(map(gt, mono, dims)):
                 continue
             clean[tuple(mono)] = coeff
         self.space = space

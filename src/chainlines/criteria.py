@@ -65,10 +65,16 @@ def rc_criterion(data: DefiningData, length: int) -> bool:
     """True iff length-l chains of lines connect two general points.
 
     Evaluates l*D <= N*(l-1) + m by cross-multiplied integer comparison.
+    Whenever it holds, D < N, so X is covered by lines; the one exception
+    is N hyperplanes in P^N (D = m = N), which cut out a point.
     """
     if length < 2:
         raise ValueError(f"chain length must be >= 2: {length}")
-    return length * data.total_degree <= data.ambient * (length - 1) + data.m
+    N, m, D = data.ambient, data.m, data.total_degree
+    holds = length * D <= N * (length - 1) + m
+    if holds:
+        assert D < N or D == m == N
+    return holds
 
 
 def min_chain_length(data: DefiningData) -> int | None:
@@ -136,18 +142,6 @@ def wa_bound(lx_dim: int, length: int) -> int:
     if length < 1:
         raise ValueError(f"length must be >= 1: {length}")
     return length * (lx_dim + 1)
-
-
-def covered_by_lines_in_range(data: DefiningData, length: int) -> bool:
-    """Whenever the chain criterion holds, X is covered by lines.
-
-    The criterion forces m < D <= (N(l-1)+m)/l < N, so in particular D < N.
-    Returns the criterion's value and asserts D < N whenever that is True.
-    """
-    holds = rc_criterion(data, length)
-    if holds:
-        assert data.total_degree < data.ambient
-    return holds
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ import math
 import pytest
 
 from chainlines.chains import (
+    CLASS_TERM_BUDGET,
     ChainProblem,
     NegativeExpectedDimensionError,
     PositiveExpectedDimensionError,
     chain_count,
+    class_term_count,
     condition_tally,
     counting_class,
     counting_factors,
@@ -16,8 +18,10 @@ from chainlines.chains import (
     witness_exponents,
     witness_monomial,
 )
-from chainlines.chow import ChowClass, ProductSpace
+from chainlines.chow import ChowClass, ProductSpace, one
+from chainlines.cli import main
 from chainlines.criteria import DefiningData, rc_criterion
+from chainlines.finite_geometry import BudgetExceededError
 
 import naive_poly
 
@@ -158,6 +162,7 @@ def test_tally_and_degree_identities():
         assert len(counting_factors(p).all()) == total
         cls = existence_class(p)
         assert all(sum(mono) == total for mono in cls.terms)
+        assert class_term_count(p) == len(cls.terms)
 
 
 def _existence_factor_dicts(p):
@@ -251,3 +256,62 @@ def test_counting_class_matches_naive_expansion_full_grid():
             untruncated[key] = naive_poly.product(factor_dicts, l - 1)
         reference = naive_poly.truncate(untruncated[key], p.space.factor_dims)
         assert dict(counting_class(p).terms) == reference
+
+
+def _ring_product(factors, space):
+    # the dense route: multiply every condition class in the truncated ring,
+    # single-monomial factors first so the binomial ones meet small classes
+    result = one(space)
+    for f in sorted(factors, key=lambda c: len(c.terms)):
+        result = result * f
+    return result
+
+
+def test_chain_count_matches_dense_ring_top_coefficient():
+    checked = 0
+    for m in (1, 2, 3):
+        for degrees in itertools.combinations_with_replacement(range(1, 8), m):
+            for n in range(1, 30):
+                for l in range(2, 10):
+                    p = problem(degrees, n, l)
+                    if expected_dimension(p) != 0 or (n + 1) ** (l - 1) > 10**6:
+                        continue
+                    dense = _ring_product(counting_factors(p).all(), p.space)
+                    assert chain_count(p) == dense.top_coefficient(), (degrees, n, l)
+                    checked += 1
+    assert checked > 200
+
+
+def test_existence_class_matches_naive_expansion_full_grid():
+    untruncated: dict = {}
+    for degrees, n, l in GRID:
+        p = problem(degrees, n, l)
+        key = (degrees, l)
+        if key not in untruncated:
+            untruncated[key] = naive_poly.product(_existence_factor_dicts(p), l - 1)
+        reference = naive_poly.truncate(untruncated[key], p.space.factor_dims)
+        assert dict(existence_class(p).terms) == reference
+
+
+def test_class_budget_refuses_long_chain_at_once(capsys):
+    # 60,466,176 terms: listing them took over 7 minutes
+    p = problem((6,), 40, 12)
+    assert class_term_count(p) == 6**10 > CLASS_TERM_BUDGET
+    for mode in ("counting", "existence"):
+        code = main(["class", "--degrees", "6", "--ambient", "40",
+                     "--length", "12", "--mode", mode])
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
+    with pytest.raises(BudgetExceededError):
+        counting_class(p)
+
+
+def test_class_budget_admits_reference_class():
+    assert class_term_count(problem((5, 5), 40, 8)) == 531441 <= CLASS_TERM_BUDGET
+
+
+def test_chain_count_budget_on_pair_block_size():
+    # l = 2, N = 2D - m: zero-dimensional, D - m = 1001 > sqrt(budget)
+    with pytest.raises(BudgetExceededError):
+        chain_count(problem((1002,), 2003, 2))
+    assert chain_count(problem((1001,), 2001, 2)) > 0  # D - m = 1000

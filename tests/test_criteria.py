@@ -5,7 +5,6 @@ import pytest
 from chainlines.criteria import (
     DefiningData,
     ci_length,
-    covered_by_lines_in_range,
     fano_index_ci,
     lx_dim_ci,
     min_chain_length,
@@ -77,10 +76,13 @@ def test_wa_bound():
         wa_bound(0, 0)
 
 
-def test_covered_by_lines():
-    assert covered_by_lines_in_range(DefiningData((3,), 4), 3)
-    assert not covered_by_lines_in_range(DefiningData((4,), 4), 2)
-    assert covered_by_lines_in_range(DefiningData((2,), 3), 2)
+def test_rc_criterion_forces_degree_below_ambient():
+    # rc_criterion asserts D < N whenever it holds
+    assert rc_criterion(DefiningData((3,), 4), 3)
+    assert not rc_criterion(DefiningData((4,), 4), 2)
+    assert rc_criterion(DefiningData((2,), 3), 2)
+    # the exception: N hyperplanes in P^N, D = m = N
+    assert rc_criterion(DefiningData((1, 1, 1), 3), 2)
 
 
 def test_sharpness_report_examples():
