@@ -15,14 +15,15 @@ print()
 
 print("sums and products are exact:")
 print("  (2h1 + h2)(h1 + 2h2) =", (2 * h1 + h2) * (h1 + 2 * h2))
-print("  (h1 + h2)^2          =", (h1 + h2) ** 2)
+print("  (h1 + h2)^2          =", (h1 + h2) * (h1 + h2))
 print()
 
 print("truncation kills overflowing exponents:")
-print("  h1^4 * h1 =", h1**4 * h1)
+print("  h1^4 * h1 =", h1 * h1 * h1 * h1 * h1)
 print("  in P^1 x P^1, (h1+h2)^2 =", end=" ")
 small = ProductSpace((1, 1))
-print((hyperplane(small, 1) + hyperplane(small, 2)) ** 2)
+g = hyperplane(small, 1) + hyperplane(small, 2)
+print(g * g)
 print()
 
 print("an intersection number is a top coefficient:")
@@ -33,8 +34,10 @@ print()
 print("coefficients never overflow (Python ints are exact):")
 big = ProductSpace((20, 20))
 s = hyperplane(big, 1) + hyperplane(big, 2)
-print("  central coefficient of (h1+h2)^40 in (P^20)^2:",
-      (s**40).coefficient((20, 20)))
+s40 = one(big)
+for _ in range(40):
+    s40 = s40 * s
+print("  central coefficient of (h1+h2)^40 in (P^20)^2:", s40.coefficient((20, 20)))
 print()
 
 print("identity and zero behave as expected:")

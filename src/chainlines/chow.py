@@ -148,23 +148,6 @@ class ChowClass:
             return self * other
         return NotImplemented
 
-    def __pow__(self, exponent: int) -> "ChowClass":
-        """Binary exponentiation over the truncated product; a**0 == 1."""
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative powers do not exist in the Chow ring")
-        result = one(self.space)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other) -> bool:

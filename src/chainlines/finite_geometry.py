@@ -5,6 +5,12 @@ over F_p it enumerates the points of the variety, finds the lines through a
 point that lie on it, searches for chains of lines between points, and
 reports connectivity statistics.  Everything is exhaustive and exact.
 
+Contained lines are found from the points of X(F_p) alone: ChainGraph joins
+a point to every other point of X(F_p), canonicalizes each joining line and
+keeps it if it lies on X.  Nothing is missed: a contained line has
+p+1 >= 3 rational points, all of them on X, so it passes through the point
+and at least two other points of X(F_p).
+
 Caveat, stated once here and repeated where it matters: the symbolic theory
 lives over the complex numbers.  Counts and reachability over F_p are
 evidence, not proof -- a chain can exist over C without any F_p-rational
@@ -27,13 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-ENUMERATION_BUDGET = 10**8  # hard cap on p**N per enumeration
+ENUMERATION_BUDGET = 10**8  # hard cap on p**N per enumeration and on n**2 point pairs
 
 Point = tuple[int, ...]
 
 
 class BudgetExceededError(ValueError):
-    """Raised when an enumeration would exceed the p**N budget."""
+    """Raised when an enumeration would exceed the p**N or n**2 budget."""
 
 
 class VarietyParseError(ValueError):
@@ -90,6 +96,10 @@ class HomogPoly:
             raise ValueError("a polynomial needs at least one term")
         seen = set()
         for coeff, exps in self.terms:
+            if len(exps) != self.nvars:
+                raise ValueError(
+                    f"term {exps} has {len(exps)} exponents, expected {self.nvars}"
+                )
             if coeff == 0:
                 raise ValueError("zero coefficients must not be stored")
             if any(e < 0 for e in exps):
@@ -208,11 +218,17 @@ def on_variety(spec: VarietySpec, pt: Point) -> bool:
     return all(eval_poly(poly, pt, spec.field) == 0 for poly in spec.polys)
 
 
-def _check_budget(field: PrimeField, n: int) -> None:
-    if field.p**n > ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"enumerating P^{n}(F_{field.p}) exceeds the {ENUMERATION_BUDGET} budget"
-        )
+def _point_of(spec: VarietySpec, x) -> Point:
+    """x in canonical form; ValueError unless it is a point of the variety."""
+    pt = normalize_point(x, spec.field)
+    if not on_variety(spec, pt):
+        raise ValueError(f"point {format_point(x)} is not on the variety")
+    return pt
+
+
+def _check_budget(measure: int, what: str) -> None:
+    if measure > ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"{what} exceeds the {ENUMERATION_BUDGET} budget")
 
 
 def _projective_reps(field: PrimeField, n: int):
@@ -225,10 +241,9 @@ def _projective_reps(field: PrimeField, n: int):
 
 def enumerate_points(spec: VarietySpec) -> set[Point]:
     """All F_p-points of the variety, canonical and deduplicated."""
-    _check_budget(spec.field, spec.ambient)
-    return {
-        pt for pt in _projective_reps(spec.field, spec.ambient) if on_variety(spec, pt)
-    }
+    field, n = spec.field, spec.ambient
+    _check_budget(field.p**n, f"enumerating P^{n}(F_{field.p})")
+    return {pt for pt in _projective_reps(field, n) if on_variety(spec, pt)}
 
 
 # -- lines -------------------------------------------------------------------
@@ -306,24 +321,11 @@ def line_in_variety(spec: VarietySpec, line: Line) -> bool:
 def lines_through(spec: VarietySpec, x: Point) -> set[Line]:
     """All lines through x that lie on the variety (over F_p).
 
-    Works by sweeping every point of P^N(F_p), canonicalizing the joining
-    line, deduplicating, and keeping the contained ones.
+    Joins x to the other points of X(F_p); a contained line has p+1 >= 3
+    rational points, all on X, so none is missed (see ChainGraph).
     """
-    _check_budget(spec.field, spec.ambient)
-    if not on_variety(spec, x):
-        raise ValueError(f"point {format_point(x)} is not on the variety")
-    found: set[Line] = set()
-    seen: set[Line] = set()
-    for y in _projective_reps(spec.field, spec.ambient):
-        if y == x:
-            continue
-        line = line_through(x, y, spec.field)
-        if line in seen:
-            continue
-        seen.add(line)
-        if line_in_variety(spec, line):
-            found.add(line)
-    return found
+    x = _point_of(spec, x)
+    return ChainGraph(spec).contained_lines_through(x)
 
 
 # -- chains of lines ---------------------------------------------------------
@@ -332,16 +334,18 @@ class ChainGraph:
     """Reachability graph on the F_p-points of a variety.
 
     Vertices are the points of X(F_p); two distinct points are adjacent iff
-    their joining line lies on X.  Neighbor lists and line-containment
-    results are cached; results are deterministic (points kept sorted) and
-    identical to uncached recomputation.  The caches are not synchronized:
-    concurrent workers should each hold their own instance.
+    their joining line lies on X.  One pass per point over X(F_p) records
+    both its neighbors and the contained lines through it; both are cached,
+    as are line-containment results.  Results are deterministic (points kept
+    sorted) and identical to uncached recomputation.  The caches are not
+    synchronized: concurrent workers should each hold their own instance.
     """
 
     def __init__(self, spec: VarietySpec):
         self.spec = spec
         self.points: list[Point] = sorted(enumerate_points(spec))
         self._neighbors: dict[Point, list[Point]] = {}
+        self._lines: dict[Point, set[Line]] = {}
         self._contained: dict[Line, bool] = {}
 
     def line_ok(self, line: Line) -> bool:
@@ -354,54 +358,31 @@ class ChainGraph:
         cached = self._neighbors.get(a)
         if cached is None:
             field = self.spec.field
-            cached = [
-                b
-                for b in self.points
-                if b != a and self.line_ok(line_through(a, b, field))
-            ]
+            cached, lines = [], set()
+            for b in self.points:
+                if b != a:
+                    line = line_through(a, b, field)
+                    if self.line_ok(line):
+                        cached.append(b)
+                        lines.add(line)
             self._neighbors[a] = cached
+            self._lines[a] = lines
         return cached
 
     def contained_lines_through(self, a: Point) -> set[Line]:
-        field = self.spec.field
-        return {line_through(a, b, field) for b in self.neighbors(a)}
+        self.neighbors(a)
+        return self._lines[a]
 
-    def distances(self, start: Point, max_depth: int | None = None) -> dict[Point, int]:
-        """BFS distance map from start, capped at max_depth if given."""
-        dist = {start: 0}
-        frontier = [start]
-        depth = 0
-        while frontier and (max_depth is None or depth < max_depth):
-            depth += 1
-            nxt = []
-            for a in frontier:
-                for b in self.neighbors(a):
-                    if b not in dist:
-                        dist[b] = depth
-                        nxt.append(b)
-            frontier = nxt
-        return dist
+    def distances(self, start: Point, max_depth: int) -> dict[Point, int]:
+        """BFS distance map from start, up to max_depth steps."""
+        return self._bfs(start, max_depth)[0]
 
     def shortest_chain(self, x: Point, y: Point, max_length: int) -> Chain | None:
         if x == y:
             return Chain((x,), ())
-        parent: dict[Point, Point] = {x: x}
-        frontier = [x]
-        depth = 0
-        while frontier and depth < max_length:
-            depth += 1
-            nxt = []
-            for a in frontier:
-                for b in self.neighbors(a):
-                    if b not in parent:
-                        parent[b] = a
-                        if b == y:
-                            return self._backtrack(parent, x, y)
-                        nxt.append(b)
-            frontier = nxt
-        return None
-
-    def _backtrack(self, parent: dict[Point, Point], x: Point, y: Point) -> Chain:
+        parent = self._bfs(x, max_length, goal=y)[1]
+        if y not in parent:
+            return None
         path = [y]
         while path[-1] != x:
             path.append(parent[path[-1]])
@@ -409,6 +390,28 @@ class ChainGraph:
         field = self.spec.field
         lines = tuple(line_through(a, b, field) for a, b in zip(path, path[1:]))
         return Chain(tuple(path), lines)
+
+    def _bfs(
+        self, start: Point, max_depth: int, goal: Point | None = None
+    ) -> tuple[dict[Point, int], dict[Point, Point]]:
+        """Depth and parent maps from start, up to max_depth steps or goal."""
+        depth_of = {start: 0}
+        parent = {start: start}
+        frontier = [start]
+        depth = 0
+        while frontier and depth < max_depth:
+            depth += 1
+            nxt = []
+            for a in frontier:
+                for b in self.neighbors(a):
+                    if b not in depth_of:
+                        depth_of[b] = depth
+                        parent[b] = a
+                        if b == goal:
+                            return depth_of, parent
+                        nxt.append(b)
+            frontier = nxt
+        return depth_of, parent
 
 
 def chain_search(
@@ -421,9 +424,7 @@ def chain_search(
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
-    for pt in (x, y):
-        if not on_variety(spec, pt):
-            raise ValueError(f"point {format_point(pt)} is not on the variety")
+    x, y = _point_of(spec, x), _point_of(spec, y)
     if x == y:
         return Chain((x,), ())
     return ChainGraph(spec).shortest_chain(x, y, max_length)
@@ -438,9 +439,8 @@ def locus(spec: VarietySpec, x: Point, length: int) -> set[Point]:
     """
     if length < 1:
         raise ValueError(f"length must be >= 1: {length}")
-    if not on_variety(spec, x):
-        raise ValueError(f"point {format_point(x)} is not on the variety")
-    return set(ChainGraph(spec).distances(x, max_depth=length))
+    x = _point_of(spec, x)
+    return set(ChainGraph(spec).distances(x, length))
 
 
 @dataclass(frozen=True)
@@ -460,10 +460,11 @@ def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityRepor
         raise ValueError(f"max_length must be >= 1: {max_length}")
     graph = ChainGraph(spec)
     n = len(graph.points)
+    _check_budget(n * n, f"the {n}^2 point pairs of the chain graph")
     reachable = {l: 0 for l in range(1, max_length + 1)}
     line_counts: dict[int, int] = {}
     for x in graph.points:
-        dist = graph.distances(x, max_depth=max_length)
+        dist = graph.distances(x, max_length)
         for l in range(1, max_length + 1):
             reachable[l] += sum(1 for d in dist.values() if d <= l)
         k = len(graph.contained_lines_through(x))

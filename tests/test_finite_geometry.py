@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from chainlines import finite_geometry
+from chainlines.cli import main
 from chainlines.finite_geometry import (
     BudgetExceededError,
     Chain,
@@ -34,6 +36,28 @@ from chainlines.finite_geometry import (
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
 
+def sweep_lines_through(spec, x):
+    """Reference route: join x to every point of P^N(F_p), keep contained lines."""
+    field, n = spec.field, spec.ambient
+    found, seen = set(), set()
+    for lead in range(n + 1):
+        for tail in itertools.product(range(field.p), repeat=n - lead):
+            y = (0,) * lead + (1,) + tail
+            if y == x:
+                continue
+            line = line_through(x, y, field)
+            if line not in seen:
+                seen.add(line)
+                if line_in_variety(spec, line):
+                    found.add(line)
+    return found
+
+
+def fermat_cubic_threefold(p):
+    exps = [tuple(3 if j == i else 0 for j in range(5)) for i in range(5)]
+    return VarietySpec(PrimeField(p), 4, (HomogPoly(3, tuple((1, e) for e in exps)),))
+
+
 def test_prime_field_validation():
     assert PrimeField(2).p == 2
     assert PrimeField(2147483647).p == 2147483647  # largest prime below 2^31
@@ -52,6 +76,8 @@ def test_homog_poly_validation():
         HomogPoly(2, ((1, (1, 0, 0, 0)),))  # degree mismatch
     with pytest.raises(ValueError):
         HomogPoly(2, ((1, (1, 0, 0, 1)), (2, (1, 0, 0, 1))))  # duplicate
+    with pytest.raises(ValueError):
+        HomogPoly(2, ((1, (1, 0, 0, 1)), (4, (1, 1, 0))))  # mixed term lengths
 
 
 def test_normalize_point():
@@ -169,6 +195,31 @@ def test_lines_through_quadric_all_points():
         assert len(lines_through(spec, pt)) == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        split_quadric(5),
+        fermat_cubic(5),
+        fermat_cubic(7),
+        coordinate_hyperplane(3),
+        fermat_cubic_threefold(5),
+    ],
+    ids=["quadric5", "fermat5", "fermat7", "plane3", "fermat3fold5"],
+)
+def test_lines_through_matches_sweep(spec):
+    for pt in sorted(enumerate_points(spec)):
+        assert lines_through(spec, pt) == sweep_lines_through(spec, pt)
+
+
+def test_unnormalized_points_are_accepted():
+    spec = split_quadric(5)
+    x, x2, y = (1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 1)
+    assert lines_through(spec, x2) == lines_through(spec, x)
+    assert chain_search(spec, x2, y, 3) == chain_search(spec, x, y, 3)
+    assert chain_search(spec, x2, x, 2) == chain_search(spec, x, x, 2)
+    assert locus(spec, x2, 1) == locus(spec, x, 1)
+
+
 def test_lines_through_requires_point_on_variety():
     spec = split_quadric(5)
     with pytest.raises(ValueError):
@@ -269,9 +320,9 @@ def test_locus_monotone():
 def test_graph_cache_matches_uncached():
     spec = split_quadric(5)
     graph = ChainGraph(spec)
-    for pt in graph.points[:6]:
+    for pt in graph.points:
         expected = set()
-        for line in lines_through(spec, pt):  # independent, uncached route
+        for line in sweep_lines_through(spec, pt):  # independent, uncached route
             expected.update(line_points(line, F5))
         expected.discard(pt)
         assert set(graph.neighbors(pt)) == expected
@@ -299,6 +350,18 @@ def test_connectivity_report_fermat_f5():
     for l in range(1, 6):
         assert report.fractions[l] < 1
     assert report.line_counts.get(0, 0) == 16
+
+
+def test_connectivity_report_pair_budget(monkeypatch, tmp_path):
+    # the plane over F_3 has p^N = 27 ambient points but n^2 = 169 point pairs
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 100)
+    spec = coordinate_hyperplane(3)
+    assert len(enumerate_points(spec)) == 13
+    with pytest.raises(BudgetExceededError):
+        connectivity_report(spec, 1)
+    path = tmp_path / "plane3.variety"
+    path.write_text(format_variety(spec))
+    assert main(["explore", "--variety", str(path), "--max-length", "1"]) == 2
 
 
 def test_chain_invariants():
