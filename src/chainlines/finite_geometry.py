@@ -5,11 +5,20 @@ over F_p it enumerates the points of the variety, finds the lines through a
 point that lie on it, searches for chains of lines between points, and
 reports connectivity statistics.  Everything is exhaustive and exact.
 
-Contained lines are found from the points of X(F_p) alone: ChainGraph joins
-a point to every other point of X(F_p), canonicalizes each joining line and
-keeps it if it lies on X.  Nothing is missed: a contained line has
-p+1 >= 3 rational points, all of them on X, so it passes through the point
-and at least two other points of X(F_p).
+Points are enumerated one line at a time: each canonical point of
+P^{N-1}(F_p) is a prefix (x_0, ..., x_{N-1}), on the points (prefix, t)
+every polynomial is a polynomial in t, and the t at which all of them
+vanish give the points of X(F_p) with that prefix.
+
+Contained lines are found from the points of X(F_p) alone.  Through a
+point a, ChainGraph considers only the points b in the tangent space,
+grad G(a).b = 0 for every polynomial G: the t^1 coefficient of G(a + t b)
+is grad G(a).b, so a line on X satisfies this over any field (a zero
+gradient filters nothing).  A candidate line that lies on X brings all its
+p+1 points at once.  Nothing is missed: a contained line has p+1 >= 3
+rational points, all of them on X, so it passes through the point and at
+least two other points of X(F_p).  Chain searches expand each contained
+line once, not each pair of its points.
 
 Caveat, stated once here and repeated where it matters: the symbolic theory
 lives over the complex numbers.  Counts and reachability over F_p are
@@ -31,6 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 ENUMERATION_BUDGET = 10**8  # hard cap on p**N per enumeration and on n**2 point pairs
@@ -203,9 +213,12 @@ def eval_poly(poly: HomogPoly, pt: Point, field: PrimeField) -> int:
         raise ValueError(
             f"point has {len(pt)} coordinates, polynomial has {poly.nvars} variables"
         )
-    p = field.p
+    return _eval_terms(poly.terms, pt, field.p)
+
+
+def _eval_terms(terms, pt: Point, p: int) -> int:
     total = 0
-    for coeff, exps in poly.terms:
+    for coeff, exps in terms:
         term = coeff
         for x, e in zip(pt, exps):
             if e:
@@ -240,10 +253,47 @@ def _projective_reps(field: PrimeField, n: int):
 
 
 def enumerate_points(spec: VarietySpec) -> set[Point]:
-    """All F_p-points of the variety, canonical and deduplicated."""
+    """All F_p-points of the variety, canonical and deduplicated.
+
+    For each canonical point of P^{N-1}(F_p) as prefix, each polynomial
+    becomes a polynomial in x_N, and the points (prefix, t) kept are those
+    at which all of them vanish; (0,...,0,1) is checked on its own.
+    """
     field, n = spec.field, spec.ambient
-    _check_budget(field.p**n, f"enumerating P^{n}(F_{field.p})")
-    return {pt for pt in _projective_reps(field, n) if on_variety(spec, pt)}
+    p = field.p
+    _check_budget(p**n, f"enumerating P^{n}(F_{p})")
+    used = {e for poly in spec.polys for _, exps in poly.terms for e in exps}
+    powers = {e: [pow(x, e, p) for x in range(p)] for e in used}
+    # each polynomial as [(k, terms)]: the coefficient of x_N^k is a sum of
+    # terms coeff * prod x_i^e over (i, e) with i < N and e > 0
+    split = []
+    for poly in spec.polys:
+        by_k: dict[int, list] = {}
+        for coeff, exps in poly.terms:
+            factors = tuple((i, e) for i, e in enumerate(exps[:n]) if e)
+            by_k.setdefault(exps[n], []).append((coeff, factors))
+        split.append(list(by_k.items()))
+    last = (0,) * n + (1,)
+    found = {last} if on_variety(spec, last) else set()
+    for prefix in _projective_reps(field, n - 1):
+        ts = range(p)
+        for poly in split:
+            vals = [0] * len(ts)
+            for k, terms in poly:
+                c = 0
+                for term, factors in terms:
+                    for i, e in factors:
+                        term = term * powers[e][prefix[i]]
+                    c += term
+                c %= p
+                if c:
+                    row = powers[k]
+                    vals = [v + c * row[t] for v, t in zip(vals, ts)]
+            ts = [t for t, v in zip(ts, vals) if not v % p]
+            if not ts:
+                break
+        found.update(prefix + (t,) for t in ts)
+    return found
 
 
 # -- lines -------------------------------------------------------------------
@@ -321,8 +371,9 @@ def line_in_variety(spec: VarietySpec, line: Line) -> bool:
 def lines_through(spec: VarietySpec, x: Point) -> set[Line]:
     """All lines through x that lie on the variety (over F_p).
 
-    Joins x to the other points of X(F_p); a contained line has p+1 >= 3
-    rational points, all on X, so none is missed (see ChainGraph).
+    Joins x to the points of X(F_p) in its tangent space; a contained line
+    has p+1 >= 3 rational points, all on X and all tangent at x, so none is
+    missed (see ChainGraph).
     """
     x = _point_of(spec, x)
     return ChainGraph(spec).contained_lines_through(x)
@@ -334,18 +385,36 @@ class ChainGraph:
     """Reachability graph on the F_p-points of a variety.
 
     Vertices are the points of X(F_p); two distinct points are adjacent iff
-    their joining line lies on X.  One pass per point over X(F_p) records
-    both its neighbors and the contained lines through it; both are cached,
-    as are line-containment results.  Results are deterministic (points kept
-    sorted) and identical to uncached recomputation.  The caches are not
-    synchronized: concurrent workers should each hold their own instance.
+    their joining line lies on X.  The pass for a point a visits only the
+    points b of X(F_p) in its tangent space (grad G(a).b = 0 for every
+    polynomial G), and a candidate line that lies on X contributes all of
+    its points at once; the pass records both the neighbors of a and the
+    contained lines through it.  Neighbors, line sets, line points and
+    line-containment results are cached.  Results are deterministic (points
+    kept sorted) and identical to joining a to every other point.  The
+    caches are not synchronized: concurrent workers should each hold their
+    own instance.
     """
 
     def __init__(self, spec: VarietySpec):
         self.spec = spec
         self.points: list[Point] = sorted(enumerate_points(spec))
+        p = spec.field.p
+        # per polynomial, per variable i: the terms of dG/dx_i
+        self._partials = [
+            [
+                [
+                    (coeff * e % p, exps[:i] + (e - 1,) + exps[i + 1 :])
+                    for coeff, exps in poly.terms
+                    if (e := exps[i]) and coeff * e % p
+                ]
+                for i in range(spec.ambient + 1)
+            ]
+            for poly in spec.polys
+        ]
         self._neighbors: dict[Point, list[Point]] = {}
         self._lines: dict[Point, set[Line]] = {}
+        self._line_points: dict[Line, list[Point]] = {}
         self._contained: dict[Line, bool] = {}
 
     def line_ok(self, line: Line) -> bool:
@@ -358,14 +427,24 @@ class ChainGraph:
         cached = self._neighbors.get(a)
         if cached is None:
             field = self.spec.field
-            cached, lines = [], set()
+            p = field.p
+            gradients = [
+                [_eval_terms(terms, a, p) for terms in partials]
+                for partials in self._partials
+            ]
+            reached, lines = {a}, set()
             for b in self.points:
-                if b != a:
-                    line = line_through(a, b, field)
-                    if self.line_ok(line):
-                        cached.append(b)
-                        lines.add(line)
-            self._neighbors[a] = cached
+                if b in reached or any(sum(map(mul, g, b)) % p for g in gradients):
+                    continue
+                line = line_through(a, b, field)
+                if self.line_ok(line):
+                    lines.add(line)
+                    pts = self._line_points.get(line)
+                    if pts is None:
+                        pts = self._line_points[line] = line_points(line, field)
+                    reached.update(pts)
+            reached.remove(a)
+            cached = self._neighbors[a] = sorted(reached)
             self._lines[a] = lines
         return cached
 
@@ -394,24 +473,48 @@ class ChainGraph:
     def _bfs(
         self, start: Point, max_depth: int, goal: Point | None = None
     ) -> tuple[dict[Point, int], dict[Point, Point]]:
-        """Depth and parent maps from start, up to max_depth steps or goal."""
+        """Depth and parent maps from start, up to max_depth steps or goal.
+
+        Each contained line is expanded once, by the first frontier point
+        on it; its unvisited points take that point as parent, and the new
+        points of each frontier point join the next frontier in sorted
+        order.  That is the order of a BFS over the sorted neighbor lists,
+        so every point gets the same parent as there.
+        """
         depth_of = {start: 0}
         parent = {start: start}
         frontier = [start]
+        expanded: set[Line] = set()
+        total = len(self.points)
         depth = 0
-        while frontier and depth < max_depth:
+        while frontier and depth < max_depth and len(depth_of) < total:
             depth += 1
             nxt = []
             for a in frontier:
-                for b in self.neighbors(a):
-                    if b not in depth_of:
-                        depth_of[b] = depth
-                        parent[b] = a
-                        if b == goal:
-                            return depth_of, parent
-                        nxt.append(b)
+                new = []
+                for line in self.contained_lines_through(a):
+                    if line in expanded:
+                        continue
+                    expanded.add(line)
+                    for b in self._line_points[line]:
+                        if b not in depth_of:
+                            depth_of[b] = depth
+                            parent[b] = a
+                            new.append(b)
+                if goal in depth_of:
+                    return depth_of, parent
+                new.sort()
+                nxt += new
             frontier = nxt
         return depth_of, parent
+
+
+def _pair_graph(spec: VarietySpec) -> ChainGraph:
+    """The chain graph, refused when its n^2 point pairs exceed the budget."""
+    graph = ChainGraph(spec)
+    n = len(graph.points)
+    _check_budget(n * n, f"the {n}^2 point pairs of the chain graph")
+    return graph
 
 
 def chain_search(
@@ -427,7 +530,7 @@ def chain_search(
     x, y = _point_of(spec, x), _point_of(spec, y)
     if x == y:
         return Chain((x,), ())
-    return ChainGraph(spec).shortest_chain(x, y, max_length)
+    return _pair_graph(spec).shortest_chain(x, y, max_length)
 
 
 def locus(spec: VarietySpec, x: Point, length: int) -> set[Point]:
@@ -440,7 +543,7 @@ def locus(spec: VarietySpec, x: Point, length: int) -> set[Point]:
     if length < 1:
         raise ValueError(f"length must be >= 1: {length}")
     x = _point_of(spec, x)
-    return set(ChainGraph(spec).distances(x, length))
+    return set(_pair_graph(spec).distances(x, length))
 
 
 @dataclass(frozen=True)
@@ -458,19 +561,20 @@ def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityRepor
     """Pair-connectivity fractions for l = 1..max_length plus a line census."""
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
-    graph = ChainGraph(spec)
+    graph = _pair_graph(spec)
     n = len(graph.points)
-    _check_budget(n * n, f"the {n}^2 point pairs of the chain graph")
-    reachable = {l: 0 for l in range(1, max_length + 1)}
+    pairs_at = [0] * (max_length + 1)  # ordered pairs at distance exactly d
     line_counts: dict[int, int] = {}
     for x in graph.points:
-        dist = graph.distances(x, max_length)
-        for l in range(1, max_length + 1):
-            reachable[l] += sum(1 for d in dist.values() if d <= l)
+        for d in graph.distances(x, max_length).values():
+            pairs_at[d] += 1
         k = len(graph.contained_lines_through(x))
         line_counts[k] = line_counts.get(k, 0) + 1
+    reachable = list(itertools.accumulate(pairs_at))
     fractions = (
-        {l: Fraction(reachable[l], n * n) for l in reachable} if n else {}
+        {l: Fraction(reachable[l], n * n) for l in range(1, max_length + 1)}
+        if n
+        else {}
     )
     return ConnectivityReport(points=n, fractions=fractions, line_counts=line_counts)
 

@@ -36,26 +36,110 @@ from chainlines.finite_geometry import (
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
 
-def sweep_lines_through(spec, x):
-    """Reference route: join x to every point of P^N(F_p), keep contained lines."""
-    field, n = spec.field, spec.ambient
-    found, seen = set(), set()
+def projective_points(field, n):
+    """Every canonical point of P^n(F_p): lead coordinate 1, zeros before it."""
     for lead in range(n + 1):
         for tail in itertools.product(range(field.p), repeat=n - lead):
-            y = (0,) * lead + (1,) + tail
-            if y == x:
-                continue
-            line = line_through(x, y, field)
-            if line not in seen:
-                seen.add(line)
-                if line_in_variety(spec, line):
-                    found.add(line)
+            yield (0,) * lead + (1,) + tail
+
+
+def sweep_points(spec):
+    """Reference route: evaluate the polynomials at every point of P^N(F_p)."""
+    return {pt for pt in projective_points(spec.field, spec.ambient) if on_variety(spec, pt)}
+
+
+def sweep_lines_through(spec, x):
+    """Reference route: join x to every point of P^N(F_p), keep contained lines."""
+    found, seen = set(), set()
+    for y in projective_points(spec.field, spec.ambient):
+        if y == x:
+            continue
+        line = line_through(x, y, spec.field)
+        if line not in seen:
+            seen.add(line)
+            if line_in_variety(spec, line):
+                found.add(line)
     return found
+
+
+def pairwise_neighbors(spec):
+    """Reference route: join each point of X(F_p) to every other point.
+
+    Maps each point to its sorted neighbor list and its set of contained
+    lines; containment is decided once per line.
+    """
+    field, points = spec.field, sorted(sweep_points(spec))
+    contained, out = {}, {}
+    for a in points:
+        nbrs, lines = [], set()
+        for b in points:
+            if b != a:
+                line = line_through(a, b, field)
+                if line not in contained:
+                    contained[line] = line_in_variety(spec, line)
+                if contained[line]:
+                    nbrs.append(b)
+                    lines.add(line)
+        out[a] = (nbrs, lines)
+    return out
+
+
+def pairwise_parents(neighbors, start, max_depth):
+    """Parent map of a BFS over the given neighbor lists, pair by pair."""
+    parent, frontier = {start: start}, [start]
+    for _ in range(max_depth):
+        nxt = []
+        for a in frontier:
+            for b in neighbors[a][0]:
+                if b not in parent:
+                    parent[b] = a
+                    nxt.append(b)
+        frontier = nxt
+    return parent
 
 
 def fermat_cubic_threefold(p):
     exps = [tuple(3 if j == i else 0 for j in range(5)) for i in range(5)]
     return VarietySpec(PrimeField(p), 4, (HomogPoly(3, tuple((1, e) for e in exps)),))
+
+
+def conic_cone(p):
+    """x0*x2 - x1^2 in P^3: no x3, vertex (0,0,0,1), a line through each point."""
+    return VarietySpec(PrimeField(p), 3, (HomogPoly(2, ((1, (1, 0, 1, 0)), (p - 1, (0, 2, 0, 0)))),))
+
+
+def two_minors(p):
+    """x0*x2 - x1^2 = x0*x4 - x1*x3 = 0 in P^4: a cubic scroll plus a plane."""
+    polys = (
+        HomogPoly(2, ((1, (1, 0, 1, 0, 0)), (p - 1, (0, 2, 0, 0, 0)))),
+        HomogPoly(2, ((1, (1, 0, 0, 0, 1)), (p - 1, (0, 1, 0, 1, 0)))),
+    )
+    return VarietySpec(PrimeField(p), 4, polys)
+
+
+def cubic_with_line():
+    """A cubic surface x0*Q1 + x1*Q2 over F_7 with mixed exponents: it holds
+    the line x0 = x1 = 0, and 72 point-line incidences in all."""
+    terms = (
+        (6, (2, 1, 0, 0)), (5, (2, 0, 1, 0)), (6, (2, 0, 0, 1)), (3, (1, 2, 0, 0)),
+        (2, (1, 1, 0, 1)), (5, (1, 0, 2, 0)), (5, (1, 0, 1, 1)), (5, (1, 0, 0, 2)),
+        (5, (0, 3, 0, 0)), (2, (0, 1, 0, 2)),
+    )
+    return VarietySpec(PrimeField(7), 3, (HomogPoly(3, terms),))
+
+
+ORACLE_VARIETIES = {
+    "quadric5": split_quadric(5),
+    "fermat2": fermat_cubic(2),
+    "fermat3": fermat_cubic(3),  # grad G = 3(x_i^2) vanishes identically over F_3
+    "fermat5": fermat_cubic(5),
+    "fermat7": fermat_cubic(7),
+    "plane3": coordinate_hyperplane(3),
+    "cone5": conic_cone(5),  # contains (0,0,0,1), like quadric5
+    "minors5": two_minors(5),
+    "cubic7": cubic_with_line(),
+    "fermat3fold5": fermat_cubic_threefold(5),
+}
 
 
 def test_prime_field_validation():
@@ -211,6 +295,38 @@ def test_lines_through_matches_sweep(spec):
         assert lines_through(spec, pt) == sweep_lines_through(spec, pt)
 
 
+@pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
+def test_chain_graph_matches_pairwise_oracle(spec):
+    assert enumerate_points(spec) == sweep_points(spec)
+    oracle = pairwise_neighbors(spec)
+    graph = ChainGraph(spec)
+    assert graph.points == sorted(oracle)
+    for pt, (nbrs, lines) in oracle.items():
+        assert graph.neighbors(pt) == nbrs
+        assert graph.contained_lines_through(pt) == lines
+
+
+@pytest.mark.parametrize("spec, lengths", [(split_quadric(5), (3,)), (fermat_cubic(7), (2, 3))],
+                         ids=["quadric5", "fermat7"])
+def test_shortest_chain_matches_pairwise_bfs(spec, lengths):
+    oracle = pairwise_neighbors(spec)
+    graph = ChainGraph(spec)
+    for max_length in lengths:
+        for x in oracle:
+            parent = pairwise_parents(oracle, x, max_length)
+            for y in oracle:
+                chain = graph.shortest_chain(x, y, max_length)
+                if y not in parent:
+                    assert chain is None
+                    continue
+                path = [y]
+                while path[-1] != x:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                lines = tuple(line_through(a, b, spec.field) for a, b in zip(path, path[1:]))
+                assert chain == Chain(tuple(path), lines)
+
+
 def test_unnormalized_points_are_accepted():
     spec = split_quadric(5)
     x, x2, y = (1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 1)
@@ -362,6 +478,24 @@ def test_connectivity_report_pair_budget(monkeypatch, tmp_path):
     path = tmp_path / "plane3.variety"
     path.write_text(format_variety(spec))
     assert main(["explore", "--variety", str(path), "--max-length", "1"]) == 2
+
+
+def test_chain_and_locus_pair_budget(monkeypatch, tmp_path):
+    # as for explore: 13 points under p^N = 27, refused at n^2 = 169
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 100)
+    spec = coordinate_hyperplane(3)
+    x, y = (0, 1, 0, 0), (0, 0, 0, 1)
+    with pytest.raises(BudgetExceededError):
+        chain_search(spec, x, y, 1)
+    with pytest.raises(BudgetExceededError):
+        locus(spec, x, 1)
+    assert len(lines_through(spec, x)) == 4  # one pass over X(F_p), not n^2
+    path = tmp_path / "plane3.variety"
+    path.write_text(format_variety(spec))
+    variety = ["--variety", str(path)]
+    assert main(["chain", *variety, "--from", "0:1:0:0", "--to", "0:0:0:1", "--max-length", "1"]) == 2
+    assert main(["locus", *variety, "--point", "0:1:0:0", "--length", "1"]) == 2
+    assert main(["lines", *variety, "--point", "0:1:0:0"]) == 0
 
 
 def test_chain_invariants():
