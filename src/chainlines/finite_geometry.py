@@ -10,15 +10,17 @@ P^{N-1}(F_p) is a prefix (x_0, ..., x_{N-1}), on the points (prefix, t)
 every polynomial is a polynomial in t, and the t at which all of them
 vanish give the points of X(F_p) with that prefix.
 
-Contained lines are found from the points of X(F_p) alone.  Through a
-point a, ChainGraph considers only the points b in the tangent space,
-grad G(a).b = 0 for every polynomial G: the t^1 coefficient of G(a + t b)
-is grad G(a).b, so a line on X satisfies this over any field (a zero
-gradient filters nothing).  A candidate line that lies on X brings all its
-p+1 points at once.  Nothing is missed: a contained line has p+1 >= 3
-rational points, all of them on X, so it passes through the point and at
-least two other points of X(F_p).  Chain searches expand each contained
-line once, not each pair of its points.
+Contained lines are found from the points of X(F_p) alone, each once.  For
+points a, b of X and G of degree d, G(a + t b) has t^1 coefficient
+grad G(a).b and t^(d-1) coefficient grad G(b).a, over any field, and its
+t^0, t^d coefficients are G(a) = G(b) = 0.  So ChainGraph keeps, through a,
+the points b that pass both gradient tests; for d <= 3 these are exactly
+the b with ab on X, and higher degrees confirm them symbolically.  Nothing
+is missed: a contained line has p+1 >= 3 rational points, all of them on
+X.  A contained line, once found, is registered at all its p+1 points, and
+later passes skip it.  Chain searches expand each contained line once, not
+each pair of its points; connectivity reports grow the balls around all
+points at once, as bitsets over the point indices.
 
 Caveat, stated once here and repeated where it matters: the symbolic theory
 lives over the complex numbers.  Counts and reachability over F_p are
@@ -28,11 +30,14 @@ chain loci (which are defined through general points and Zariski closures).
 The bundled test varieties (split quadric, coordinate hyperplane, Fermat
 cubic surface) are ones where the discrepancy does not bite.
 
-Line containment is decided symbolically: G restricted to a parametrized
-line is a binary form of degree d, and the line lies on the variety iff all
-d+1 coefficients vanish in F_p.  Checking values at the q+1 rational points
-of the line would be wrong for p <= d, where a nonzero form can vanish
-everywhere.
+Line containment is never decided by sampling: a line lies on the variety
+iff each G restricted to it, a binary form of degree d, has all d+1
+coefficients 0 in F_p.  Checking values at the q+1 rational points of the
+line would be wrong for p <= d, where a nonzero form can vanish everywhere.
+The two gradient tests read off two of those coefficients, and for d <= 3
+there are no others; over F_3 the Fermat cubic is the triple plane
+(x_0 + x_1 + x_2 + x_3)^3, its gradient vanishes identically, and every
+pair of its points is joined.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import mul, or_
 from pathlib import Path
 
 ENUMERATION_BUDGET = 10**8  # hard cap on p**N per enumeration and on n**2 point pairs
@@ -325,13 +331,14 @@ def line_through(a: Point, b: Point, field: PrimeField) -> Line:
 
 
 def line_points(line: Line, field: PrimeField) -> list[Point]:
-    """The q+1 rational points of the line, canonical."""
+    """The q+1 rational points of the line, canonical.
+
+    The RREF basis (a, b) needs no scaling: b and every a + t*b already
+    lead with a 1, since the pivot of a comes first and b is 0 there.
+    """
     p = field.p
     a, b = line.basis
-    pts = [normalize_point(b, field)]
-    for t in range(p):
-        pts.append(normalize_point([(x + t * y) % p for x, y in zip(a, b)], field))
-    return pts
+    return [b] + [tuple((x + t * y) % p for x, y in zip(a, b)) for t in range(p)]
 
 
 def _mul_linear(coeffs: list[int], ai: int, bi: int, p: int) -> list[int]:
@@ -385,15 +392,31 @@ class ChainGraph:
     """Reachability graph on the F_p-points of a variety.
 
     Vertices are the points of X(F_p); two distinct points are adjacent iff
-    their joining line lies on X.  The pass for a point a visits only the
-    points b of X(F_p) in its tangent space (grad G(a).b = 0 for every
-    polynomial G), and a candidate line that lies on X contributes all of
-    its points at once; the pass records both the neighbors of a and the
-    contained lines through it.  Neighbors, line sets, line points and
-    line-containment results are cached.  Results are deterministic (points
-    kept sorted) and identical to joining a to every other point.  The
-    caches are not synchronized: concurrent workers should each hold their
-    own instance.
+    their joining line lies on X.  Each point a gets one pass, run on first
+    request, that finds every contained line through a:
+
+    - the pass starts from the lines already registered at a, and looks only
+      at points whose own pass has not run (any contained line through a
+      point whose pass has run is registered already);
+    - of those it keeps the points b in the tangent space of a,
+      grad G(a).b = 0, and then those with grad G(b).a = 0, for every
+      polynomial G (gradients are cached per point);
+    - the line ab through a kept b is canonicalized once, and registered at
+      all of its p+1 points at once.
+
+    With t the parameter of a + t b and d = deg G, the t^1 coefficient of
+    G(a + t b) is grad G(a).b and its t^(d-1) coefficient is grad G(b).a,
+    over any field; its t^0 and t^d coefficients G(a), G(b) are 0.  So both
+    gradient tests are necessary for the line ab to lie on X, and for d <= 3
+    they cover all d+1 coefficients and decide containment exactly.  When
+    some polynomial has degree >= 4, kept lines are confirmed by the
+    symbolic line_in_variety.
+
+    Neighbors, line sets, line points, gradients and line-containment
+    results are cached.  Results are deterministic (points kept sorted) and
+    identical to joining a to every other point, whatever order the points
+    are asked for in.  The caches are not synchronized: concurrent workers
+    should each hold their own instance.
     """
 
     def __init__(self, spec: VarietySpec):
@@ -412,9 +435,13 @@ class ChainGraph:
             ]
             for poly in spec.polys
         ]
+        # the two gradient tests decide containment when every degree is <= 3
+        self._exact = all(poly.degree <= 3 for poly in spec.polys)
+        self._gradients: dict[Point, list[list[int]]] = {}
+        self._pending = dict.fromkeys(self.points)  # points whose pass has not run
         self._neighbors: dict[Point, list[Point]] = {}
-        self._lines: dict[Point, set[Line]] = {}
-        self._line_points: dict[Line, list[Point]] = {}
+        self._lines: dict[Point, set[Line]] = {pt: set() for pt in self.points}
+        self._line_points: dict[Line, list[Point]] = {}  # the contained lines
         self._contained: dict[Line, bool] = {}
 
     def line_ok(self, line: Line) -> bool:
@@ -423,29 +450,49 @@ class ChainGraph:
             cached = self._contained[line] = line_in_variety(self.spec, line)
         return cached
 
-    def neighbors(self, a: Point) -> list[Point]:
-        cached = self._neighbors.get(a)
-        if cached is None:
-            field = self.spec.field
-            p = field.p
-            gradients = [
+    def _gradient(self, a: Point) -> list[list[int]]:
+        grads = self._gradients.get(a)
+        if grads is None:
+            p = self.spec.field.p
+            grads = self._gradients[a] = [
                 [_eval_terms(terms, a, p) for terms in partials]
                 for partials in self._partials
             ]
-            reached, lines = {a}, set()
-            for b in self.points:
-                if b in reached or any(sum(map(mul, g, b)) % p for g in gradients):
+        return grads
+
+    def _tangent(self, a: Point, points) -> list[Point]:
+        """The points b among `points` with grad G(a).b = 0 for every G."""
+        p = self.spec.field.p
+        for g in self._gradient(a):
+            if any(g):  # a zero gradient keeps every point
+                points = [b for b in points if not sum(map(mul, g, b)) % p]
+        return list(points)
+
+    def _joins(self, a: Point, b: Point) -> bool:
+        """Whether the line ab lies on X, for distinct points a, b of X(F_p)
+        with b in the tangent space of a."""
+        p = self.spec.field.p
+        if any(sum(map(mul, g, a)) % p for g in self._gradient(b)):
+            return False
+        return self._exact or self.line_ok(line_through(a, b, self.spec.field))
+
+    def neighbors(self, a: Point) -> list[Point]:
+        """The sorted points of X(F_p) other than a on contained lines through a."""
+        cached = self._neighbors.get(a)
+        if cached is None:
+            field = self.spec.field
+            del self._pending[a]
+            reached = {a}.union(*(self._line_points[line] for line in self._lines[a]))
+            for b in self._tangent(a, self._pending):
+                if b in reached or not self._joins(a, b):
                     continue
                 line = line_through(a, b, field)
-                if self.line_ok(line):
-                    lines.add(line)
-                    pts = self._line_points.get(line)
-                    if pts is None:
-                        pts = self._line_points[line] = line_points(line, field)
-                    reached.update(pts)
+                pts = self._line_points[line] = line_points(line, field)
+                for c in pts:
+                    self._lines[c].add(line)
+                reached.update(pts)
             reached.remove(a)
             cached = self._neighbors[a] = sorted(reached)
-            self._lines[a] = lines
         return cached
 
     def contained_lines_through(self, a: Point) -> set[Line]:
@@ -558,21 +605,41 @@ class ConnectivityReport:
 
 
 def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityReport:
-    """Pair-connectivity fractions for l = 1..max_length plus a line census."""
+    """Pair-connectivity fractions for l = 1..max_length plus a line census.
+
+    Runs every point's pass, then counts pairs with bitsets over the point
+    indices: the ball of radius k+1 about x is the ball of radius k with
+    every contained line that meets it, which is the union of the radius-k
+    balls about the points of the lines through x.  One level ORs each
+    line's balls together and then each point's lines together; popcounts
+    give the number of ordered pairs within each distance.
+    """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
     graph = _pair_graph(spec)
     n = len(graph.points)
-    pairs_at = [0] * (max_length + 1)  # ordered pairs at distance exactly d
     line_counts: dict[int, int] = {}
     for x in graph.points:
-        for d in graph.distances(x, max_length).values():
-            pairs_at[d] += 1
         k = len(graph.contained_lines_through(x))
         line_counts[k] = line_counts.get(k, 0) + 1
-    reachable = list(itertools.accumulate(pairs_at))
+    index = {pt: i for i, pt in enumerate(graph.points)}
+    members = [[index[pt] for pt in pts] for pts in graph._line_points.values()]
+    through: list[list[int]] = [[] for _ in range(n)]  # line numbers at each point
+    for j, idx in enumerate(members):
+        for i in idx:
+            through[i].append(j)
+    ball = [1 << i for i in range(n)]
+    reachable = []  # ordered pairs at distance <= l, for l = 1, 2, ...
+    for _ in range(max_length):
+        spans = [reduce(or_, [ball[i] for i in idx]) for idx in members]
+        grown = [reduce(or_, [spans[j] for j in js], b) for b, js in zip(ball, through)]
+        reachable.append(sum(b.bit_count() for b in grown))
+        if grown == ball:  # no ball grows any more
+            break
+        ball = grown
+    reachable += reachable[-1:] * (max_length - len(reachable))
     fractions = (
-        {l: Fraction(reachable[l], n * n) for l in range(1, max_length + 1)}
+        {l: Fraction(reachable[l - 1], n * n) for l in range(1, max_length + 1)}
         if n
         else {}
     )
@@ -591,6 +658,9 @@ def parse_variety(text: str) -> VarietySpec:
         poly <d> : <c> <e0> ... <eN> ; <c> <e0> ... <eN> ; ...
 
     Lines starting with ``#`` are comments; blank lines are skipped.
+    Coefficients are reduced mod p and terms that vanish are dropped; the
+    rest is validated by PrimeField, HomogPoly and VarietySpec, whose
+    errors are reported with the number of the line they concern.
     """
     lines = [
         (no, stripped)
@@ -611,15 +681,15 @@ def parse_variety(text: str) -> VarietySpec:
         except ValueError:
             raise VarietyParseError(no, f"{keyword} value {tokens[1]!r} is not an integer") from None
 
-    p = _keyword_int(lines[0], "field")
-    try:
-        field = PrimeField(p)
-    except ValueError as exc:
-        raise VarietyParseError(lines[0][0], str(exc)) from None
-    ambient = _keyword_int(lines[1], "ambient")
-    if ambient < 2:
-        raise VarietyParseError(lines[1][0], f"ambient dimension must be >= 2: {ambient}")
+    def _checked(lineno, build, *args):
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raise VarietyParseError(lineno, str(exc)) from None
 
+    p = _keyword_int(lines[0], "field")
+    field = _checked(lines[0][0], PrimeField, p)
+    ambient = _keyword_int(lines[1], "ambient")
     polys = []
     for no, content in lines[2:]:
         head, sep, rest = content.partition(":")
@@ -628,40 +698,20 @@ def parse_variety(text: str) -> VarietySpec:
             raise VarietyParseError(no, f"expected 'poly <d> : ...', got {content!r}")
         try:
             degree = int(tokens[1])
+            terms = []
+            for group in rest.split(";"):
+                coeff, *exps = map(int, group.split())
+                if coeff % p:
+                    terms.append((coeff % p, tuple(exps)))
         except ValueError:
-            raise VarietyParseError(no, f"degree {tokens[1]!r} is not an integer") from None
-        if degree < 1:
-            raise VarietyParseError(no, f"degree must be >= 1: {degree}")
-        terms = []
-        seen = set()
-        for group in rest.split(";"):
-            try:
-                numbers = [int(tok) for tok in group.split()]
-            except ValueError:
-                raise VarietyParseError(no, f"non-integer token in term {group!r}") from None
-            if not numbers:
-                raise VarietyParseError(no, "empty term")
-            if len(numbers) != ambient + 2:
-                raise VarietyParseError(
-                    no,
-                    f"term needs a coefficient and {ambient + 1} exponents, "
-                    f"got {len(numbers)} numbers",
-                )
-            coeff, exps = numbers[0] % p, tuple(numbers[1:])
-            if any(e < 0 for e in exps):
-                raise VarietyParseError(no, f"negative exponent in term {group!r}")
-            if sum(exps) != degree:
-                raise VarietyParseError(
-                    no, f"term {group.strip()!r} has degree {sum(exps)}, declared {degree}"
-                )
-            if exps in seen:
-                raise VarietyParseError(no, f"duplicate monomial {exps}")
-            seen.add(exps)
-            if coeff:
-                terms.append((coeff, exps))
+            raise VarietyParseError(
+                no, f"expected an integer degree and terms '<c> <e0> ... <eN>', got {content!r}"
+            ) from None
         if not terms:
             raise VarietyParseError(no, f"polynomial vanishes modulo {p}")
-        polys.append(HomogPoly(degree, tuple(terms)))
+        poly = _checked(no, HomogPoly, degree, tuple(terms))
+        _checked(no, VarietySpec, field, ambient, (poly,))
+        polys.append(poly)
     return VarietySpec(field, ambient, tuple(polys))
 
 

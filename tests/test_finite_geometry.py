@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from chainlines.finite_geometry import (
     BudgetExceededError,
     Chain,
     ChainGraph,
+    ConnectivityReport,
     HomogPoly,
     Line,
     PrimeField,
@@ -128,6 +130,29 @@ def cubic_with_line():
     return VarietySpec(PrimeField(7), 3, (HomogPoly(3, terms),))
 
 
+def fermat_quartic(p):
+    """x0^4 + x1^4 + x2^4 + x3^4 in P^3: over F_3, where x^4 + y^4 splits into
+    two quadrics, 16 points on 8 lines; over F_5 no point at all."""
+    return VarietySpec(PrimeField(p), 3, (HomogPoly(4, tuple((1, e) for e in (
+        (4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4)))),))
+
+
+def diagonal_quartic(p):
+    """x0^4 + x1^4 - x2^4 - x3^4 in P^3: holds the lines x0 = u*x2, x1 = v*x3
+    and x0 = u*x3, x1 = v*x2 for u^4 = v^4 = 1."""
+    return VarietySpec(PrimeField(p), 3, (HomogPoly(4, (
+        (1, (4, 0, 0, 0)), (1, (0, 4, 0, 0)), (p - 1, (0, 0, 4, 0)), (p - 1, (0, 0, 0, 4)))),))
+
+
+def quadric_and_quartic(p):
+    """x0*x3 - x1*x2 = x0*x1*x2*x3 + x0^4 - x1^4 = 0 in P^3: mixed degrees;
+    over F_5 10 points, one line, and 8 ordered pairs that pass both
+    gradient tests without being joined, which only the quartic rules out."""
+    quadric = split_quadric(p).polys[0]
+    quartic = HomogPoly(4, ((1, (1, 1, 1, 1)), (1, (4, 0, 0, 0)), (p - 1, (0, 4, 0, 0))))
+    return VarietySpec(PrimeField(p), 3, (quadric, quartic))
+
+
 ORACLE_VARIETIES = {
     "quadric5": split_quadric(5),
     "fermat2": fermat_cubic(2),
@@ -139,6 +164,10 @@ ORACLE_VARIETIES = {
     "minors5": two_minors(5),
     "cubic7": cubic_with_line(),
     "fermat3fold5": fermat_cubic_threefold(5),
+    "fermat4_3": fermat_quartic(3),  # p <= d: lines whose 4 points all lie on X
+    "fermat4_5": fermat_quartic(5),  # no points: n = 0
+    "quartic5": diagonal_quartic(5),
+    "mixed5": quadric_and_quartic(5),
 }
 
 
@@ -299,11 +328,29 @@ def test_lines_through_matches_sweep(spec):
 def test_chain_graph_matches_pairwise_oracle(spec):
     assert enumerate_points(spec) == sweep_points(spec)
     oracle = pairwise_neighbors(spec)
+    shuffled = list(oracle)
+    random.Random(1).shuffle(shuffled)
+    # lines are registered by whichever point's pass finds them first
+    for order in (sorted(oracle), shuffled):
+        graph = ChainGraph(spec)
+        assert graph.points == sorted(oracle)
+        for pt in order:
+            nbrs, lines = oracle[pt]
+            assert graph.neighbors(pt) == nbrs
+            assert graph.contained_lines_through(pt) == lines
+
+
+@pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
+def test_containment_route_matches_line_in_variety(spec):
+    # the tangent filter, then the reverse gradient test (and line_in_variety
+    # above degree 3), against symbolic containment of every joining line
     graph = ChainGraph(spec)
-    assert graph.points == sorted(oracle)
-    for pt, (nbrs, lines) in oracle.items():
-        assert graph.neighbors(pt) == nbrs
-        assert graph.contained_lines_through(pt) == lines
+    for a in graph.points:
+        others = [b for b in graph.points if b != a]
+        tangent = set(graph._tangent(a, others))
+        for b in others:
+            joined = b in tangent and graph._joins(a, b)
+            assert joined == line_in_variety(spec, line_through(a, b, spec.field))
 
 
 @pytest.mark.parametrize("spec, lengths", [(split_quadric(5), (3,)), (fermat_cubic(7), (2, 3))],
@@ -466,6 +513,28 @@ def test_connectivity_report_fermat_f5():
     for l in range(1, 6):
         assert report.fractions[l] < 1
     assert report.line_counts.get(0, 0) == 16
+
+
+def distance_report(spec, max_length):
+    """Reference route: one BFS per source, its distances counted by value."""
+    graph = ChainGraph(spec)
+    n = len(graph.points)
+    pairs_at = [0] * (max_length + 1)  # ordered pairs at distance exactly d
+    line_counts = {}
+    for x in graph.points:
+        for d in graph.distances(x, max_length).values():
+            pairs_at[d] += 1
+        k = len(graph.contained_lines_through(x))
+        line_counts[k] = line_counts.get(k, 0) + 1
+    reachable = list(itertools.accumulate(pairs_at))
+    fractions = {l: Fraction(reachable[l], n * n) for l in range(1, max_length + 1)} if n else {}
+    return ConnectivityReport(points=n, fractions=fractions, line_counts=line_counts)
+
+
+@pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
+def test_connectivity_report_matches_distances(spec):
+    for max_length in range(1, 5):
+        assert connectivity_report(spec, max_length) == distance_report(spec, max_length)
 
 
 def test_connectivity_report_pair_budget(monkeypatch, tmp_path):

@@ -1,0 +1,88 @@
+"""Property tests over random small varieties (needs hypothesis, a test extra).
+
+The examples are derandomized, so every run checks the same varieties and a
+failure reproduces.
+"""
+
+import itertools
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from chainlines.finite_geometry import (  # noqa: E402
+    ChainGraph,
+    HomogPoly,
+    PrimeField,
+    VarietySpec,
+    format_variety,
+    parse_variety,
+)
+from test_finite_geometry import pairwise_neighbors  # noqa: E402
+
+PRIMES = (2, 3, 5, 7)
+SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+def monomials(nvars, degree):
+    return [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+
+
+def times(f, g, p):
+    """The product of two forms (as exponent -> coefficient dicts) mod p."""
+    out = {}
+    for (e1, c1), (e2, c2) in itertools.product(f.items(), g.items()):
+        e = tuple(map(sum, zip(e1, e2)))
+        out[e] = (out.get(e, 0) + c1 * c2) % p
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def forms(draw, p, nvars, degree, max_terms=5):
+    chosen = draw(st.lists(st.sampled_from(monomials(nvars, degree)),
+                           min_size=1, max_size=max_terms, unique=True))
+    return {e: draw(st.integers(1, p - 1)) for e in chosen}
+
+
+@st.composite
+def hypersurfaces(draw, p, ambient):
+    """A sparse form of degree 1-4, or a product of two, so that some
+    varieties hold planes and many lines."""
+    nvars = ambient + 1
+    degree = draw(st.integers(1, 4))
+    split = draw(st.integers(0, degree - 1))
+    form = draw(forms(p, nvars, degree - split))
+    if split:
+        form = times(form, draw(forms(p, nvars, split)), p)
+    return HomogPoly(degree, tuple(sorted((c, e) for e, c in form.items())))
+
+
+@st.composite
+def varieties(draw):
+    """One or two hypersurfaces in P^2 or P^3 over F_2 ... F_7."""
+    p = draw(st.sampled_from(PRIMES))
+    ambient = draw(st.integers(2, 3))
+    count = draw(st.integers(1, 2))
+    polys = tuple(draw(hypersurfaces(p, ambient)) for _ in range(count))
+    return VarietySpec(PrimeField(p), ambient, polys)
+
+
+@SETTINGS
+@given(varieties(), st.randoms(use_true_random=False))
+def test_chain_graph_matches_pairwise_oracle(spec, rng):
+    oracle = pairwise_neighbors(spec)
+    graph = ChainGraph(spec)
+    assert graph.points == sorted(oracle)
+    order = list(oracle)
+    rng.shuffle(order)
+    for pt in order:
+        nbrs, lines = oracle[pt]
+        assert graph.neighbors(pt) == nbrs
+        assert graph.contained_lines_through(pt) == lines
+
+
+@SETTINGS
+@given(varieties())
+def test_format_then_parse_is_identity(spec):
+    assert parse_variety(format_variety(spec)) == spec
