@@ -36,9 +36,10 @@ print()
 for p in (5, 7):
     spec = fermat_cubic(p)
     graph = ChainGraph(spec)
-    census = Counter(len(graph.contained_lines_through(pt)) for pt in graph.points)
+    points = sorted(enumerate_points(spec))
+    census = Counter(len(graph.contained_lines_through(pt)) for pt in points)
     report = connectivity_report(spec, 5)
-    print(f"Fermat cubic over F_{p}: {len(graph.points)} points")
+    print(f"Fermat cubic over F_{p}: {len(points)} points")
     print(f"  lines-through-point histogram: {dict(sorted(census.items()))}")
     print(f"  pair connectivity by length: "
           f"{ {l: str(f) for l, f in sorted(report.fractions.items())} }")

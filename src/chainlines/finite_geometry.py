@@ -5,22 +5,28 @@ over F_p it enumerates the points of the variety, finds the lines through a
 point that lie on it, searches for chains of lines between points, and
 reports connectivity statistics.  Everything is exhaustive and exact.
 
-Points are enumerated one line at a time: each canonical point of
-P^{N-1}(F_p) is a prefix (x_0, ..., x_{N-1}), on the points (prefix, t)
-every polynomial is a polynomial in t, and the t at which all of them
-vanish give the points of X(F_p) with that prefix.
+Zeros of forms are enumerated one line at a time: each canonical point of
+P^{n-1}(F_p) is a prefix (x_0, ..., x_{n-1}), on the points (prefix, t)
+every form is a polynomial in t, and the t at which all of them vanish
+give the zeros with that prefix.  enumerate_points runs this in P^N.
 
-Contained lines are found from the points of X(F_p) alone, each once.  For
-points a, b of X and G of degree d, G(a + t b) has t^1 coefficient
-grad G(a).b and t^(d-1) coefficient grad G(b).a, over any field, and its
-t^0, t^d coefficients are G(a) = G(b) = 0.  So ChainGraph keeps, through a,
-the points b that pass both gradient tests; for d <= 3 these are exactly
-the b with ab on X, and higher degrees confirm them symbolically.  Nothing
-is missed: a contained line has p+1 >= 3 rational points, all of them on
-X.  A contained line, once found, is registered at all its p+1 points, and
-later passes skip it.  Chain searches expand each contained line once, not
-each pair of its points; connectivity reports grow the balls around all
-points at once, as bitsets over the point indices.
+Single-point queries (lines, chain, locus) never enumerate X(F_p).  The
+lines through a point a are the F_p-points of the paper's local model L_a:
+for G of degree d, G(a + t v) = sum_{k=1}^{d} t^k c_k(a, v) with c_k of
+bidegree (d-k, k) and c_1 = grad G(a).v, and the line through a and v lies
+on X iff every c_k of every G vanishes, over any field.  ChainGraph
+tabulates the c_k once and, at each point its search reaches, solves the
+c_k with k >= 2 by the prefix method on the linear space the gradient rows
+cut out.  Chain searches expand each contained line once, not each pair of
+its points.
+
+explore needs every line of X(F_p), so it enumerates the points once and
+finds the lines from them (_Incidences): for points a, b of X, G(a + t b)
+has t^1 coefficient grad G(a).b and t^(d-1) coefficient grad G(b).a, so
+through a it keeps the b that pass both gradient tests, exact for d <= 3
+and confirmed symbolically above.  Each line is registered at all its p+1
+points once found, and the balls around all points grow at once, as
+bitsets over the point indices.
 
 Caveat, stated once here and repeated where it matters: the symbolic theory
 lives over the complex numbers.  Counts and reachability over F_p are
@@ -46,16 +52,19 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import mul, or_
+from math import comb, prod
+from operator import add, mul, or_
 from pathlib import Path
 
-ENUMERATION_BUDGET = 10**8  # hard cap on p**N per enumeration and on n**2 point pairs
+# hard cap on p**N per enumeration, on the n**2 point pairs of explore, and
+# on the directions of one graph's L_a solves and the terms of its c_k table
+ENUMERATION_BUDGET = 10**8
 
 Point = tuple[int, ...]
 
 
 class BudgetExceededError(ValueError):
-    """Raised when an enumeration would exceed the p**N or n**2 budget."""
+    """Raised when an enumeration or a search would exceed ENUMERATION_BUDGET."""
 
 
 class VarietyParseError(ValueError):
@@ -250,56 +259,69 @@ def _check_budget(measure: int, what: str) -> None:
         raise BudgetExceededError(f"{what} exceeds the {ENUMERATION_BUDGET} budget")
 
 
-def _projective_reps(field: PrimeField, n: int):
+def _projective_reps(p: int, n: int):
     """All canonical points of P^n(F_p): lead coordinate 1, zeros before it."""
-    p = field.p
     for lead in range(n + 1):
         for tail in itertools.product(range(p), repeat=n - lead):
             yield (0,) * lead + (1,) + tail
 
 
-def enumerate_points(spec: VarietySpec) -> set[Point]:
-    """All F_p-points of the variety, canonical and deduplicated.
+_T_BLOCK = 1 << 14  # values of the last coordinate tried together
 
-    For each canonical point of P^{N-1}(F_p) as prefix, each polynomial
-    becomes a polynomial in x_N, and the points (prefix, t) kept are those
-    at which all of them vanish; (0,...,0,1) is checked on its own.
+
+def _prefix_points(forms, n: int, p: int) -> set[Point]:
+    """The canonical points of P^n(F_p) at which every form vanishes.
+
+    Forms are lists of (coefficient, exponents) terms in n+1 variables.  For
+    each canonical point of P^{n-1}(F_p) as prefix, each form becomes a
+    polynomial in x_n, and the points (prefix, t) kept are those at which
+    all of them vanish; (0,...,0,1) is checked on its own.  The t run in
+    blocks, so the lists stay short when p is large (then n <= 1 within the
+    budget, and the only prefix is (1,)).
     """
-    field, n = spec.field, spec.ambient
-    p = field.p
-    _check_budget(p**n, f"enumerating P^{n}(F_{p})")
-    used = {e for poly in spec.polys for _, exps in poly.terms for e in exps}
-    powers = {e: [pow(x, e, p) for x in range(p)] for e in used}
-    # each polynomial as [(k, terms)]: the coefficient of x_N^k is a sum of
-    # terms coeff * prod x_i^e over (i, e) with i < N and e > 0
+    used = {e for terms in forms for _, exps in terms for e in exps}
+    powers = {e: [pow(x, e, p) for x in range(p if n > 1 else 2)] for e in used}
+    # each form as [(k, terms)]: the coefficient of x_n^k is a sum of
+    # terms coeff * prod x_i^e over (i, e) with i < n and e > 0
     split = []
-    for poly in spec.polys:
+    for terms in forms:
         by_k: dict[int, list] = {}
-        for coeff, exps in poly.terms:
+        for coeff, exps in terms:
             factors = tuple((i, e) for i, e in enumerate(exps[:n]) if e)
             by_k.setdefault(exps[n], []).append((coeff, factors))
         split.append(list(by_k.items()))
     last = (0,) * n + (1,)
-    found = {last} if on_variety(spec, last) else set()
-    for prefix in _projective_reps(field, n - 1):
-        ts = range(p)
-        for poly in split:
-            vals = [0] * len(ts)
-            for k, terms in poly:
-                c = 0
-                for term, factors in terms:
-                    for i, e in factors:
-                        term = term * powers[e][prefix[i]]
-                    c += term
-                c %= p
-                if c:
-                    row = powers[k]
-                    vals = [v + c * row[t] for v, t in zip(vals, ts)]
-            ts = [t for t, v in zip(ts, vals) if not v % p]
-            if not ts:
-                break
-        found.update(prefix + (t,) for t in ts)
+    found = set() if any(_eval_terms(terms, last, p) for terms in forms) else {last}
+    for t0 in range(0, p, _T_BLOCK):
+        block = range(min(_T_BLOCK, p - t0))  # t0 + i for i in block
+        rows = {e: [pow(t0 + i, e, p) for i in block] for e in used}
+        for prefix in _projective_reps(p, n - 1):
+            ts = block
+            for poly in split:
+                vals = [0] * len(ts)
+                for k, terms in poly:
+                    c = 0
+                    for term, factors in terms:
+                        for i, e in factors:
+                            term = term * powers[e][prefix[i]]
+                        c += term
+                    c %= p
+                    if c:
+                        row = rows[k]
+                        vals = [v + c * row[t] for v, t in zip(vals, ts)]
+                ts = [t for t, v in zip(ts, vals) if not v % p]
+                if not ts:
+                    break
+            found.update(prefix + (t0 + t,) for t in ts)
     return found
+
+
+def enumerate_points(spec: VarietySpec) -> set[Point]:
+    """All F_p-points of the variety, canonical and deduplicated, by the
+    prefix method in P^N (see _prefix_points)."""
+    n, p = spec.ambient, spec.field.p
+    _check_budget(p**n, f"enumerating P^{n}(F_{p})")
+    return _prefix_points([poly.terms for poly in spec.polys], n, p)
 
 
 # -- lines -------------------------------------------------------------------
@@ -378,126 +400,201 @@ def line_in_variety(spec: VarietySpec, line: Line) -> bool:
 def lines_through(spec: VarietySpec, x: Point) -> set[Line]:
     """All lines through x that lie on the variety (over F_p).
 
-    Joins x to the points of X(F_p) in its tangent space; a contained line
-    has p+1 >= 3 rational points, all on X and all tangent at x, so none is
-    missed (see ChainGraph).
+    The F_p-points of the local model L_a at a = x, one per line (see
+    ChainGraph); X(F_p) is not enumerated.
     """
-    x = _point_of(spec, x)
-    return ChainGraph(spec).contained_lines_through(x)
+    return ChainGraph(spec).contained_lines_through(_point_of(spec, x))
+
+
+# -- the local model L_a -------------------------------------------------------
+
+def _local_terms(poly: HomogPoly, p: int) -> dict[int, list[tuple[int, Point, Point]]]:
+    """The coefficients c_k(a, v), k = 1..d, of G(a + t v) - G(a).
+
+    Each c_k is a list of terms (multiplier, exponents of a, exponents of v)
+    of bidegree (d-k, k).  Expanding x_i^e_i = (a_i + t v_i)^e_i binomially,
+    the term coeff * x^e contributes coeff * prod binom(e_i, f_i) a^(e-f) v^f
+    at t^|f|: integer multipliers reduced mod p, exact in every
+    characteristic, with no division by k!.  Terms whose multiplier
+    vanishes mod p are dropped.
+    """
+    table: dict[int, list] = {}
+    for coeff, exps in poly.terms:
+        for f in itertools.product(*(range(e + 1) for e in exps)):
+            k = sum(f)
+            if not k:
+                continue
+            mult = coeff
+            for e, fi in zip(exps, f):
+                mult *= comb(e, fi)
+            if mult % p:
+                a_exps = tuple(e - fi for e, fi in zip(exps, f))
+                table.setdefault(k, []).append((mult % p, a_exps, f))
+    return table
+
+
+def _kernel(rows: list[list[int]], size: int, j: int, p: int) -> list[list[int]]:
+    """A basis of the vectors v of length size with v_j = 0 and row.v = 0
+    for every row (there may be none).
+
+    Column j of every row is 0.  Gauss-Jordan elimination; one basis vector
+    per free column other than j.
+    """
+    reduced: list[tuple[int, list[int]]] = []  # (pivot column, row), fully reduced
+    for row in rows:
+        for col, r in reduced:
+            if row[col]:
+                f = row[col]
+                row = [(x - f * y) % p for x, y in zip(row, r)]
+        col = next((i for i, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        inv = pow(row[col], p - 2, p)
+        row = [x * inv % p for x in row]
+        reduced = [
+            (c, [(x - r[col] * y) % p for x, y in zip(r, row)] if r[col] else r)
+            for c, r in reduced
+        ]
+        reduced.append((col, row))
+    pivots = {c for c, _ in reduced}
+    basis = []
+    for free in range(size):
+        if free != j and free not in pivots:
+            w = [0] * size
+            w[free] = 1
+            for c, r in reduced:
+                w[c] = -r[free] % p
+            basis.append(w)
+    return basis
+
+
+def _restrict(form: dict[Point, int], basis: list[list[int]], p: int):
+    """The form at v = sum_s y_s basis[s], as (coefficient, exponents of y) terms."""
+    m = len(basis)
+    unit = [tuple(int(s == r) for r in range(m)) for s in range(m)]
+    # coordinate i of v as a linear form in y: [(s, coefficient)]
+    linear = [[(s, w[i]) for s, w in enumerate(basis) if w[i]] for i in range(len(basis[0]))]
+    out: dict[Point, int] = {}
+    for f, c in form.items():
+        expanded = {(0,) * m: c}
+        for i, e in enumerate(f):
+            for _ in range(e):
+                product: dict[Point, int] = {}
+                for ys, cc in expanded.items():
+                    for s, w in linear[i]:
+                        key = tuple(map(add, ys, unit[s]))
+                        product[key] = product.get(key, 0) + cc * w
+                expanded = product
+        for ys, cc in expanded.items():
+            out[ys] = out.get(ys, 0) + cc
+    return [(c % p, ys) for ys, c in out.items() if c % p]
 
 
 # -- chains of lines ---------------------------------------------------------
 
 class ChainGraph:
-    """Reachability graph on the F_p-points of a variety.
+    """Reachability graph on the F_p-points of a variety, built lazily.
 
-    Vertices are the points of X(F_p); two distinct points are adjacent iff
-    their joining line lies on X.  Each point a gets one pass, run on first
-    request, that finds every contained line through a:
+    Two distinct points are adjacent iff their joining line lies on X.  The
+    graph knows no point until asked: the contained lines through a point
+    a are found on first request from the local model L_a, and cached.
 
-    - the pass starts from the lines already registered at a, and looks only
-      at points whose own pass has not run (any contained line through a
-      point whose pass has run is registered already);
-    - of those it keeps the points b in the tangent space of a,
-      grad G(a).b = 0, and then those with grad G(b).a = 0, for every
-      polynomial G (gradients are cached per point);
-    - the line ab through a kept b is canonicalized once, and registered at
-      all of its p+1 points at once.
+    For each G of degree d and a on X, G(a + t v) = sum_{k=1}^{d} t^k c_k(a, v)
+    with c_k bihomogeneous of bidegree (d-k, k) and c_1 = grad G(a).v; the
+    line through a and v lies on X iff every c_k of every G vanishes, over
+    any field.  The c_k are tabulated once per graph (_local_terms).  At a,
+    with j its lead coordinate, every line through a meets the hyperplane
+    v_j = 0 in exactly one point, so:
 
-    With t the parameter of a + t b and d = deg G, the t^1 coefficient of
-    G(a + t b) is grad G(a).b and its t^(d-1) coefficient is grad G(b).a,
-    over any field; its t^0 and t^d coefficients G(a), G(b) are 0.  So both
-    gradient tests are necessary for the line ab to lie on X, and for d <= 3
-    they cover all d+1 coefficients and decide containment exactly.  When
-    some polynomial has degree >= 4, kept lines are confirmed by the
-    symbolic line_in_variety.
+    - substitute a into the table, with v_j = 0;
+    - the gradient rows c_1 cut out a linear space W (_kernel);
+    - restrict the c_k with k >= 2 to W (_restrict) and solve them by the
+      prefix method in P(W) (_prefix_points);
+    - each solution v gives the line through a and v.
 
-    Neighbors, line sets, line points, gradients and line-containment
-    results are cached.  Results are deterministic (points kept sorted) and
-    identical to joining a to every other point, whatever order the points
-    are asked for in.  The caches are not synchronized: concurrent workers
-    should each hold their own instance.
+    Every solve charges the (p^m - 1)/(p - 1) directions of P(W), m = dim W,
+    to the graph, which raises BudgetExceededError once the sum over its
+    life passes ENUMERATION_BUDGET.  Line sets, line points and neighbor
+    lists are cached; results are deterministic and identical to joining a
+    to every other point of X(F_p), whatever order the points are asked
+    for in.  The caches are not synchronized: concurrent workers should
+    each hold their own instance.
     """
 
     def __init__(self, spec: VarietySpec):
         self.spec = spec
-        self.points: list[Point] = sorted(enumerate_points(spec))
         p = spec.field.p
-        # per polynomial, per variable i: the terms of dG/dx_i
-        self._partials = [
-            [
-                [
-                    (coeff * e % p, exps[:i] + (e - 1,) + exps[i + 1 :])
-                    for coeff, exps in poly.terms
-                    if (e := exps[i]) and coeff * e % p
-                ]
-                for i in range(spec.ambient + 1)
-            ]
-            for poly in spec.polys
-        ]
-        # the two gradient tests decide containment when every degree is <= 3
-        self._exact = all(poly.degree <= 3 for poly in spec.polys)
-        self._gradients: dict[Point, list[list[int]]] = {}
-        self._pending = dict.fromkeys(self.points)  # points whose pass has not run
+        size = sum(prod(e + 1 for e in exps) - 1 for poly in spec.polys for _, exps in poly.terms)
+        _check_budget(size, f"the {size} terms of the c_k table")
+        self._tables = [_local_terms(poly, p) for poly in spec.polys]
+        self._top = max(poly.degree for poly in spec.polys)
+        self.directions = 0  # charged against ENUMERATION_BUDGET
         self._neighbors: dict[Point, list[Point]] = {}
-        self._lines: dict[Point, set[Line]] = {pt: set() for pt in self.points}
+        self._lines: dict[Point, set[Line]] = {}
         self._line_points: dict[Line, list[Point]] = {}  # the contained lines
-        self._contained: dict[Line, bool] = {}
 
-    def line_ok(self, line: Line) -> bool:
-        cached = self._contained.get(line)
-        if cached is None:
-            cached = self._contained[line] = line_in_variety(self.spec, line)
-        return cached
+    def _directions(self, a: Point) -> set[Point]:
+        """The points v of L_a: v_j = 0 and the line through a and v on X."""
+        spec = self.spec
+        p = spec.field.p
+        if not on_variety(spec, a):
+            raise ValueError(f"point {format_point(a)} is not on the variety")
+        j = next(i for i, x in enumerate(a) if x)
+        powers = [[pow(x, e, p) for e in range(self._top + 1)] for x in a]
+        rows, forms = [], []
+        for table in self._tables:
+            for k, terms in table.items():
+                form: dict[Point, int] = {}
+                for mult, a_exps, f in terms:
+                    if f[j]:
+                        continue
+                    for ap, e in zip(powers, a_exps):
+                        if e:
+                            mult = mult * ap[e]
+                    if mult % p:
+                        form[f] = form.get(f, 0) + mult
+                if k == 1:
+                    row = [0] * len(a)
+                    for f, c in form.items():
+                        row[f.index(1)] = c % p
+                    rows.append(row)
+                else:
+                    forms.append(form)
+        basis = _kernel(rows, len(a), j, p)
+        m = len(basis)
+        if not m:
+            return set()
+        self.directions += (p**m - 1) // (p - 1)
+        _check_budget(self.directions, "the directions of the L_a solves of this graph")
+        restricted = [terms for terms in (_restrict(form, basis, p) for form in forms) if terms]
+        return {
+            tuple(sum(y * w[i] for y, w in zip(ys, basis)) % p for i in range(len(a)))
+            for ys in _prefix_points(restricted, m - 1, p)
+        }
 
-    def _gradient(self, a: Point) -> list[list[int]]:
-        grads = self._gradients.get(a)
-        if grads is None:
-            p = self.spec.field.p
-            grads = self._gradients[a] = [
-                [_eval_terms(terms, a, p) for terms in partials]
-                for partials in self._partials
-            ]
-        return grads
-
-    def _tangent(self, a: Point, points) -> list[Point]:
-        """The points b among `points` with grad G(a).b = 0 for every G."""
-        p = self.spec.field.p
-        for g in self._gradient(a):
-            if any(g):  # a zero gradient keeps every point
-                points = [b for b in points if not sum(map(mul, g, b)) % p]
-        return list(points)
-
-    def _joins(self, a: Point, b: Point) -> bool:
-        """Whether the line ab lies on X, for distinct points a, b of X(F_p)
-        with b in the tangent space of a."""
-        p = self.spec.field.p
-        if any(sum(map(mul, g, a)) % p for g in self._gradient(b)):
-            return False
-        return self._exact or self.line_ok(line_through(a, b, self.spec.field))
+    def contained_lines_through(self, a: Point) -> set[Line]:
+        """The contained lines through a point a of X(F_p), solved from L_a once."""
+        lines = self._lines.get(a)
+        if lines is None:
+            field = self.spec.field
+            lines = set()
+            for v in self._directions(a):
+                line = line_through(a, v, field)
+                if line not in self._line_points:
+                    self._line_points[line] = line_points(line, field)
+                lines.add(line)
+            self._lines[a] = lines
+        return lines
 
     def neighbors(self, a: Point) -> list[Point]:
         """The sorted points of X(F_p) other than a on contained lines through a."""
         cached = self._neighbors.get(a)
         if cached is None:
-            field = self.spec.field
-            del self._pending[a]
-            reached = {a}.union(*(self._line_points[line] for line in self._lines[a]))
-            for b in self._tangent(a, self._pending):
-                if b in reached or not self._joins(a, b):
-                    continue
-                line = line_through(a, b, field)
-                pts = self._line_points[line] = line_points(line, field)
-                for c in pts:
-                    self._lines[c].add(line)
-                reached.update(pts)
-            reached.remove(a)
+            lines = self.contained_lines_through(a)
+            reached = set().union(*(self._line_points[line] for line in lines))
+            reached.discard(a)
             cached = self._neighbors[a] = sorted(reached)
         return cached
-
-    def contained_lines_through(self, a: Point) -> set[Line]:
-        self.neighbors(a)
-        return self._lines[a]
 
     def distances(self, start: Point, max_depth: int) -> dict[Point, int]:
         """BFS distance map from start, up to max_depth steps."""
@@ -532,9 +629,8 @@ class ChainGraph:
         parent = {start: start}
         frontier = [start]
         expanded: set[Line] = set()
-        total = len(self.points)
         depth = 0
-        while frontier and depth < max_depth and len(depth_of) < total:
+        while frontier and depth < max_depth:
             depth += 1
             nxt = []
             for a in frontier:
@@ -556,14 +652,6 @@ class ChainGraph:
         return depth_of, parent
 
 
-def _pair_graph(spec: VarietySpec) -> ChainGraph:
-    """The chain graph, refused when its n^2 point pairs exceed the budget."""
-    graph = ChainGraph(spec)
-    n = len(graph.points)
-    _check_budget(n * n, f"the {n}^2 point pairs of the chain graph")
-    return graph
-
-
 def chain_search(
     spec: VarietySpec, x: Point, y: Point, max_length: int
 ) -> Chain | None:
@@ -577,7 +665,7 @@ def chain_search(
     x, y = _point_of(spec, x), _point_of(spec, y)
     if x == y:
         return Chain((x,), ())
-    return _pair_graph(spec).shortest_chain(x, y, max_length)
+    return ChainGraph(spec).shortest_chain(x, y, max_length)
 
 
 def locus(spec: VarietySpec, x: Point, length: int) -> set[Point]:
@@ -590,7 +678,104 @@ def locus(spec: VarietySpec, x: Point, length: int) -> set[Point]:
     if length < 1:
         raise ValueError(f"length must be >= 1: {length}")
     x = _point_of(spec, x)
-    return set(_pair_graph(spec).distances(x, length))
+    return set(ChainGraph(spec).distances(x, length))
+
+
+# -- explore: every line from the points --------------------------------------
+
+class _Incidences:
+    """Every contained line of X(F_p), found from the enumerated points.
+
+    explore counts pairs over all of X(F_p), so it enumerates the points
+    once (refused when their n^2 pairs exceed ENUMERATION_BUDGET) and runs
+    one pass per point a, in sorted order:
+
+    - the pass starts from the lines already registered at a, and looks only
+      at points whose own pass has not run;
+    - of those it keeps the points b in the tangent space of a,
+      grad G(a).b = 0, and then those with grad G(b).a = 0, for every
+      polynomial G (gradients are cached per point);
+    - the line ab through a kept b is canonicalized once, and registered at
+      all of its p+1 points at once.
+
+    With t the parameter of a + t b and d = deg G, the t^1 coefficient of
+    G(a + t b) is grad G(a).b and its t^(d-1) coefficient is grad G(b).a,
+    over any field; its t^0 and t^d coefficients G(a), G(b) are 0.  So both
+    gradient tests are necessary for the line ab to lie on X, and for d <= 3
+    they cover all d+1 coefficients and decide containment exactly.  When
+    some polynomial has degree >= 4, kept lines are confirmed by the
+    symbolic line_in_variety, cached per line.
+    """
+
+    def __init__(self, spec: VarietySpec):
+        self.spec = spec
+        field = spec.field
+        p = field.p
+        self.points: list[Point] = sorted(enumerate_points(spec))
+        n = len(self.points)
+        _check_budget(n * n, f"the {n}^2 point pairs of the chain graph")
+        # per polynomial, per variable i: the terms of dG/dx_i
+        self._partials = [
+            [
+                [
+                    (coeff * e % p, exps[:i] + (e - 1,) + exps[i + 1 :])
+                    for coeff, exps in poly.terms
+                    if (e := exps[i]) and coeff * e % p
+                ]
+                for i in range(spec.ambient + 1)
+            ]
+            for poly in spec.polys
+        ]
+        # the two gradient tests decide containment when every degree is <= 3
+        self._exact = all(poly.degree <= 3 for poly in spec.polys)
+        self._gradients: dict[Point, list[list[int]]] = {}
+        self._contained: dict[Line, bool] = {}
+        self.lines: dict[Point, set[Line]] = {pt: set() for pt in self.points}
+        self.line_points: dict[Line, list[Point]] = {}
+        pending = dict.fromkeys(self.points)  # points whose pass has not run
+        for a in self.points:
+            del pending[a]
+            reached = {a}.union(*(self.line_points[line] for line in self.lines[a]))
+            for b in self._tangent(a, pending):
+                if b in reached or not self._joins(a, b):
+                    continue
+                line = line_through(a, b, field)
+                pts = self.line_points[line] = line_points(line, field)
+                for c in pts:
+                    self.lines[c].add(line)
+                reached.update(pts)
+
+    def _gradient(self, a: Point) -> list[list[int]]:
+        grads = self._gradients.get(a)
+        if grads is None:
+            p = self.spec.field.p
+            grads = self._gradients[a] = [
+                [_eval_terms(terms, a, p) for terms in partials]
+                for partials in self._partials
+            ]
+        return grads
+
+    def _tangent(self, a: Point, points) -> list[Point]:
+        """The points b among `points` with grad G(a).b = 0 for every G."""
+        p = self.spec.field.p
+        for g in self._gradient(a):
+            if any(g):  # a zero gradient keeps every point
+                points = [b for b in points if not sum(map(mul, g, b)) % p]
+        return list(points)
+
+    def _joins(self, a: Point, b: Point) -> bool:
+        """Whether the line ab lies on X, for distinct points a, b of X(F_p)
+        with b in the tangent space of a."""
+        p = self.spec.field.p
+        if any(sum(map(mul, g, a)) % p for g in self._gradient(b)):
+            return False
+        if self._exact:
+            return True
+        line = line_through(a, b, self.spec.field)
+        ok = self._contained.get(line)
+        if ok is None:
+            ok = self._contained[line] = line_in_variety(self.spec, line)
+        return ok
 
 
 @dataclass(frozen=True)
@@ -607,23 +792,24 @@ class ConnectivityReport:
 def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityReport:
     """Pair-connectivity fractions for l = 1..max_length plus a line census.
 
-    Runs every point's pass, then counts pairs with bitsets over the point
-    indices: the ball of radius k+1 about x is the ball of radius k with
-    every contained line that meets it, which is the union of the radius-k
-    balls about the points of the lines through x.  One level ORs each
-    line's balls together and then each point's lines together; popcounts
-    give the number of ordered pairs within each distance.
+    Finds every contained line from the enumerated points (_Incidences),
+    then counts pairs with bitsets over the point indices: the ball of
+    radius k+1 about x is the ball of radius k with every contained line
+    that meets it, which is the union of the radius-k balls about the
+    points of the lines through x.  One level ORs each line's balls
+    together and then each point's lines together; popcounts give the
+    number of ordered pairs within each distance.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
-    graph = _pair_graph(spec)
-    n = len(graph.points)
+    found = _Incidences(spec)
+    n = len(found.points)
     line_counts: dict[int, int] = {}
-    for x in graph.points:
-        k = len(graph.contained_lines_through(x))
+    for x in found.points:
+        k = len(found.lines[x])
         line_counts[k] = line_counts.get(k, 0) + 1
-    index = {pt: i for i, pt in enumerate(graph.points)}
-    members = [[index[pt] for pt in pts] for pts in graph._line_points.values()]
+    index = {pt: i for i, pt in enumerate(found.points)}
+    members = [[index[pt] for pt in pts] for pts in found.line_points.values()]
     through: list[list[int]] = [[] for _ in range(n)]  # line numbers at each point
     for j, idx in enumerate(members):
         for i in idx:

@@ -330,10 +330,9 @@ def test_chain_graph_matches_pairwise_oracle(spec):
     oracle = pairwise_neighbors(spec)
     shuffled = list(oracle)
     random.Random(1).shuffle(shuffled)
-    # lines are registered by whichever point's pass finds them first
+    # each point's L_a is solved on its first request, in either order
     for order in (sorted(oracle), shuffled):
         graph = ChainGraph(spec)
-        assert graph.points == sorted(oracle)
         for pt in order:
             nbrs, lines = oracle[pt]
             assert graph.neighbors(pt) == nbrs
@@ -342,15 +341,29 @@ def test_chain_graph_matches_pairwise_oracle(spec):
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_containment_route_matches_line_in_variety(spec):
-    # the tangent filter, then the reverse gradient test (and line_in_variety
-    # above degree 3), against symbolic containment of every joining line
-    graph = ChainGraph(spec)
-    for a in graph.points:
-        others = [b for b in graph.points if b != a]
-        tangent = set(graph._tangent(a, others))
+    # explore's tangent filter, then the reverse gradient test (and
+    # line_in_variety above degree 3), against symbolic containment of every
+    # joining line
+    found = finite_geometry._Incidences(spec)
+    for a in found.points:
+        others = [b for b in found.points if b != a]
+        tangent = set(found._tangent(a, others))
         for b in others:
-            joined = b in tangent and graph._joins(a, b)
+            joined = b in tangent and found._joins(a, b)
             assert joined == line_in_variety(spec, line_through(a, b, spec.field))
+
+
+@pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
+def test_local_model_matches_incidence_passes(spec):
+    # the two routes to contained lines: L_a at each point (lines, chain,
+    # locus) and the gradient-pair passes over X(F_p) (explore)
+    oracle = pairwise_neighbors(spec)
+    found = finite_geometry._Incidences(spec)
+    graph = ChainGraph(spec)
+    assert found.points == sorted(oracle)
+    assert set(found.line_points) == set().union(*(lines for _, lines in oracle.values()))
+    for pt, (_, lines) in oracle.items():
+        assert graph.contained_lines_through(pt) == found.lines[pt] == lines
 
 
 @pytest.mark.parametrize("spec, lengths", [(split_quadric(5), (3,)), (fermat_cubic(7), (2, 3))],
@@ -399,9 +412,10 @@ def test_lines_through_plane():
 def test_lines_through_fermat_cubic_censuses():
     # 7 = 1 mod 3: all 27 lines are rational and cover every rational point
     # (18 of which are triple points of the line configuration)
-    graph = ChainGraph(fermat_cubic(7))
+    spec7 = fermat_cubic(7)
+    graph = ChainGraph(spec7)
     counts = {}
-    for pt in graph.points:
+    for pt in enumerate_points(spec7):
         k = len(graph.contained_lines_through(pt))
         counts[k] = counts.get(k, 0) + 1
     assert counts == {2: 81, 3: 18}
@@ -483,7 +497,7 @@ def test_locus_monotone():
 def test_graph_cache_matches_uncached():
     spec = split_quadric(5)
     graph = ChainGraph(spec)
-    for pt in graph.points:
+    for pt in sorted(enumerate_points(spec)):
         expected = set()
         for line in sweep_lines_through(spec, pt):  # independent, uncached route
             expected.update(line_points(line, F5))
@@ -518,10 +532,11 @@ def test_connectivity_report_fermat_f5():
 def distance_report(spec, max_length):
     """Reference route: one BFS per source, its distances counted by value."""
     graph = ChainGraph(spec)
-    n = len(graph.points)
+    points = sorted(enumerate_points(spec))
+    n = len(points)
     pairs_at = [0] * (max_length + 1)  # ordered pairs at distance exactly d
     line_counts = {}
-    for x in graph.points:
+    for x in points:
         for d in graph.distances(x, max_length).values():
             pairs_at[d] += 1
         k = len(graph.contained_lines_through(x))
@@ -550,21 +565,64 @@ def test_connectivity_report_pair_budget(monkeypatch, tmp_path):
 
 
 def test_chain_and_locus_pair_budget(monkeypatch, tmp_path):
-    # as for explore: 13 points under p^N = 27, refused at n^2 = 169
-    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 100)
-    spec = coordinate_hyperplane(3)
-    x, y = (0, 1, 0, 0), (0, 0, 0, 1)
+    # on the split quadric over F_3 each L_a solve tests the 4 directions of
+    # P^1; one query sums its solves: lines and locus 1 take one solve, the
+    # chain below two (8 directions) and locus 2 seven (28)
+    spec = split_quadric(3)
+    x, y = (1, 0, 0, 0), (0, 0, 0, 1)
+    graph = ChainGraph(spec)
+    assert graph.shortest_chain(x, y, 2).length == 2
+    assert graph.directions == 8
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 7)
     with pytest.raises(BudgetExceededError):
-        chain_search(spec, x, y, 1)
+        chain_search(spec, x, y, 2)
     with pytest.raises(BudgetExceededError):
-        locus(spec, x, 1)
-    assert len(lines_through(spec, x)) == 4  # one pass over X(F_p), not n^2
-    path = tmp_path / "plane3.variety"
+        locus(spec, x, 2)
+    assert len(locus(spec, x, 1)) == 7
+    assert len(lines_through(spec, x)) == 2
+    path = tmp_path / "quadric3.variety"
     path.write_text(format_variety(spec))
     variety = ["--variety", str(path)]
-    assert main(["chain", *variety, "--from", "0:1:0:0", "--to", "0:0:0:1", "--max-length", "1"]) == 2
-    assert main(["locus", *variety, "--point", "0:1:0:0", "--length", "1"]) == 2
-    assert main(["lines", *variety, "--point", "0:1:0:0"]) == 0
+    assert main(["chain", *variety, "--from", "1:0:0:0", "--to", "0:0:0:1", "--max-length", "2"]) == 2
+    assert main(["locus", *variety, "--point", "1:0:0:0", "--length", "2"]) == 2
+    assert main(["locus", *variety, "--point", "1:0:0:0", "--length", "1"]) == 0
+    assert main(["lines", *variety, "--point", "1:0:0:0"]) == 0
+
+
+def test_lines_on_cubic_threefold_over_f101():
+    # p^N = 101^4 > 10^8 points of P^4 are never enumerated: one L_a solve
+    spec = fermat_cubic_threefold(101)
+    field = spec.field
+    # L_a at 1:100:0:0:0 is v_1 = 0, v_2^3 + v_3^3 + v_4^3 = 0, a plane cubic
+    # with p + 1 points since 101 = 2 mod 3
+    for x, count in (((1, 100, 0, 0, 0), 102), ((1, 100, 1, 100, 0), 2)):
+        found = lines_through(spec, x)
+        assert len(found) == count
+        for line in found:
+            assert line_in_variety(spec, line)
+            assert x in line_points(line, field)
+
+
+def test_lines_over_a_large_prime():
+    # the P^1 of directions over F_40009 is tried in blocks of the last
+    # coordinate t; the ruling through (0, 0, 1, u) has t = u, past the first
+    spec = split_quadric(40009)
+    p = spec.field.p
+    u, w = 20000, 30000
+    a = (1, u, w, u * w % p)
+    rulings = {line_through(a, (0, 1, 0, w), spec.field), line_through(a, (0, 0, 1, u), spec.field)}
+    assert lines_through(spec, a) == rulings
+
+
+def test_local_table_budget(monkeypatch):
+    # the c_k table has prod(e_i + 1) - 1 terms per term x^e of G: 3 + 3 for
+    # the split quadric
+    spec = split_quadric(3)
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 5)
+    with pytest.raises(BudgetExceededError):
+        ChainGraph(spec)
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 6)
+    ChainGraph(spec)
 
 
 def test_chain_invariants():
@@ -628,7 +686,7 @@ def test_split_quadric_two_middle_points():
     for p in (3, 5, 7):
         spec = split_quadric(p)
         graph = ChainGraph(spec)
-        pts = graph.points
+        pts = sorted(enumerate_points(spec))
         checked = 0
         for x in pts:
             nbrs_x = set(graph.neighbors(x))

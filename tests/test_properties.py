@@ -11,11 +11,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from chainlines import finite_geometry  # noqa: E402
 from chainlines.finite_geometry import (  # noqa: E402
     ChainGraph,
     HomogPoly,
     PrimeField,
     VarietySpec,
+    enumerate_points,
+    eval_poly,
     format_variety,
     parse_variety,
 )
@@ -71,15 +74,40 @@ def varieties(draw):
 @SETTINGS
 @given(varieties(), st.randoms(use_true_random=False))
 def test_chain_graph_matches_pairwise_oracle(spec, rng):
+    # the L_a lines, and those of explore's passes over X(F_p)
     oracle = pairwise_neighbors(spec)
+    assert sorted(enumerate_points(spec)) == sorted(oracle)
+    found = finite_geometry._Incidences(spec)
     graph = ChainGraph(spec)
-    assert graph.points == sorted(oracle)
     order = list(oracle)
     rng.shuffle(order)
     for pt in order:
         nbrs, lines = oracle[pt]
         assert graph.neighbors(pt) == nbrs
-        assert graph.contained_lines_through(pt) == lines
+        assert graph.contained_lines_through(pt) == lines == found.lines[pt]
+
+
+@SETTINGS
+@given(st.data())
+def test_local_terms_expand_g_along_a_line(data):
+    # sum_k t^k c_k(a, v) = G(a + t v) - G(a) for any a, v, t; for p <= d
+    # some binomial multipliers vanish mod p
+    p = data.draw(st.sampled_from(PRIMES))
+    ambient = data.draw(st.integers(2, 3))
+    poly = data.draw(hypersurfaces(p, ambient))
+    vectors = st.lists(st.integers(0, p - 1), min_size=ambient + 1, max_size=ambient + 1)
+    a, v = data.draw(vectors), data.draw(vectors)
+    t = data.draw(st.integers(0, p - 1))
+    field = PrimeField(p)
+    total = eval_poly(poly, a, field)
+    for k, terms in finite_geometry._local_terms(poly, p).items():
+        for mult, a_exps, v_exps in terms:
+            assert sum(v_exps) == k and sum(a_exps) == poly.degree - k
+            term = mult * t**k
+            for x, e in zip(a + v, a_exps + v_exps):
+                term *= x**e
+            total += term
+    assert total % p == eval_poly(poly, [x + t * y for x, y in zip(a, v)], field)
 
 
 @SETTINGS
