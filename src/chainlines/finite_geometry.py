@@ -18,7 +18,7 @@ on X iff every c_k of every G vanishes, over any field.  ChainGraph
 tabulates the c_k once and, at each point its search reaches, solves the
 c_k with k >= 2 by the prefix method on the linear space the gradient rows
 cut out.  Chain searches expand each contained line once, not each pair of
-its points.
+its points, and list a line's points only when they expand it.
 
 explore needs every line of X(F_p), so it enumerates the points once and
 finds the lines from them (_Incidences): for points a, b of X, G(a + t b)
@@ -56,8 +56,9 @@ from math import comb, prod
 from operator import add, mul, or_
 from pathlib import Path
 
-# hard cap on p**N per enumeration, on the n**2 point pairs of explore, and
-# on the directions of one graph's L_a solves and the terms of its c_k table
+# hard cap on p**N per enumeration, on the n**2 point pairs of explore, on
+# the directions of one graph's L_a solves plus the points of the lines it
+# lists, and on the terms of its c_k table
 ENUMERATION_BUDGET = 10**8
 
 Point = tuple[int, ...]
@@ -275,10 +276,14 @@ def _prefix_points(forms, n: int, p: int) -> set[Point]:
     Forms are lists of (coefficient, exponents) terms in n+1 variables.  For
     each canonical point of P^{n-1}(F_p) as prefix, each form becomes a
     polynomial in x_n, and the points (prefix, t) kept are those at which
-    all of them vanish; (0,...,0,1) is checked on its own.  The t run in
-    blocks, so the lists stay short when p is large (then n <= 1 within the
-    budget, and the only prefix is (1,)).
+    all of them vanish; (0,...,0,1) is checked on its own, and for n = 0 it
+    is the only point.  The t run in blocks, so the lists stay short when p
+    is large (then n <= 1 within the budget, and the only prefix is (1,)).
     """
+    last = (0,) * n + (1,)
+    found = set() if any(_eval_terms(terms, last, p) for terms in forms) else {last}
+    if not n:
+        return found
     used = {e for terms in forms for _, exps in terms for e in exps}
     powers = {e: [pow(x, e, p) for x in range(p if n > 1 else 2)] for e in used}
     # each form as [(k, terms)]: the coefficient of x_n^k is a sum of
@@ -290,8 +295,6 @@ def _prefix_points(forms, n: int, p: int) -> set[Point]:
             factors = tuple((i, e) for i, e in enumerate(exps[:n]) if e)
             by_k.setdefault(exps[n], []).append((coeff, factors))
         split.append(list(by_k.items()))
-    last = (0,) * n + (1,)
-    found = set() if any(_eval_terms(terms, last, p) for terms in forms) else {last}
     for t0 in range(0, p, _T_BLOCK):
         block = range(min(_T_BLOCK, p - t0))  # t0 + i for i in block
         rows = {e: [pow(t0 + i, e, p) for i in block] for e in used}
@@ -512,13 +515,16 @@ class ChainGraph:
       prefix method in P(W) (_prefix_points);
     - each solution v gives the line through a and v.
 
-    Every solve charges the (p^m - 1)/(p - 1) directions of P(W), m = dim W,
-    to the graph, which raises BudgetExceededError once the sum over its
-    life passes ENUMERATION_BUDGET.  Line sets, line points and neighbor
-    lists are cached; results are deterministic and identical to joining a
-    to every other point of X(F_p), whatever order the points are asked
-    for in.  The caches are not synchronized: concurrent workers should
-    each hold their own instance.
+    A line's p+1 points are listed only when a search or neighbors expands
+    it, never by contained_lines_through.  Every solve charges the
+    (p^m - 1)/(p - 1) directions of P(W), m = dim W, to the graph, and
+    every line listed charges its p+1 points before they are built; the
+    graph raises BudgetExceededError once the sum over its life passes
+    ENUMERATION_BUDGET.  Line sets, line points and neighbor lists are
+    cached; results are deterministic and identical to joining a to every
+    other point of X(F_p), whatever order the points are asked for in.  The
+    caches are not synchronized: concurrent workers should each hold their
+    own instance.
     """
 
     def __init__(self, spec: VarietySpec):
@@ -528,10 +534,14 @@ class ChainGraph:
         _check_budget(size, f"the {size} terms of the c_k table")
         self._tables = [_local_terms(poly, p) for poly in spec.polys]
         self._top = max(poly.degree for poly in spec.polys)
-        self.directions = 0  # charged against ENUMERATION_BUDGET
+        self.charged = 0  # directions solved and line points listed
         self._neighbors: dict[Point, list[Point]] = {}
         self._lines: dict[Point, set[Line]] = {}
-        self._line_points: dict[Line, list[Point]] = {}  # the contained lines
+        self._line_points: dict[Line, list[Point]] = {}  # the lines expanded so far
+
+    def _charge(self, steps: int) -> None:
+        self.charged += steps
+        _check_budget(self.charged, "the L_a directions and line points of this graph")
 
     def _directions(self, a: Point) -> set[Point]:
         """The points v of L_a: v_j = 0 and the line through a and v on X."""
@@ -564,8 +574,7 @@ class ChainGraph:
         m = len(basis)
         if not m:
             return set()
-        self.directions += (p**m - 1) // (p - 1)
-        _check_budget(self.directions, "the directions of the L_a solves of this graph")
+        self._charge((p**m - 1) // (p - 1))
         restricted = [terms for terms in (_restrict(form, basis, p) for form in forms) if terms]
         return {
             tuple(sum(y * w[i] for y, w in zip(ys, basis)) % p for i in range(len(a)))
@@ -577,21 +586,23 @@ class ChainGraph:
         lines = self._lines.get(a)
         if lines is None:
             field = self.spec.field
-            lines = set()
-            for v in self._directions(a):
-                line = line_through(a, v, field)
-                if line not in self._line_points:
-                    self._line_points[line] = line_points(line, field)
-                lines.add(line)
-            self._lines[a] = lines
+            lines = self._lines[a] = {line_through(a, v, field) for v in self._directions(a)}
         return lines
+
+    def _points_on(self, line: Line) -> list[Point]:
+        """The p+1 points of a contained line, charged before they are built."""
+        pts = self._line_points.get(line)
+        if pts is None:
+            self._charge(self.spec.field.p + 1)
+            pts = self._line_points[line] = line_points(line, self.spec.field)
+        return pts
 
     def neighbors(self, a: Point) -> list[Point]:
         """The sorted points of X(F_p) other than a on contained lines through a."""
         cached = self._neighbors.get(a)
         if cached is None:
             lines = self.contained_lines_through(a)
-            reached = set().union(*(self._line_points[line] for line in lines))
+            reached = set().union(*map(self._points_on, lines))
             reached.discard(a)
             cached = self._neighbors[a] = sorted(reached)
         return cached
@@ -639,7 +650,7 @@ class ChainGraph:
                     if line in expanded:
                         continue
                     expanded.add(line)
-                    for b in self._line_points[line]:
+                    for b in self._points_on(line):
                         if b not in depth_of:
                             depth_of[b] = depth
                             parent[b] = a

@@ -566,14 +566,15 @@ def test_connectivity_report_pair_budget(monkeypatch, tmp_path):
 
 def test_chain_and_locus_pair_budget(monkeypatch, tmp_path):
     # on the split quadric over F_3 each L_a solve tests the 4 directions of
-    # P^1; one query sums its solves: lines and locus 1 take one solve, the
-    # chain below two (8 directions) and locus 2 seven (28)
+    # P^1 and each line listed has 4 points; one query sums both: lines
+    # takes one solve (4), locus 1 one solve and two lines (12), the chain
+    # below two solves and three lines (20), locus 2 seven and eight (60)
     spec = split_quadric(3)
     x, y = (1, 0, 0, 0), (0, 0, 0, 1)
     graph = ChainGraph(spec)
     assert graph.shortest_chain(x, y, 2).length == 2
-    assert graph.directions == 8
-    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 7)
+    assert graph.charged == 20
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 19)
     with pytest.raises(BudgetExceededError):
         chain_search(spec, x, y, 2)
     with pytest.raises(BudgetExceededError):
@@ -612,6 +613,35 @@ def test_lines_over_a_large_prime():
     a = (1, u, w, u * w % p)
     rulings = {line_through(a, (0, 1, 0, w), spec.field), line_through(a, (0, 0, 1, u), spec.field)}
     assert lines_through(spec, a) == rulings
+
+
+def test_line_points_are_listed_only_when_expanded(tmp_path):
+    # the line x_0 = 0 in P^2 over F_(2^31 - 1): one direction answers
+    # lines, while listing the 2^31 points of the line is past the budget
+    spec = coordinate_hyperplane(2**31 - 1, 2)
+    x, y = (0, 1, 0), (0, 0, 1)
+    assert lines_through(spec, x) == {line_through(x, y, spec.field)}
+    with pytest.raises(BudgetExceededError):
+        locus(spec, x, 1)
+    with pytest.raises(BudgetExceededError):
+        chain_search(spec, x, y, 1)
+    path = tmp_path / "line.variety"
+    path.write_text(format_variety(spec))
+    assert main(["lines", "--variety", str(path), "--point", "0:1:0"]) == 0
+    assert main(["locus", "--variety", str(path), "--point", "0:1:0", "--length", "1"]) == 2
+
+
+def test_lines_on_a_conic_over_a_large_prime():
+    # at a smooth point of a plane curve dim W = 1: the one direction is
+    # checked on its own, without a pass over the values of t
+    p = 2**31 - 1
+    conic = VarietySpec(
+        PrimeField(p), 2, (HomogPoly(2, ((1, (1, 0, 1)), (p - 1, (0, 2, 0)))),)
+    )
+    graph = ChainGraph(conic)
+    assert graph.contained_lines_through((1, 0, 0)) == set()
+    assert graph.charged == 1
+    assert lines_through(conic, (1, 5, 25)) == set()
 
 
 def test_local_table_budget(monkeypatch):
