@@ -1,9 +1,15 @@
 """Batch command-line frontend.
 
-Every subcommand echoes its inputs and prints its results; ``--machine``
-switches to one ``key=value`` pair per line with stable keys.  Exit status:
-0 for a positive/neutral result, 1 for a definite negative answer (criterion
-fails, no chain, nothing found, count zero), 2 for an input error.
+Each command is a function from the parsed arguments to ``(pairs, notes,
+exit code)`` and prints nothing; ``main`` prints.  Output order:
+``command``; the shared inputs (``degrees``, ``ambient`` and, where taken,
+``length`` for the degree commands, ``variety`` for the variety commands);
+the command's own pairs; its notes.  Plain output pads every key to the
+longest one and prints each note as ``note: <text>``; ``--machine`` prints
+one ``key=value`` pair per line with stable keys and each note as
+``caveat_<i>=<text>``.  Exit status: 0 for a positive/neutral result, 1 for
+a definite negative answer (criterion fails, no chain, nothing found, count
+zero), 2 for an input error, with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -37,217 +43,8 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-class _Output:
-    """Collects (key, value) pairs and prints them in the selected mode."""
-
-    def __init__(self, machine: bool):
-        self.machine = machine
-        self.pairs: list[tuple[str, str]] = []
-        self.notes: list[str] = []
-
-    def add(self, key: str, value) -> None:
-        self.pairs.append((key, str(value)))
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
-
-    def flush(self) -> None:
-        if self.machine:
-            for key, value in self.pairs:
-                print(f"{key}={value}")
-            for i, text in enumerate(self.notes, start=1):
-                print(f"caveat_{i}={text}")
-        else:
-            width = max((len(k) for k, _ in self.pairs), default=0)
-            for key, value in self.pairs:
-                print(f"{key:<{width}}  {value}")
-            for text in self.notes:
-                print(f"note: {text}")
-
-
-def _echo_degree_args(out: _Output, args, with_length: bool = True) -> None:
-    out.add("command", args.command)
-    out.add("degrees", ",".join(str(d) for d in args.degrees))
-    out.add("ambient", args.ambient)
-    if with_length:
-        out.add("length", args.length)
-
-
-# -- symbolic subcommands -----------------------------------------------------
-
-def _cmd_check(args) -> int:
-    data = criteria.DefiningData(args.degrees, args.ambient)
-    holds = criteria.rc_criterion(data, args.length)
-    out = _Output(args.machine)
-    _echo_degree_args(out, args)
-    out.add("lhs", args.length * data.total_degree)
-    out.add("rhs", data.ambient * (args.length - 1) + data.m)
-    out.add("holds", _bool(holds))
-    out.flush()
-    return 0 if holds else 1
-
-
-def _cmd_minlength(args) -> int:
-    data = criteria.DefiningData(args.degrees, args.ambient)
-    result = criteria.min_chain_length(data)
-    out = _Output(args.machine)
-    _echo_degree_args(out, args, with_length=False)
-    out.add("minlength", "none" if result is None else result)
-    out.flush()
-    return 1 if result is None else 0
-
-
-def _cmd_cilength(args) -> int:
-    data = criteria.DefiningData(args.degrees, args.ambient)
-    out = _Output(args.machine)
-    _echo_degree_args(out, args, with_length=False)
-    out.add("cilength", criteria.ci_length(data))
-    out.add("fanoindex", criteria.fano_index_ci(data))
-    out.add("lxdim", criteria.lx_dim_ci(data))
-    out.note("formulas assume a smooth complete intersection; not verified")
-    out.flush()
-    return 0
-
-
-def _cmd_class(args) -> int:
-    problem = chains.ChainProblem(
-        criteria.DefiningData(args.degrees, args.ambient), args.length
-    )
-    if args.mode == "existence":
-        cls = chains.existence_class(problem)
-    else:
-        cls = chains.counting_class(problem)
-    out = _Output(args.machine)
-    _echo_degree_args(out, args)
-    out.add("mode", args.mode)
-    out.add("space", problem.space)
-    out.add("class", cls)
-    out.flush()
-    return 0
-
-
-def _cmd_count(args) -> int:
-    problem = chains.ChainProblem(
-        criteria.DefiningData(args.degrees, args.ambient), args.length
-    )
-    count = chains.chain_count(problem)
-    out = _Output(args.machine)
-    _echo_degree_args(out, args)
-    out.add("expected_dimension", 0)
-    out.add("count", count)
-    out.note(COUNT_CAVEAT)
-    out.flush()
-    return 0 if count > 0 else 1
-
-
-def _cmd_witness(args) -> int:
-    problem = chains.ChainProblem(
-        criteria.DefiningData(args.degrees, args.ambient), args.length
-    )
-    exponents = chains.witness_exponents(problem)
-    witness = chains.witness_monomial(problem)
-    out = _Output(args.machine)
-    _echo_degree_args(out, args)
-    out.add("witness_exponents", ",".join(str(j) for j in exponents))
-    out.add("monomial", ",".join(str(e) for e in witness.exponents))
-    out.add("verdict", "affirmative" if witness.fits else "negative")
-    out.flush()
-    return 0 if witness.fits else 1
-
-
-def _cmd_sharpness(args) -> int:
-    report = criteria.sharpness_report(args.length)
-    out = _Output(args.machine)
-    out.add("command", args.command)
-    out.add("length", report.length)
-    out.add("degree", report.degree)
-    out.add("ambient", report.ambient)
-    out.add("criterion_at_length", _bool(report.criterion_at_length))
-    out.add("criterion_at_next", _bool(report.criterion_at_next))
-    out.add("minlength", report.min_length)
-    out.add("lxdim", report.lines_dim)
-    out.add("locus_bound", report.locus_bound)
-    out.add("variety_dim", report.variety_dim)
-    out.add("connected", _bool(report.connected))
-    out.flush()
-    return 0
-
-
-# -- finite-field subcommands ---------------------------------------------------
-
-def _cmd_lines(args) -> int:
-    spec = fg.load_variety(args.variety)
-    point = fg.parse_point(args.point, spec.field)
-    found = sorted(fg.lines_through(spec, point), key=lambda ln: ln.basis)
-    out = _Output(args.machine)
-    out.add("command", args.command)
-    out.add("variety", args.variety)
-    out.add("point", fg.format_point(point))
-    out.add("count", len(found))
-    for i, line in enumerate(found, start=1):
-        out.add(f"line_{i}", _format_line(line))
-    out.flush()
-    return 0 if found else 1
-
-
-def _cmd_chain(args) -> int:
-    spec = fg.load_variety(args.variety)
-    start = fg.parse_point(args.from_point, spec.field)
-    goal = fg.parse_point(args.to_point, spec.field)
-    chain = fg.chain_search(spec, start, goal, args.max_length)
-    out = _Output(args.machine)
-    out.add("command", args.command)
-    out.add("variety", args.variety)
-    out.add("from", fg.format_point(start))
-    out.add("to", fg.format_point(goal))
-    out.add("max_length", args.max_length)
-    out.add("found", _bool(chain is not None))
-    if chain is None:
-        out.add("chain", "absent")
-        out.note(FIELD_CAVEAT)
-    else:
-        out.add("length", chain.length)
-        for i, pt in enumerate(chain.points):
-            out.add(f"point_{i}", fg.format_point(pt))
-        for i, line in enumerate(chain.lines, start=1):
-            out.add(f"line_{i}", _format_line(line))
-    out.flush()
-    return 0 if chain is not None else 1
-
-
-def _cmd_locus(args) -> int:
-    spec = fg.load_variety(args.variety)
-    point = fg.parse_point(args.point, spec.field)
-    reached = sorted(fg.locus(spec, point, args.length))
-    out = _Output(args.machine)
-    out.add("command", args.command)
-    out.add("variety", args.variety)
-    out.add("point", fg.format_point(point))
-    out.add("length", args.length)
-    out.add("count", len(reached))
-    for i, pt in enumerate(reached, start=1):
-        out.add(f"point_{i}", fg.format_point(pt))
-    out.note("F_p reachability set; may differ from the characteristic-zero locus")
-    out.flush()
-    return 0
-
-
-def _cmd_explore(args) -> int:
-    spec = fg.load_variety(args.variety)
-    report = fg.connectivity_report(spec, args.max_length)
-    out = _Output(args.machine)
-    out.add("command", args.command)
-    out.add("variety", args.variety)
-    out.add("max_length", args.max_length)
-    out.add("points", report.points)
-    for l in sorted(report.fractions):
-        frac = report.fractions[l]
-        out.add(f"fraction_{l}", f"{frac.numerator}/{frac.denominator}")
-    for k in sorted(report.line_counts):
-        out.add(f"lines_hist_{k}", report.line_counts[k])
-    out.note(FIELD_CAVEAT)
-    out.flush()
-    return 0
+def _joined(values) -> str:
+    return ",".join(str(v) for v in values)
 
 
 def _format_line(line: fg.Line) -> str:
@@ -255,7 +52,157 @@ def _format_line(line: fg.Line) -> str:
     return f"{fg.format_point(a)};{fg.format_point(b)}"
 
 
-# -- parser ---------------------------------------------------------------------
+def _problem(args) -> chains.ChainProblem:
+    return chains.ChainProblem(criteria.DefiningData(args.degrees, args.ambient), args.length)
+
+
+# -- symbolic commands ----------------------------------------------------------
+
+def _cmd_check(args):
+    data = criteria.DefiningData(args.degrees, args.ambient)
+    holds = criteria.rc_criterion(data, args.length)
+    pairs = [("lhs", args.length * data.total_degree),
+             ("rhs", data.ambient * (args.length - 1) + data.m),
+             ("holds", _bool(holds))]
+    return pairs, (), 0 if holds else 1
+
+
+def _cmd_minlength(args):
+    result = criteria.min_chain_length(criteria.DefiningData(args.degrees, args.ambient))
+    return [("minlength", "none" if result is None else result)], (), 1 if result is None else 0
+
+
+def _cmd_cilength(args):
+    data = criteria.DefiningData(args.degrees, args.ambient)
+    pairs = [("cilength", criteria.ci_length(data)),
+             ("fanoindex", criteria.fano_index_ci(data)),
+             ("lxdim", criteria.lx_dim_ci(data))]
+    return pairs, ["formulas assume a smooth complete intersection; not verified"], 0
+
+
+def _cmd_class(args):
+    problem = _problem(args)
+    build = chains.existence_class if args.mode == "existence" else chains.counting_class
+    return [("mode", args.mode), ("space", problem.space), ("class", build(problem))], (), 0
+
+
+def _cmd_count(args):
+    count = chains.chain_count(_problem(args))
+    return [("expected_dimension", 0), ("count", count)], [COUNT_CAVEAT], 0 if count > 0 else 1
+
+
+def _cmd_witness(args):
+    problem = _problem(args)
+    exponents = chains.witness_exponents(problem)
+    witness = chains.witness_monomial(problem)
+    pairs = [("witness_exponents", _joined(exponents)),
+             ("monomial", _joined(witness.exponents)),
+             ("verdict", "affirmative" if witness.fits else "negative")]
+    return pairs, (), 0 if witness.fits else 1
+
+
+def _cmd_sharpness(args):
+    report = criteria.sharpness_report(args.length)
+    pairs = [("length", report.length),
+             ("degree", report.degree),
+             ("ambient", report.ambient),
+             ("criterion_at_length", _bool(report.criterion_at_length)),
+             ("criterion_at_next", _bool(report.criterion_at_next)),
+             ("minlength", report.min_length),
+             ("lxdim", report.lines_dim),
+             ("locus_bound", report.locus_bound),
+             ("variety_dim", report.variety_dim),
+             ("connected", _bool(report.connected))]
+    return pairs, (), 0
+
+
+# -- finite-field commands --------------------------------------------------------
+
+def _cmd_lines(args):
+    spec = fg.load_variety(args.variety)
+    point = fg.parse_point(args.point, spec.field)
+    found = sorted(fg.lines_through(spec, point), key=lambda ln: ln.basis)
+    pairs = [("point", fg.format_point(point)), ("count", len(found))]
+    pairs += [(f"line_{i}", _format_line(line)) for i, line in enumerate(found, start=1)]
+    return pairs, (), 0 if found else 1
+
+
+def _cmd_chain(args):
+    spec = fg.load_variety(args.variety)
+    start = fg.parse_point(args.from_point, spec.field)
+    goal = fg.parse_point(args.to_point, spec.field)
+    chain = fg.chain_search(spec, start, goal, args.max_length)
+    pairs = [("from", fg.format_point(start)), ("to", fg.format_point(goal)),
+             ("max_length", args.max_length), ("found", _bool(chain is not None))]
+    if chain is None:
+        return pairs + [("chain", "absent")], [FIELD_CAVEAT], 1
+    pairs.append(("length", chain.length))
+    pairs += [(f"point_{i}", fg.format_point(pt)) for i, pt in enumerate(chain.points)]
+    pairs += [(f"line_{i}", _format_line(ln)) for i, ln in enumerate(chain.lines, start=1)]
+    return pairs, (), 0
+
+
+def _cmd_locus(args):
+    spec = fg.load_variety(args.variety)
+    point = fg.parse_point(args.point, spec.field)
+    reached = sorted(fg.locus(spec, point, args.length))
+    pairs = [("point", fg.format_point(point)), ("length", args.length),
+             ("count", len(reached))]
+    pairs += [(f"point_{i}", fg.format_point(pt)) for i, pt in enumerate(reached, start=1)]
+    return pairs, ["F_p reachability set; may differ from the characteristic-zero locus"], 0
+
+
+def _cmd_explore(args):
+    report = fg.connectivity_report(fg.load_variety(args.variety), args.max_length)
+    pairs = [("max_length", args.max_length), ("points", report.points)]
+    pairs += [(f"fraction_{l}", f"{f.numerator}/{f.denominator}")
+              for l, f in sorted(report.fractions.items())]
+    pairs += [(f"lines_hist_{k}", n) for k, n in sorted(report.line_counts.items())]
+    return pairs, [FIELD_CAVEAT], 0
+
+
+# -- command table and parser -------------------------------------------------------
+
+# An argument is (flag, add_argument keywords, echo); main echoes the value of
+# every argument with an echo function, in table order, right after ``command``.
+DEGREES = ("--degrees", {"type": _degrees, "required": True,
+                         "help": "comma-separated defining degrees, e.g. 3 or 2,2"}, _joined)
+AMBIENT = ("--ambient", {"type": int, "required": True, "metavar": "N",
+                         "help": "ambient projective dimension"}, str)
+LENGTH = ("--length", {"type": int, "required": True, "metavar": "L",
+                       "help": "chain length (>= 2)"}, str)
+VARIETY = ("--variety", {"required": True, "metavar": "FILE",
+                         "help": "variety file (see README for the format)"}, str)
+POINT = ("--point", {"required": True, "help": "point as a0:a1:...:aN"}, None)
+MAX_LENGTH = ("--max-length", {"dest": "max_length", "type": int, "required": True}, None)
+
+COMMANDS = (
+    ("check", _cmd_check, "test the chain-connectedness inequality l*D <= N*(l-1)+m",
+     (DEGREES, AMBIENT, LENGTH)),
+    ("minlength", _cmd_minlength, "least chain length satisfying the criterion",
+     (DEGREES, AMBIENT)),
+    ("cilength", _cmd_cilength,
+     "length, Fano index and line-family dimension of a complete intersection",
+     (DEGREES, AMBIENT)),
+    ("class", _cmd_class, "print the intersection class",
+     (DEGREES, AMBIENT, LENGTH,
+      ("--mode", {"choices": ("existence", "counting"), "required": True}, None))),
+    ("count", _cmd_count, "number of chains between two general points (with multiplicity)",
+     (DEGREES, AMBIENT, LENGTH)),
+    ("witness", _cmd_witness, "witness exponents and monomial certifying nonvanishing",
+     (DEGREES, AMBIENT, LENGTH)),
+    ("sharpness", _cmd_sharpness, "boundary family showing the criterion is sharp",
+     (("--length", {"type": int, "required": True, "metavar": "L"}, None),)),
+    ("lines", _cmd_lines, "lines through a point lying on the variety", (VARIETY, POINT)),
+    ("chain", _cmd_chain, "search for a chain of lines between two points",
+     (VARIETY, ("--from", {"dest": "from_point", "required": True, "metavar": "P"}, None),
+      ("--to", {"dest": "to_point", "required": True, "metavar": "Q"}, None), MAX_LENGTH)),
+    ("locus", _cmd_locus, "points reachable by at most l line-steps",
+     (VARIETY, POINT, ("--length", {"type": int, "required": True}, None))),
+    ("explore", _cmd_explore, "connectivity statistics of the chain graph",
+     (VARIETY, MAX_LENGTH)),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -266,75 +213,43 @@ def build_parser() -> argparse.ArgumentParser:
             "explicit varieties by exhaustive search over a prime field."
         ),
     )
+    # every subcommand copies --machine from here: main builds the parser on
+    # every call, and one add_argument per subcommand would cost more
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--machine", action="store_true", help="emit one key=value pair per line"
-    )
+    common.add_argument("--machine", action="store_true",
+                        help="emit one key=value pair per line")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def degree_cmd(name, func, help_text, with_length=True):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        sp.add_argument("--degrees", type=_degrees, required=True,
-                        help="comma-separated defining degrees, e.g. 3 or 2,2")
-        sp.add_argument("--ambient", type=int, required=True, metavar="N",
-                        help="ambient projective dimension")
-        if with_length:
-            sp.add_argument("--length", type=int, required=True, metavar="L",
-                            help="chain length (>= 2)")
-        sp.set_defaults(func=func)
-        return sp
-
-    degree_cmd("check", _cmd_check,
-               "test the chain-connectedness inequality l*D <= N*(l-1)+m")
-    degree_cmd("minlength", _cmd_minlength,
-               "least chain length satisfying the criterion", with_length=False)
-    degree_cmd("cilength", _cmd_cilength,
-               "length, Fano index and line-family dimension of a complete "
-               "intersection", with_length=False)
-    sp = degree_cmd("class", _cmd_class, "print the intersection class")
-    sp.add_argument("--mode", choices=("existence", "counting"), required=True)
-    degree_cmd("count", _cmd_count,
-               "number of chains between two general points (with multiplicity)")
-    degree_cmd("witness", _cmd_witness,
-               "witness exponents and monomial certifying nonvanishing")
-
-    sp = sub.add_parser("sharpness", parents=[common],
-                        help="boundary family showing the criterion is sharp")
-    sp.add_argument("--length", type=int, required=True, metavar="L")
-    sp.set_defaults(func=_cmd_sharpness)
-
-    def variety_cmd(name, func, help_text):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        sp.add_argument("--variety", required=True, metavar="FILE",
-                        help="variety file (see README for the format)")
-        sp.set_defaults(func=func)
-        return sp
-
-    sp = variety_cmd("lines", _cmd_lines, "lines through a point lying on the variety")
-    sp.add_argument("--point", required=True, help="point as a0:a1:...:aN")
-
-    sp = variety_cmd("chain", _cmd_chain, "search for a chain of lines between two points")
-    sp.add_argument("--from", dest="from_point", required=True, metavar="P")
-    sp.add_argument("--to", dest="to_point", required=True, metavar="Q")
-    sp.add_argument("--max-length", dest="max_length", type=int, required=True)
-
-    sp = variety_cmd("locus", _cmd_locus, "points reachable by at most l line-steps")
-    sp.add_argument("--point", required=True, help="point as a0:a1:...:aN")
-    sp.add_argument("--length", type=int, required=True)
-
-    sp = variety_cmd("explore", _cmd_explore, "connectivity statistics of the chain graph")
-    sp.add_argument("--max-length", dest="max_length", type=int, required=True)
-
+    for name, func, help_text, arguments in COMMANDS:
+        sp = sub.add_parser(name, help=help_text, parents=[common])
+        sp.set_defaults(func=func, echo=[(sp.add_argument(flag, **kwargs).dest, show)
+                                         for flag, kwargs, show in arguments])
     return parser
+
+
+def _render(pairs, notes, machine: bool):
+    if machine:
+        yield from (f"{key}={value}" for key, value in pairs)
+        yield from (f"caveat_{i}={text}" for i, text in enumerate(notes, start=1))
+    else:
+        width = max(len(key) for key, _ in pairs)
+        yield from (f"{key:<{width}}  {value}" for key, value in pairs)
+        yield from (f"note: {text}" for text in notes)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        pairs, notes, code = args.func(args)
+        # rendered here, so a value that cannot be printed is an input error too
+        pairs = [("command", args.command)] + [
+            (dest, show(getattr(args, dest))) for dest, show in args.echo if show
+        ] + [(key, str(value)) for key, value in pairs]
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for line in _render(pairs, notes, args.machine):
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

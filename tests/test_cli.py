@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import chainlines
 from chainlines.cli import main
 from chainlines.finite_geometry import format_variety, split_quadric, fermat_cubic
 
@@ -102,6 +108,7 @@ def test_count_dimension_error(capsys):
     code = main(["count", "--degrees", "2", "--ambient", "4", "--length", "2"])
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
     assert "expected dimension" in captured.err
 
 
@@ -205,13 +212,14 @@ def test_malformed_file_reports_line(capsys, tmp_path):
     code = main(["lines", "--variety", str(path), "--point", "1:0:0:0"])
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
     assert "line 3" in captured.err
 
 
 def test_point_not_on_variety_is_input_error(capsys, quadric_file):
-    code = main(["lines", "--variety", quadric_file, "--point", "1:0:0:1"])
-    capsys.readouterr()
+    code, out = run(capsys, "lines", "--variety", quadric_file, "--point", "1:0:0:1")
     assert code == 2
+    assert out == ""
 
 
 def test_machine_output_stable(capsys):
@@ -226,3 +234,160 @@ def test_machine_output_stable(capsys):
         _, first = run(capsys, *argv, "--machine")
         _, second = run(capsys, *argv, "--machine")
         assert first == second
+
+
+PLAIN_GOLDEN = [
+    ("check --degrees 3 --ambient 4 --length 3", 0, """\
+command  check
+degrees  3
+ambient  4
+length   3
+lhs      9
+rhs      9
+holds    true
+"""),
+    ("minlength --degrees 4 --ambient 5", 0, """\
+command    minlength
+degrees    4
+ambient    5
+minlength  4
+"""),
+    ("cilength --degrees 3 --ambient 4", 0, """\
+command    cilength
+degrees    3
+ambient    4
+cilength   3
+fanoindex  2
+lxdim      0
+note: formulas assume a smooth complete intersection; not verified
+"""),
+    ("class --degrees 3 --ambient 4 --length 3 --mode counting", 0, """\
+command  class
+degrees  3
+ambient  4
+length   3
+mode     counting
+space    P^4 x P^4
+class    180*h1^4*h2^4
+"""),
+    ("count --degrees 3 --ambient 4 --length 3", 0, """\
+command             count
+degrees             3
+ambient             4
+length              3
+expected_dimension  0
+count               180
+note: intersection-number count: chains are counted with multiplicity and \
+assume generic defining polynomials
+"""),
+    ("witness --degrees 3 --ambient 4 --length 3", 0, """\
+command            witness
+degrees            3
+ambient            4
+length             3
+witness_exponents  1
+monomial           4,4
+verdict            affirmative
+"""),
+    ("sharpness --length 2", 0, """\
+command              sharpness
+length               2
+degree               3
+ambient              4
+criterion_at_length  false
+criterion_at_next    true
+minlength            3
+lxdim                0
+locus_bound          2
+variety_dim          3
+connected            false
+"""),
+    ("lines --variety quadric5.variety --point 1:0:0:0", 0, """\
+command  lines
+variety  quadric5.variety
+point    1:0:0:0
+count    2
+line_1   1:0:0:0;0:0:1:0
+line_2   1:0:0:0;0:1:0:0
+"""),
+    ("chain --variety quadric5.variety --from 1:0:0:0 --to 0:0:0:1 --max-length 3", 0, """\
+command     chain
+variety     quadric5.variety
+from        1:0:0:0
+to          0:0:0:1
+max_length  3
+found       true
+length      2
+point_0     1:0:0:0
+point_1     0:0:1:0
+point_2     0:0:0:1
+line_1      1:0:0:0;0:0:1:0
+line_2      0:0:1:0;0:0:0:1
+"""),
+    ("chain --variety quadric5.variety --from 1:0:0:0 --to 0:0:0:1 --max-length 1", 1, """\
+command     chain
+variety     quadric5.variety
+from        1:0:0:0
+to          0:0:0:1
+max_length  1
+found       false
+chain       absent
+note: finite-field evidence only: absence over F_p does not refute existence \
+in characteristic zero
+"""),
+    ("locus --variety quadric5.variety --point 1:0:0:0 --length 1", 0, """\
+command   locus
+variety   quadric5.variety
+point     1:0:0:0
+length    1
+count     11
+point_1   0:0:1:0
+point_2   0:1:0:0
+point_3   1:0:0:0
+point_4   1:0:1:0
+point_5   1:0:2:0
+point_6   1:0:3:0
+point_7   1:0:4:0
+point_8   1:1:0:0
+point_9   1:2:0:0
+point_10  1:3:0:0
+point_11  1:4:0:0
+note: F_p reachability set; may differ from the characteristic-zero locus
+"""),
+    ("explore --variety quadric5.variety --max-length 2", 0, """\
+command       explore
+variety       quadric5.variety
+max_length    2
+points        36
+fraction_1    11/36
+fraction_2    1/1
+lines_hist_2  36
+note: finite-field evidence only: absence over F_p does not refute existence \
+in characteristic zero
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", PLAIN_GOLDEN,
+                         ids=[argv for argv, _, _ in PLAIN_GOLDEN])
+def test_plain_output_golden(capsys, monkeypatch, quadric_file, argv, code, expected):
+    # plain mode pads every key to the longest one and prints notes last
+    monkeypatch.chdir(Path(quadric_file).parent)
+    assert run(capsys, *argv.split()) == (code, expected)
+
+
+def test_module_exit_codes():
+    # runs ``python -m chainlines.cli``, so ``sys.exit(main())`` carries the code
+    src = str(Path(chainlines.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "chainlines.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    bad = cli("check", "--degrees", "3,x", "--ambient", "4", "--length", "3")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert "usage:" in bad.stderr
+    assert cli("check", "--degrees", "4", "--ambient", "5", "--length", "3").returncode == 1
+    assert cli("count", "--degrees", "3", "--ambient", "4", "--length", "3").returncode == 0

@@ -564,7 +564,7 @@ def test_connectivity_report_pair_budget(monkeypatch, tmp_path):
     assert main(["explore", "--variety", str(path), "--max-length", "1"]) == 2
 
 
-def test_chain_and_locus_pair_budget(monkeypatch, tmp_path):
+def test_chain_and_locus_pair_budget(monkeypatch, tmp_path, capsys):
     # on the split quadric over F_3 each L_a solve tests the 4 directions of
     # P^1 and each line listed has 4 points; one query sums both: lines
     # takes one solve (4), locus 1 one solve and two lines (12), the chain
@@ -586,6 +586,7 @@ def test_chain_and_locus_pair_budget(monkeypatch, tmp_path):
     variety = ["--variety", str(path)]
     assert main(["chain", *variety, "--from", "1:0:0:0", "--to", "0:0:0:1", "--max-length", "2"]) == 2
     assert main(["locus", *variety, "--point", "1:0:0:0", "--length", "2"]) == 2
+    assert capsys.readouterr().out == ""
     assert main(["locus", *variety, "--point", "1:0:0:0", "--length", "1"]) == 0
     assert main(["lines", *variety, "--point", "1:0:0:0"]) == 0
 
