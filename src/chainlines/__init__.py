@@ -39,6 +39,7 @@ from .chains import (
     Witness,
     chain_count,
     class_term_count,
+    class_text,
     condition_tally,
     counting_class,
     counting_factors,

@@ -61,16 +61,23 @@ multiplicity, for generic defining polynomials -- is the closed form
 
     scale * prod_{k=2}^{l-1} B[(k-1)(N-D)].
 
+The same walk over the paths, each a_k taken in descending order, lists
+the terms in render order (chow module docstring), so class_text streams a
+class as text without building it, and counting_class/existence_class
+collect it without sorting or checking it again.
+
 counting_factors keeps the individual condition classes; their product in
 the truncated ring is the reference the tests compare the blocks against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .chow import ChowClass, Monomial, ProductSpace, hyperplane
+from .chow import ChowClass, Group, Monomial, ProductSpace, hyperplane, render
 from .criteria import DefiningData, rc_criterion
 from .finite_geometry import BudgetExceededError
 
@@ -256,9 +263,20 @@ def _check_class_budget(problem: ChainProblem) -> None:
     _check_budget(class_term_count(problem), "class term count")
 
 
-def _block_class(problem: ChainProblem, weights: list[int], scale: int) -> ChowClass:
+def _walk(problem: ChainProblem, weights: list[int], scale: int) -> Iterator[Group]:
     """The class with pair-block coefficients `weights`, one term per
-    surviving path (a_2, ..., a_{l-1}); see the module docstring."""
+    surviving path (a_2, ..., a_{l-1}), as `chow.render` groups in render
+    order; see the module docstring.
+
+    A depth-first walk over the paths, with an explicit stack, that takes
+    every a_k in descending order: e_1 = D + a_2 falls with a_2, and once
+    a_2..a_k are fixed e_k = D - a_k + a_{k+1} falls with a_{k+1}, so the
+    exponent tuples come out in descending lexicographic order.  One group
+    per choice of a_2..a_{l-2}: the head is e_1..e_{l-3}, and each leaf
+    a_{l-1} adds (e_{l-2}, e_{l-1}) and the weight B[a_{l-1}].  Besides
+    the leaf lists, each of which is part of the output, it holds O(l)
+    values: a choice, a partial coefficient and an exponent per factor.
+    """
     data, l = problem.data, problem.length
     D, top = data.total_degree, data.total_degree - data.m
     rise = data.ambient - data.total_degree
@@ -268,18 +286,38 @@ def _block_class(problem: ChainProblem, weights: list[int], scale: int) -> ChowC
         lows.append(max(0, lows[-1] - rise))
     lows.reverse()
     if lows[0] > 0:
-        return ChowClass(problem.space, {})
-    partial: list[tuple[Monomial, int, int]] = [((), 0, scale)]
-    for low in lows[1:-1]:
-        partial = [
-            (exps + (D - a + b,), b, coeff * weights[b])
-            for exps, a, coeff in partial
-            for b in range(low, min(top, a + rise) + 1)
-        ]
-    return ChowClass(
-        problem.space,
-        {exps + (D - a + top,): coeff for exps, a, coeff in partial},
-    )
+        return
+    if l == 2:
+        yield (), scale, [((D + top,), 1)]
+        return
+    # a[k-1] = a_k and coeffs[k-1] = scale * B[a_2] ... B[a_k] along the
+    # current path; exps[k-1] = e_k.  Depth j picks a_{j+1}, j = 1..l-3.
+    depth, last_low = l - 3, lows[l - 2]
+
+    @functools.cache
+    def leaves(parent: int) -> list[tuple[Monomial, int]]:
+        # the same for every group with a_{l-2} = parent, so made once
+        return [((D - parent + b, D - b + top), weights[b])
+                for b in range(min(top, parent + rise), last_low - 1, -1)]
+
+    a, coeffs, exps = [0] * (depth + 1), [scale] * (depth + 1), [0] * depth
+    j = 1
+    if depth:
+        a[1] = min(top, rise) + 1
+    while j:
+        if j > depth:
+            yield tuple(exps), coeffs[depth], leaves(a[depth])
+            j -= 1
+            continue
+        a[j] -= 1
+        if a[j] < lows[j]:
+            j -= 1
+            continue
+        coeffs[j] = coeffs[j - 1] * weights[a[j]]
+        exps[j - 1] = D - a[j - 1] + a[j]
+        j += 1
+        if j <= depth:
+            a[j] = min(top, a[j - 1] + rise) + 1
 
 
 def _counting_scale(problem: ChainProblem) -> int:
@@ -290,16 +328,30 @@ def _counting_scale(problem: ChainProblem) -> int:
     )
 
 
+def _class_groups(problem: ChainProblem, counting: bool) -> Iterator[Group]:
+    """The walk for the counting or the existence class, after the budget
+    check, which runs at once."""
+    _check_class_budget(problem)
+    if counting:
+        return _walk(problem, _pair_block(problem.data), _counting_scale(problem))
+    top = problem.data.total_degree - problem.data.m
+    return _walk(problem, [math.comb(top, a) for a in range(top + 1)], 1)
+
+
+def _collect(problem: ChainProblem, groups: Iterator[Group]) -> ChowClass:
+    return ChowClass.from_normal_form(problem.space, {
+        head + tail: coeff * weight
+        for head, coeff, leaves in groups for tail, weight in leaves
+    })
+
+
 def counting_class(problem: ChainProblem) -> ChowClass:
     """Product of all condition classes in the truncated ring.
 
     Listed from the blocks; raises BudgetExceededError beyond
     CLASS_TERM_BUDGET terms.
     """
-    _check_class_budget(problem)
-    return _block_class(
-        problem, _pair_block(problem.data), _counting_scale(problem)
-    )
+    return _collect(problem, _class_groups(problem, counting=True))
 
 
 def existence_class(problem: ChainProblem) -> ChowClass:
@@ -312,9 +364,16 @@ def existence_class(problem: ChainProblem) -> ChowClass:
     l*D - m; the class is nonzero whenever the chain criterion holds.
     Raises BudgetExceededError beyond CLASS_TERM_BUDGET terms.
     """
-    _check_class_budget(problem)
-    top = problem.data.total_degree - problem.data.m
-    return _block_class(problem, [math.comb(top, a) for a in range(top + 1)], 1)
+    return _collect(problem, _class_groups(problem, counting=False))
+
+
+def class_text(problem: ChainProblem, counting: bool) -> Iterator[str]:
+    """str() of the counting (or existence) class, in chunks, never built.
+
+    The budget is checked at once, before the first chunk is asked for;
+    raises BudgetExceededError like counting_class and existence_class.
+    """
+    return render(_class_groups(problem, counting))
 
 
 def expected_dimension(problem: ChainProblem) -> int:
@@ -330,8 +389,9 @@ def chain_count(problem: ChainProblem) -> int:
     expected dimension is zero.  It assumes generic transversality: for
     special defining polynomials the actual chains may be fewer (with higher
     multiplicities) or form positive-dimensional families.  Computed in
-    closed form from the pair block in O(l + (D-m)^2); raises
-    BudgetExceededError when (D-m)^2 exceeds CLASS_TERM_BUDGET.
+    closed form from the pair block in O(l + (D-m)^2), and without a loop
+    over l when N = D; raises BudgetExceededError when (D-m)^2 exceeds
+    CLASS_TERM_BUDGET.
     """
     dim = expected_dimension(problem)
     if dim > 0:
@@ -343,9 +403,13 @@ def chain_count(problem: ChainProblem) -> int:
             dim, f"expected dimension {dim} < 0: the condition system is overdetermined"
         )
     data = problem.data
+    rise = data.ambient - data.total_degree
+    if rise == 0:
+        # then D = m: every degree is 1, the pair block is [1], and the
+        # product below would multiply l-2 ones
+        return _counting_scale(problem)
     _check_block_budget(data)
     block = _pair_block(data)
-    rise = data.ambient - data.total_degree
     # (l-1)(N-D) = D-m at dimension zero, so every index lies in 0..D-m
     return _counting_scale(problem) * math.prod(
         block[k * rise] for k in range(1, problem.length - 1)

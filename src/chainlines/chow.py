@@ -16,11 +16,16 @@ Rendering contract (used verbatim by the command-line `class` output): terms
 are listed with the lexicographically largest exponent tuple first, each term
 formatted as ``<coeff>*h1^<e1>*...*hk^<ek>`` with ``^1`` and zero-exponent
 factors omitted, terms joined by `` + ``; the zero class renders as ``0``.
+``render`` is the one implementation; ``str`` and the command line's
+streamed classes both go through it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from decimal import Decimal
+from itertools import count, groupby
 from operator import gt
 
 Monomial = tuple[int, ...]
@@ -74,6 +79,18 @@ class ChowClass:
             clean[tuple(mono)] = coeff
         self.space = space
         self.terms = clean
+
+    @classmethod
+    def from_normal_form(cls, space: ProductSpace, terms: dict[Monomial, int]) -> "ChowClass":
+        """Wrap terms already in normal form, without checking or copying them.
+
+        For producers that build only valid terms (tuples of the right
+        length, within the truncation bounds, nonzero coefficients).
+        """
+        self = object.__new__(cls)
+        self.space = space
+        self.terms = terms
+        return self
 
     # -- queries ---------------------------------------------------------
 
@@ -158,21 +175,81 @@ class ChowClass:
     __hash__ = None  # mutable dict inside; classes are not hashable
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, reverse=True):
-            coeff = self.terms[mono]
-            factors = [
-                f"h{i + 1}^{e}" if e > 1 else f"h{i + 1}"
-                for i, e in enumerate(mono)
-                if e
-            ]
-            parts.append("*".join([str(coeff)] + factors))
-        return " + ".join(parts)
+        # terms that differ only in their last two exponents share a head, as
+        # the terms below one choice of a_2..a_{l-2} do in a chain class
+        items = sorted(self.terms.items(), reverse=True)
+        groups = ((head, 1, [(mono[-2:], coeff) for mono, coeff in terms])
+                  for head, terms in groupby(items, key=lambda item: item[0][:-2]))
+        return "".join(render(groups))
 
     def __repr__(self) -> str:
         return f"ChowClass({self.space}: {self})"
+
+
+def int_text(n: int) -> str:
+    """The decimal digits of n, exact at any size.
+
+    ``str(int)`` refuses more than ``sys.get_int_max_str_digits()`` digits
+    (4,300 by default); ``Decimal`` converts without that limit.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+class _Memo(dict):
+    """Makes each missing value with ``make(key)`` on first use, then keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _factor_text(k: int, e: int) -> str:
+    """``*h<k>^<e>``, without ``^1``, and empty for e = 0."""
+    return f"*h{k}^{e}" if e > 1 else f"*h{k}" if e else ""
+
+
+# (head, coeff, leaves): the terms head + tail with coefficient coeff * weight
+# for every (tail, weight) in leaves
+Group = tuple[Monomial, int, Sequence[tuple[Monomial, int]]]
+
+
+def render(groups: Iterable[Group]) -> Iterator[str]:
+    """The rendering contract (module docstring) as a stream of text chunks.
+
+    ``groups`` yields ``(head, coeff, leaves)`` in render order, each with at
+    least one leaf and all heads of one length.  Every term of a group starts
+    with the exponents ``head`` of the first factors; each leaf ``(tail,
+    weight)`` gives the exponents of the other factors, and the term's
+    coefficient is ``coeff * weight``.  A head is rendered once per group and
+    a tail once per render, from a table of ready-made ``*h<k>^<e>``
+    strings, each made on first use.  One chunk per group.
+    """
+    factor = _Memo(lambda key: _factor_text(*key)).__getitem__  # (k, e) -> text
+    tails = None
+    sep = ""
+    for head, coeff, leaves in groups:
+        if tails is None:
+            after = len(head) + 1
+            tails = _Memo(lambda tail: "".join(map(factor, zip(count(after), tail))))
+        shared = "".join(map(factor, zip(count(1), head)))
+        try:
+            text = " + ".join([f"{coeff * weight}{shared}{tails[tail]}"
+                               for tail, weight in leaves])
+        except ValueError:  # a coefficient beyond str's digit limit
+            text = " + ".join([int_text(coeff * weight) + shared + tails[tail]
+                               for tail, weight in leaves])
+        yield sep + text
+        sep = " + "
+    if not sep:
+        yield "0"
 
 
 def zero(space: ProductSpace) -> ChowClass:

@@ -7,17 +7,22 @@ exit code)`` and prints nothing; ``main`` prints.  Output order:
 the command's own pairs; its notes.  Plain output pads every key to the
 longest one and prints each note as ``note: <text>``; ``--machine`` prints
 one ``key=value`` pair per line with stable keys and each note as
-``caveat_<i>=<text>``.  Exit status: 0 for a positive/neutral result, 1 for
-a definite negative answer (criterion fails, no chain, nothing found, count
-zero), 2 for an input error, with nothing on stdout.
+``caveat_<i>=<text>``.  A value may be an iterator of text chunks (the
+``class`` value), written as it is rendered.  Exit status: 0 for a
+positive/neutral result, 1 for a definite negative answer (criterion fails,
+no chain, nothing found, count zero), 2 for an input error, with nothing on
+stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from collections.abc import Iterator
 
 from . import chains, criteria, finite_geometry as fg
+from .chow import int_text
 
 COUNT_CAVEAT = (
     "intersection-number count: chains are counted with multiplicity and "
@@ -82,8 +87,9 @@ def _cmd_cilength(args):
 
 def _cmd_class(args):
     problem = _problem(args)
-    build = chains.existence_class if args.mode == "existence" else chains.counting_class
-    return [("mode", args.mode), ("space", problem.space), ("class", build(problem))], (), 0
+    # checks the budget now; the terms are rendered while main writes them
+    text = chains.class_text(problem, counting=args.mode == "counting")
+    return [("mode", args.mode), ("space", problem.space), ("class", text)], (), 0
 
 
 def _cmd_count(args):
@@ -204,7 +210,9 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="chainlines",
         description=(
@@ -213,42 +221,49 @@ def build_parser() -> argparse.ArgumentParser:
             "explicit varieties by exhaustive search over a prime field."
         ),
     )
-    # every subcommand copies --machine from here: main builds the parser on
-    # every call, and one add_argument per subcommand would cost more
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--machine", action="store_true",
-                        help="emit one key=value pair per line")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text, arguments in COMMANDS:
-        sp = sub.add_parser(name, help=help_text, parents=[common])
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--machine", action="store_true",
+                        help="emit one key=value pair per line")
         sp.set_defaults(func=func, echo=[(sp.add_argument(flag, **kwargs).dest, show)
                                          for flag, kwargs, show in arguments])
     return parser
 
 
+def _text(value):
+    """A value as text; an iterator of chunks is left to be written lazily."""
+    if isinstance(value, Iterator):
+        return value
+    return int_text(value) if isinstance(value, int) else str(value)
+
+
 def _render(pairs, notes, machine: bool):
-    if machine:
-        yield from (f"{key}={value}" for key, value in pairs)
-        yield from (f"caveat_{i}={text}" for i, text in enumerate(notes, start=1))
-    else:
-        width = max(len(key) for key, _ in pairs)
-        yield from (f"{key:<{width}}  {value}" for key, value in pairs)
-        yield from (f"note: {text}" for text in notes)
+    """The output as pieces of text, each line ending in a newline."""
+    width = 0 if machine else max(len(key) for key, _ in pairs)
+    for key, value in pairs:
+        head = f"{key}=" if machine else f"{key:<{width}}  "
+        if isinstance(value, str):
+            yield f"{head}{value}\n"
+        else:
+            yield head
+            yield from value
+            yield "\n"
+    for i, text in enumerate(notes, start=1):
+        yield f"caveat_{i}={text}\n" if machine else f"note: {text}\n"
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         pairs, notes, code = args.func(args)
-        # rendered here, so a value that cannot be printed is an input error too
         pairs = [("command", args.command)] + [
             (dest, show(getattr(args, dest))) for dest, show in args.echo if show
-        ] + [(key, str(value)) for key, value in pairs]
+        ] + [(key, _text(value)) for key, value in pairs]
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for line in _render(pairs, notes, args.machine):
-        print(line)
+    sys.stdout.writelines(_render(pairs, notes, args.machine))
     return code
 
 

@@ -1,4 +1,4 @@
-"""Reference arithmetic for cross-checking the truncated ring.
+"""Reference arithmetic and rendering for cross-checking the truncated ring.
 
 Plain dict-based integer polynomials with NO truncation during computation;
 out-of-range monomials are discarded only at the very end.  Deliberately
@@ -28,3 +28,15 @@ def truncate(poly: dict, dims) -> dict:
     return {
         m: c for m, c in poly.items() if all(e <= n for e, n in zip(m, dims))
     }
+
+
+def render(poly: dict) -> str:
+    """The rendering contract of chainlines.chow, spelled out term by term:
+    sort, then format every factor of every term."""
+    if not poly:
+        return "0"
+    parts = []
+    for mono in sorted(poly, reverse=True):
+        factors = [f"h{i + 1}^{e}" if e > 1 else f"h{i + 1}" for i, e in enumerate(mono) if e]
+        parts.append("*".join([str(poly[mono])] + factors))
+    return " + ".join(parts)

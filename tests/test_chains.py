@@ -165,6 +165,18 @@ def test_tally_and_degree_identities():
         assert class_term_count(p) == len(cls.terms)
 
 
+def _assert_cli_class(capsys, p, mode, reference):
+    """`chainlines class` prints the reference rendering of `reference`, the
+    class as a dict, byte for byte, in --machine and in plain output."""
+    expected = naive_poly.render(reference)
+    argv = ["class", "--degrees", ",".join(map(str, p.data.degrees)),
+            "--ambient", str(p.data.ambient), "--length", str(p.length), "--mode", mode]
+    assert main(argv + ["--machine"]) == 0
+    assert capsys.readouterr().out.endswith(f"\nclass={expected}\n"), (p, mode)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(f"\nclass    {expected}\n"), (p, mode)
+
+
 def _existence_factor_dicts(p):
     # plain-dict version of the existence factors, for the reference route
     data, l = p.data, p.length
@@ -243,8 +255,9 @@ def test_counting_class_matches_naive_expansion_golden_cases():
         assert dict(counting_class(p).terms) == reference
 
 
-def test_counting_class_matches_naive_expansion_full_grid():
-    # the untruncated product depends only on (degrees, l); share it across N
+def test_counting_class_matches_naive_expansion_full_grid(capsys):
+    # the untruncated product depends only on (degrees, l); share it across N.
+    # The library class, its str() and the streamed CLI output all match it.
     untruncated: dict = {}
     for degrees, n, l in GRID:
         if (n + 1) ** (l - 1) > 10**6:
@@ -255,7 +268,10 @@ def test_counting_class_matches_naive_expansion_full_grid():
             factor_dicts = [dict(f.terms) for f in counting_factors(p).all()]
             untruncated[key] = naive_poly.product(factor_dicts, l - 1)
         reference = naive_poly.truncate(untruncated[key], p.space.factor_dims)
-        assert dict(counting_class(p).terms) == reference
+        cls = counting_class(p)
+        assert dict(cls.terms) == reference
+        assert str(cls) == naive_poly.render(reference)
+        _assert_cli_class(capsys, p, "counting", reference)
 
 
 def _ring_product(factors, space):
@@ -267,7 +283,8 @@ def _ring_product(factors, space):
     return result
 
 
-def test_chain_count_matches_dense_ring_top_coefficient():
+def test_chain_count_matches_dense_ring_top_coefficient(capsys):
+    # and the streamed CLI classes match the dense ring products, in both modes
     checked = 0
     for m in (1, 2, 3):
         for degrees in itertools.combinations_with_replacement(range(1, 8), m):
@@ -278,11 +295,15 @@ def test_chain_count_matches_dense_ring_top_coefficient():
                         continue
                     dense = _ring_product(counting_factors(p).all(), p.space)
                     assert chain_count(p) == dense.top_coefficient(), (degrees, n, l)
+                    _assert_cli_class(capsys, p, "counting", dense.terms)
+                    existence = _ring_product(
+                        [ChowClass(p.space, f) for f in _existence_factor_dicts(p)], p.space)
+                    _assert_cli_class(capsys, p, "existence", existence.terms)
                     checked += 1
     assert checked > 200
 
 
-def test_existence_class_matches_naive_expansion_full_grid():
+def test_existence_class_matches_naive_expansion_full_grid(capsys):
     untruncated: dict = {}
     for degrees, n, l in GRID:
         p = problem(degrees, n, l)
@@ -290,7 +311,10 @@ def test_existence_class_matches_naive_expansion_full_grid():
         if key not in untruncated:
             untruncated[key] = naive_poly.product(_existence_factor_dicts(p), l - 1)
         reference = naive_poly.truncate(untruncated[key], p.space.factor_dims)
-        assert dict(existence_class(p).terms) == reference
+        cls = existence_class(p)
+        assert dict(cls.terms) == reference
+        assert str(cls) == naive_poly.render(reference)
+        _assert_cli_class(capsys, p, "existence", reference)
 
 
 def test_class_budget_refuses_long_chain_at_once(capsys):
@@ -301,13 +325,32 @@ def test_class_budget_refuses_long_chain_at_once(capsys):
         code = main(["class", "--degrees", "6", "--ambient", "40",
                      "--length", "12", "--mode", mode])
         assert code == 2
-        assert "budget" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "budget" in captured.err
+        assert captured.out == ""  # the budget is checked before any output
     with pytest.raises(BudgetExceededError):
         counting_class(p)
 
 
 def test_class_budget_admits_reference_class():
     assert class_term_count(problem((5, 5), 40, 8)) == 531441 <= CLASS_TERM_BUDGET
+
+
+def test_chain_count_without_loop_when_ambient_equals_total_degree():
+    # N = D forces every degree to be 1: the pair block is [1], the count 1
+    for l in range(2, 8):
+        p = problem((1, 1, 1), 3, l)
+        assert chain_count(p) == 1 == counting_class(p).top_coefficient()
+    assert chain_count(problem((1, 1, 1), 3, 10**6)) == 1
+
+
+def test_class_walk_has_no_depth_limit(capsys):
+    # one term over 4,999 factors; a recursive walk would stop at depth ~1,000
+    code = main(["class", "--degrees", "1,1,1", "--ambient", "3", "--length", "5000",
+                 "--mode", "existence", "--machine"])
+    assert code == 0
+    value = capsys.readouterr().out.splitlines()[-1]
+    assert value == "class=1" + "".join(f"*h{k}^3" for k in range(1, 5000))
 
 
 def test_chain_count_budget_on_pair_block_size():

@@ -1,9 +1,10 @@
 import math
 import random
+from decimal import Decimal
 
 import pytest
 
-from chainlines.chow import ChowClass, ProductSpace, hyperplane, one, zero
+from chainlines.chow import ChowClass, ProductSpace, hyperplane, int_text, one, render, zero
 
 import naive_poly
 
@@ -98,6 +99,38 @@ def test_rendering():
     assert str(c) == "2*h1^2 + 5*h1*h2 + 2*h2^2"
     assert str(ChowClass(P44, {(4, 4): 180})) == "180*h1^4*h2^4"
     assert str(ChowClass(P44, {(3, 0): -2, (0, 0): 1})) == "-2*h1^3 + 1"
+
+
+def test_rendering_matches_reference_random():
+    rng = random.Random(7)
+    for _ in range(200):
+        space = ProductSpace(tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 4))))
+        c = _random_class(rng, space, max_terms=8, max_coeff=10**30)
+        assert str(c) == naive_poly.render(c.terms)
+
+
+def test_render_groups_share_head_and_coefficient():
+    # 3*h1^2*(5*h2^3*h3 + 1*h2*h3^2), then 2*h1*h3^4
+    groups = [((2,), 3, [((3, 1), 5), ((1, 2), 1)]), ((1,), 2, [((0, 4), 1)])]
+    assert "".join(render(groups)) == "15*h1^2*h2^3*h3 + 3*h1^2*h2*h3^2 + 2*h1*h3^4"
+    assert list(render([])) == ["0"]
+
+
+def test_int_text_past_the_str_digit_limit():
+    assert [int_text(n) for n in (0, 7, -12)] == ["0", "7", "-12"]
+    big = 7**6000  # 5,071 digits: str() refuses it
+    with pytest.raises(ValueError):
+        str(big)
+    assert Decimal(int_text(big)) == big
+    assert int_text(-(10**5000)) == "-1" + "0" * 5000
+    assert str(ChowClass(P4, {(1,): 10**5000})) == "1" + "0" * 5000 + "*h1"
+
+
+def test_from_normal_form_keeps_the_terms():
+    terms = {(2, 0): 2, (1, 1): 5}
+    c = ChowClass.from_normal_form(P44, terms)
+    assert c.terms is terms
+    assert c == ChowClass(P44, terms)
 
 
 def _random_class(rng, space, max_terms=4, max_coeff=6):

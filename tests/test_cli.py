@@ -1,12 +1,16 @@
+import io
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import chainlines
-from chainlines.cli import main
+from chainlines.chains import ChainProblem, chain_count, counting_class
+from chainlines.cli import build_parser, main
+from chainlines.criteria import DefiningData
 from chainlines.finite_geometry import format_variety, split_quadric, fermat_cubic
 
 
@@ -102,6 +106,39 @@ def test_class_rendering(capsys):
         "--mode", "existence", "--machine",
     )
     assert as_dict(out)["class"] == "0"
+
+
+def test_class_is_written_in_chunks(monkeypatch):
+    # 729 terms in 81 chunks, one per choice of a_2, a_3: never joined whole
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["class", "--degrees", "5,5", "--ambient", "40", "--length", "5",
+                 "--mode", "counting", "--machine"]) == 0
+    expected = str(counting_class(ChainProblem(DefiningData((5, 5), 40), 5)))
+    assert expected.count(" + ") == 728
+    assert out.getvalue().endswith(f"\nclass={expected}\n")
+    assert max(map(len, writes)) < len(expected) / 50
+
+
+def test_count_past_the_str_digit_limit(capsys):
+    # 18,869 digits: int -> str alone refuses more than 4,300
+    code, out = run(capsys, "count", "--degrees", "100", "--ambient", "101",
+                    "--length", "100", "--machine")
+    assert code == 0
+    count = as_dict(out)["count"]
+    assert len(count) > 4300
+    assert Decimal(count) == chain_count(ChainProblem(DefiningData((100,), 101), 100))
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_count_dimension_error(capsys):

@@ -11,7 +11,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from chainlines import finite_geometry  # noqa: E402
+from chainlines import chains, finite_geometry  # noqa: E402
+from chainlines.criteria import DefiningData  # noqa: E402
 from chainlines.finite_geometry import (  # noqa: E402
     ChainGraph,
     HomogPoly,
@@ -114,3 +115,15 @@ def test_local_terms_expand_g_along_a_line(data):
 @given(varieties())
 def test_format_then_parse_is_identity(spec):
     assert parse_variety(format_variety(spec)) == spec
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(1, 25),
+       st.integers(2, 9), st.booleans())
+def test_class_walk_lists_strictly_descending_monomials(degrees, ambient, length, counting):
+    problem = chains.ChainProblem(DefiningData(tuple(degrees), ambient), length)
+    hypothesis.assume(chains.class_term_count(problem) <= 5000)
+    monos = [head + tail for head, _, leaves in chains._class_groups(problem, counting)
+             for tail, _ in leaves]
+    assert all(a > b for a, b in zip(monos, monos[1:]))
+    assert len(monos) == chains.class_term_count(problem)
