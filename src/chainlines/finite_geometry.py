@@ -10,23 +10,26 @@ P^{n-1}(F_p) is a prefix (x_0, ..., x_{n-1}), on the points (prefix, t)
 every form is a polynomial in t, and the t at which all of them vanish
 give the zeros with that prefix.  enumerate_points runs this in P^N.
 
-Single-point queries (lines, chain, locus) never enumerate X(F_p).  The
-lines through a point a are the F_p-points of the paper's local model L_a:
+One rule decides whether a line lies on X, the paper's local model L_a:
 for G of degree d, G(a + t v) = sum_{k=1}^{d} t^k c_k(a, v) with c_k of
-bidegree (d-k, k) and c_1 = grad G(a).v, and the line through a and v lies
-on X iff every c_k of every G vanishes, over any field.  ChainGraph
-tabulates the c_k once and, at each point its search reaches, solves the
-c_k with k >= 2 by the prefix method on the linear space the gradient rows
-cut out.  Chain searches expand each contained line once, not each pair of
-its points, and list a line's points only when they expand it.
+bidegree (d-k, k), and for a on X the line through a and v lies on X iff
+every c_k of every G vanishes, over any field.  The c_k are tabulated once
+per variety (_local_tables), with c_1 = grad G(a).v and c_{d-1}(a, v) =
+grad G(v).a.  Containment is never decided by sampling: for p <= d a
+nonzero binary form can vanish at all p+1 rational points of a line.  Over
+F_3 the Fermat cubic is the triple plane (x_0 + x_1 + x_2 + x_3)^3, every
+c_k vanishes identically, and every pair of its points is joined.
 
-explore needs every line of X(F_p), so it enumerates the points once and
-finds the lines from them (_Incidences): for points a, b of X, G(a + t b)
-has t^1 coefficient grad G(a).b and t^(d-1) coefficient grad G(b).a, so
-through a it keeps the b that pass both gradient tests, exact for d <= 3
-and confirmed symbolically above.  Each line is registered at all its p+1
-points once found, and the balls around all points grow at once, as
-bitsets over the point indices.
+Single-point queries (lines, chain, locus) never enumerate X(F_p):
+ChainGraph solves the c_k at each point its search reaches, by the prefix
+method on the linear space the gradient rows cut out, and expands each
+contained line once, not each pair of its points.  explore needs every
+line of X(F_p), so it enumerates the points once and tests the c_k at the
+pairs of them (_Incidences): the two gradient tests first, from cached
+gradients, and the table only for polynomials of degree >= 4.  Each line
+is registered at all its p+1 points once found, and the balls around all
+points grow at once, as bitsets over the point indices.  line_in_variety
+restricts each G to a line directly; it is the independent check of both.
 
 Caveat, stated once here and repeated where it matters: the symbolic theory
 lives over the complex numbers.  Counts and reachability over F_p are
@@ -35,15 +38,6 @@ witness, and F_p-reachability sets can differ from the characteristic-zero
 chain loci (which are defined through general points and Zariski closures).
 The bundled test varieties (split quadric, coordinate hyperplane, Fermat
 cubic surface) are ones where the discrepancy does not bite.
-
-Line containment is never decided by sampling: a line lies on the variety
-iff each G restricted to it, a binary form of degree d, has all d+1
-coefficients 0 in F_p.  Checking values at the q+1 rational points of the
-line would be wrong for p <= d, where a nonzero form can vanish everywhere.
-The two gradient tests read off two of those coefficients, and for d <= 3
-there are no others; over F_3 the Fermat cubic is the triple plane
-(x_0 + x_1 + x_2 + x_3)^3, its gradient vanishes identically, and every
-pair of its points is joined.
 """
 
 from __future__ import annotations
@@ -52,13 +46,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, prod
+from math import prod
 from operator import add, mul, or_
 from pathlib import Path
 
 # hard cap on p**N per enumeration, on the n**2 point pairs of explore, on
 # the directions of one graph's L_a solves plus the points of the lines it
-# lists, and on the terms of its c_k table
+# lists, and on the terms of the c_k table of a graph or of explore
 ENUMERATION_BUDGET = 10**8
 
 Point = tuple[int, ...]
@@ -333,26 +327,10 @@ def line_through(a: Point, b: Point, field: PrimeField) -> Line:
     """The line spanned by two distinct points, in canonical RREF form."""
     if a == b:
         raise ValueError("two distinct points are needed to span a line")
-    p = field.p
-    rows = [list(a), list(b)]
-    rank = 0
-    for col in range(len(a)):
-        pivot = next((i for i in range(rank, 2) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(2):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == 2:
-            break
-    if rank < 2:
+    reduced = _rref([a, b], field.p)
+    if len(reduced) < 2:
         raise ValueError("points do not span a line")
-    return Line((tuple(rows[0]), tuple(rows[1])))
+    return Line(tuple(tuple(row) for _, row in reduced))
 
 
 def line_points(line: Line, field: PrimeField) -> list[Point]:
@@ -382,7 +360,8 @@ def line_in_variety(spec: VarietySpec, line: Line) -> bool:
     Substitutes the parametrization u*a + v*b into each polynomial and checks
     that all d+1 coefficients of the resulting binary form vanish.  Never
     decided by sampling points: for p <= d that would accept lines that only
-    look contained.
+    look contained.  The queries decide containment from the c_k table
+    instead; this direct expansion is the check they are tested against.
     """
     p = spec.field.p
     a, b = line.basis
@@ -411,16 +390,26 @@ def lines_through(spec: VarietySpec, x: Point) -> set[Line]:
 
 # -- the local model L_a -------------------------------------------------------
 
+def _binomials(e: int, p: int) -> list[int]:
+    """binom(e, f) mod p for f = 0..e, one exact row by the multiplicative
+    recurrence, each entry reduced as it is stored."""
+    row, c = [], 1
+    for f in range(e + 1):
+        row.append(c % p)
+        c = c * (e - f) // (f + 1)
+    return row
+
+
 def _local_terms(poly: HomogPoly, p: int) -> dict[int, list[tuple[int, Point, Point]]]:
     """The coefficients c_k(a, v), k = 1..d, of G(a + t v) - G(a).
 
     Each c_k is a list of terms (multiplier, exponents of a, exponents of v)
     of bidegree (d-k, k).  Expanding x_i^e_i = (a_i + t v_i)^e_i binomially,
     the term coeff * x^e contributes coeff * prod binom(e_i, f_i) a^(e-f) v^f
-    at t^|f|: integer multipliers reduced mod p, exact in every
-    characteristic, with no division by k!.  Terms whose multiplier
-    vanishes mod p are dropped.
+    at t^|f|: multipliers reduced mod p, exact in every characteristic, with
+    no division by k!.  Terms whose multiplier vanishes mod p are dropped.
     """
+    binomials = {e: _binomials(e, p) for e in {e for _, exps in poly.terms for e in exps}}
     table: dict[int, list] = {}
     for coeff, exps in poly.terms:
         for f in itertools.product(*(range(e + 1) for e in exps)):
@@ -429,22 +418,27 @@ def _local_terms(poly: HomogPoly, p: int) -> dict[int, list[tuple[int, Point, Po
                 continue
             mult = coeff
             for e, fi in zip(exps, f):
-                mult *= comb(e, fi)
+                mult *= binomials[e][fi]
             if mult % p:
                 a_exps = tuple(e - fi for e, fi in zip(exps, f))
                 table.setdefault(k, []).append((mult % p, a_exps, f))
     return table
 
 
-def _kernel(rows: list[list[int]], size: int, j: int, p: int) -> list[list[int]]:
-    """A basis of the vectors v of length size with v_j = 0 and row.v = 0
-    for every row (there may be none).
+def _local_tables(polys, p: int) -> list[dict[int, list[tuple[int, Point, Point]]]]:
+    """The c_k tables of the polynomials (_local_terms), refused when their
+    prod(e_i + 1) - 1 terms per term x^e exceed ENUMERATION_BUDGET."""
+    size = sum(prod(e + 1 for e in exps) - 1 for poly in polys for _, exps in poly.terms)
+    _check_budget(size, f"the {size} terms of the c_k table")
+    return [_local_terms(poly, p) for poly in polys]
 
-    Column j of every row is 0.  Gauss-Jordan elimination; one basis vector
-    per free column other than j.
-    """
-    reduced: list[tuple[int, list[int]]] = []  # (pivot column, row), fully reduced
+
+def _rref(rows, p: int) -> list[tuple[int, list[int]]]:
+    """Gauss-Jordan elimination over F_p: the nonzero rows of the reduced
+    row echelon form of rows, as (pivot column, row) sorted by pivot column."""
+    reduced: list[tuple[int, list[int]]] = []
     for row in rows:
+        row = [x % p for x in row]
         for col, r in reduced:
             if row[col]:
                 f = row[col]
@@ -459,6 +453,17 @@ def _kernel(rows: list[list[int]], size: int, j: int, p: int) -> list[list[int]]
             for c, r in reduced
         ]
         reduced.append((col, row))
+    return sorted(reduced)
+
+
+def _kernel(rows: list[list[int]], size: int, j: int, p: int) -> list[list[int]]:
+    """A basis of the vectors v of length size with v_j = 0 and row.v = 0
+    for every row (there may be none).
+
+    Column j of every row is 0.  One basis vector per free column of the
+    reduced rows (_rref) other than j.
+    """
+    reduced = _rref(rows, p)
     pivots = {c for c, _ in reduced}
     basis = []
     for free in range(size):
@@ -505,7 +510,7 @@ class ChainGraph:
     For each G of degree d and a on X, G(a + t v) = sum_{k=1}^{d} t^k c_k(a, v)
     with c_k bihomogeneous of bidegree (d-k, k) and c_1 = grad G(a).v; the
     line through a and v lies on X iff every c_k of every G vanishes, over
-    any field.  The c_k are tabulated once per graph (_local_terms).  At a,
+    any field.  The c_k are tabulated once per graph (_local_tables).  At a,
     with j its lead coordinate, every line through a meets the hyperplane
     v_j = 0 in exactly one point, so:
 
@@ -529,10 +534,7 @@ class ChainGraph:
 
     def __init__(self, spec: VarietySpec):
         self.spec = spec
-        p = spec.field.p
-        size = sum(prod(e + 1 for e in exps) - 1 for poly in spec.polys for _, exps in poly.terms)
-        _check_budget(size, f"the {size} terms of the c_k table")
-        self._tables = [_local_terms(poly, p) for poly in spec.polys]
+        self._tables = _local_tables(spec.polys, spec.field.p)
         self._top = max(poly.degree for poly in spec.polys)
         self.charged = 0  # directions solved and line points listed
         self._neighbors: dict[Point, list[Point]] = {}
@@ -703,19 +705,18 @@ class _Incidences:
 
     - the pass starts from the lines already registered at a, and looks only
       at points whose own pass has not run;
-    - of those it keeps the points b in the tangent space of a,
-      grad G(a).b = 0, and then those with grad G(b).a = 0, for every
-      polynomial G (gradients are cached per point);
+    - of those it keeps the points b with c_k(a, b) = 0 for 1 <= k <= d-1
+      and every polynomial G of degree d (_joins), the line ab on X;
     - the line ab through a kept b is canonicalized once, and registered at
       all of its p+1 points at once.
 
-    With t the parameter of a + t b and d = deg G, the t^1 coefficient of
-    G(a + t b) is grad G(a).b and its t^(d-1) coefficient is grad G(b).a,
-    over any field; its t^0 and t^d coefficients G(a), G(b) are 0.  So both
-    gradient tests are necessary for the line ab to lie on X, and for d <= 3
-    they cover all d+1 coefficients and decide containment exactly.  When
-    some polynomial has degree >= 4, kept lines are confirmed by the
-    symbolic line_in_variety, cached per line.
+    The c_k are those of the local model (ChainGraph): G(a + t b) =
+    sum_k t^k c_k(a, b), with c_0 = G(a) and c_d = G(b) both 0 on X.  Two of
+    them are gradients, over any field: c_1(a, b) = grad G(a).b, the tangent
+    filter, and c_{d-1}(a, b) = grad G(b).a (gradients are cached per
+    point).  The others, 2 <= k <= d-2, exist only for d >= 4 and are read
+    from the c_k table of each such G, built and held to the budget as for
+    ChainGraph (_local_tables); below degree 4 no table is built.
     """
 
     def __init__(self, spec: VarietySpec):
@@ -737,10 +738,15 @@ class _Incidences:
             ]
             for poly in spec.polys
         ]
-        # the two gradient tests decide containment when every degree is <= 3
-        self._exact = all(poly.degree <= 3 for poly in spec.polys)
+        # the c_k(a, b), 2 <= k <= d-2, as terms in the coordinates of a + b
+        higher = [poly for poly in spec.polys if poly.degree >= 4]
+        self._middle = [
+            [(mult, a_exps + f) for mult, a_exps, f in terms]
+            for poly, table in zip(higher, _local_tables(higher, p))
+            for k, terms in table.items()
+            if 2 <= k <= poly.degree - 2
+        ]
         self._gradients: dict[Point, list[list[int]]] = {}
-        self._contained: dict[Line, bool] = {}
         self.lines: dict[Point, set[Line]] = {pt: set() for pt in self.points}
         self.line_points: dict[Line, list[Point]] = {}
         pending = dict.fromkeys(self.points)  # points whose pass has not run
@@ -767,7 +773,7 @@ class _Incidences:
         return grads
 
     def _tangent(self, a: Point, points) -> list[Point]:
-        """The points b among `points` with grad G(a).b = 0 for every G."""
+        """The points b among `points` with c_1(a, b) = grad G(a).b = 0 for every G."""
         p = self.spec.field.p
         for g in self._gradient(a):
             if any(g):  # a zero gradient keeps every point
@@ -776,17 +782,13 @@ class _Incidences:
 
     def _joins(self, a: Point, b: Point) -> bool:
         """Whether the line ab lies on X, for distinct points a, b of X(F_p)
-        with b in the tangent space of a."""
+        with b in the tangent space of a: c_{d-1}(a, b) = grad G(b).a and
+        the c_k(a, b) in between vanish."""
         p = self.spec.field.p
         if any(sum(map(mul, g, a)) % p for g in self._gradient(b)):
             return False
-        if self._exact:
-            return True
-        line = line_through(a, b, self.spec.field)
-        ok = self._contained.get(line)
-        if ok is None:
-            ok = self._contained[line] = line_in_variety(self.spec, line)
-        return ok
+        ab = a + b
+        return not any(_eval_terms(terms, ab, p) for terms in self._middle)
 
 
 @dataclass(frozen=True)

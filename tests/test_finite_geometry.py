@@ -1,6 +1,8 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -35,7 +37,7 @@ from chainlines.finite_geometry import (
     split_quadric,
 )
 
-F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
+F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 
 
 def projective_points(field, n):
@@ -144,6 +146,14 @@ def diagonal_quartic(p):
         (1, (4, 0, 0, 0)), (1, (0, 4, 0, 0)), (p - 1, (0, 0, 4, 0)), (p - 1, (0, 0, 0, 4)))),))
 
 
+def diagonal_quintic(p):
+    """x0^5 + x1^5 - x2^5 - x3^5 in P^3: over F_7 57 points and 3 lines, and
+    40 ordered pairs that pass both gradient tests without being joined;
+    c_2 rules out 32 of them, and only c_3 the other 8."""
+    return VarietySpec(PrimeField(p), 3, (HomogPoly(5, (
+        (1, (5, 0, 0, 0)), (1, (0, 5, 0, 0)), (p - 1, (0, 0, 5, 0)), (p - 1, (0, 0, 0, 5)))),))
+
+
 def quadric_and_quartic(p):
     """x0*x3 - x1*x2 = x0*x1*x2*x3 + x0^4 - x1^4 = 0 in P^3: mixed degrees;
     over F_5 10 points, one line, and 8 ordered pairs that pass both
@@ -167,6 +177,7 @@ ORACLE_VARIETIES = {
     "fermat4_3": fermat_quartic(3),  # p <= d: lines whose 4 points all lie on X
     "fermat4_5": fermat_quartic(5),  # no points: n = 0
     "quartic5": diagonal_quartic(5),
+    "quintic7": diagonal_quintic(7),
     "mixed5": quadric_and_quartic(5),
 }
 
@@ -258,6 +269,10 @@ def test_line_through_canonical():
     assert line_through(a, b, F5) == line_through(b, a, F5)
     with pytest.raises(ValueError):
         line_through(a, a, F5)
+    # coordinates are read mod p: 6 is 1 and 5 is 0 over F_5
+    assert line_through(a, (0, 6, 1, 6), F5) == line_through(a, b, F5)
+    with pytest.raises(ValueError):
+        line_through(a, (0, 5, 0, 0), F5)
     # any two points of a line span the same Line value
     pts = line_points(line_through(a, b, F5), F5)
     assert len(pts) == 6
@@ -341,9 +356,9 @@ def test_chain_graph_matches_pairwise_oracle(spec):
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_containment_route_matches_line_in_variety(spec):
-    # explore's tangent filter, then the reverse gradient test (and
-    # line_in_variety above degree 3), against symbolic containment of every
-    # joining line
+    # explore's tangent filter c_1, then the reverse gradient test c_(d-1)
+    # and the c_k in between (degree >= 4), against symbolic containment of
+    # every joining line
     found = finite_geometry._Incidences(spec)
     for a in found.points:
         others = [b for b in found.points if b != a]
@@ -645,7 +660,7 @@ def test_lines_on_a_conic_over_a_large_prime():
     assert lines_through(conic, (1, 5, 25)) == set()
 
 
-def test_local_table_budget(monkeypatch):
+def test_local_table_budget(monkeypatch, tmp_path, capsys):
     # the c_k table has prod(e_i + 1) - 1 terms per term x^e of G: 3 + 3 for
     # the split quadric
     spec = split_quadric(3)
@@ -654,6 +669,44 @@ def test_local_table_budget(monkeypatch):
         ChainGraph(spec)
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 6)
     ChainGraph(spec)
+    # explore builds the c_k tables of the polynomials of degree >= 4 and is
+    # held to them: x0^4 + x1^4 + x2^4 over F_2 has p^N = 4 and n^2 = 9 but
+    # 12 table terms; the cubic surface x2^3 + x2*x3^2 + x3^3 over F_2
+    # (p^N = 8, n^2 = 9, 11 table terms) builds none
+    quartic = VarietySpec(F2, 2, (HomogPoly(4, ((1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4)))),))
+    cubic = VarietySpec(F2, 3, (HomogPoly(3, ((1, (0, 0, 3, 0)), (1, (0, 0, 1, 2)), (1, (0, 0, 0, 3)))),))
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 10)
+    with pytest.raises(BudgetExceededError):
+        connectivity_report(quartic, 1)
+    path = tmp_path / "quartic2.variety"
+    path.write_text(format_variety(quartic))
+    assert main(["explore", "--variety", str(path), "--max-length", "1"]) == 2
+    assert capsys.readouterr().out == ""
+    assert connectivity_report(cubic, 1).fractions == {1: 1}
+    with pytest.raises(BudgetExceededError):
+        ChainGraph(cubic)
+
+
+def test_binomials_mod_p():
+    # one exact row per exponent, reduced as it is stored: p <= e and p > e
+    for p in (2, 3, 5, 7, 101):
+        for e in range(60):
+            assert finite_geometry._binomials(e, p) == [comb(e, f) % p for f in range(e + 1)]
+
+
+def test_lines_on_a_cone_of_degree_20000(tmp_path, capsys):
+    # x0^20000 + x1^20000 over F_2 holds the line x0 = x1, the only line
+    # through 1:1:0; its table needs binomials mod 2, not binom(20000, f)
+    # with up to 6,000 digits
+    d = 20000
+    spec = VarietySpec(F2, 2, (HomogPoly(d, ((1, (d, 0, 0)), (1, (0, d, 0)))),))
+    path = tmp_path / "cone20000.variety"
+    path.write_text(format_variety(spec))
+    start = time.perf_counter()
+    assert main(["lines", "--variety", str(path), "--point", "1:1:0", "--machine"]) == 0
+    elapsed = time.perf_counter() - start
+    assert "count=1" in capsys.readouterr().out.splitlines()
+    assert elapsed < 10.0
 
 
 def test_chain_invariants():
