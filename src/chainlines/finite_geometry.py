@@ -24,12 +24,13 @@ Single-point queries (lines, chain, locus) never enumerate X(F_p):
 ChainGraph solves the c_k at each point its search reaches, by the prefix
 method on the linear space the gradient rows cut out, and expands each
 contained line once, not each pair of its points.  explore needs every
-line of X(F_p), so it enumerates the points once and tests the c_k at the
-pairs of them (_Incidences): the two gradient tests first, from cached
-gradients, and the table only for polynomials of degree >= 4.  Each line
-is registered at all its p+1 points once found, and the balls around all
-points grow at once, as bitsets over the point indices.  line_in_variety
-restricts each G to a line directly; it is the independent check of both.
+line of X(F_p), so it enumerates the points once and the same graph tests
+the c_k at the pairs of them (ChainGraph.join_all): the two gradient tests
+first, from the cached gradients L_a uses, then the c_k in between.  Each
+line is registered at all its p+1 points once found, and the balls around
+all points grow at once, as bitsets over the point indices.
+line_in_variety restricts each G to a line directly; it is the
+independent check of both.
 
 Caveat, stated once here and repeated where it matters: the symbolic theory
 lives over the complex numbers.  Counts and reachability over F_p are
@@ -43,6 +44,7 @@ cubic surface) are ones where the discrepancy does not bite.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -52,7 +54,7 @@ from pathlib import Path
 
 # hard cap on p**N per enumeration, on the n**2 point pairs of explore, on
 # the directions of one graph's L_a solves plus the points of the lines it
-# lists, and on the terms of the c_k table of a graph or of explore
+# lists, and on the terms of a graph's c_k table
 ENUMERATION_BUDGET = 10**8
 
 Point = tuple[int, ...]
@@ -476,26 +478,39 @@ def _kernel(rows: list[list[int]], size: int, j: int, p: int) -> list[list[int]]
     return basis
 
 
-def _restrict(form: dict[Point, int], basis: list[list[int]], p: int):
-    """The form at v = sum_s y_s basis[s], as (coefficient, exponents of y) terms."""
+def _times(f: dict[Point, int], g: dict[Point, int], p: int) -> dict[Point, int]:
+    """The product of two polynomials (exponents -> coefficient) mod p."""
+    out: dict[Point, int] = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {e: c % p for e, c in out.items() if c % p}
+
+
+def _restrict(forms: list[dict[Point, int]], basis: list[list[int]], p: int):
+    """Each form at v = sum_s y_s basis[s], as (coefficient, exponents of y)
+    terms.  Each power of the linear form in y that is a coordinate of v is
+    made once, the first time a term needs it, and shared by all the forms."""
     m = len(basis)
     unit = [tuple(int(s == r) for r in range(m)) for s in range(m)]
-    # coordinate i of v as a linear form in y: [(s, coefficient)]
-    linear = [[(s, w[i]) for s, w in enumerate(basis) if w[i]] for i in range(len(basis[0]))]
-    out: dict[Point, int] = {}
-    for f, c in form.items():
-        expanded = {(0,) * m: c}
-        for i, e in enumerate(f):
-            for _ in range(e):
-                product: dict[Point, int] = {}
-                for ys, cc in expanded.items():
-                    for s, w in linear[i]:
-                        key = tuple(map(add, ys, unit[s]))
-                        product[key] = product.get(key, 0) + cc * w
-                expanded = product
-        for ys, cc in expanded.items():
-            out[ys] = out.get(ys, 0) + cc
-    return [(c % p, ys) for ys, c in out.items() if c % p]
+    # coordinate i of v as a linear form in y, and its powers made so far
+    linear = [{unit[s]: w[i] for s, w in enumerate(basis) if w[i]} for i in range(len(basis[0]))]
+    powers = [[{(0,) * m: 1}] for _ in linear]
+    out = []
+    for form in forms:
+        total: Counter[Point] = Counter()
+        for f, c in form.items():
+            expanded = {(0,) * m: c}
+            for i, e in enumerate(f):
+                if e:
+                    made = powers[i]
+                    while len(made) <= e:
+                        made.append(_times(made[-1], linear[i], p))
+                    expanded = _times(expanded, made[e], p)
+            total.update(expanded)
+        out.append([(c % p, ys) for ys, c in total.items() if c % p])
+    return out
 
 
 # -- chains of lines ---------------------------------------------------------
@@ -514,11 +529,15 @@ class ChainGraph:
     with j its lead coordinate, every line through a meets the hyperplane
     v_j = 0 in exactly one point, so:
 
-    - substitute a into the table, with v_j = 0;
-    - the gradient rows c_1 cut out a linear space W (_kernel);
-    - restrict the c_k with k >= 2 to W (_restrict) and solve them by the
-      prefix method in P(W) (_prefix_points);
+    - the gradient rows c_1 (_gradient), with column j zeroed, cut out a
+      linear space W (_kernel);
+    - substitute a into the c_k with k >= 2, with v_j = 0, restrict them
+      to W (_restrict) and solve them by the prefix method in P(W)
+      (_prefix_points);
     - each solution v gives the line through a and v.
+
+    explore needs the lines through every point, and finds them all at
+    once from the pairs of points instead (join_all), into the same caches.
 
     A line's p+1 points are listed only when a search or neighbors expands
     it, never by contained_lines_through.  Every solve charges the
@@ -536,7 +555,13 @@ class ChainGraph:
         self.spec = spec
         self._tables = _local_tables(spec.polys, spec.field.p)
         self._top = max(poly.degree for poly in spec.polys)
+        # the c_1 terms of each table by the v_i they carry: those of dG/dx_i
+        self._c1 = [
+            [[(c, e) for c, e, f in table.get(1, ()) if f[i]] for i in range(spec.ambient + 1)]
+            for table in self._tables
+        ]
         self.charged = 0  # directions solved and line points listed
+        self._gradients: dict[Point, list[list[int]]] = {}
         self._neighbors: dict[Point, list[Point]] = {}
         self._lines: dict[Point, set[Line]] = {}
         self._line_points: dict[Line, list[Point]] = {}  # the lines expanded so far
@@ -545,6 +570,17 @@ class ChainGraph:
         self.charged += steps
         _check_budget(self.charged, "the L_a directions and line points of this graph")
 
+    def _gradient(self, a: Point) -> list[list[int]]:
+        """grad G(a) for every G, from the c_1 terms of its table, since
+        c_1(a, v) = grad G(a).v; cached per point."""
+        grads = self._gradients.get(a)
+        if grads is None:
+            p = self.spec.field.p
+            grads = self._gradients[a] = [
+                [_eval_terms(terms, a, p) for terms in c1] for c1 in self._c1
+            ]
+        return grads
+
     def _directions(self, a: Point) -> set[Point]:
         """The points v of L_a: v_j = 0 and the line through a and v on X."""
         spec = self.spec
@@ -552,10 +588,18 @@ class ChainGraph:
         if not on_variety(spec, a):
             raise ValueError(f"point {format_point(a)} is not on the variety")
         j = next(i for i, x in enumerate(a) if x)
+        rows = [g[:j] + [0] + g[j + 1 :] for g in self._gradient(a)]
+        basis = _kernel(rows, len(a), j, p)
+        m = len(basis)
+        if not m:
+            return set()
+        self._charge((p**m - 1) // (p - 1))
         powers = [[pow(x, e, p) for e in range(self._top + 1)] for x in a]
-        rows, forms = [], []
+        forms = []
         for table in self._tables:
             for k, terms in table.items():
+                if k == 1:
+                    continue
                 form: dict[Point, int] = {}
                 for mult, a_exps, f in terms:
                     if f[j]:
@@ -565,19 +609,8 @@ class ChainGraph:
                             mult = mult * ap[e]
                     if mult % p:
                         form[f] = form.get(f, 0) + mult
-                if k == 1:
-                    row = [0] * len(a)
-                    for f, c in form.items():
-                        row[f.index(1)] = c % p
-                    rows.append(row)
-                else:
-                    forms.append(form)
-        basis = _kernel(rows, len(a), j, p)
-        m = len(basis)
-        if not m:
-            return set()
-        self._charge((p**m - 1) // (p - 1))
-        restricted = [terms for terms in (_restrict(form, basis, p) for form in forms) if terms]
+                forms.append(form)
+        restricted = [terms for terms in _restrict(forms, basis, p) if terms]
         return {
             tuple(sum(y * w[i] for y, w in zip(ys, basis)) % p for i in range(len(a)))
             for ys in _prefix_points(restricted, m - 1, p)
@@ -664,6 +697,73 @@ class ChainGraph:
             frontier = nxt
         return depth_of, parent
 
+    def join_all(self, points: list[Point]) -> None:
+        """Find every contained line of X(F_p) from its sorted points, all of
+        them, without solving L_a: explore's route (connectivity_report).
+
+        Solving L_a at every point was 2-4x slower on small varieties, so the
+        pass tests the c_k at pairs of points instead, refused when their n^2
+        exceed ENUMERATION_BUDGET.  One pass per point a, in sorted order:
+
+        - the pass starts from the lines already registered at a, and looks
+          only at points whose own pass has not run;
+        - of those it keeps the points b with c_k(a, b) = 0 for 1 <= k <= d-1
+          and every G of degree d (_tangent, then _joins), the line ab on X;
+        - the line ab through a kept b is canonicalized once, and registered
+          at all of its p+1 points at once, in the graph's own caches.
+
+        For a, b on X, c_0 = G(a) and c_d = G(b) are 0 already.  c_1(a, b) =
+        grad G(a).b is the tangent filter and c_{d-1}(a, b) = grad G(b).a the
+        reverse test, both from _gradient; the c_k in between are read off
+        the table (_middle).  Nothing is charged: the pairs bound the work.
+        """
+        n = len(points)
+        _check_budget(n * n, f"the {n}^2 point pairs of the chain graph")
+        field = self.spec.field
+        middle = self._middle()
+        lines = self._lines = {pt: set() for pt in points}
+        line_pts = self._line_points
+        pending = dict.fromkeys(points)  # points whose pass has not run
+        for a in points:
+            del pending[a]
+            reached = {a}.union(*(line_pts[line] for line in lines[a]))
+            for b in self._tangent(a, pending):
+                if b in reached or not self._joins(a, b, middle):
+                    continue
+                line = line_through(a, b, field)
+                pts = line_pts[line] = line_points(line, field)
+                for c in pts:
+                    lines[c].add(line)
+                reached.update(pts)
+
+    def _middle(self) -> list[list[tuple[int, Point]]]:
+        """The c_k(a, b), 2 <= k <= d-2, of every G, as terms in the
+        coordinates of a + b (concatenated)."""
+        return [
+            [(mult, a_exps + f) for mult, a_exps, f in terms]
+            for poly, table in zip(self.spec.polys, self._tables)
+            for k, terms in table.items()
+            if 2 <= k <= poly.degree - 2
+        ]
+
+    def _tangent(self, a: Point, points) -> list[Point]:
+        """The points b among `points` with c_1(a, b) = grad G(a).b = 0 for every G."""
+        p = self.spec.field.p
+        for g in self._gradient(a):
+            if any(g):  # a zero gradient keeps every point
+                points = [b for b in points if not sum(map(mul, g, b)) % p]
+        return list(points)
+
+    def _joins(self, a: Point, b: Point, middle) -> bool:
+        """Whether the line ab lies on X, for distinct points a, b of X(F_p)
+        with b in the tangent space of a: c_{d-1}(a, b) = grad G(b).a and
+        the c_k(a, b) in between (_middle) vanish."""
+        p = self.spec.field.p
+        if any(sum(map(mul, g, a)) % p for g in self._gradient(b)):
+            return False
+        ab = a + b
+        return not any(_eval_terms(terms, ab, p) for terms in middle)
+
 
 def chain_search(
     spec: VarietySpec, x: Point, y: Point, max_length: int
@@ -696,101 +796,6 @@ def locus(spec: VarietySpec, x: Point, length: int) -> set[Point]:
 
 # -- explore: every line from the points --------------------------------------
 
-class _Incidences:
-    """Every contained line of X(F_p), found from the enumerated points.
-
-    explore counts pairs over all of X(F_p), so it enumerates the points
-    once (refused when their n^2 pairs exceed ENUMERATION_BUDGET) and runs
-    one pass per point a, in sorted order:
-
-    - the pass starts from the lines already registered at a, and looks only
-      at points whose own pass has not run;
-    - of those it keeps the points b with c_k(a, b) = 0 for 1 <= k <= d-1
-      and every polynomial G of degree d (_joins), the line ab on X;
-    - the line ab through a kept b is canonicalized once, and registered at
-      all of its p+1 points at once.
-
-    The c_k are those of the local model (ChainGraph): G(a + t b) =
-    sum_k t^k c_k(a, b), with c_0 = G(a) and c_d = G(b) both 0 on X.  Two of
-    them are gradients, over any field: c_1(a, b) = grad G(a).b, the tangent
-    filter, and c_{d-1}(a, b) = grad G(b).a (gradients are cached per
-    point).  The others, 2 <= k <= d-2, exist only for d >= 4 and are read
-    from the c_k table of each such G, built and held to the budget as for
-    ChainGraph (_local_tables); below degree 4 no table is built.
-    """
-
-    def __init__(self, spec: VarietySpec):
-        self.spec = spec
-        field = spec.field
-        p = field.p
-        self.points: list[Point] = sorted(enumerate_points(spec))
-        n = len(self.points)
-        _check_budget(n * n, f"the {n}^2 point pairs of the chain graph")
-        # per polynomial, per variable i: the terms of dG/dx_i
-        self._partials = [
-            [
-                [
-                    (coeff * e % p, exps[:i] + (e - 1,) + exps[i + 1 :])
-                    for coeff, exps in poly.terms
-                    if (e := exps[i]) and coeff * e % p
-                ]
-                for i in range(spec.ambient + 1)
-            ]
-            for poly in spec.polys
-        ]
-        # the c_k(a, b), 2 <= k <= d-2, as terms in the coordinates of a + b
-        higher = [poly for poly in spec.polys if poly.degree >= 4]
-        self._middle = [
-            [(mult, a_exps + f) for mult, a_exps, f in terms]
-            for poly, table in zip(higher, _local_tables(higher, p))
-            for k, terms in table.items()
-            if 2 <= k <= poly.degree - 2
-        ]
-        self._gradients: dict[Point, list[list[int]]] = {}
-        self.lines: dict[Point, set[Line]] = {pt: set() for pt in self.points}
-        self.line_points: dict[Line, list[Point]] = {}
-        pending = dict.fromkeys(self.points)  # points whose pass has not run
-        for a in self.points:
-            del pending[a]
-            reached = {a}.union(*(self.line_points[line] for line in self.lines[a]))
-            for b in self._tangent(a, pending):
-                if b in reached or not self._joins(a, b):
-                    continue
-                line = line_through(a, b, field)
-                pts = self.line_points[line] = line_points(line, field)
-                for c in pts:
-                    self.lines[c].add(line)
-                reached.update(pts)
-
-    def _gradient(self, a: Point) -> list[list[int]]:
-        grads = self._gradients.get(a)
-        if grads is None:
-            p = self.spec.field.p
-            grads = self._gradients[a] = [
-                [_eval_terms(terms, a, p) for terms in partials]
-                for partials in self._partials
-            ]
-        return grads
-
-    def _tangent(self, a: Point, points) -> list[Point]:
-        """The points b among `points` with c_1(a, b) = grad G(a).b = 0 for every G."""
-        p = self.spec.field.p
-        for g in self._gradient(a):
-            if any(g):  # a zero gradient keeps every point
-                points = [b for b in points if not sum(map(mul, g, b)) % p]
-        return list(points)
-
-    def _joins(self, a: Point, b: Point) -> bool:
-        """Whether the line ab lies on X, for distinct points a, b of X(F_p)
-        with b in the tangent space of a: c_{d-1}(a, b) = grad G(b).a and
-        the c_k(a, b) in between vanish."""
-        p = self.spec.field.p
-        if any(sum(map(mul, g, a)) % p for g in self._gradient(b)):
-            return False
-        ab = a + b
-        return not any(_eval_terms(terms, ab, p) for terms in self._middle)
-
-
 @dataclass(frozen=True)
 class ConnectivityReport:
     """Connectivity statistics of the chain graph of a variety."""
@@ -805,24 +810,23 @@ class ConnectivityReport:
 def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityReport:
     """Pair-connectivity fractions for l = 1..max_length plus a line census.
 
-    Finds every contained line from the enumerated points (_Incidences),
-    then counts pairs with bitsets over the point indices: the ball of
-    radius k+1 about x is the ball of radius k with every contained line
-    that meets it, which is the union of the radius-k balls about the
-    points of the lines through x.  One level ORs each line's balls
+    Enumerates X(F_p) and finds every contained line from its points
+    (ChainGraph.join_all), then counts pairs with bitsets over the point
+    indices: the ball of radius k+1 about x is the ball of radius k with
+    every contained line that meets it, which is the union of the radius-k
+    balls about the points of the lines through x.  One level ORs each line's balls
     together and then each point's lines together; popcounts give the
     number of ordered pairs within each distance.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
-    found = _Incidences(spec)
-    n = len(found.points)
-    line_counts: dict[int, int] = {}
-    for x in found.points:
-        k = len(found.lines[x])
-        line_counts[k] = line_counts.get(k, 0) + 1
-    index = {pt: i for i, pt in enumerate(found.points)}
-    members = [[index[pt] for pt in pts] for pts in found.line_points.values()]
+    points = sorted(enumerate_points(spec))
+    graph = ChainGraph(spec)
+    graph.join_all(points)
+    n = len(points)
+    line_counts = dict(Counter(len(graph._lines[x]) for x in points))
+    index = {pt: i for i, pt in enumerate(points)}
+    members = [[index[pt] for pt in pts] for pts in graph._line_points.values()]
     through: list[list[int]] = [[] for _ in range(n)]  # line numbers at each point
     for j, idx in enumerate(members):
         for i in idx:

@@ -356,29 +356,52 @@ def test_chain_graph_matches_pairwise_oracle(spec):
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_containment_route_matches_line_in_variety(spec):
-    # explore's tangent filter c_1, then the reverse gradient test c_(d-1)
-    # and the c_k in between (degree >= 4), against symbolic containment of
-    # every joining line
-    found = finite_geometry._Incidences(spec)
-    for a in found.points:
-        others = [b for b in found.points if b != a]
-        tangent = set(found._tangent(a, others))
+    # explore's per-pair test: the tangent filter c_1, then the reverse
+    # gradient test c_(d-1) and the c_k in between, against symbolic
+    # containment of every joining line
+    graph = ChainGraph(spec)
+    points = sorted(enumerate_points(spec))
+    middle = graph._middle()
+    for a in points:
+        others = [b for b in points if b != a]
+        tangent = set(graph._tangent(a, others))
         for b in others:
-            joined = b in tangent and found._joins(a, b)
+            joined = b in tangent and graph._joins(a, b, middle)
             assert joined == line_in_variety(spec, line_through(a, b, spec.field))
 
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_local_model_matches_incidence_passes(spec):
     # the two routes to contained lines: L_a at each point (lines, chain,
-    # locus) and the gradient-pair passes over X(F_p) (explore)
+    # locus) and the pass over the pairs of X(F_p) (explore)
     oracle = pairwise_neighbors(spec)
-    found = finite_geometry._Incidences(spec)
+    points = sorted(enumerate_points(spec))
+    assert points == sorted(oracle)
+    explored = ChainGraph(spec)
+    explored.join_all(points)
     graph = ChainGraph(spec)
-    assert found.points == sorted(oracle)
-    assert set(found.line_points) == set().union(*(lines for _, lines in oracle.values()))
-    for pt, (_, lines) in oracle.items():
-        assert graph.contained_lines_through(pt) == found.lines[pt] == lines
+    assert set(explored._line_points) == set().union(*(lines for _, lines in oracle.values()))
+    for pt, (nbrs, lines) in oracle.items():
+        assert graph.contained_lines_through(pt) == explored._lines[pt] == lines
+        assert explored.neighbors(pt) == nbrs
+
+
+@pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
+def test_join_all_fills_the_graph_caches(spec, monkeypatch):
+    # one owner of contained lines: after explore's pass every point's
+    # lines come from the cache, with no L_a solve and nothing charged
+    points = sorted(enumerate_points(spec))
+    explored = ChainGraph(spec)
+    explored.join_all(points)
+
+    def no_solve(a):
+        raise AssertionError(f"L_a solved at {a} after join_all")
+
+    monkeypatch.setattr(explored, "_directions", no_solve)
+    fresh = ChainGraph(spec)
+    for pt in points:
+        assert explored.contained_lines_through(pt) == fresh.contained_lines_through(pt)
+    assert explored.charged == 0
 
 
 @pytest.mark.parametrize("spec, lengths", [(split_quadric(5), (3,)), (fermat_cubic(7), (2, 3))],
@@ -669,22 +692,24 @@ def test_local_table_budget(monkeypatch, tmp_path, capsys):
         ChainGraph(spec)
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 6)
     ChainGraph(spec)
-    # explore builds the c_k tables of the polynomials of degree >= 4 and is
-    # held to them: x0^4 + x1^4 + x2^4 over F_2 has p^N = 4 and n^2 = 9 but
-    # 12 table terms; the cubic surface x2^3 + x2*x3^2 + x3^3 over F_2
-    # (p^N = 8, n^2 = 9, 11 table terms) builds none
+    # explore builds the c_k table of every polynomial, as lines does, and
+    # is held to it: x0^4 + x1^4 + x2^4 over F_2 (p^N = 4, n^2 = 9) has 12
+    # table terms, the cubic surface x2^3 + x2*x3^2 + x3^3 over F_2
+    # (p^N = 8, n^2 = 9) has 11
     quartic = VarietySpec(F2, 2, (HomogPoly(4, ((1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4)))),))
     cubic = VarietySpec(F2, 3, (HomogPoly(3, ((1, (0, 0, 3, 0)), (1, (0, 0, 1, 2)), (1, (0, 0, 0, 3)))),))
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 10)
-    with pytest.raises(BudgetExceededError):
-        connectivity_report(quartic, 1)
-    path = tmp_path / "quartic2.variety"
-    path.write_text(format_variety(quartic))
-    assert main(["explore", "--variety", str(path), "--max-length", "1"]) == 2
-    assert capsys.readouterr().out == ""
+    for name, spec in (("quartic2", quartic), ("cubic2", cubic)):
+        with pytest.raises(BudgetExceededError):
+            connectivity_report(spec, 1)
+        with pytest.raises(BudgetExceededError):
+            ChainGraph(spec)
+        path = tmp_path / f"{name}.variety"
+        path.write_text(format_variety(spec))
+        assert main(["explore", "--variety", str(path), "--max-length", "1"]) == 2
+        assert capsys.readouterr().out == ""
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 11)
     assert connectivity_report(cubic, 1).fractions == {1: 1}
-    with pytest.raises(BudgetExceededError):
-        ChainGraph(cubic)
 
 
 def test_binomials_mod_p():
