@@ -26,9 +26,14 @@ method on the linear space the gradient rows cut out, and expands each
 contained line once, not each pair of its points.  explore needs every
 line of X(F_p), so it enumerates the points once and the same graph tests
 the c_k at the pairs of them (ChainGraph.join_all): the two gradient tests
-first, from the cached gradients L_a uses, then the c_k in between.  Each
-line is registered at all its p+1 points once found, and the balls around
-all points grow at once, as bitsets over the point indices.
+first, from the cached gradients L_a uses, then the c_k in between.  The
+tangent test grad G(a).b = 0 runs packed (_tangent_filter): the coordinate
+columns of all the points are big integers with one slot per point, wide
+enough for the bound (N+1)(p-1)^2, so one big-integer dot product per point
+a gives grad G(a).b exactly for every b.  That pass beats solving L_a at
+every point at every size measured, so explore has one route.  Each line is
+registered at all its p+1 points once found, and the balls around all
+points grow at once, as bitsets over the point indices.
 line_in_variety restricts each G to a line directly; it is the
 independent check of both.
 
@@ -44,12 +49,15 @@ cubic surface) are ones where the discrepancy does not bite.
 from __future__ import annotations
 
 import itertools
+import struct
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import prod
-from operator import add, mul, or_
+from operator import add, getitem, mul, not_, or_, sub
 from pathlib import Path
 
 # hard cap on p**N per enumeration, on the n**2 point pairs of explore, on
@@ -343,7 +351,9 @@ def line_points(line: Line, field: PrimeField) -> list[Point]:
     """
     p = field.p
     a, b = line.basis
-    return [b] + [tuple((x + t * y) % p for x, y in zip(a, b)) for t in range(p)]
+    # one list of the p values per coordinate, zipped into the points
+    cols = [[x] * p if not y else [v % p for v in range(x, x + p * y, y)] for x, y in zip(a, b)]
+    return [b, *zip(*cols)]
 
 
 def _mul_linear(coeffs: list[int], ai: int, bi: int, p: int) -> list[int]:
@@ -414,16 +424,15 @@ def _local_terms(poly: HomogPoly, p: int) -> dict[int, list[tuple[int, Point, Po
     binomials = {e: _binomials(e, p) for e in {e for _, exps in poly.terms for e in exps}}
     table: dict[int, list] = {}
     for coeff, exps in poly.terms:
+        rows = [binomials[e] for e in exps]
         for f in itertools.product(*(range(e + 1) for e in exps)):
             k = sum(f)
-            if not k:
-                continue
-            mult = coeff
-            for e, fi in zip(exps, f):
-                mult *= binomials[e][fi]
-            if mult % p:
-                a_exps = tuple(e - fi for e, fi in zip(exps, f))
-                table.setdefault(k, []).append((mult % p, a_exps, f))
+            if k:
+                # the per-variable work runs in C: a variable with e_i = 0
+                # costs one factor binom(0, 0) = 1, not a Python step
+                mult = coeff * prod(map(getitem, rows, f)) % p
+                if mult:
+                    table.setdefault(k, []).append((mult, tuple(map(sub, exps, f)), f))
     return table
 
 
@@ -511,6 +520,47 @@ def _restrict(forms: list[dict[Point, int]], basis: list[list[int]], p: int):
             total.update(expanded)
         out.append([(c % p, ys) for ys, c in total.items() if c % p])
     return out
+
+
+def _slot_format(bound: int) -> str:
+    """The memoryview format of the narrowest native unsigned slot of 1, 2,
+    4 or 8 bytes that holds every integer from 0 to bound."""
+    for fmt in "BHIQ":
+        if bound < 1 << 8 * struct.calcsize(fmt):
+            return fmt
+    raise ValueError(f"{bound} does not fit an 8-byte slot")
+
+
+def _tangent_filter(points: list[Point], p: int):
+    """The tangent filter of explore's pass over the sorted points.
+
+    Coordinate i of all the points is packed into one integer, one slot per
+    point, each slot as wide as _slot_format of (N+1)(p-1)^2 requires.  For
+    a gradient g with entries in 0..p-1, sum g_i * column_i holds g.b
+    exactly in the slot of b: every g.b is at most that bound, so no slot
+    carries into the next.  The returned function gives, for the point at
+    index i and its gradients (one per G), the indices j > i of the points b
+    with g.b = 0 mod p for every g: the first nonzero g by the packed
+    product, any further one by a plain dot product on the points it kept.
+    """
+    n = len(points)
+    fmt = _slot_format(len(points[0]) * (p - 1) ** 2) if points else "B"
+    size = n * struct.calcsize(fmt)
+    cols = [int.from_bytes(array(fmt, col).tobytes(), sys.byteorder) for col in zip(*points)]
+
+    def later(i: int, grads: list[list[int]]) -> list[int]:
+        nonzero = [g for g in grads if any(g)]
+        if not nonzero:  # a zero gradient keeps every point
+            return list(range(i + 1, n))
+        g, *rest = nonzero
+        packed = sum(c * col for c, col in zip(g, cols) if c)
+        slots = memoryview(packed.to_bytes(size, sys.byteorder)).cast(fmt)[i + 1 :]
+        kept = itertools.compress(range(i + 1, n), map(not_, map(p.__rmod__, slots)))
+        if not rest:
+            return list(kept)
+        return [j for j in kept if not any(sum(map(mul, h, points[j])) % p for h in rest)]
+
+    return later
 
 
 # -- chains of lines ---------------------------------------------------------
@@ -701,33 +751,36 @@ class ChainGraph:
         """Find every contained line of X(F_p) from its sorted points, all of
         them, without solving L_a: explore's route (connectivity_report).
 
-        Solving L_a at every point was 2-4x slower on small varieties, so the
-        pass tests the c_k at pairs of points instead, refused when their n^2
+        The pass tests the c_k at pairs of points, refused when their n^2
         exceed ENUMERATION_BUDGET.  One pass per point a, in sorted order:
 
         - the pass starts from the lines already registered at a, and looks
-          only at points whose own pass has not run;
+          only at the later points, whose own pass has not run;
         - of those it keeps the points b with c_k(a, b) = 0 for 1 <= k <= d-1
-          and every G of degree d (_tangent, then _joins), the line ab on X;
+          and every G of degree d (_tangent_filter, then _joins), the line ab
+          on X;
         - the line ab through a kept b is canonicalized once, and registered
           at all of its p+1 points at once, in the graph's own caches.
 
         For a, b on X, c_0 = G(a) and c_d = G(b) are 0 already.  c_1(a, b) =
-        grad G(a).b is the tangent filter and c_{d-1}(a, b) = grad G(b).a the
-        reverse test, both from _gradient; the c_k in between are read off
-        the table (_middle).  Nothing is charged: the pairs bound the work.
+        grad G(a).b is the tangent filter, packed: one big-integer dot product
+        of grad G(a) with the coordinate columns of all the points gives every
+        grad G(a).b at once, each exact in a slot that holds the bound
+        (N+1)(p-1)^2.  c_{d-1}(a, b) = grad G(b).a is the reverse test, from
+        _gradient; the c_k in between are read off the table (_middle).
+        Nothing is charged: the pairs bound the work.
         """
         n = len(points)
         _check_budget(n * n, f"the {n}^2 point pairs of the chain graph")
         field = self.spec.field
         middle = self._middle()
+        tangent = _tangent_filter(points, field.p)
         lines = self._lines = {pt: set() for pt in points}
         line_pts = self._line_points
-        pending = dict.fromkeys(points)  # points whose pass has not run
-        for a in points:
-            del pending[a]
+        for i, a in enumerate(points):
             reached = {a}.union(*(line_pts[line] for line in lines[a]))
-            for b in self._tangent(a, pending):
+            for j in tangent(i, self._gradient(a)):
+                b = points[j]
                 if b in reached or not self._joins(a, b, middle):
                     continue
                 line = line_through(a, b, field)
@@ -745,14 +798,6 @@ class ChainGraph:
             for k, terms in table.items()
             if 2 <= k <= poly.degree - 2
         ]
-
-    def _tangent(self, a: Point, points) -> list[Point]:
-        """The points b among `points` with c_1(a, b) = grad G(a).b = 0 for every G."""
-        p = self.spec.field.p
-        for g in self._gradient(a):
-            if any(g):  # a zero gradient keeps every point
-                points = [b for b in points if not sum(map(mul, g, b)) % p]
-        return list(points)
 
     def _joins(self, a: Point, b: Point, middle) -> bool:
         """Whether the line ab lies on X, for distinct points a, b of X(F_p)

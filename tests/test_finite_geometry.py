@@ -1,5 +1,7 @@
 import itertools
+import operator
 import random
+import struct
 import time
 from fractions import Fraction
 from math import comb
@@ -354,6 +356,14 @@ def test_chain_graph_matches_pairwise_oracle(spec):
             assert graph.contained_lines_through(pt) == lines
 
 
+def plain_tangent(graph, a, points):
+    """The points b among points with c_1(a, b) = grad G(a).b = 0 for every
+    G, one dot product per pair: the reference for the packed filter."""
+    p = graph.spec.field.p
+    grads = graph._gradient(a)
+    return [b for b in points if not any(sum(map(operator.mul, g, b)) % p for g in grads)]
+
+
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_containment_route_matches_line_in_variety(spec):
     # explore's per-pair test: the tangent filter c_1, then the reverse
@@ -364,10 +374,65 @@ def test_containment_route_matches_line_in_variety(spec):
     middle = graph._middle()
     for a in points:
         others = [b for b in points if b != a]
-        tangent = set(graph._tangent(a, others))
+        tangent = set(plain_tangent(graph, a, others))
         for b in others:
             joined = b in tangent and graph._joins(a, b, middle)
             assert joined == line_in_variety(spec, line_through(a, b, spec.field))
+
+
+def smooth_conic(p):
+    """x0*x2 - x1^2 in P^2: p+1 points, no line."""
+    return VarietySpec(PrimeField(p), 2, (HomogPoly(2, ((1, (1, 0, 1)), (p - 1, (0, 2, 0)))),))
+
+
+# varieties whose tangent bound (N+1)(p-1)^2 needs slots of 1, 2 and 4 bytes
+SLOT_VARIETIES = {
+    "hyperplane5": (coordinate_hyperplane(5, 4), 1),  # bound 80
+    "quadric11": (split_quadric(11), 2),  # bound 400
+    "conic151": (smooth_conic(151), 4),  # bound 67,500
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*ORACLE_VARIETIES.values(), *(spec for spec, _ in SLOT_VARIETIES.values())],
+    ids=[*ORACLE_VARIETIES, *SLOT_VARIETIES],
+)
+def test_packed_tangent_filter_matches_dot_products(spec):
+    # explore's pass keeps, at the point of index i, the later points that
+    # the packed filter keeps: exactly those the plain dot products keep
+    graph = ChainGraph(spec)
+    points = sorted(enumerate_points(spec))
+    later = finite_geometry._tangent_filter(points, spec.field.p)
+    for i, a in enumerate(points):
+        kept = [points[j] for j in later(i, graph._gradient(a))]
+        assert kept == plain_tangent(graph, a, points[i + 1 :])
+
+
+@pytest.mark.parametrize("spec, width", SLOT_VARIETIES.values(), ids=SLOT_VARIETIES.keys())
+def test_tangent_filter_slot_widths(spec, width):
+    bound = (spec.ambient + 1) * (spec.field.p - 1) ** 2
+    assert struct.calcsize(finite_geometry._slot_format(bound)) == width
+    # points and gradients with entries near p - 1 fill the slots to the
+    # bound, where a slot too narrow carries into the next one
+    p, size = spec.field.p, spec.ambient + 1
+    points = sorted(itertools.product(range(p - 3, p), repeat=size))
+    later = finite_geometry._tangent_filter(points, p)
+    rng = random.Random(width)
+    grads = [[p - 1] * size] + [[rng.randrange(max(0, p - 8), p) for _ in range(size)] for _ in range(7)]
+    for g in grads:
+        for i in range(len(points)):
+            expected = [j for j in range(i + 1, len(points))
+                        if not sum(map(operator.mul, g, points[j])) % p]
+            assert later(i, [g]) == expected
+
+
+def test_slot_format_thresholds():
+    widths = {0: 1, 255: 1, 256: 2, 65535: 2, 65536: 4, 2**32 - 1: 4, 2**32: 8, 2**64 - 1: 8}
+    for bound, width in widths.items():
+        assert struct.calcsize(finite_geometry._slot_format(bound)) == width
+    with pytest.raises(ValueError):
+        finite_geometry._slot_format(2**64)
 
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
@@ -557,6 +622,15 @@ def test_connectivity_report_plane():
     report = connectivity_report(coordinate_hyperplane(3), 1)
     assert report.points == 13
     assert report.fractions[1] == 1
+
+
+def test_connectivity_report_quadric_f31():
+    # the closed forms of the split quadric: (p+1)^2 points, two lines
+    # through each, (2p+1)/(p+1)^2 of the ordered pairs on a common line
+    report = connectivity_report(split_quadric(31), 3)
+    assert report.points == 1024
+    assert report.fractions == {1: Fraction(63, 1024), 2: 1, 3: 1}
+    assert report.line_counts == {2: 1024}
 
 
 def test_connectivity_report_fermat_f5():
