@@ -26,14 +26,17 @@ method on the linear space the gradient rows cut out, and expands each
 contained line once, not each pair of its points.  explore needs every
 line of X(F_p), so it enumerates the points once and the same graph tests
 the c_k at the pairs of them (ChainGraph.join_all): the two gradient tests
-first, from the cached gradients L_a uses, then the c_k in between.  The
-tangent test grad G(a).b = 0 runs packed (_tangent_filter): the coordinate
-columns of all the points are big integers with one slot per point, wide
-enough for the bound (N+1)(p-1)^2, so one big-integer dot product per point
-a gives grad G(a).b exactly for every b.  That pass beats solving L_a at
-every point at every size measured, so explore has one route.  Each line is
-registered at all its p+1 points once found, and the balls around all
-points grow at once, as bitsets over the point indices.
+first, then the c_k in between.  The gradients of all the points are
+evaluated at once, column by column, from the c_1 terms L_a uses, into the
+same cache.  Both gradient tests run packed (_tangent_filter): the
+coordinate columns and the gradient columns of all the points are big
+integers with one slot per point, wide enough for the bound (N+1)(p-1)^2,
+so one big-integer dot product per point a gives grad G(a).b, and one more
+grad G(b).a, exactly for every b.  That pass beats solving L_a at every
+point at every size measured, so explore has one route.  Each line is made
+in closed form at its least point, registered at all its p+1 points once
+found, and the balls around all points grow at once, as bitsets over the
+point indices.
 line_in_variety restricts each G to a line directly; it is the
 independent check of both.
 
@@ -56,13 +59,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import prod
-from operator import add, getitem, mul, not_, or_, sub
+from itertools import compress, filterfalse, repeat
+from math import comb, prod
+from operator import add, getitem, mul, or_, sub
 from pathlib import Path
 
 # hard cap on p**N per enumeration, on the n**2 point pairs of explore, on
-# the directions of one graph's L_a solves plus the points of the lines it
-# lists, and on the terms of a graph's c_k table
+# the directions and restricted terms of one graph's L_a solves plus the
+# points of the lines it lists, and on the terms of a graph's c_k table
 ENUMERATION_BUDGET = 10**8
 
 Point = tuple[int, ...]
@@ -531,34 +535,52 @@ def _slot_format(bound: int) -> str:
     raise ValueError(f"{bound} does not fit an 8-byte slot")
 
 
-def _tangent_filter(points: list[Point], p: int):
-    """The tangent filter of explore's pass over the sorted points.
+def _tangent_filter(points: list[Point], p: int, reverse=()):
+    """The two gradient tests of explore's pass over the sorted points.
 
     Coordinate i of all the points is packed into one integer, one slot per
     point, each slot as wide as _slot_format of (N+1)(p-1)^2 requires.  For
     a gradient g with entries in 0..p-1, sum g_i * column_i holds g.b
     exactly in the slot of b: every g.b is at most that bound, so no slot
-    carries into the next.  The returned function gives, for the point at
-    index i and its gradients (one per G), the indices j > i of the points b
-    with g.b = 0 mod p for every g: the first nonzero g by the packed
-    product, any further one by a plain dot product on the points it kept.
+    carries into the next.  reverse holds, for each G of degree >= 3, the
+    N+1 columns of grad G over the points, packed the same way, so
+    sum a_i * column_i holds grad G(b).a in the slot of b.  A slot is 0 mod
+    p iff it is in the set of the multiples of p up to the bound.
+
+    The returned function gives, for the point a at index i and its
+    gradients (one per G), the indices j > i of the points b with g.b = 0
+    mod p for every gradient g of a and grad G(b).a = 0 mod p for every G in
+    reverse: the first nonzero g by the packed product, any further one by a
+    plain dot product on the points it kept, then each packed reverse
+    product on the points kept so far.
     """
     n = len(points)
-    fmt = _slot_format(len(points[0]) * (p - 1) ** 2) if points else "B"
+    bound = len(points[0]) * (p - 1) ** 2 if points else 0
+    fmt = _slot_format(bound)
     size = n * struct.calcsize(fmt)
-    cols = [int.from_bytes(array(fmt, col).tobytes(), sys.byteorder) for col in zip(*points)]
+    zeros = frozenset(range(0, bound + 1, p))
+
+    def pack(cols) -> list[int]:
+        return [int.from_bytes(array(fmt, col).tobytes(), sys.byteorder) for col in cols]
+
+    def slots(v, packed) -> memoryview:
+        return memoryview(sum(map(mul, v, packed)).to_bytes(size, sys.byteorder)).cast(fmt)
+
+    cols = pack(zip(*points))
+    reverse = [pack(gcols) for gcols in reverse]
 
     def later(i: int, grads: list[list[int]]) -> list[int]:
         nonzero = [g for g in grads if any(g)]
-        if not nonzero:  # a zero gradient keeps every point
-            return list(range(i + 1, n))
-        g, *rest = nonzero
-        packed = sum(c * col for c, col in zip(g, cols) if c)
-        slots = memoryview(packed.to_bytes(size, sys.byteorder)).cast(fmt)[i + 1 :]
-        kept = itertools.compress(range(i + 1, n), map(not_, map(p.__rmod__, slots)))
-        if not rest:
-            return list(kept)
-        return [j for j in kept if not any(sum(map(mul, h, points[j])) % p for h in rest)]
+        kept = range(i + 1, n)  # a zero gradient keeps every point
+        if nonzero:
+            g, *rest = nonzero
+            kept = list(compress(kept, map(zeros.__contains__, slots(g, cols)[i + 1 :])))
+            for h in rest:
+                kept = [j for j in kept if not sum(map(mul, h, points[j])) % p]
+        for packed in reverse:
+            found = slots(points[i], packed)
+            kept = list(compress(kept, map(zeros.__contains__, map(found.__getitem__, kept))))
+        return list(kept)
 
     return later
 
@@ -591,10 +613,11 @@ class ChainGraph:
 
     A line's p+1 points are listed only when a search or neighbors expands
     it, never by contained_lines_through.  Every solve charges the
-    (p^m - 1)/(p - 1) directions of P(W), m = dim W, to the graph, and
-    every line listed charges its p+1 points before they are built; the
-    graph raises BudgetExceededError once the sum over its life passes
-    ENUMERATION_BUDGET.  Line sets, line points and neighbor lists are
+    (p^m - 1)/(p - 1) directions of P(W), m = dim W, to the graph, and the
+    at most binom(k+m-1, m-1) terms of each c_k it restricts to W, before
+    _restrict makes them; every line listed charges its p+1 points before
+    they are built.  The graph raises BudgetExceededError once the sum over
+    its life passes ENUMERATION_BUDGET.  Line sets, line points and neighbor lists are
     cached; results are deterministic and identical to joining a to every
     other point of X(F_p), whatever order the points are asked for in.  The
     caches are not synchronized: concurrent workers should each hold their
@@ -610,7 +633,7 @@ class ChainGraph:
             [[(c, e) for c, e, f in table.get(1, ()) if f[i]] for i in range(spec.ambient + 1)]
             for table in self._tables
         ]
-        self.charged = 0  # directions solved and line points listed
+        self.charged = 0  # directions solved, terms restricted, line points listed
         self._gradients: dict[Point, list[list[int]]] = {}
         self._neighbors: dict[Point, list[Point]] = {}
         self._lines: dict[Point, set[Line]] = {}
@@ -618,7 +641,7 @@ class ChainGraph:
 
     def _charge(self, steps: int) -> None:
         self.charged += steps
-        _check_budget(self.charged, "the L_a directions and line points of this graph")
+        _check_budget(self.charged, "the L_a solves and line points of this graph")
 
     def _gradient(self, a: Point) -> list[list[int]]:
         """grad G(a) for every G, from the c_1 terms of its table, since
@@ -630,6 +653,39 @@ class ChainGraph:
                 [_eval_terms(terms, a, p) for terms in c1] for c1 in self._c1
             ]
         return grads
+
+    def _gradient_columns(self, points: list[Point]) -> list[list[list[int]]]:
+        """grad G at all the points at once, from the same c_1 terms as
+        _gradient: entry [g][i][k] is the i-th entry of grad G_g at points[k].
+
+        One column of x_i^e mod p per coordinate and exponent the terms use;
+        each term's column is a product of those, and the terms are summed
+        column-wise, all by map in C.  Each point's rows go to the gradient
+        cache, as _gradient would make them.
+        """
+        p = self.spec.field.p
+        n = len(points)
+        coords = list(zip(*points)) or [()] * (self.spec.ambient + 1)
+        powers: dict[tuple[int, int], list[int]] = {}
+        columns = []
+        for c1 in self._c1:
+            grad = []
+            for terms in c1:
+                total = [0] * n
+                for coeff, exps in terms:
+                    term = [coeff] * n
+                    for i, e in enumerate(exps):
+                        if e:
+                            col = powers.get((i, e))
+                            if col is None:
+                                col = powers[i, e] = list(map(pow, coords[i], repeat(e), repeat(p)))
+                            term = map(mul, term, col)
+                    total = list(map(add, total, term))
+                grad.append(list(map(p.__rmod__, total)))
+            columns.append(grad)
+        rows = zip(*(map(list, zip(*grad)) for grad in columns))
+        self._gradients.update(zip(points, map(list, rows)))
+        return columns
 
     def _directions(self, a: Point) -> set[Point]:
         """The points v of L_a: v_j = 0 and the line through a and v on X."""
@@ -645,7 +701,7 @@ class ChainGraph:
             return set()
         self._charge((p**m - 1) // (p - 1))
         powers = [[pow(x, e, p) for e in range(self._top + 1)] for x in a]
-        forms = []
+        forms, size = [], 0  # size: the terms of the forms on W, at most
         for table in self._tables:
             for k, terms in table.items():
                 if k == 1:
@@ -659,7 +715,10 @@ class ChainGraph:
                             mult = mult * ap[e]
                     if mult % p:
                         form[f] = form.get(f, 0) + mult
-                forms.append(form)
+                if form:
+                    forms.append(form)
+                    size += comb(k + m - 1, m - 1)
+        self._charge(size)
         restricted = [terms for terms in _restrict(forms, basis, p) if terms]
         return {
             tuple(sum(y * w[i] for y, w in zip(ys, basis)) % p for i in range(len(a)))
@@ -759,35 +818,54 @@ class ChainGraph:
         - of those it keeps the points b with c_k(a, b) = 0 for 1 <= k <= d-1
           and every G of degree d (_tangent_filter, then _joins), the line ab
           on X;
-        - the line ab through a kept b is canonicalized once, and registered
-          at all of its p+1 points at once, in the graph's own caches.
+        - the line ab through a kept b is made once, and registered at all
+          of its p+1 points at once, in the graph's own caches.
 
-        For a, b on X, c_0 = G(a) and c_d = G(b) are 0 already.  c_1(a, b) =
-        grad G(a).b is the tangent filter, packed: one big-integer dot product
-        of grad G(a) with the coordinate columns of all the points gives every
-        grad G(a).b at once, each exact in a slot that holds the bound
-        (N+1)(p-1)^2.  c_{d-1}(a, b) = grad G(b).a is the reverse test, from
-        _gradient; the c_k in between are read off the table (_middle).
-        Nothing is charged: the pairs bound the work.
+        For a, b on X, c_0 = G(a) and c_d = G(b) are 0 already.  The two
+        gradient tests run packed (_tangent_filter): c_1(a, b) = grad G(a).b
+        against the coordinate columns of the points, and c_{d-1}(a, b) =
+        grad G(b).a against the gradient columns, for G of degree >= 3 (for
+        d <= 2, c_{d-1} is c_1 or c_0).  Each is one big-integer dot product
+        per point, exact in slots that hold the bound (N+1)(p-1)^2.  All the
+        gradients are evaluated at once, column-wise (_gradient_columns); the
+        c_k in between, for degree >= 4, are read off the table (_middle).
+
+        A line is new at a's pass only if a is its least point: a line with
+        an earlier point was registered at that point's pass.  The least
+        point of a line is the second row of its RREF basis, and the first
+        row u is the least of the others: they are u + t a, which agrees with
+        u before the lead index of a, where u is 0 and u + t a is t.  Every
+        point of a contained line passes every test, so the first kept b on
+        a new line is u, and the basis is (b, a), with no row reduction.
+        Each point's lines are listed during the pass and made a set at its
+        end.  Nothing is charged: the pairs bound the work.
         """
         n = len(points)
         _check_budget(n * n, f"the {n}^2 point pairs of the chain graph")
         field = self.spec.field
         middle = self._middle()
-        tangent = _tangent_filter(points, field.p)
-        lines = self._lines = {pt: set() for pt in points}
+        columns = self._gradient_columns(points)
+        reverse = [grad for poly, grad in zip(self.spec.polys, columns) if poly.degree >= 3]
+        later = _tangent_filter(points, field.p, reverse)
+        gradients = self._gradients
         line_pts = self._line_points
+        through: dict[Point, list[Line]] = {pt: [] for pt in points}
+        on: dict[Point, list[list[Point]]] = {pt: [] for pt in points}  # the lines' points
         for i, a in enumerate(points):
-            reached = {a}.union(*(line_pts[line] for line in lines[a]))
-            for j in tangent(i, self._gradient(a)):
-                b = points[j]
-                if b in reached or not self._joins(a, b, middle):
+            reached = {a}.union(*on[a])
+            # the kept points off the lines through a found so far: the
+            # filter reads reached as the loop adds to it
+            kept = map(points.__getitem__, later(i, gradients[a]))
+            for b in filterfalse(reached.__contains__, kept):
+                if middle and not self._joins(a, b, middle):
                     continue
-                line = line_through(a, b, field)
+                line = Line((b, a))
                 pts = line_pts[line] = line_points(line, field)
-                for c in pts:
-                    lines[c].add(line)
+                for q in pts:
+                    through[q].append(line)
+                    on[q].append(pts)
                 reached.update(pts)
+        self._lines = {pt: set(lines) for pt, lines in through.items()}
 
     def _middle(self) -> list[list[tuple[int, Point]]]:
         """The c_k(a, b), 2 <= k <= d-2, of every G, as terms in the
@@ -800,13 +878,11 @@ class ChainGraph:
         ]
 
     def _joins(self, a: Point, b: Point, middle) -> bool:
-        """Whether the line ab lies on X, for distinct points a, b of X(F_p)
-        with b in the tangent space of a: c_{d-1}(a, b) = grad G(b).a and
-        the c_k(a, b) in between (_middle) vanish."""
-        p = self.spec.field.p
-        if any(sum(map(mul, g, a)) % p for g in self._gradient(b)):
-            return False
+        """Whether the c_k(a, b) in between the gradient tests (_middle)
+        vanish, for distinct points a, b of X(F_p) that pass both: then the
+        line ab lies on X."""
         ab = a + b
+        p = self.spec.field.p
         return not any(_eval_terms(terms, ab, p) for terms in middle)
 
 

@@ -364,19 +364,29 @@ def plain_tangent(graph, a, points):
     return [b for b in points if not any(sum(map(operator.mul, g, b)) % p for g in grads)]
 
 
+def plain_reverse(graph, a, points):
+    """The points b among points with c_(d-1)(a, b) = grad G(b).a = 0 for
+    every G, from each b's own gradient, one dot product per pair: the
+    reference for the packed reverse test."""
+    p = graph.spec.field.p
+    return [b for b in points
+            if not any(sum(map(operator.mul, g, a)) % p for g in graph._gradient(b))]
+
+
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_containment_route_matches_line_in_variety(spec):
-    # explore's per-pair test: the tangent filter c_1, then the reverse
-    # gradient test c_(d-1) and the c_k in between, against symbolic
-    # containment of every joining line
+    # explore's per-pair test: the tangent filter c_1, the reverse gradient
+    # test c_(d-1) and the c_k in between, against symbolic containment of
+    # every joining line
     graph = ChainGraph(spec)
     points = sorted(enumerate_points(spec))
     middle = graph._middle()
     for a in points:
         others = [b for b in points if b != a]
         tangent = set(plain_tangent(graph, a, others))
+        reverse = set(plain_reverse(graph, a, others))
         for b in others:
-            joined = b in tangent and graph._joins(a, b, middle)
+            joined = b in tangent and b in reverse and graph._joins(a, b, middle)
             assert joined == line_in_variety(spec, line_through(a, b, spec.field))
 
 
@@ -400,13 +410,25 @@ SLOT_VARIETIES = {
 )
 def test_packed_tangent_filter_matches_dot_products(spec):
     # explore's pass keeps, at the point of index i, the later points that
-    # the packed filter keeps: exactly those the plain dot products keep
+    # the packed filter keeps: exactly those the plain dot products keep,
+    # for the tangent test alone and with the reverse test of every G of
+    # degree >= 3 (for d <= 2 the tangent test implies c_(d-1) = 0)
     graph = ChainGraph(spec)
     points = sorted(enumerate_points(spec))
-    later = finite_geometry._tangent_filter(points, spec.field.p)
+    p = spec.field.p
+    tangent = finite_geometry._tangent_filter(points, p)
+    columns = ChainGraph(spec)._gradient_columns(points)
+    reverse = [grad for poly, grad in zip(spec.polys, columns) if poly.degree >= 3]
+    both = finite_geometry._tangent_filter(points, p, reverse)
+    no_gradient = [[0] * (spec.ambient + 1)] * len(spec.polys)
     for i, a in enumerate(points):
-        kept = [points[j] for j in later(i, graph._gradient(a))]
-        assert kept == plain_tangent(graph, a, points[i + 1 :])
+        grads = graph._gradient(a)
+        kept = plain_tangent(graph, a, points[i + 1 :])
+        assert [points[j] for j in tangent(i, grads)] == kept
+        back = plain_reverse(graph, a, points[i + 1 :])
+        assert [points[j] for j in both(i, grads)] == [b for b in kept if b in back]
+        if len(reverse) == len(spec.polys):  # the reverse test alone
+            assert [points[j] for j in both(i, no_gradient)] == back
 
 
 @pytest.mark.parametrize("spec, width", SLOT_VARIETIES.values(), ids=SLOT_VARIETIES.keys())
@@ -425,6 +447,58 @@ def test_tangent_filter_slot_widths(spec, width):
             expected = [j for j in range(i + 1, len(points))
                         if not sum(map(operator.mul, g, points[j])) % p]
             assert later(i, [g]) == expected
+    # the reverse test alone (a zero gradient keeps every point), with
+    # gradient rows near p - 1 and one of p - 1 throughout
+    rows = [[p - 1] * size] + [[rng.randrange(max(0, p - 8), p) for _ in range(size)]
+                               for _ in points[1:]]
+    reverse = finite_geometry._tangent_filter(points, p, [list(zip(*rows))])
+    for i, a in enumerate(points):
+        expected = [j for j in range(i + 1, len(points))
+                    if not sum(map(operator.mul, rows[j], a)) % p]
+        assert reverse(i, [[0] * size]) == expected
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*ORACLE_VARIETIES.values(), *(spec for spec, _ in SLOT_VARIETIES.values())],
+    ids=[*ORACLE_VARIETIES, *SLOT_VARIETIES],
+)
+def test_gradient_columns_match_gradient(spec):
+    # the gradients of all the points at once, column-wise, and the rows
+    # they leave in the cache, equal grad G at one point at a time; fermat4_5
+    # has no point at all
+    points = sorted(enumerate_points(spec))
+    bulk = ChainGraph(spec)
+    columns = bulk._gradient_columns(points)
+    assert [len(grad) for grad in columns] == [spec.ambient + 1] * len(spec.polys)
+    assert all(len(col) == len(points) for grad in columns for col in grad)
+    assert list(bulk._gradients) == points
+    graph = ChainGraph(spec)
+    for k, a in enumerate(points):
+        expected = graph._gradient(a)
+        assert [[col[k] for col in grad] for grad in columns] == expected
+        assert bulk._gradient(a) == expected
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*ORACLE_VARIETIES.values(), *(spec for spec, _ in SLOT_VARIETIES.values())],
+    ids=[*ORACLE_VARIETIES, *SLOT_VARIETIES],
+)
+def test_join_all_lines_in_closed_form(spec):
+    # the pass makes each line at its least point a as (b, a), b the least
+    # of its other points: the RREF basis line_through gives, and the points
+    # line_points lists, registered at every one of them
+    points = sorted(enumerate_points(spec))
+    graph = ChainGraph(spec)
+    graph.join_all(points)
+    for line, pts in graph._line_points.items():
+        a, b = sorted(pts)[:2]
+        assert line.basis == (b, a)
+        assert all(line_through(a, q, spec.field) == line for q in pts if q != a)
+        assert pts == line_points(line, spec.field)
+        assert all(line in graph._lines[q] for q in pts)
+    assert sum(map(len, graph._lines.values())) == (spec.field.p + 1) * len(graph._line_points)
 
 
 def test_slot_format_thresholds():
@@ -633,6 +707,27 @@ def test_connectivity_report_quadric_f31():
     assert report.line_counts == {2: 1024}
 
 
+# connectivity_report at max_length 3 on the stock version of each explore
+# family of the benchmark, pinned from the pass before it ran column-wise
+PINNED_REPORTS = {
+    "quadric17": (split_quadric(17), 324, {1: Fraction(35, 324), 2: 1, 3: 1}, {2: 324}),
+    "fermat7": (fermat_cubic(7), 99, {1: Fraction(179, 1089), 2: Fraction(119, 121), 3: 1},
+                {2: 81, 3: 18}),
+    "fermat11": (fermat_cubic(11), 133, {1: Fraction(529, 17689), 2: Fraction(1189, 17689),
+                                         3: Fraction(1189, 17689)}, {0: 100, 1: 30, 2: 3}),
+    "hyperplane5": (coordinate_hyperplane(5, 4), 156, {1: 1, 2: 1, 3: 1}, {31: 156}),
+}
+
+
+@pytest.mark.parametrize("spec, points, fractions, line_counts", PINNED_REPORTS.values(),
+                         ids=PINNED_REPORTS.keys())
+def test_connectivity_report_pinned(spec, points, fractions, line_counts):
+    report = connectivity_report(spec, 3)
+    assert report.points == points
+    assert report.fractions == fractions
+    assert report.line_counts == line_counts
+
+
 def test_connectivity_report_fermat_f5():
     report = connectivity_report(fermat_cubic(5), 5)
     assert report.points == 31
@@ -678,14 +773,15 @@ def test_connectivity_report_pair_budget(monkeypatch, tmp_path):
 
 def test_chain_and_locus_pair_budget(monkeypatch, tmp_path, capsys):
     # on the split quadric over F_3 each L_a solve tests the 4 directions of
-    # P^1 and each line listed has 4 points; one query sums both: lines
-    # takes one solve (4), locus 1 one solve and two lines (12), the chain
-    # below two solves and three lines (20), locus 2 seven and eight (60)
+    # P^1 and restricts c_2 to at most 3 terms, and each line listed has 4
+    # points; one query sums them: lines takes one solve (7), locus 1 one
+    # solve and two lines (15), the chain below two solves and three lines
+    # (26), locus 2 seven and eight (81)
     spec = split_quadric(3)
     x, y = (1, 0, 0, 0), (0, 0, 0, 1)
     graph = ChainGraph(spec)
     assert graph.shortest_chain(x, y, 2).length == 2
-    assert graph.charged == 20
+    assert graph.charged == 26
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 19)
     with pytest.raises(BudgetExceededError):
         chain_search(spec, x, y, 2)
@@ -746,14 +842,15 @@ def test_line_points_are_listed_only_when_expanded(tmp_path):
 
 def test_lines_on_a_conic_over_a_large_prime():
     # at a smooth point of a plane curve dim W = 1: the one direction is
-    # checked on its own, without a pass over the values of t
+    # checked on its own, without a pass over the values of t, and c_2
+    # restricts to one term
     p = 2**31 - 1
     conic = VarietySpec(
         PrimeField(p), 2, (HomogPoly(2, ((1, (1, 0, 1)), (p - 1, (0, 2, 0)))),)
     )
     graph = ChainGraph(conic)
     assert graph.contained_lines_through((1, 0, 0)) == set()
-    assert graph.charged == 1
+    assert graph.charged == 1 + 1
     assert lines_through(conic, (1, 5, 25)) == set()
 
 
@@ -784,6 +881,26 @@ def test_local_table_budget(monkeypatch, tmp_path, capsys):
         assert capsys.readouterr().out == ""
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 11)
     assert connectivity_report(cubic, 1).fractions == {1: 1}
+
+
+def test_restricted_terms_budget(monkeypatch, tmp_path, capsys):
+    # x0^8 + x1^8 + x2^8 + x3^8 over F_11 at 0:1:1:4: 32 table terms and
+    # 12 directions (dim W = 2), but c_2..c_8 restrict to 3 + 4 + ... + 9 =
+    # 42 terms on W, charged before they are made
+    spec = VarietySpec(PrimeField(11), 3, (HomogPoly(8, tuple(
+        (1, tuple(8 if j == i else 0 for j in range(4))) for i in range(4))),))
+    path = tmp_path / "octic11.variety"
+    path.write_text(format_variety(spec))
+    argv = ["lines", "--variety", str(path), "--point", "0:1:1:4"]
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 53)
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 54)
+    graph = ChainGraph(spec)
+    graph.contained_lines_through((0, 1, 1, 4))
+    assert graph.charged == 12 + 42
+    assert main(argv) == 1  # answered: no line through the point
+    assert "count    0" in capsys.readouterr().out
 
 
 def test_binomials_mod_p():
