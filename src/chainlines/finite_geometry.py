@@ -21,14 +21,15 @@ F_3 the Fermat cubic is the triple plane (x_0 + x_1 + x_2 + x_3)^3, every
 c_k vanishes identically, and every pair of its points is joined.
 
 Single-point queries (lines, chain, locus) never enumerate X(F_p):
-ChainGraph solves the c_k at each point its search reaches, by the prefix
-method on the linear space the gradient rows cut out, and expands each
-contained line once, not each pair of its points.  explore needs every
-line of X(F_p), so it enumerates the points once and the same graph tests
-the c_k at the pairs of them (ChainGraph.join_all): the two gradient tests
-first, then the c_k in between.  The gradients of all the points are
-evaluated at once, column by column, from the c_1 terms L_a uses, into the
-same cache.  Both gradient tests run packed (_tangent_filter): the
+ChainGraph solves the c_k at each point its search reaches, by evaluating
+them at every direction of the linear space the gradient rows cut out,
+column by column (_form_columns), and expands each contained line once,
+not each pair of its points.  explore needs every line of X(F_p), so it
+enumerates the points once and the same graph tests the c_k at the pairs
+of them (ChainGraph.join_all): the two gradient tests first, then the c_k
+in between.  The gradients of all the points are evaluated at once, column
+by column, from the c_1 terms L_a uses, by the same evaluator.  Both
+gradient tests run packed, as one list of tests (_tangent_filter): the
 coordinate columns and the gradient columns of all the points are big
 integers with one slot per point, wide enough for the bound (N+1)(p-1)^2,
 so one big-integer dot product per point a gives grad G(a).b, and one more
@@ -60,12 +61,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, filterfalse, repeat
-from math import comb, prod
-from operator import add, getitem, mul, or_, sub
+from math import prod
+from operator import add, getitem, mod, mul, not_, or_, sub
 from pathlib import Path
 
 # hard cap on p**N per enumeration, on the n**2 point pairs of explore, on
-# the directions and restricted terms of one graph's L_a solves plus the
+# the directions times the c_k terms of one graph's L_a solves plus the
 # points of the lines it lists, and on the terms of a graph's c_k table
 ENUMERATION_BUDGET = 10**8
 
@@ -275,25 +276,22 @@ def _projective_reps(p: int, n: int):
             yield (0,) * lead + (1,) + tail
 
 
-_T_BLOCK = 1 << 14  # values of the last coordinate tried together
+_T_BLOCK = 1 << 14  # values of the last coordinate, or directions of L_a, tried together
 
 
 def _prefix_points(forms, n: int, p: int) -> set[Point]:
     """The canonical points of P^n(F_p) at which every form vanishes.
 
-    Forms are lists of (coefficient, exponents) terms in n+1 variables.  For
-    each canonical point of P^{n-1}(F_p) as prefix, each form becomes a
-    polynomial in x_n, and the points (prefix, t) kept are those at which
-    all of them vanish; (0,...,0,1) is checked on its own, and for n = 0 it
-    is the only point.  The t run in blocks, so the lists stay short when p
-    is large (then n <= 1 within the budget, and the only prefix is (1,)).
+    Forms are lists of (coefficient, exponents) terms in n+1 variables,
+    n >= 1.  For each canonical point of P^{n-1}(F_p) as prefix, each form
+    becomes a polynomial in x_n, and the points (prefix, t) kept are those
+    at which all of them vanish; (0,...,0,1) is checked on its own.  The t
+    run in blocks, so the lists stay short whatever p is.
     """
     last = (0,) * n + (1,)
     found = set() if any(_eval_terms(terms, last, p) for terms in forms) else {last}
-    if not n:
-        return found
     used = {e for terms in forms for _, exps in terms for e in exps}
-    powers = {e: [pow(x, e, p) for x in range(p if n > 1 else 2)] for e in used}
+    powers = {e: [pow(x, e, p) for x in range(p)] for e in used}
     # each form as [(k, terms)]: the coefficient of x_n^k is a sum of
     # terms coeff * prod x_i^e over (i, e) with i < n and e > 0
     split = []
@@ -491,39 +489,30 @@ def _kernel(rows: list[list[int]], size: int, j: int, p: int) -> list[list[int]]
     return basis
 
 
-def _times(f: dict[Point, int], g: dict[Point, int], p: int) -> dict[Point, int]:
-    """The product of two polynomials (exponents -> coefficient) mod p."""
-    out: dict[Point, int] = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            key = tuple(map(add, e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return {e: c % p for e, c in out.items() if c % p}
+def _form_columns(forms, coords, p: int):
+    """Each form, a list of (coefficient, exponents) terms, at all the points
+    whose coordinate columns are coords: one column of its values mod p per
+    form, in turn.
 
-
-def _restrict(forms: list[dict[Point, int]], basis: list[list[int]], p: int):
-    """Each form at v = sum_s y_s basis[s], as (coefficient, exponents of y)
-    terms.  Each power of the linear form in y that is a coordinate of v is
-    made once, the first time a term needs it, and shared by all the forms."""
-    m = len(basis)
-    unit = [tuple(int(s == r) for r in range(m)) for s in range(m)]
-    # coordinate i of v as a linear form in y, and its powers made so far
-    linear = [{unit[s]: w[i] for s, w in enumerate(basis) if w[i]} for i in range(len(basis[0]))]
-    powers = [[{(0,) * m: 1}] for _ in linear]
-    out = []
-    for form in forms:
-        total: Counter[Point] = Counter()
-        for f, c in form.items():
-            expanded = {(0,) * m: c}
-            for i, e in enumerate(f):
+    A column of x_i^e mod p is made once per coordinate and exponent the
+    terms use, and shared by the forms; each term's column is a product of
+    those, and the terms are summed column-wise, all by map in C.  Each sum
+    is stored per term, so no deep chain of lazy maps forms.
+    """
+    n = len(coords[0])
+    powers: dict[tuple[int, int], list[int]] = {}
+    for terms in forms:
+        total = [0] * n
+        for coeff, exps in terms:
+            term = repeat(coeff, n)
+            for i, e in enumerate(exps):
                 if e:
-                    made = powers[i]
-                    while len(made) <= e:
-                        made.append(_times(made[-1], linear[i], p))
-                    expanded = _times(expanded, made[e], p)
-            total.update(expanded)
-        out.append([(c % p, ys) for ys, c in total.items() if c % p])
-    return out
+                    col = powers.get((i, e))
+                    if col is None:
+                        col = powers[i, e] = list(map(pow, coords[i], repeat(e), repeat(p)))
+                    term = map(mul, term, col)
+            total = list(map(add, total, term))
+        yield list(map(mod, total, repeat(p)))
 
 
 def _slot_format(bound: int) -> str:
@@ -535,24 +524,24 @@ def _slot_format(bound: int) -> str:
     raise ValueError(f"{bound} does not fit an 8-byte slot")
 
 
-def _tangent_filter(points: list[Point], p: int, reverse=()):
+def _tangent_filter(points: list[Point], gradients, reverse, p: int):
     """The two gradient tests of explore's pass over the sorted points.
 
-    Coordinate i of all the points is packed into one integer, one slot per
-    point, each slot as wide as _slot_format of (N+1)(p-1)^2 requires.  For
-    a gradient g with entries in 0..p-1, sum g_i * column_i holds g.b
-    exactly in the slot of b: every g.b is at most that bound, so no slot
-    carries into the next.  reverse holds, for each G of degree >= 3, the
-    N+1 columns of grad G over the points, packed the same way, so
-    sum a_i * column_i holds grad G(b).a in the slot of b.  A slot is 0 mod
-    p iff it is in the set of the multiples of p up to the bound.
+    Each test pairs a vector at the point a with columns over all the
+    points, each column packed into one integer with one slot per point, as
+    wide as _slot_format of (N+1)(p-1)^2 requires: for every G, grad G(a)
+    against the coordinate columns, so the slot of b holds grad G(a).b; for
+    every G in reverse (those of degree >= 3), a against the N+1 columns of
+    grad G, so the slot of b holds grad G(b).a.  gradients and reverse hold
+    such gradient columns, as _gradient_columns makes them.  With entries in
+    0..p-1 every such dot product is at most the bound, so no slot carries
+    into the next, and a slot is 0 mod p iff it is in the set of the
+    multiples of p up to the bound.
 
-    The returned function gives, for the point a at index i and its
-    gradients (one per G), the indices j > i of the points b with g.b = 0
-    mod p for every gradient g of a and grad G(b).a = 0 mod p for every G in
-    reverse: the first nonzero g by the packed product, any further one by a
-    plain dot product on the points it kept, then each packed reverse
-    product on the points kept so far.
+    The returned function gives, for the index i of a, the indices j > i of
+    the points b whose slots are 0 mod p in every test: the first test reads
+    the slots of all the later points through one slice, each further test
+    only those of the points kept so far.  A zero vector keeps every slot.
     """
     n = len(points)
     bound = len(points[0]) * (p - 1) ** 2 if points else 0
@@ -567,20 +556,17 @@ def _tangent_filter(points: list[Point], p: int, reverse=()):
         return memoryview(sum(map(mul, v, packed)).to_bytes(size, sys.byteorder)).cast(fmt)
 
     cols = pack(zip(*points))
-    reverse = [pack(gcols) for gcols in reverse]
+    tests = [(list(zip(*grad)), cols) for grad in gradients]
+    tests += [(points, pack(grad)) for grad in reverse]
 
-    def later(i: int, grads: list[list[int]]) -> list[int]:
-        nonzero = [g for g in grads if any(g)]
-        kept = range(i + 1, n)  # a zero gradient keeps every point
-        if nonzero:
-            g, *rest = nonzero
-            kept = list(compress(kept, map(zeros.__contains__, slots(g, cols)[i + 1 :])))
-            for h in rest:
-                kept = [j for j in kept if not sum(map(mul, h, points[j])) % p]
-        for packed in reverse:
-            found = slots(points[i], packed)
+    def later(i: int) -> list[int]:
+        (vectors, packed), *rest = tests
+        first = slots(vectors[i], packed)[i + 1 :]
+        kept = list(compress(range(i + 1, n), map(zeros.__contains__, first)))
+        for vectors, packed in rest:
+            found = slots(vectors[i], packed)
             kept = list(compress(kept, map(zeros.__contains__, map(found.__getitem__, kept))))
-        return list(kept)
+        return kept
 
     return later
 
@@ -603,21 +589,25 @@ class ChainGraph:
 
     - the gradient rows c_1 (_gradient), with column j zeroed, cut out a
       linear space W (_kernel);
-    - substitute a into the c_k with k >= 2, with v_j = 0, restrict them
-      to W (_restrict) and solve them by the prefix method in P(W)
-      (_prefix_points);
-    - each solution v gives the line through a and v.
+    - substitute a into the c_k with k >= 2, dropping the terms in a
+      coordinate of v that is 0 on all of W (v_j among them);
+    - evaluate them at every direction v = sum_s y_s w_s of P(W), for the
+      canonical points y of P^{m-1}(F_p) (_projective_reps) and the basis
+      w_s of W, m = dim W, column-wise in blocks (_form_columns), each c_k
+      only at the directions where the ones before it vanish;
+    - each v at which they all vanish gives the line through a and v.
 
     explore needs the lines through every point, and finds them all at
     once from the pairs of points instead (join_all), into the same caches.
 
     A line's p+1 points are listed only when a search or neighbors expands
-    it, never by contained_lines_through.  Every solve charges the
-    (p^m - 1)/(p - 1) directions of P(W), m = dim W, to the graph, and the
-    at most binom(k+m-1, m-1) terms of each c_k it restricts to W, before
-    _restrict makes them; every line listed charges its p+1 points before
-    they are built.  The graph raises BudgetExceededError once the sum over
-    its life passes ENUMERATION_BUDGET.  Line sets, line points and neighbor lists are
+    it, never by contained_lines_through.  Every solve charges the graph,
+    before its first block, the (p^m - 1)/(p - 1) directions of P(W) times
+    the number of terms of its substituted c_k (at least one per
+    direction), a bound on the work the solve does and on the columns it
+    holds.  Every line listed charges its p+1 points before they are built.
+    The graph raises BudgetExceededError once the sum over its life passes
+    ENUMERATION_BUDGET.  Line sets, line points and neighbor lists are
     cached; results are deterministic and identical to joining a to every
     other point of X(F_p), whatever order the points are asked for in.  The
     caches are not synchronized: concurrent workers should each hold their
@@ -633,8 +623,7 @@ class ChainGraph:
             [[(c, e) for c, e, f in table.get(1, ()) if f[i]] for i in range(spec.ambient + 1)]
             for table in self._tables
         ]
-        self.charged = 0  # directions solved, terms restricted, line points listed
-        self._gradients: dict[Point, list[list[int]]] = {}
+        self.charged = 0  # directions times terms of the L_a solves, line points listed
         self._neighbors: dict[Point, list[Point]] = {}
         self._lines: dict[Point, set[Line]] = {}
         self._line_points: dict[Line, list[Point]] = {}  # the lines expanded so far
@@ -645,47 +634,18 @@ class ChainGraph:
 
     def _gradient(self, a: Point) -> list[list[int]]:
         """grad G(a) for every G, from the c_1 terms of its table, since
-        c_1(a, v) = grad G(a).v; cached per point."""
-        grads = self._gradients.get(a)
-        if grads is None:
-            p = self.spec.field.p
-            grads = self._gradients[a] = [
-                [_eval_terms(terms, a, p) for terms in c1] for c1 in self._c1
-            ]
-        return grads
+        c_1(a, v) = grad G(a).v."""
+        p = self.spec.field.p
+        return [[_eval_terms(terms, a, p) for terms in c1] for c1 in self._c1]
 
     def _gradient_columns(self, points: list[Point]) -> list[list[list[int]]]:
         """grad G at all the points at once, from the same c_1 terms as
-        _gradient: entry [g][i][k] is the i-th entry of grad G_g at points[k].
-
-        One column of x_i^e mod p per coordinate and exponent the terms use;
-        each term's column is a product of those, and the terms are summed
-        column-wise, all by map in C.  Each point's rows go to the gradient
-        cache, as _gradient would make them.
-        """
-        p = self.spec.field.p
-        n = len(points)
+        _gradient, by _form_columns: entry [g][i][k] is the i-th entry of
+        grad G_g at points[k]."""
         coords = list(zip(*points)) or [()] * (self.spec.ambient + 1)
-        powers: dict[tuple[int, int], list[int]] = {}
-        columns = []
-        for c1 in self._c1:
-            grad = []
-            for terms in c1:
-                total = [0] * n
-                for coeff, exps in terms:
-                    term = [coeff] * n
-                    for i, e in enumerate(exps):
-                        if e:
-                            col = powers.get((i, e))
-                            if col is None:
-                                col = powers[i, e] = list(map(pow, coords[i], repeat(e), repeat(p)))
-                            term = map(mul, term, col)
-                    total = list(map(add, total, term))
-                grad.append(list(map(p.__rmod__, total)))
-            columns.append(grad)
-        rows = zip(*(map(list, zip(*grad)) for grad in columns))
-        self._gradients.update(zip(points, map(list, rows)))
-        return columns
+        forms = [terms for c1 in self._c1 for terms in c1]
+        values = _form_columns(forms, coords, self.spec.field.p)
+        return [list(itertools.islice(values, len(c1))) for c1 in self._c1]
 
     def _directions(self, a: Point) -> set[Point]:
         """The points v of L_a: v_j = 0 and the line through a and v on X."""
@@ -699,31 +659,43 @@ class ChainGraph:
         m = len(basis)
         if not m:
             return set()
-        self._charge((p**m - 1) // (p - 1))
         powers = [[pow(x, e, p) for e in range(self._top + 1)] for x in a]
-        forms, size = [], 0  # size: the terms of the forms on W, at most
+        # the coordinates of v that are 0 on all of W, v_j among them: the
+        # terms that carry one vanish at every direction
+        zero = [i for i, wi in enumerate(zip(*basis)) if not any(wi)]
+        forms = []
         for table in self._tables:
             for k, terms in table.items():
-                if k == 1:
+                if k > 1:
+                    form: Counter[Point] = Counter()
+                    for mult, a_exps, f in terms:
+                        if not any(map(f.__getitem__, zero)):
+                            form[f] += mult * prod(map(getitem, powers, a_exps))
+                    if reduced := [(c % p, f) for f, c in form.items() if c % p]:
+                        forms.append(reduced)
+        self._charge((p**m - 1) // (p - 1) * max(1, sum(map(len, forms))))
+        found = set()
+        reps = _projective_reps(p, m - 1)
+        while block := list(itertools.islice(reps, _T_BLOCK)):
+            ys = list(zip(*block))
+            coords = []  # coordinate i of v at every y of the block
+            for wi in zip(*basis):
+                parts = [(y, w) for y, w in zip(ys, wi) if w]
+                if len(parts) == 1 and parts[0][1] == 1:  # v_i = y_s, a free column
+                    coords.append(parts[0][0])
                     continue
-                form: dict[Point, int] = {}
-                for mult, a_exps, f in terms:
-                    if f[j]:
-                        continue
-                    for ap, e in zip(powers, a_exps):
-                        if e:
-                            mult = mult * ap[e]
-                    if mult % p:
-                        form[f] = form.get(f, 0) + mult
-                if form:
-                    forms.append(form)
-                    size += comb(k + m - 1, m - 1)
-        self._charge(size)
-        restricted = [terms for terms in _restrict(forms, basis, p) if terms]
-        return {
-            tuple(sum(y * w[i] for y, w in zip(ys, basis)) % p for i in range(len(a)))
-            for ys in _prefix_points(restricted, m - 1, p)
-        }
+                col = [0] * len(block)
+                for y, w in parts:
+                    col = list(map(add, col, map(mul, y, repeat(w))))
+                coords.append(list(map(mod, col, repeat(p))))
+            for form in forms:  # keep the directions at which it vanishes
+                [values] = _form_columns([form], coords, p)
+                kept = list(map(not_, values))
+                coords = [list(compress(col, kept)) for col in coords]
+                if not coords[0]:
+                    break
+            found.update(zip(*coords))
+        return found
 
     def contained_lines_through(self, a: Point) -> set[Line]:
         """The contained lines through a point a of X(F_p), solved from L_a once."""
@@ -806,9 +778,10 @@ class ChainGraph:
             frontier = nxt
         return depth_of, parent
 
-    def join_all(self, points: list[Point]) -> None:
-        """Find every contained line of X(F_p) from its sorted points, all of
-        them, without solving L_a: explore's route (connectivity_report).
+    def join_all(self) -> list[Point]:
+        """Find every contained line of X(F_p) from its points, without
+        solving L_a: explore's route (connectivity_report).  Returns the
+        sorted points of X(F_p), which it enumerates itself.
 
         The pass tests the c_k at pairs of points, refused when their n^2
         exceed ENUMERATION_BUDGET.  One pass per point a, in sorted order:
@@ -822,13 +795,13 @@ class ChainGraph:
           of its p+1 points at once, in the graph's own caches.
 
         For a, b on X, c_0 = G(a) and c_d = G(b) are 0 already.  The two
-        gradient tests run packed (_tangent_filter): c_1(a, b) = grad G(a).b
-        against the coordinate columns of the points, and c_{d-1}(a, b) =
-        grad G(b).a against the gradient columns, for G of degree >= 3 (for
-        d <= 2, c_{d-1} is c_1 or c_0).  Each is one big-integer dot product
-        per point, exact in slots that hold the bound (N+1)(p-1)^2.  All the
-        gradients are evaluated at once, column-wise (_gradient_columns); the
-        c_k in between, for degree >= 4, are read off the table (_middle).
+        gradient tests run packed, as one list of tests (_tangent_filter):
+        c_1(a, b) = grad G(a).b for every G, and c_{d-1}(a, b) = grad G(b).a
+        for G of degree >= 3 (for d <= 2, c_{d-1} is c_1 or c_0).  Each is
+        one big-integer dot product per point, exact in slots that hold the
+        bound (N+1)(p-1)^2.  All the gradients are evaluated at once,
+        column-wise (_gradient_columns); the c_k in between, for degree >= 4,
+        are read off the table (_middle).
 
         A line is new at a's pass only if a is its least point: a line with
         an earlier point was registered at that point's pass.  The least
@@ -836,18 +809,19 @@ class ChainGraph:
         row u is the least of the others: they are u + t a, which agrees with
         u before the lead index of a, where u is 0 and u + t a is t.  Every
         point of a contained line passes every test, so the first kept b on
-        a new line is u, and the basis is (b, a), with no row reduction.
-        Each point's lines are listed during the pass and made a set at its
-        end.  Nothing is charged: the pairs bound the work.
+        a new line is u, and the basis is (b, a), with no row reduction; that
+        holds because the points are those of X(F_p), sorted here.  Each
+        point's lines are listed during the pass and made a set at its end.
+        Nothing is charged: the pairs bound the work.
         """
+        points = sorted(enumerate_points(self.spec))
         n = len(points)
         _check_budget(n * n, f"the {n}^2 point pairs of the chain graph")
         field = self.spec.field
         middle = self._middle()
         columns = self._gradient_columns(points)
         reverse = [grad for poly, grad in zip(self.spec.polys, columns) if poly.degree >= 3]
-        later = _tangent_filter(points, field.p, reverse)
-        gradients = self._gradients
+        later = _tangent_filter(points, columns, reverse, field.p)
         line_pts = self._line_points
         through: dict[Point, list[Line]] = {pt: [] for pt in points}
         on: dict[Point, list[list[Point]]] = {pt: [] for pt in points}  # the lines' points
@@ -855,7 +829,7 @@ class ChainGraph:
             reached = {a}.union(*on[a])
             # the kept points off the lines through a found so far: the
             # filter reads reached as the loop adds to it
-            kept = map(points.__getitem__, later(i, gradients[a]))
+            kept = map(points.__getitem__, later(i))
             for b in filterfalse(reached.__contains__, kept):
                 if middle and not self._joins(a, b, middle):
                     continue
@@ -866,6 +840,7 @@ class ChainGraph:
                     on[q].append(pts)
                 reached.update(pts)
         self._lines = {pt: set(lines) for pt, lines in through.items()}
+        return points
 
     def _middle(self) -> list[list[tuple[int, Point]]]:
         """The c_k(a, b), 2 <= k <= d-2, of every G, as terms in the
@@ -897,8 +872,6 @@ def chain_search(
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
     x, y = _point_of(spec, x), _point_of(spec, y)
-    if x == y:
-        return Chain((x,), ())
     return ChainGraph(spec).shortest_chain(x, y, max_length)
 
 
@@ -931,8 +904,8 @@ class ConnectivityReport:
 def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityReport:
     """Pair-connectivity fractions for l = 1..max_length plus a line census.
 
-    Enumerates X(F_p) and finds every contained line from its points
-    (ChainGraph.join_all), then counts pairs with bitsets over the point
+    ChainGraph.join_all enumerates X(F_p) and finds every contained line
+    from its points, then connectivity_report counts pairs with bitsets over the point
     indices: the ball of radius k+1 about x is the ball of radius k with
     every contained line that meets it, which is the union of the radius-k
     balls about the points of the lines through x.  One level ORs each line's balls
@@ -941,9 +914,8 @@ def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityRepor
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
-    points = sorted(enumerate_points(spec))
     graph = ChainGraph(spec)
-    graph.join_all(points)
+    points = graph.join_all()
     n = len(points)
     line_counts = dict(Counter(len(graph._lines[x]) for x in points))
     index = {pt: i for i, pt in enumerate(points)}

@@ -3,6 +3,7 @@ import operator
 import random
 import struct
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -134,11 +135,16 @@ def cubic_with_line():
     return VarietySpec(PrimeField(7), 3, (HomogPoly(3, terms),))
 
 
+def fermat_surface(p, d):
+    """x0^d + x1^d + x2^d + x3^d in P^3."""
+    return VarietySpec(PrimeField(p), 3, (HomogPoly(d, tuple(
+        (1, tuple(d if j == i else 0 for j in range(4))) for i in range(4))),))
+
+
 def fermat_quartic(p):
     """x0^4 + x1^4 + x2^4 + x3^4 in P^3: over F_3, where x^4 + y^4 splits into
     two quadrics, 16 points on 8 lines; over F_5 no point at all."""
-    return VarietySpec(PrimeField(p), 3, (HomogPoly(4, tuple((1, e) for e in (
-        (4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4)))),))
+    return fermat_surface(p, 4)
 
 
 def diagonal_quartic(p):
@@ -416,19 +422,20 @@ def test_packed_tangent_filter_matches_dot_products(spec):
     graph = ChainGraph(spec)
     points = sorted(enumerate_points(spec))
     p = spec.field.p
-    tangent = finite_geometry._tangent_filter(points, p)
-    columns = ChainGraph(spec)._gradient_columns(points)
+    columns = graph._gradient_columns(points)
     reverse = [grad for poly, grad in zip(spec.polys, columns) if poly.degree >= 3]
-    both = finite_geometry._tangent_filter(points, p, reverse)
-    no_gradient = [[0] * (spec.ambient + 1)] * len(spec.polys)
+    tangent = finite_geometry._tangent_filter(points, columns, [], p)
+    both = finite_geometry._tangent_filter(points, columns, reverse, p)
+    # the reverse test alone: all-zero gradient columns keep every slot
+    no_gradient = [[[0] * len(points)] * (spec.ambient + 1)] * len(spec.polys)
+    back_only = finite_geometry._tangent_filter(points, no_gradient, reverse, p)
     for i, a in enumerate(points):
-        grads = graph._gradient(a)
         kept = plain_tangent(graph, a, points[i + 1 :])
-        assert [points[j] for j in tangent(i, grads)] == kept
+        assert [points[j] for j in tangent(i)] == kept
         back = plain_reverse(graph, a, points[i + 1 :])
-        assert [points[j] for j in both(i, grads)] == [b for b in kept if b in back]
-        if len(reverse) == len(spec.polys):  # the reverse test alone
-            assert [points[j] for j in both(i, no_gradient)] == back
+        assert [points[j] for j in both(i)] == [b for b in kept if b in back]
+        if len(reverse) == len(spec.polys):
+            assert [points[j] for j in back_only(i)] == back
 
 
 @pytest.mark.parametrize("spec, width", SLOT_VARIETIES.values(), ids=SLOT_VARIETIES.keys())
@@ -439,23 +446,26 @@ def test_tangent_filter_slot_widths(spec, width):
     # bound, where a slot too narrow carries into the next one
     p, size = spec.field.p, spec.ambient + 1
     points = sorted(itertools.product(range(p - 3, p), repeat=size))
-    later = finite_geometry._tangent_filter(points, p)
+    n = len(points)
     rng = random.Random(width)
     grads = [[p - 1] * size] + [[rng.randrange(max(0, p - 8), p) for _ in range(size)] for _ in range(7)]
     for g in grads:
-        for i in range(len(points)):
-            expected = [j for j in range(i + 1, len(points))
+        # the gradient g at every point
+        later = finite_geometry._tangent_filter(points, [[[x] * n for x in g]], [], p)
+        for i in range(n):
+            expected = [j for j in range(i + 1, n)
                         if not sum(map(operator.mul, g, points[j])) % p]
-            assert later(i, [g]) == expected
-    # the reverse test alone (a zero gradient keeps every point), with
-    # gradient rows near p - 1 and one of p - 1 throughout
+            assert later(i) == expected
+    # the reverse test alone (all-zero gradient columns keep every slot),
+    # with gradient rows near p - 1 and one of p - 1 throughout
     rows = [[p - 1] * size] + [[rng.randrange(max(0, p - 8), p) for _ in range(size)]
                                for _ in points[1:]]
-    reverse = finite_geometry._tangent_filter(points, p, [list(zip(*rows))])
+    zero = [[[0] * n] * size]
+    reverse = finite_geometry._tangent_filter(points, zero, [list(zip(*rows))], p)
     for i, a in enumerate(points):
-        expected = [j for j in range(i + 1, len(points))
+        expected = [j for j in range(i + 1, n)
                     if not sum(map(operator.mul, rows[j], a)) % p]
-        assert reverse(i, [[0] * size]) == expected
+        assert reverse(i) == expected
 
 
 @pytest.mark.parametrize(
@@ -464,20 +474,15 @@ def test_tangent_filter_slot_widths(spec, width):
     ids=[*ORACLE_VARIETIES, *SLOT_VARIETIES],
 )
 def test_gradient_columns_match_gradient(spec):
-    # the gradients of all the points at once, column-wise, and the rows
-    # they leave in the cache, equal grad G at one point at a time; fermat4_5
-    # has no point at all
+    # the gradients of all the points at once, column-wise, equal grad G at
+    # one point at a time; fermat4_5 has no point at all
     points = sorted(enumerate_points(spec))
-    bulk = ChainGraph(spec)
-    columns = bulk._gradient_columns(points)
+    graph = ChainGraph(spec)
+    columns = graph._gradient_columns(points)
     assert [len(grad) for grad in columns] == [spec.ambient + 1] * len(spec.polys)
     assert all(len(col) == len(points) for grad in columns for col in grad)
-    assert list(bulk._gradients) == points
-    graph = ChainGraph(spec)
     for k, a in enumerate(points):
-        expected = graph._gradient(a)
-        assert [[col[k] for col in grad] for grad in columns] == expected
-        assert bulk._gradient(a) == expected
+        assert [[col[k] for col in grad] for grad in columns] == graph._gradient(a)
 
 
 @pytest.mark.parametrize(
@@ -489,9 +494,8 @@ def test_join_all_lines_in_closed_form(spec):
     # the pass makes each line at its least point a as (b, a), b the least
     # of its other points: the RREF basis line_through gives, and the points
     # line_points lists, registered at every one of them
-    points = sorted(enumerate_points(spec))
     graph = ChainGraph(spec)
-    graph.join_all(points)
+    graph.join_all()
     for line, pts in graph._line_points.items():
         a, b = sorted(pts)[:2]
         assert line.basis == (b, a)
@@ -517,7 +521,7 @@ def test_local_model_matches_incidence_passes(spec):
     points = sorted(enumerate_points(spec))
     assert points == sorted(oracle)
     explored = ChainGraph(spec)
-    explored.join_all(points)
+    explored.join_all()
     graph = ChainGraph(spec)
     assert set(explored._line_points) == set().union(*(lines for _, lines in oracle.values()))
     for pt, (nbrs, lines) in oracle.items():
@@ -527,11 +531,12 @@ def test_local_model_matches_incidence_passes(spec):
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_join_all_fills_the_graph_caches(spec, monkeypatch):
-    # one owner of contained lines: after explore's pass every point's
-    # lines come from the cache, with no L_a solve and nothing charged
-    points = sorted(enumerate_points(spec))
+    # one owner of contained lines: explore's pass enumerates and sorts
+    # X(F_p) itself, and after it every point's lines come from the cache,
+    # with no L_a solve and nothing charged
     explored = ChainGraph(spec)
-    explored.join_all(points)
+    points = explored.join_all()
+    assert points == sorted(enumerate_points(spec))
 
     def no_solve(a):
         raise AssertionError(f"L_a solved at {a} after join_all")
@@ -772,16 +777,16 @@ def test_connectivity_report_pair_budget(monkeypatch, tmp_path):
 
 
 def test_chain_and_locus_pair_budget(monkeypatch, tmp_path, capsys):
-    # on the split quadric over F_3 each L_a solve tests the 4 directions of
-    # P^1 and restricts c_2 to at most 3 terms, and each line listed has 4
-    # points; one query sums them: lines takes one solve (7), locus 1 one
-    # solve and two lines (15), the chain below two solves and three lines
-    # (26), locus 2 seven and eight (81)
+    # on the split quadric over F_3 each L_a solve evaluates c_2 = v0*v3 -
+    # v1*v2, one term once v_j = 0, at the 4 directions of P^1 (4 * 1), and
+    # each line listed has 4 points; one query sums them: lines takes one
+    # solve (4), locus 1 one solve and two lines (12), the chain below two
+    # solves and three lines (20), locus 2 seven and eight (60)
     spec = split_quadric(3)
     x, y = (1, 0, 0, 0), (0, 0, 0, 1)
     graph = ChainGraph(spec)
     assert graph.shortest_chain(x, y, 2).length == 2
-    assert graph.charged == 26
+    assert graph.charged == 2 * 4 + 3 * 4
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 19)
     with pytest.raises(BudgetExceededError):
         chain_search(spec, x, y, 2)
@@ -842,15 +847,15 @@ def test_line_points_are_listed_only_when_expanded(tmp_path):
 
 def test_lines_on_a_conic_over_a_large_prime():
     # at a smooth point of a plane curve dim W = 1: the one direction is
-    # checked on its own, without a pass over the values of t, and c_2
-    # restricts to one term
+    # checked on its own, without a pass over the values of t, and c_2 is
+    # one term, -v1^2, once v0 = 0
     p = 2**31 - 1
     conic = VarietySpec(
         PrimeField(p), 2, (HomogPoly(2, ((1, (1, 0, 1)), (p - 1, (0, 2, 0)))),)
     )
     graph = ChainGraph(conic)
     assert graph.contained_lines_through((1, 0, 0)) == set()
-    assert graph.charged == 1 + 1
+    assert graph.charged == 1 * 1
     assert lines_through(conic, (1, 5, 25)) == set()
 
 
@@ -883,24 +888,47 @@ def test_local_table_budget(monkeypatch, tmp_path, capsys):
     assert connectivity_report(cubic, 1).fractions == {1: 1}
 
 
-def test_restricted_terms_budget(monkeypatch, tmp_path, capsys):
-    # x0^8 + x1^8 + x2^8 + x3^8 over F_11 at 0:1:1:4: 32 table terms and
-    # 12 directions (dim W = 2), but c_2..c_8 restrict to 3 + 4 + ... + 9 =
-    # 42 terms on W, charged before they are made
-    spec = VarietySpec(PrimeField(11), 3, (HomogPoly(8, tuple(
-        (1, tuple(8 if j == i else 0 for j in range(4))) for i in range(4))),))
+def test_solve_charge_budget(monkeypatch, tmp_path, capsys):
+    # the octic over F_11 at 0:1:1:4: v_1 = 0 and dim W = 2, so 12
+    # directions; with a_0 = 0, c_k keeps the terms in v_2^k and v_3^k for
+    # k = 2..7, and c_8 those in v_0^8, v_2^8 and v_3^8: 6 * 2 + 3 = 15
+    # terms; the solve is charged 12 * 15 before its first block
+    spec = fermat_surface(11, 8)
     path = tmp_path / "octic11.variety"
     path.write_text(format_variety(spec))
     argv = ["lines", "--variety", str(path), "--point", "0:1:1:4"]
-    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 53)
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 12 * 15 - 1)
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
-    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 54)
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 12 * 15)
     graph = ChainGraph(spec)
     graph.contained_lines_through((0, 1, 1, 4))
-    assert graph.charged == 12 + 42
+    assert graph.charged == 12 * 15
     assert main(argv) == 1  # answered: no line through the point
     assert "count    0" in capsys.readouterr().out
+
+
+def test_solve_drops_terms_that_vanish_on_w():
+    # the nonic over F_101 at 1:100:0:0: W is v_0 = v_1 = 0, so the terms
+    # in v_1^k of c_2..c_8 vanish on W and are dropped before the charge:
+    # 102 directions times the two terms v_2^9 + v_3^9 of c_9
+    graph = ChainGraph(fermat_surface(101, 9))
+    assert len(graph.contained_lines_through((1, 100, 0, 0))) == 1
+    assert graph.charged == 102 * 2
+
+
+def test_solve_of_high_degree_holds_no_expansion():
+    # sum x_i^403 over F_101 at 1:1:1:48: dim W = 2, 102 directions and
+    # c_2..c_403 with three terms each; the c_k are evaluated at the
+    # directions, never expanded on W, where they had 51,302 terms
+    graph = ChainGraph(fermat_surface(101, 403))
+    tracemalloc.start()
+    try:
+        assert graph.contained_lines_through((1, 1, 1, 48)) == set()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_binomials_mod_p():

@@ -18,7 +18,6 @@ from chainlines.finite_geometry import (  # noqa: E402
     HomogPoly,
     PrimeField,
     VarietySpec,
-    enumerate_points,
     eval_poly,
     format_variety,
     parse_variety,
@@ -77,10 +76,8 @@ def varieties(draw):
 def test_chain_graph_matches_pairwise_oracle(spec, rng):
     # the L_a lines, and those of explore's pass over X(F_p)
     oracle = pairwise_neighbors(spec)
-    points = sorted(enumerate_points(spec))
-    assert points == sorted(oracle)
     explored = ChainGraph(spec)
-    explored.join_all(points)
+    assert explored.join_all() == sorted(oracle)
     graph = ChainGraph(spec)
     order = list(oracle)
     rng.shuffle(order)
@@ -111,27 +108,6 @@ def test_local_terms_expand_g_along_a_line(data):
                 term *= x**e
             total += term
     assert total % p == eval_poly(poly, [x + t * y for x, y in zip(a, v)], field)
-
-
-@SETTINGS
-@given(st.data())
-def test_restrict_is_the_form_on_the_span(data):
-    # each restricted form at y equals the form at v = sum_s y_s basis_s,
-    # for dim W = 1, 2, 3, and the forms of one call share the powers
-    p = data.draw(st.sampled_from(PRIMES))
-    nvars = data.draw(st.integers(2, 4))
-    m = data.draw(st.integers(1, 3))
-    coords = st.lists(st.integers(0, p - 1), min_size=nvars, max_size=nvars)
-    basis = data.draw(st.lists(coords, min_size=m, max_size=m))
-    degrees = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
-    polys = [data.draw(forms(p, nvars, d)) for d in degrees]
-    y = data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
-    v = [sum(ys * w[i] for ys, w in zip(y, basis)) for i in range(nvars)]
-    restricted = finite_geometry._restrict(polys, basis, p)
-    assert len(restricted) == len(polys)
-    for form, terms in zip(polys, restricted):
-        expected = finite_geometry._eval_terms([(c, f) for f, c in form.items()], v, p)
-        assert finite_geometry._eval_terms(terms, y, p) == expected
 
 
 @SETTINGS
