@@ -64,7 +64,9 @@ multiplicity, for generic defining polynomials -- is the closed form
 The same walk over the paths, each a_k taken in descending order, lists
 the terms in render order (chow module docstring), so class_text streams a
 class as text without building it, and counting_class/existence_class
-collect it without sorting or checking it again.
+collect it without sorting or checking it again.  The walk makes the text
+of each exponent as it sets it, so rendering a term is one f-string of its
+coefficient and two ready-made strings, in O(l) memory beyond the output.
 
 counting_factors keeps the individual condition classes; their product in
 the truncated ring is the reference the tests compare the blocks against.
@@ -77,7 +79,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .chow import ChowClass, Group, Monomial, ProductSpace, hyperplane, render
+from .chow import (ChowClass, Group, Leaf, Monomial, ProductSpace, _exponents_text,
+                   _factor_text, hyperplane, render)
 from .criteria import DefiningData, rc_criterion
 from .finite_geometry import BudgetExceededError
 
@@ -238,12 +241,15 @@ def _check_block_budget(data: DefiningData) -> None:
     _check_budget((data.total_degree - data.m) ** 2, "pair block size (D-m)^2")
 
 
-def class_term_count(problem: ChainProblem) -> int:
-    """Number of terms of the counting class, and of the existence class.
+def _term_count(problem: ChainProblem, cap: float) -> int:
+    """min(cap, number of terms): the paths 0 = a_1, a_2, ..., a_l = D-m in
+    [0, D-m] whose steps rise by at most N - D, one row of the transfer
+    matrix at a time, in O(l*(D-m)) without listing any term.
 
-    Counts the paths 0 = a_1, a_2, ..., a_l = D-m in [0, D-m] whose steps
-    rise by at most N - D, one row of the transfer matrix at a time, in
-    O(l*(D-m)) without listing any term.
+    Each row holds min(cap, the number of paths 0 = a_1, ..., a_k that end
+    at each value); capped sums stay exact below the cap.  Every step
+    applies the same map, so once a row repeats, every later row equals it
+    and the count stops there.
     """
     data, l = problem.data, problem.length
     top = data.total_degree - data.m
@@ -254,28 +260,44 @@ def class_term_count(problem: ChainProblem) -> int:
         tail = [0] * (top + 2)
         for a in range(top, -1, -1):
             tail[a] = tail[a + 1] + ways[a]
-        ways = [tail[min(max(0, b - rise), top + 1)] for b in range(top + 1)]
+        row = [min(cap, tail[min(max(0, b - rise), top + 1)]) for b in range(top + 1)]
+        if row == ways:
+            break
+        ways = row
     return ways[top]
+
+
+def class_term_count(problem: ChainProblem) -> int:
+    """Number of terms of the counting class, and of the existence class,
+    exact at any size."""
+    return _term_count(problem, math.inf)
 
 
 def _check_class_budget(problem: ChainProblem) -> None:
     _check_block_budget(problem.data)
-    _check_budget(class_term_count(problem), "class term count")
+    # counted only up to the budget, so no row carries O(l)-bit integers
+    if _term_count(problem, CLASS_TERM_BUDGET + 1) > CLASS_TERM_BUDGET:
+        raise BudgetExceededError(
+            f"class term count is more than the {CLASS_TERM_BUDGET} budget"
+        )
 
 
 def _walk(problem: ChainProblem, weights: list[int], scale: int) -> Iterator[Group]:
     """The class with pair-block coefficients `weights`, one term per
     surviving path (a_2, ..., a_{l-1}), as `chow.render` groups in render
-    order; see the module docstring.
+    order, with their exponents and their text; see the module docstring.
 
     A depth-first walk over the paths, with an explicit stack, that takes
     every a_k in descending order: e_1 = D + a_2 falls with a_2, and once
     a_2..a_k are fixed e_k = D - a_k + a_{k+1} falls with a_{k+1}, so the
     exponent tuples come out in descending lexicographic order.  One group
     per choice of a_2..a_{l-2}: the head is e_1..e_{l-3}, and each leaf
-    a_{l-1} adds (e_{l-2}, e_{l-1}) and the weight B[a_{l-1}].  Besides
-    the leaf lists, each of which is part of the output, it holds O(l)
-    values: a choice, a partial coefficient and an exponent per factor.
+    a_{l-1} adds (e_{l-2}, e_{l-1}) and the weight B[a_{l-1}].  The text
+    is made as the walk goes: setting e_k also sets its factor `*hk^e`, a
+    head's text is one join of those, and each leaf's tail text is made
+    with the leaf list, once per a_{l-2}.  Besides the leaf lists, each of
+    which is part of the output, it holds O(l) values: a choice, a partial
+    coefficient, an exponent and its factor text per factor.
     """
     data, l = problem.data, problem.length
     D, top = data.total_degree, data.total_degree - data.m
@@ -288,25 +310,30 @@ def _walk(problem: ChainProblem, weights: list[int], scale: int) -> Iterator[Gro
     if lows[0] > 0:
         return
     if l == 2:
-        yield (), scale, [((D + top,), 1)]
+        yield (), "", scale, [((D + top,), _factor_text(1, D + top), 1)]
         return
     # a[k-1] = a_k and coeffs[k-1] = scale * B[a_2] ... B[a_k] along the
-    # current path; exps[k-1] = e_k.  Depth j picks a_{j+1}, j = 1..l-3.
+    # current path; exps[k-1] = e_k and texts[k-1] its factor.  Depth j
+    # picks a_{j+1}, j = 1..l-3.
     depth, last_low = l - 3, lows[l - 2]
 
     @functools.cache
-    def leaves(parent: int) -> list[tuple[Monomial, int]]:
+    def leaves(parent: int) -> list[Leaf]:
         # the same for every group with a_{l-2} = parent, so made once
-        return [((D - parent + b, D - b + top), weights[b])
-                for b in range(min(top, parent + rise), last_low - 1, -1)]
+        out = []
+        for b in range(min(top, parent + rise), last_low - 1, -1):
+            tail = (D - parent + b, D - b + top)
+            out.append((tail, _exponents_text(tail, l - 2), weights[b]))
+        return out
 
-    a, coeffs, exps = [0] * (depth + 1), [scale] * (depth + 1), [0] * depth
+    a, coeffs = [0] * (depth + 1), [scale] * (depth + 1)
+    exps, texts = [0] * depth, [""] * depth
     j = 1
     if depth:
         a[1] = min(top, rise) + 1
     while j:
         if j > depth:
-            yield tuple(exps), coeffs[depth], leaves(a[depth])
+            yield tuple(exps), "".join(texts), coeffs[depth], leaves(a[depth])
             j -= 1
             continue
         a[j] -= 1
@@ -314,7 +341,8 @@ def _walk(problem: ChainProblem, weights: list[int], scale: int) -> Iterator[Gro
             j -= 1
             continue
         coeffs[j] = coeffs[j - 1] * weights[a[j]]
-        exps[j - 1] = D - a[j - 1] + a[j]
+        e = exps[j - 1] = D - a[j - 1] + a[j]
+        texts[j - 1] = _factor_text(j, e)
         j += 1
         if j <= depth:
             a[j] = min(top, a[j - 1] + rise) + 1
@@ -341,7 +369,7 @@ def _class_groups(problem: ChainProblem, counting: bool) -> Iterator[Group]:
 def _collect(problem: ChainProblem, groups: Iterator[Group]) -> ChowClass:
     return ChowClass.from_normal_form(problem.space, {
         head + tail: coeff * weight
-        for head, coeff, leaves in groups for tail, weight in leaves
+        for head, _, coeff, leaves in groups for tail, _, weight in leaves
     })
 
 

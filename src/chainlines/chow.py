@@ -16,8 +16,10 @@ Rendering contract (used verbatim by the command-line `class` output): terms
 are listed with the lexicographically largest exponent tuple first, each term
 formatted as ``<coeff>*h1^<e1>*...*hk^<ek>`` with ``^1`` and zero-exponent
 factors omitted, terms joined by `` + ``; the zero class renders as ``0``.
-``render`` is the one implementation; ``str`` and the command line's
-streamed classes both go through it.
+``render`` is the one formatter.  It takes the terms in groups that share
+a head, with the text of every head and tail ready-made, and writes the
+coefficients: the chain walk (``chains._walk``) makes that text as it sets
+each exponent, and ``str`` makes it from the class's own terms.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import count, groupby
+from itertools import groupby
 from operator import gt
 
 Monomial = tuple[int, ...]
@@ -178,7 +180,9 @@ class ChowClass:
         # terms that differ only in their last two exponents share a head, as
         # the terms below one choice of a_2..a_{l-2} do in a chain class
         items = sorted(self.terms.items(), reverse=True)
-        groups = ((head, 1, [(mono[-2:], coeff) for mono, coeff in terms])
+        groups = ((head, _exponents_text(head, 1), 1,
+                   [(mono[-2:], _exponents_text(mono[-2:], len(head) + 1), coeff)
+                    for mono, coeff in terms])
                   for head, terms in groupby(items, key=lambda item: item[0][:-2]))
         return "".join(render(groups))
 
@@ -198,54 +202,39 @@ def int_text(n: int) -> str:
         return str(Decimal(n))
 
 
-class _Memo(dict):
-    """Makes each missing value with ``make(key)`` on first use, then keeps it."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def _factor_text(k: int, e: int) -> str:
     """``*h<k>^<e>``, without ``^1``, and empty for e = 0."""
     return f"*h{k}^{e}" if e > 1 else f"*h{k}" if e else ""
 
 
-# (head, coeff, leaves): the terms head + tail with coefficient coeff * weight
-# for every (tail, weight) in leaves
-Group = tuple[Monomial, int, Sequence[tuple[Monomial, int]]]
+def _exponents_text(exps: Monomial, first: int) -> str:
+    """The factors ``*h<k>^<e>`` for exponents ``exps`` of h_first, h_first+1, ..."""
+    return "".join([_factor_text(k, e) for k, e in enumerate(exps, first)])
+
+
+# (tail, tail text, weight) and (head, head text, coeff, leaves): the terms
+# head + tail with coefficient coeff * weight, one per leaf of the group;
+# each text is its exponents' factors, as _exponents_text writes them
+Leaf = tuple[Monomial, str, int]
+Group = tuple[Monomial, str, int, Sequence[Leaf]]
 
 
 def render(groups: Iterable[Group]) -> Iterator[str]:
     """The rendering contract (module docstring) as a stream of text chunks.
 
-    ``groups`` yields ``(head, coeff, leaves)`` in render order, each with at
-    least one leaf and all heads of one length.  Every term of a group starts
-    with the exponents ``head`` of the first factors; each leaf ``(tail,
-    weight)`` gives the exponents of the other factors, and the term's
-    coefficient is ``coeff * weight``.  A head is rendered once per group and
-    a tail once per render, from a table of ready-made ``*h<k>^<e>``
-    strings, each made on first use.  One chunk per group.
+    ``groups`` yields ``(head, head_text, coeff, leaves)`` in render order,
+    each with at least one leaf ``(tail, tail_text, weight)``.  The texts
+    come ready-made, so all that is left per term is one f-string of the
+    coefficient ``coeff * weight`` and the two texts; the exponents are not
+    read.  One chunk per group.
     """
-    factor = _Memo(lambda key: _factor_text(*key)).__getitem__  # (k, e) -> text
-    tails = None
     sep = ""
-    for head, coeff, leaves in groups:
-        if tails is None:
-            after = len(head) + 1
-            tails = _Memo(lambda tail: "".join(map(factor, zip(count(after), tail))))
-        shared = "".join(map(factor, zip(count(1), head)))
+    for _, head, coeff, leaves in groups:
         try:
-            text = " + ".join([f"{coeff * weight}{shared}{tails[tail]}"
-                               for tail, weight in leaves])
+            text = " + ".join([f"{coeff * weight}{head}{tail}" for _, tail, weight in leaves])
         except ValueError:  # a coefficient beyond str's digit limit
-            text = " + ".join([int_text(coeff * weight) + shared + tails[tail]
-                               for tail, weight in leaves])
+            text = " + ".join([int_text(coeff * weight) + head + tail
+                               for _, tail, weight in leaves])
         yield sep + text
         sep = " + "
     if not sep:

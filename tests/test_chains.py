@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -10,6 +12,7 @@ from chainlines.chains import (
     PositiveExpectedDimensionError,
     chain_count,
     class_term_count,
+    class_text,
     condition_tally,
     counting_class,
     counting_factors,
@@ -332,6 +335,16 @@ def test_class_budget_refuses_long_chain_at_once(capsys):
         counting_class(p)
 
 
+def test_class_budget_refuses_very_long_chain_by_a_capped_count(capsys):
+    # about 2^(10^5) terms: the count, more than 4,300 digits, is never made
+    code = main(["class", "--degrees", "2", "--ambient", "100", "--length", "100000",
+                 "--mode", "counting"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"more than the {CLASS_TERM_BUDGET} budget" in captured.err
+
+
 def test_class_budget_admits_reference_class():
     assert class_term_count(problem((5, 5), 40, 8)) == 531441 <= CLASS_TERM_BUDGET
 
@@ -358,3 +371,71 @@ def test_chain_count_budget_on_pair_block_size():
     with pytest.raises(BudgetExceededError):
         chain_count(problem((1002,), 2003, 2))
     assert chain_count(problem((1001,), 2001, 2)) > 0  # D - m = 1000
+
+
+def test_streamed_long_class_memory_stays_near_its_output():
+    # one term over 19,999 factors: beyond its 169 kB of text the walk holds
+    # a few values and one factor string per factor, about 15 times the text
+    # in all; a table of every (k, e) string made it about 26 times
+    p = problem((1, 1, 1), 3, 20000)
+    tracemalloc.start()
+    try:
+        text = "".join(class_text(p, counting=False))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == "1" + "".join(f"*h{k}^3" for k in range(1, 20000))
+    assert peak < 20 * len(text)
+
+
+# l = 2, 3, 4 over small degree data, with N below, at and above D
+CROSS_GRID = [
+    (degrees, n, l)
+    for degrees in [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 3), (2, 3)]
+    for n in range(1, 10)
+    for l in (2, 3, 4)
+]
+
+
+def test_streamed_text_str_and_reference_rendering_agree():
+    # class_text, str() of the collected class and the reference rendering
+    # of the naive product are three routes to the same bytes
+    seen = set()
+    for degrees, n, l in CROSS_GRID:
+        p = problem(degrees, n, l)
+        D, m = p.data.total_degree, p.data.m
+        untruncated = {
+            "counting": naive_poly.product([dict(f.terms) for f in counting_factors(p).all()], l - 1),
+            "existence": naive_poly.product(_existence_factor_dicts(p), l - 1),
+        }
+        for mode, collect in (("counting", counting_class), ("existence", existence_class)):
+            expected = naive_poly.render(naive_poly.truncate(untruncated[mode], p.space.factor_dims))
+            streamed = "".join(class_text(p, counting=mode == "counting"))
+            assert streamed == str(collect(p)) == expected, (degrees, n, l, mode)
+            seen.add(("zero", expected == "0"))
+        seen.add(("all degrees 1", n == D and D == m))
+        seen.add(("rise >= D-m", n - D >= D - m))
+        seen.add(("l", l))
+    assert seen >= {("zero", True), ("zero", False), ("all degrees 1", True),
+                    ("rise >= D-m", True), ("rise >= D-m", False), ("l", 2), ("l", 3), ("l", 4)}
+
+
+def test_streamed_text_past_the_int_digit_limit():
+    # one polynomial of degree 1000, l = 2, N = 2D - m: the one term is
+    # 1000! 999! h^1999, whose coefficient has 5,133 digits
+    p = problem((1000,), 1999, 2)
+    cls = counting_class(p)
+    (coeff,) = cls.terms.values()
+    with pytest.raises(ValueError):
+        str(coeff)
+    streamed = "".join(class_text(p, counting=True))
+    reference = naive_poly.product([dict(f.terms) for f in counting_factors(p).all()], 1)
+    # naive_poly.render formats coefficients with str(): lift its limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = naive_poly.render(reference)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > 5000
+    assert streamed == str(cls) == expected

@@ -110,8 +110,10 @@ def test_rendering_matches_reference_random():
 
 
 def test_render_groups_share_head_and_coefficient():
-    # 3*h1^2*(5*h2^3*h3 + 1*h2*h3^2), then 2*h1*h3^4
-    groups = [((2,), 3, [((3, 1), 5), ((1, 2), 1)]), ((1,), 2, [((0, 4), 1)])]
+    # 3*h1^2*(5*h2^3*h3 + 1*h2*h3^2), then 2*h1*h3^4; each group and leaf
+    # carries its exponents' text, and render writes the text it is given
+    groups = [((2,), "*h1^2", 3, [((3, 1), "*h2^3*h3", 5), ((1, 2), "*h2*h3^2", 1)]),
+              ((1,), "*h1", 2, [((0, 4), "*h3^4", 1)])]
     assert "".join(render(groups)) == "15*h1^2*h2^3*h3 + 3*h1^2*h2*h3^2 + 2*h1*h3^4"
     assert list(render([])) == ["0"]
 

@@ -370,13 +370,17 @@ def plain_tangent(graph, a, points):
     return [b for b in points if not any(sum(map(operator.mul, g, b)) % p for g in grads)]
 
 
-def plain_reverse(graph, a, points):
+def plain_reverse(graph, a, points, gradients):
     """The points b among points with c_(d-1)(a, b) = grad G(b).a = 0 for
     every G, from each b's own gradient, one dot product per pair: the
-    reference for the packed reverse test."""
+    reference for the packed reverse test.  gradients maps each point to
+    its grad G, made on first use and shared by the calls of one test."""
     p = graph.spec.field.p
+    for b in points:
+        if b not in gradients:
+            gradients[b] = graph._gradient(b)
     return [b for b in points
-            if not any(sum(map(operator.mul, g, a)) % p for g in graph._gradient(b))]
+            if not any(sum(map(operator.mul, g, a)) % p for g in gradients[b])]
 
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
@@ -387,10 +391,11 @@ def test_containment_route_matches_line_in_variety(spec):
     graph = ChainGraph(spec)
     points = sorted(enumerate_points(spec))
     middle = graph._middle()
+    gradients = {}
     for a in points:
         others = [b for b in points if b != a]
         tangent = set(plain_tangent(graph, a, others))
-        reverse = set(plain_reverse(graph, a, others))
+        reverse = set(plain_reverse(graph, a, others, gradients))
         for b in others:
             joined = b in tangent and b in reverse and graph._joins(a, b, middle)
             assert joined == line_in_variety(spec, line_through(a, b, spec.field))
@@ -429,10 +434,11 @@ def test_packed_tangent_filter_matches_dot_products(spec):
     # the reverse test alone: all-zero gradient columns keep every slot
     no_gradient = [[[0] * len(points)] * (spec.ambient + 1)] * len(spec.polys)
     back_only = finite_geometry._tangent_filter(points, no_gradient, reverse, p)
+    gradients = {}
     for i, a in enumerate(points):
         kept = plain_tangent(graph, a, points[i + 1 :])
         assert [points[j] for j in tangent(i)] == kept
-        back = plain_reverse(graph, a, points[i + 1 :])
+        back = plain_reverse(graph, a, points[i + 1 :], gradients)
         assert [points[j] for j in both(i)] == [b for b in kept if b in back]
         if len(reverse) == len(spec.polys):
             assert [points[j] for j in back_only(i)] == back

@@ -122,7 +122,7 @@ def test_format_then_parse_is_identity(spec):
 def test_class_walk_lists_strictly_descending_monomials(degrees, ambient, length, counting):
     problem = chains.ChainProblem(DefiningData(tuple(degrees), ambient), length)
     hypothesis.assume(chains.class_term_count(problem) <= 5000)
-    monos = [head + tail for head, _, leaves in chains._class_groups(problem, counting)
-             for tail, _ in leaves]
+    monos = [head + tail for head, _, _, leaves in chains._class_groups(problem, counting)
+             for tail, _, _ in leaves]
     assert all(a > b for a, b in zip(monos, monos[1:]))
     assert len(monos) == chains.class_term_count(problem)
