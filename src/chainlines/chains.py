@@ -360,10 +360,14 @@ def _class_groups(problem: ChainProblem, counting: bool) -> Iterator[Group]:
     """The walk for the counting or the existence class, after the budget
     check, which runs at once."""
     _check_class_budget(problem)
-    if counting:
-        return _walk(problem, _pair_block(problem.data), _counting_scale(problem))
     top = problem.data.total_degree - problem.data.m
-    return _walk(problem, [math.comb(top, a) for a in range(top + 1)], 1)
+    if problem.length == 2:  # one term, and the walk reads no weight
+        weights = []
+    elif counting:
+        weights = _pair_block(problem.data)
+    else:
+        weights = [math.comb(top, a) for a in range(top + 1)]
+    return _walk(problem, weights, _counting_scale(problem) if counting else 1)
 
 
 def _collect(problem: ChainProblem, groups: Iterator[Group]) -> ChowClass:
@@ -437,7 +441,8 @@ def chain_count(problem: ChainProblem) -> int:
         # product below would multiply l-2 ones
         return _counting_scale(problem)
     _check_block_budget(data)
-    block = _pair_block(data)
+    # at l = 2 the product below is empty: no block is needed
+    block = _pair_block(data) if problem.length > 2 else []
     # (l-1)(N-D) = D-m at dimension zero, so every index lies in 0..D-m
     return _counting_scale(problem) * math.prod(
         block[k * rise] for k in range(1, problem.length - 1)

@@ -8,7 +8,12 @@ reports connectivity statistics.  Everything is exhaustive and exact.
 Zeros of forms are enumerated one line at a time: each canonical point of
 P^{n-1}(F_p) is a prefix (x_0, ..., x_{n-1}), on the points (prefix, t)
 every form is a polynomial in t, and the t at which all of them vanish
-give the zeros with that prefix.  enumerate_points runs this in P^N.
+give the zeros with that prefix.  enumerate_points runs this in P^N, on
+blocks of prefixes at once: the coefficients of the first form at all the
+prefixes of a block are packed into big integers, one slot per prefix, so
+that its values at every (prefix, t) for one t are a few big-integer
+products (_prefix_points, _pack, _slots); a later form is evaluated only
+at the points the forms before it kept.
 
 One rule decides whether a line lies on X, the paper's local model L_a:
 for G of degree d, G(a + t v) = sum_{k=1}^{d} t^k c_k(a, v) with c_k of
@@ -29,15 +34,16 @@ enumerates the points once and the same graph tests the c_k at the pairs
 of them (ChainGraph.join_all): the two gradient tests first, then the c_k
 in between.  The gradients of all the points are evaluated at once, column
 by column, from the c_1 terms L_a uses, by the same evaluator.  Both
-gradient tests run packed, as one list of tests (_tangent_filter): the
-coordinate columns and the gradient columns of all the points are big
-integers with one slot per point, wide enough for the bound (N+1)(p-1)^2,
-so one big-integer dot product per point a gives grad G(a).b, and one more
-grad G(b).a, exactly for every b.  explore has this one route.  The pass
-tests n^2 pairs, while L_a at every point tests about n * p^(m-1)
-directions (m = dim W), so the pass wins on small varieties and loses
-past about 4,000 points.  Measured against L_a at every point (2-CPU
-container, plain perf_counter, explore's n^2 > 10^8 refusal lifted):
+gradient tests run packed, as one list of tests (_tangent_filter), with
+the same packing as the enumeration: the coordinate columns and the
+gradient columns of all the points are big integers with one slot per
+point, wide enough for the bound (N+1)(p-1)^2, so one big-integer dot
+product per point a gives grad G(a).b, and one more grad G(b).a, exactly
+for every b.  explore has this one route.  The pass tests n^2 pairs,
+while L_a at every point tests about n * p^(m-1) directions (m = dim W),
+so the pass wins on small varieties and loses past about 4,000 points.
+Measured against L_a at every point (2-CPU container, plain perf_counter,
+explore's n^2 > 10^8 refusal lifted):
 
     variety                              points   pass              L_a
     random cubic surface, F_7                57   2.4 ms            12.1 ms
@@ -50,9 +56,11 @@ container, plain perf_counter, explore's n^2 > 10^8 refusal lifted):
     Fermat threefold in P^4, F_19         7,905   5.0 s             4.3 s
     Fermat threefold in P^4, F_23        12,720   8.1 s (refused)   9.7 s
 
-Each line is made in closed form at its least point, registered at all
-its p+1 points once found, and the balls around all points grow at once,
-as bitsets over the point indices.
+The pass works on point indices: each line is made in closed form at its
+least point and kept as the indices of its p+1 points, each point keeps
+the numbers of its lines, and the balls around all points grow at once,
+as bitsets over the indices.  None of it goes into the graph's caches,
+which only the single-point queries read.
 line_in_variety restricts each G to a line directly; it is the
 independent check of both.
 
@@ -81,8 +89,9 @@ from operator import add, getitem, mod, mul, not_, or_, sub
 from pathlib import Path
 
 # hard cap on p**N per enumeration, on the n**2 point pairs of explore, on
-# the directions times the c_k terms of one graph's L_a solves plus the
-# points of the lines it lists, and on the terms of a graph's c_k table
+# the directions times the terms of the c_k that one graph's L_a solves
+# evaluate plus the points of the lines it lists, and on the terms of a
+# graph's c_k table
 ENUMERATION_BUDGET = 10**8
 
 Point = tuple[int, ...]
@@ -291,52 +300,45 @@ def _projective_reps(p: int, n: int):
             yield (0,) * lead + (1,) + tail
 
 
-_T_BLOCK = 1 << 14  # values of the last coordinate, or directions of L_a, tried together
+_T_BLOCK = 1 << 14  # prefixes of an enumeration, or directions of L_a, tried together
 
 
 def _prefix_points(forms, n: int, p: int) -> set[Point]:
     """The canonical points of P^n(F_p) at which every form vanishes.
 
     Forms are lists of (coefficient, exponents) terms in n+1 variables,
-    n >= 1.  For each canonical point of P^{n-1}(F_p) as prefix, each form
-    becomes a polynomial in x_n, and the points (prefix, t) kept are those
-    at which all of them vanish; (0,...,0,1) is checked on its own.  The t
-    run in blocks, so the lists stay short whatever p is.
+    n >= 1.  On the points (prefix, t), for the canonical points of
+    P^{n-1}(F_p) as prefix, a form is sum_k t^k c_k(prefix), one c_k per
+    power k of x_n it holds; (0,...,0,1) is checked on its own.  The
+    prefixes run in blocks of at most _T_BLOCK.  The column of each c_k of
+    the first form at all the prefixes of a block (_form_columns) is packed
+    into one integer, one slot per prefix (_pack), so for each t the slots
+    of sum_k (t^k mod p) c_k (_slots) hold the form at every (prefix, t)
+    exactly: K powers k bound them by K(p-1)^2.  Each later form is
+    evaluated only at the points the forms before it kept.
     """
     last = (0,) * n + (1,)
     found = set() if any(_eval_terms(terms, last, p) for terms in forms) else {last}
-    used = {e for terms in forms for _, exps in terms for e in exps}
-    powers = {e: [pow(x, e, p) for x in range(p)] for e in used}
-    # each form as [(k, terms)]: the coefficient of x_n^k is a sum of
-    # terms coeff * prod x_i^e over (i, e) with i < n and e > 0
-    split = []
-    for terms in forms:
-        by_k: dict[int, list] = {}
-        for coeff, exps in terms:
-            factors = tuple((i, e) for i, e in enumerate(exps[:n]) if e)
-            by_k.setdefault(exps[n], []).append((coeff, factors))
-        split.append(list(by_k.items()))
-    for t0 in range(0, p, _T_BLOCK):
-        block = range(min(_T_BLOCK, p - t0))  # t0 + i for i in block
-        rows = {e: [pow(t0 + i, e, p) for i in block] for e in used}
-        for prefix in _projective_reps(p, n - 1):
-            ts = block
-            for poly in split:
-                vals = [0] * len(ts)
-                for k, terms in poly:
-                    c = 0
-                    for term, factors in terms:
-                        for i, e in factors:
-                            term = term * powers[e][prefix[i]]
-                        c += term
-                    c %= p
-                    if c:
-                        row = rows[k]
-                        vals = [v + c * row[t] for v, t in zip(vals, ts)]
-                ts = [t for t, v in zip(ts, vals) if not v % p]
-                if not ts:
+    first, *rest = forms
+    by_k: dict[int, list] = {}  # the terms of each c_k, in the prefix coordinates
+    for coeff, exps in first:
+        by_k.setdefault(exps[n], []).append((coeff, exps[:n]))
+    rows = [[pow(t, k, p) for k in by_k] for t in range(p)]
+    bound = len(by_k) * (p - 1) ** 2
+    fmt = _slot_format(bound)
+    zeros = frozenset(range(0, bound + 1, p))
+    reps = _projective_reps(p, n - 1)
+    while block := list(itertools.islice(reps, _T_BLOCK)):
+        packed = _pack(_form_columns(by_k.values(), list(zip(*block)), p), fmt)
+        for t, row in enumerate(rows):
+            kept = compress(block, map(zeros.__contains__, _slots(row, packed, fmt, len(block))))
+            pts = list(map(add, kept, repeat((t,))))
+            for terms in rest:
+                if not pts:
                     break
-            found.update(prefix + (t0 + t,) for t in ts)
+                [values] = _form_columns([terms], list(zip(*pts)), p)
+                pts = list(compress(pts, map(not_, values)))
+            found.update(pts)
     return found
 
 
@@ -539,18 +541,32 @@ def _slot_format(bound: int) -> str:
     raise ValueError(f"{bound} does not fit an 8-byte slot")
 
 
+def _pack(cols, fmt: str) -> list[int]:
+    """Each column of integers as one integer, one slot of format fmt
+    (_slot_format) per entry."""
+    return [int.from_bytes(array(fmt, col).tobytes(), sys.byteorder) for col in cols]
+
+
+def _slots(v, packed: list[int], fmt: str, n: int) -> memoryview:
+    """The n slots of sum_k v_k * packed_k, for columns packed by _pack.
+    Exact when every such sum of entries fits a slot: no slot carries into
+    the next."""
+    size = n * struct.calcsize(fmt)
+    return memoryview(sum(map(mul, v, packed)).to_bytes(size, sys.byteorder)).cast(fmt)
+
+
 def _tangent_filter(points: list[Point], gradients, reverse, p: int):
     """The two gradient tests of explore's pass over the sorted points.
 
     Each test pairs a vector at the point a with columns over all the
-    points, each column packed into one integer with one slot per point, as
-    wide as _slot_format of (N+1)(p-1)^2 requires: for every G, grad G(a)
-    against the coordinate columns, so the slot of b holds grad G(a).b; for
-    every G in reverse (those of degree >= 3), a against the N+1 columns of
-    grad G, so the slot of b holds grad G(b).a.  gradients and reverse hold
-    such gradient columns, as _gradient_columns makes them.  With entries in
-    0..p-1 every such dot product is at most the bound, so no slot carries
-    into the next, and a slot is 0 mod p iff it is in the set of the
+    points, packed (_pack) at the slot width that _slot_format of
+    (N+1)(p-1)^2 requires: for every G, grad G(a) against the coordinate
+    columns, so the slot of b holds grad G(a).b; for every G in reverse
+    (those of degree >= 3), a against the N+1 columns of grad G, so the
+    slot of b holds grad G(b).a.  gradients and reverse hold such gradient
+    columns, as _gradient_columns makes them.  With entries in 0..p-1
+    every such dot product is at most the bound, so no slot carries into
+    the next (_slots), and a slot is 0 mod p iff it is in the set of the
     multiples of p up to the bound.
 
     The returned function gives, for the index i of a, the indices j > i of
@@ -561,25 +577,17 @@ def _tangent_filter(points: list[Point], gradients, reverse, p: int):
     n = len(points)
     bound = len(points[0]) * (p - 1) ** 2 if points else 0
     fmt = _slot_format(bound)
-    size = n * struct.calcsize(fmt)
     zeros = frozenset(range(0, bound + 1, p))
-
-    def pack(cols) -> list[int]:
-        return [int.from_bytes(array(fmt, col).tobytes(), sys.byteorder) for col in cols]
-
-    def slots(v, packed) -> memoryview:
-        return memoryview(sum(map(mul, v, packed)).to_bytes(size, sys.byteorder)).cast(fmt)
-
-    cols = pack(zip(*points))
+    cols = _pack(zip(*points), fmt)
     tests = [(list(zip(*grad)), cols) for grad in gradients]
-    tests += [(points, pack(grad)) for grad in reverse]
+    tests += [(points, _pack(grad, fmt)) for grad in reverse]
 
     def later(i: int) -> list[int]:
         (vectors, packed), *rest = tests
-        first = slots(vectors[i], packed)[i + 1 :]
+        first = _slots(vectors[i], packed, fmt, n)[i + 1 :]
         kept = list(compress(range(i + 1, n), map(zeros.__contains__, first)))
         for vectors, packed in rest:
-            found = slots(vectors[i], packed)
+            found = _slots(vectors[i], packed, fmt, n)
             kept = list(compress(kept, map(zeros.__contains__, map(found.__getitem__, kept))))
         return kept
 
@@ -613,14 +621,18 @@ class ChainGraph:
     - each v at which they all vanish gives the line through a and v.
 
     explore needs the lines through every point, and finds them all at
-    once from the pairs of points instead (join_all), into the same caches.
+    once from the pairs of points instead (join_all), as lists of point
+    indices that it returns; the caches are left to the L_a solves.
 
     A line's p+1 points are listed only when a search or neighbors expands
-    it, never by contained_lines_through.  Every solve charges the graph,
-    before its first block, the (p^m - 1)/(p - 1) directions of P(W) times
-    the number of terms of its substituted c_k (at least one per
-    direction), a bound on the work the solve does and on the columns it
-    holds.  Every line listed charges its p+1 points before they are built.
+    it, never by contained_lines_through.  Every solve charges the graph
+    each substituted c_k it evaluates, before it runs, at the directions it
+    runs at times its terms: the first c_k (or, with none left, the bare
+    directions) at all the (p^m - 1)/(p - 1) directions of P(W), before the
+    first block, and each later one per block, at the directions where the
+    ones before it vanish.  So the charge is the work the solve does, and a
+    solve over too large a P(W) is refused before it evaluates a direction.
+    Every line listed charges its p+1 points before they are built.
     The graph raises BudgetExceededError once the sum over its life passes
     ENUMERATION_BUDGET.  Line sets, line points and neighbor lists are
     cached; results are deterministic and identical to joining a to every
@@ -688,7 +700,10 @@ class ChainGraph:
                             form[f] += mult * prod(map(getitem, powers, a_exps))
                     if reduced := [(c % p, f) for f, c in form.items() if c % p]:
                         forms.append(reduced)
-        self._charge((p**m - 1) // (p - 1) * max(1, sum(map(len, forms))))
+        # the first c_k runs at every direction of P(W), so it is charged
+        # for all of them at once; each later one per block, at the
+        # directions left to it (a solve with no c_k charges its directions)
+        self._charge((p**m - 1) // (p - 1) * (len(forms[0]) if forms else 1))
         found = set()
         reps = _projective_reps(p, m - 1)
         while block := list(itertools.islice(reps, _T_BLOCK)):
@@ -703,7 +718,9 @@ class ChainGraph:
                 for y, w in parts:
                     col = list(map(add, col, map(mul, y, repeat(w))))
                 coords.append(list(map(mod, col, repeat(p))))
-            for form in forms:  # keep the directions at which it vanishes
+            for step, form in enumerate(forms):  # keep the directions at which it vanishes
+                if step:
+                    self._charge(len(coords[0]) * len(form))
                 [values] = _form_columns([form], coords, p)
                 kept = list(map(not_, values))
                 coords = [list(compress(col, kept)) for col in coords]
@@ -793,21 +810,23 @@ class ChainGraph:
             frontier = nxt
         return depth_of, parent
 
-    def join_all(self) -> list[Point]:
+    def join_all(self) -> tuple[list[Point], list[list[int]], list[list[int]]]:
         """Find every contained line of X(F_p) from its points, without
         solving L_a: explore's route (connectivity_report).  Returns the
-        sorted points of X(F_p), which it enumerates itself.
+        sorted points of X(F_p), which it enumerates itself, the lines as
+        the lists of the indices of their points (in line_points order),
+        and for each point index the numbers of the lines through it.
 
         The pass tests the c_k at pairs of points, refused when their n^2
         exceed ENUMERATION_BUDGET.  One pass per point a, in sorted order:
 
-        - the pass starts from the lines already registered at a, and looks
+        - the pass starts from the lines already found through a, and looks
           only at the later points, whose own pass has not run;
         - of those it keeps the points b with c_k(a, b) = 0 for 1 <= k <= d-1
           and every G of degree d (_tangent_filter, then _joins), the line ab
           on X;
-        - the line ab through a kept b is made once, and registered at all
-          of its p+1 points at once, in the graph's own caches.
+        - the line ab through a kept b is made once, and numbered at all of
+          its p+1 points at once.
 
         For a, b on X, c_0 = G(a) and c_d = G(b) are 0 already.  The two
         gradient tests run packed, as one list of tests (_tangent_filter):
@@ -819,15 +838,17 @@ class ChainGraph:
         are read off the table (_middle).
 
         A line is new at a's pass only if a is its least point: a line with
-        an earlier point was registered at that point's pass.  The least
-        point of a line is the second row of its RREF basis, and the first
-        row u is the least of the others: they are u + t a, which agrees with
-        u before the lead index of a, where u is 0 and u + t a is t.  Every
+        an earlier point was found at that point's pass.  The least point
+        of a line is the second row of its RREF basis, and the first row u
+        is the least of the others: they are u + t a, which agrees with u
+        before the lead index of a, where u is 0 and u + t a is t.  Every
         point of a contained line passes every test, so the first kept b on
         a new line is u, and the basis is (b, a), with no row reduction; that
-        holds because the points are those of X(F_p), sorted here.  Each
-        point's lines are listed during the pass and made a set at its end.
-        Nothing is charged: the pairs bound the work.
+        holds because the points are those of X(F_p), sorted here.  The pass
+        runs on indices: the points reached from a and the kept points are
+        indices, and a line's points become indices once, when it is made.
+        Nothing is charged, and the graph's caches are not filled: the pairs
+        bound the work, and no query reads the caches after explore.
         """
         points = sorted(enumerate_points(self.spec))
         n = len(points)
@@ -837,25 +858,24 @@ class ChainGraph:
         columns = self._gradient_columns(points)
         reverse = [grad for poly, grad in zip(self.spec.polys, columns) if poly.degree >= 3]
         later = _tangent_filter(points, columns, reverse, field.p)
-        line_pts = self._line_points
-        through: dict[Point, list[Line]] = {pt: [] for pt in points}
-        on: dict[Point, list[list[Point]]] = {pt: [] for pt in points}  # the lines' points
+        index = {pt: i for i, pt in enumerate(points)}
+        lines: list[list[int]] = []
+        through: list[list[int]] = [[] for _ in range(n)]  # line numbers at each point
         for i, a in enumerate(points):
-            reached = {a}.union(*on[a])
+            reached = {i}.union(*map(lines.__getitem__, through[i]))
             # the kept points off the lines through a found so far: the
             # filter reads reached as the loop adds to it
-            kept = map(points.__getitem__, later(i))
-            for b in filterfalse(reached.__contains__, kept):
+            for j in filterfalse(reached.__contains__, later(i)):
+                b = points[j]
                 if middle and not self._joins(a, b, middle):
                     continue
-                line = Line((b, a))
-                pts = line_pts[line] = line_points(line, field)
-                for q in pts:
-                    through[q].append(line)
-                    on[q].append(pts)
-                reached.update(pts)
-        self._lines = {pt: set(lines) for pt, lines in through.items()}
-        return points
+                number = len(lines)
+                members = list(map(index.__getitem__, line_points(Line((b, a)), field)))
+                lines.append(members)
+                for q in members:
+                    through[q].append(number)
+                reached.update(members)
+        return points, lines, through
 
     def _middle(self) -> list[list[tuple[int, Point]]]:
         """The c_k(a, b), 2 <= k <= d-2, of every G, as terms in the
@@ -920,29 +940,24 @@ def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityRepor
     """Pair-connectivity fractions for l = 1..max_length plus a line census.
 
     ChainGraph.join_all enumerates X(F_p) and finds every contained line
-    from its points, then connectivity_report counts pairs with bitsets over the point
-    indices: the ball of radius k+1 about x is the ball of radius k with
-    every contained line that meets it, which is the union of the radius-k
-    balls about the points of the lines through x.  One level ORs each line's balls
-    together and then each point's lines together; popcounts give the
-    number of ordered pairs within each distance.
+    from its points, as lists of point indices, then connectivity_report
+    counts pairs with bitsets over the indices.  The line census is the
+    lengths of the per-point line lists.  The ball of radius k+1 about x is
+    the ball of radius k with every contained line that meets it, which is
+    the union of the radius-k balls about the points of the lines through
+    x.  One level ORs each line's balls together and then each point's
+    lines together; popcounts give the number of ordered pairs within each
+    distance.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
-    graph = ChainGraph(spec)
-    points = graph.join_all()
+    points, lines, through = ChainGraph(spec).join_all()
     n = len(points)
-    line_counts = dict(Counter(len(graph._lines[x]) for x in points))
-    index = {pt: i for i, pt in enumerate(points)}
-    members = [[index[pt] for pt in pts] for pts in graph._line_points.values()]
-    through: list[list[int]] = [[] for _ in range(n)]  # line numbers at each point
-    for j, idx in enumerate(members):
-        for i in idx:
-            through[i].append(j)
+    line_counts = dict(Counter(map(len, through)))
     ball = [1 << i for i in range(n)]
     reachable = []  # ordered pairs at distance <= l, for l = 1, 2, ...
     for _ in range(max_length):
-        spans = [reduce(or_, [ball[i] for i in idx]) for idx in members]
+        spans = [reduce(or_, [ball[i] for i in idx]) for idx in lines]
         grown = [reduce(or_, [spans[j] for j in js], b) for b, js in zip(ball, through)]
         reachable.append(sum(b.bit_count() for b in grown))
         if grown == ball:  # no ball grows any more

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from chainlines import chains
 from chainlines.chains import (
     CLASS_TERM_BUDGET,
     ChainProblem,
@@ -439,3 +440,36 @@ def test_streamed_text_past_the_int_digit_limit():
         sys.set_int_max_str_digits(limit)
     assert len(expected) > 5000
     assert streamed == str(cls) == expected
+
+
+def test_two_line_chains_build_no_pair_block(monkeypatch):
+    # at l = 2 there is no interior pair: the class is one term, the walk
+    # reads no weight and chain_count multiplies no block entry, so the
+    # O((D-m)^2) pair block is never built
+    small = [problem((3,), 5, 2), problem((2, 2), 6, 2), problem((1, 2), 4, 2)]
+    expected = {
+        p: ([counting_class(p), existence_class(p)],
+            ["".join(class_text(p, counting=c)) for c in (True, False)], chain_count(p))
+        for p in small
+    }
+
+    def no_block(data):
+        raise AssertionError(f"pair block built for {data}")
+
+    monkeypatch.setattr(chains, "_pair_block", no_block)
+    for p, (classes, texts, count) in expected.items():
+        assert [counting_class(p), existence_class(p)] == classes
+        assert ["".join(class_text(p, counting=c)) for c in (True, False)] == texts
+        assert chain_count(p) == count
+    # degree 1000, N = 1999: the one term is 1000! 999! h^1999
+    p = problem((1000,), 1999, 2)
+    scale = math.factorial(1000) * math.factorial(999)
+    assert counting_class(p).terms == {(1999,): scale}
+    assert chain_count(p) == scale
+    streamed = "".join(class_text(p, counting=True))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert streamed == f"{scale}*h1^1999"
+    finally:
+        sys.set_int_max_str_digits(limit)

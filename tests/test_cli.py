@@ -198,6 +198,23 @@ def test_lines_zero_exit(capsys, cubic_file):
     assert as_dict(out)["count"] == "0"
 
 
+def test_lines_charged_where_each_c_k_runs(capsys, tmp_path):
+    # sum x_i^4001 over F_10007 at 1:-1:1:-1: dim W = 2, 10,008 directions
+    # and c_2..c_4001 with three terms each once v_0 = 0; c_2 leaves two
+    # directions, so the later c_k run on those two only, and the solve is
+    # charged 54,018, far below the 10,008 * 12,000 of every c_k at every
+    # direction
+    terms = " ; ".join("1 " + " ".join("4001" if j == i else "0" for j in range(4)) for i in range(4))
+    path = tmp_path / "fermat4001.variety"
+    path.write_text(f"field 10007\nambient 3\npoly 4001 : {terms}\n")
+    code, out = run(capsys, "lines", "--variety", str(path), "--point", "1:10006:1:10006", "--machine")
+    assert code == 0
+    values = as_dict(out)
+    assert values["count"] == "2"
+    assert values["line_1"] == "1:0:0:10006;0:1:10006:0"
+    assert values["line_2"] == "1:10006:0:0;0:0:1:10006"
+
+
 def test_chain(capsys, quadric_file):
     code, out = run(
         capsys, "chain", "--variety", quadric_file, "--from", "1:0:0:0",

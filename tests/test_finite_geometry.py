@@ -498,17 +498,20 @@ def test_gradient_columns_match_gradient(spec):
 )
 def test_join_all_lines_in_closed_form(spec):
     # the pass makes each line at its least point a as (b, a), b the least
-    # of its other points: the RREF basis line_through gives, and the points
-    # line_points lists, registered at every one of them
-    graph = ChainGraph(spec)
-    graph.join_all()
-    for line, pts in graph._line_points.items():
+    # of its other points: the RREF basis line_through gives, and its index
+    # list is that of the points line_points lists, numbered at every one
+    # of them
+    points, lines, through = ChainGraph(spec).join_all()
+    for number, members in enumerate(lines):
+        line = Line((points[members[1]], points[members[0]]))
+        pts = [points[q] for q in members]
         a, b = sorted(pts)[:2]
         assert line.basis == (b, a)
         assert all(line_through(a, q, spec.field) == line for q in pts if q != a)
         assert pts == line_points(line, spec.field)
-        assert all(line in graph._lines[q] for q in pts)
-    assert sum(map(len, graph._lines.values())) == (spec.field.p + 1) * len(graph._line_points)
+        assert all(number in through[q] for q in members)
+    assert sum(map(len, through)) == (spec.field.p + 1) * len(lines)
+    assert len({frozenset(members) for members in lines}) == len(lines)
 
 
 def test_slot_format_thresholds():
@@ -519,39 +522,95 @@ def test_slot_format_thresholds():
         finite_geometry._slot_format(2**64)
 
 
+def plane_cubic(p):
+    """x0^3 + x1^3 + x0*x1*x2 + x2^3 in P^2: x2 to the powers 0, 1 and 3."""
+    return VarietySpec(PrimeField(p), 2, (HomogPoly(3, (
+        (1, (3, 0, 0)), (1, (0, 3, 0)), (1, (1, 1, 1)), (1, (0, 0, 3)))),))
+
+
+def frobenius_curve(p):
+    """x0^p*x1 - x0*x1^p in P^2: it vanishes at every point of P^2(F_p)."""
+    return VarietySpec(PrimeField(p), 2, (HomogPoly(p + 1, (
+        (1, (p, 1, 0)), (p - 1, (1, p, 0)))),))
+
+
+def dense_quadric(p, ambient):
+    """Every monomial of degree 2 in P^ambient, with seeded coefficients in
+    the upper half of F_p: the slots of its enumeration fill up to the
+    bound, where a slot too narrow carries into the next one."""
+    rng = random.Random(p)
+    monos = [e for e in itertools.product(range(3), repeat=ambient + 1) if sum(e) == 2]
+    return VarietySpec(PrimeField(p), ambient, (HomogPoly(2, tuple(
+        (rng.randrange(p // 2, p), e) for e in monos)),))
+
+
+# varieties whose enumeration bound K(p-1)^2, K the number of powers of x_N
+# in the first polynomial, needs slots of 1, 2 and 4 bytes
+ENUMERATION_VARIETIES = {
+    "fermat7": (fermat_cubic(7), 1),  # K = 2: 72
+    "plane3": (coordinate_hyperplane(3), 1),  # no x_3: K = 1
+    "frobenius3": (frobenius_curve(3), 1),  # every slot is 0 mod p
+    "fermat4_5": (fermat_quartic(5), 1),  # no point at all
+    "minors5": (two_minors(5), 1),  # two polynomials
+    "quadric31": (split_quadric(31), 2),  # holds (0,0,0,1); 1,800
+    "mixed13": (quadric_and_quartic(13), 2),  # two polynomials; 288
+    "dense31": (dense_quadric(31, 3), 2),  # K = 3: 2,700
+    "cubic151": (plane_cubic(151), 4),  # 67,500
+    "conic257": (smooth_conic(257), 4),  # 131,072
+    "dense257": (dense_quadric(257, 2), 4),  # 196,608
+}
+
+
+@pytest.mark.parametrize("spec, width", ENUMERATION_VARIETIES.values(),
+                         ids=ENUMERATION_VARIETIES.keys())
+def test_packed_enumeration_matches_sweep(spec, width):
+    # the first polynomial is evaluated packed, one slot per prefix, and
+    # each later one only at the points the first keeps
+    n, p = spec.ambient, spec.field.p
+    powers = {exps[n] for _, exps in spec.polys[0].terms}
+    assert struct.calcsize(finite_geometry._slot_format(len(powers) * (p - 1) ** 2)) == width
+    points = enumerate_points(spec)
+    assert points == sweep_points(spec)
+    last = (0,) * n + (1,)
+    assert (last in points) == on_variety(spec, last)
+
+
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_local_model_matches_incidence_passes(spec):
     # the two routes to contained lines: L_a at each point (lines, chain,
     # locus) and the pass over the pairs of X(F_p) (explore)
     oracle = pairwise_neighbors(spec)
-    points = sorted(enumerate_points(spec))
+    points, lines, through = ChainGraph(spec).join_all()
     assert points == sorted(oracle)
-    explored = ChainGraph(spec)
-    explored.join_all()
+    explored = [Line((points[m[1]], points[m[0]])) for m in lines]
     graph = ChainGraph(spec)
-    assert set(explored._line_points) == set().union(*(lines for _, lines in oracle.values()))
-    for pt, (nbrs, lines) in oracle.items():
-        assert graph.contained_lines_through(pt) == explored._lines[pt] == lines
-        assert explored.neighbors(pt) == nbrs
+    assert set(explored) == set().union(*(at for _, at in oracle.values()))
+    for i, (pt, (nbrs, lines_at)) in enumerate(zip(points, oracle.values())):
+        assert graph.contained_lines_through(pt) == {explored[j] for j in through[i]} == lines_at
+        reached = {points[q] for j in through[i] for q in lines[j]} - {pt}
+        assert sorted(reached) == nbrs
 
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_join_all_fills_the_graph_caches(spec, monkeypatch):
     # one owner of contained lines: explore's pass enumerates and sorts
-    # X(F_p) itself, and after it every point's lines come from the cache,
-    # with no L_a solve and nothing charged
+    # X(F_p) itself and returns its lines by point index, with no L_a
+    # solve, nothing charged, and the graph's own caches left empty; each
+    # point's lines are those L_a gives
     explored = ChainGraph(spec)
-    points = explored.join_all()
-    assert points == sorted(enumerate_points(spec))
 
     def no_solve(a):
-        raise AssertionError(f"L_a solved at {a} after join_all")
+        raise AssertionError(f"L_a solved at {a} during join_all")
 
     monkeypatch.setattr(explored, "_directions", no_solve)
-    fresh = ChainGraph(spec)
-    for pt in points:
-        assert explored.contained_lines_through(pt) == fresh.contained_lines_through(pt)
+    points, lines, through = explored.join_all()
+    assert points == sorted(enumerate_points(spec))
     assert explored.charged == 0
+    assert not explored._lines and not explored._line_points and not explored._neighbors
+    fresh = ChainGraph(spec)
+    for pt, numbers in zip(points, through):
+        found = {Line((points[lines[j][1]], points[lines[j][0]])) for j in numbers}
+        assert found == fresh.contained_lines_through(pt)
 
 
 @pytest.mark.parametrize("spec, lengths", [(split_quadric(5), (3,)), (fermat_cubic(7), (2, 3))],
@@ -897,27 +956,45 @@ def test_local_table_budget(monkeypatch, tmp_path, capsys):
 def test_solve_charge_budget(monkeypatch, tmp_path, capsys):
     # the octic over F_11 at 0:1:1:4: v_1 = 0 and dim W = 2, so 12
     # directions; with a_0 = 0, c_k keeps the terms in v_2^k and v_3^k for
-    # k = 2..7, and c_8 those in v_0^8, v_2^8 and v_3^8: 6 * 2 + 3 = 15
-    # terms; the solve is charged 12 * 15 before its first block
+    # k = 2..7, and c_8 those in v_0^8, v_2^8 and v_3^8.  Each c_k is
+    # charged, before it runs, at the directions where the ones before it
+    # vanish: c_2 at all 12 (12 * 2), and only (1:0:0:0) is left for c_3..c_7
+    # (5 * 2) and c_8 (3), which rules it out: 37
     spec = fermat_surface(11, 8)
     path = tmp_path / "octic11.variety"
     path.write_text(format_variety(spec))
     argv = ["lines", "--variety", str(path), "--point", "0:1:1:4"]
-    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 12 * 15 - 1)
+    charge = 12 * 2 + 5 * 2 + 3
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", charge - 1)
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
-    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 12 * 15)
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", charge)
     graph = ChainGraph(spec)
     graph.contained_lines_through((0, 1, 1, 4))
-    assert graph.charged == 12 * 15
+    assert graph.charged == charge
     assert main(argv) == 1  # answered: no line through the point
     assert "count    0" in capsys.readouterr().out
+
+
+def test_solve_is_refused_before_it_evaluates(monkeypatch):
+    # a budget below the first charge (c_2 at the 12 directions of the
+    # octic above, 12 * 2) refuses the solve before any c_k is evaluated
+    def no_evaluation(*args):
+        raise AssertionError("a c_k evaluated past the budget")
+
+    graph = ChainGraph(fermat_surface(11, 8))  # its table has 32 terms
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 12 * 2 - 1)
+    monkeypatch.setattr(finite_geometry, "_form_columns", no_evaluation)
+    with pytest.raises(BudgetExceededError):
+        graph.contained_lines_through((0, 1, 1, 4))
+    assert graph.charged == 12 * 2
 
 
 def test_solve_drops_terms_that_vanish_on_w():
     # the nonic over F_101 at 1:100:0:0: W is v_0 = v_1 = 0, so the terms
     # in v_1^k of c_2..c_8 vanish on W and are dropped before the charge:
-    # 102 directions times the two terms v_2^9 + v_3^9 of c_9
+    # c_9 is the only c_k left, charged at the 102 directions times its two
+    # terms v_2^9 + v_3^9
     graph = ChainGraph(fermat_surface(101, 9))
     assert len(graph.contained_lines_through((1, 100, 0, 0))) == 1
     assert graph.charged == 102 * 2

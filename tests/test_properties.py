@@ -16,6 +16,7 @@ from chainlines.criteria import DefiningData  # noqa: E402
 from chainlines.finite_geometry import (  # noqa: E402
     ChainGraph,
     HomogPoly,
+    Line,
     PrimeField,
     VarietySpec,
     eval_poly,
@@ -76,15 +77,19 @@ def varieties(draw):
 def test_chain_graph_matches_pairwise_oracle(spec, rng):
     # the L_a lines, and those of explore's pass over X(F_p)
     oracle = pairwise_neighbors(spec)
-    explored = ChainGraph(spec)
-    assert explored.join_all() == sorted(oracle)
+    points, lines, through = ChainGraph(spec).join_all()
+    assert points == sorted(oracle)
+    explored = {
+        pt: {Line((points[lines[j][1]], points[lines[j][0]])) for j in numbers}
+        for pt, numbers in zip(points, through)
+    }
     graph = ChainGraph(spec)
     order = list(oracle)
     rng.shuffle(order)
     for pt in order:
-        nbrs, lines = oracle[pt]
+        nbrs, at = oracle[pt]
         assert graph.neighbors(pt) == nbrs
-        assert graph.contained_lines_through(pt) == lines == explored._lines[pt]
+        assert graph.contained_lines_through(pt) == at == explored[pt]
 
 
 @SETTINGS
