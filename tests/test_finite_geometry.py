@@ -91,6 +91,12 @@ def pairwise_neighbors(spec):
     return out
 
 
+def index_line(points, members):
+    """The Line of one of join_all's index lines: its first two points, in
+    line_points order, are the second and the first row of the basis."""
+    return Line((points[members[1]], points[members[0]]))
+
+
 def pairwise_parents(neighbors, start, max_depth):
     """Parent map of a BFS over the given neighbor lists, pair by pair."""
     parent, frontier = {start: start}, [start]
@@ -503,7 +509,7 @@ def test_join_all_lines_in_closed_form(spec):
     # of them
     points, lines, through = ChainGraph(spec).join_all()
     for number, members in enumerate(lines):
-        line = Line((points[members[1]], points[members[0]]))
+        line = index_line(points, members)
         pts = [points[q] for q in members]
         a, b = sorted(pts)[:2]
         assert line.basis == (b, a)
@@ -582,7 +588,7 @@ def test_local_model_matches_incidence_passes(spec):
     oracle = pairwise_neighbors(spec)
     points, lines, through = ChainGraph(spec).join_all()
     assert points == sorted(oracle)
-    explored = [Line((points[m[1]], points[m[0]])) for m in lines]
+    explored = [index_line(points, members) for members in lines]
     graph = ChainGraph(spec)
     assert set(explored) == set().union(*(at for _, at in oracle.values()))
     for i, (pt, (nbrs, lines_at)) in enumerate(zip(points, oracle.values())):
@@ -609,7 +615,7 @@ def test_join_all_fills_the_graph_caches(spec, monkeypatch):
     assert not explored._lines and not explored._line_points and not explored._neighbors
     fresh = ChainGraph(spec)
     for pt, numbers in zip(points, through):
-        found = {Line((points[lines[j][1]], points[lines[j][0]])) for j in numbers}
+        found = {index_line(points, lines[j]) for j in numbers}
         assert found == fresh.contained_lines_through(pt)
 
 

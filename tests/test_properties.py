@@ -16,14 +16,13 @@ from chainlines.criteria import DefiningData  # noqa: E402
 from chainlines.finite_geometry import (  # noqa: E402
     ChainGraph,
     HomogPoly,
-    Line,
     PrimeField,
     VarietySpec,
     eval_poly,
     format_variety,
     parse_variety,
 )
-from test_finite_geometry import pairwise_neighbors  # noqa: E402
+from test_finite_geometry import index_line, pairwise_neighbors  # noqa: E402
 
 PRIMES = (2, 3, 5, 7)
 SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -80,7 +79,7 @@ def test_chain_graph_matches_pairwise_oracle(spec, rng):
     points, lines, through = ChainGraph(spec).join_all()
     assert points == sorted(oracle)
     explored = {
-        pt: {Line((points[lines[j][1]], points[lines[j][0]])) for j in numbers}
+        pt: {index_line(points, lines[j]) for j in numbers}
         for pt, numbers in zip(points, through)
     }
     graph = ChainGraph(spec)
