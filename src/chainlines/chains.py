@@ -66,7 +66,11 @@ the terms in render order (chow module docstring), so class_text streams a
 class as text without building it, and counting_class/existence_class
 collect it without sorting or checking it again.  The walk makes the text
 of each exponent as it sets it, so rendering a term is one f-string of its
-coefficient and two ready-made strings, in O(l) memory beyond the output.
+coefficient and a ready-made string, in O(l) memory beyond the output and
+the bodies chow.render keeps.  A coefficient scale * B[a_2] ... B[a_{l-2}]
+depends only on the multiset of the a_k, so the groups (exponentially many
+in l) have at most C(D-m+l-3, l-3) * (D-m+1) distinct bodies (coefficient
+and a_{l-2}), and render writes each of those once while it keeps it.
 
 counting_factors keeps the individual condition classes; their product in
 the truncated ring is the reference the tests compare the blocks against.
@@ -79,12 +83,13 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .chow import (ChowClass, Group, Leaf, Monomial, ProductSpace, _exponents_text,
-                   _factor_text, hyperplane, render)
+from .chow import (ChowClass, Group, Leaves, Monomial, ProductSpace, _factor_text, _seams,
+                   hyperplane, render)
 from .criteria import DefiningData, rc_criterion
 from .finite_geometry import BudgetExceededError
 
 CLASS_TERM_BUDGET = 10**6  # hard cap on the terms of a class, and on (D-m)^2
+WITNESS_LENGTH_BUDGET = 10**5  # hard cap on l for the witness, O(l) values
 
 
 class ExpectedDimensionError(ValueError):
@@ -293,11 +298,14 @@ def _walk(problem: ChainProblem, weights: list[int], scale: int) -> Iterator[Gro
     exponent tuples come out in descending lexicographic order.  One group
     per choice of a_2..a_{l-2}: the head is e_1..e_{l-3}, and each leaf
     a_{l-1} adds (e_{l-2}, e_{l-1}) and the weight B[a_{l-1}].  The text
-    is made as the walk goes: setting e_k also sets its factor `*hk^e`, a
-    head's text is one join of those, and each leaf's tail text is made
-    with the leaf list, once per a_{l-2}.  Besides the leaf lists, each of
-    which is part of the output, it holds O(l) values: a choice, a partial
-    coefficient, an exponent and its factor text per factor.
+    is made as the walk goes: setting e_k also sets its factor `*hk^e`, and
+    a head's text is one join of those.  The leaves of one a_{l-2} (tails,
+    weights and the seams between the coefficients) are made once, and
+    every group below that a_{l-2} gets the same object, which is what
+    lets chow.render key its kept bodies on the leaves' identity.  Besides
+    the leaves, at most D-m+1 of them with at most D-m+1 tails each, it
+    holds O(l) values: a choice, a partial coefficient, an exponent and its
+    factor text per factor.
     """
     data, l = problem.data, problem.length
     D, top = data.total_degree, data.total_degree - data.m
@@ -310,7 +318,8 @@ def _walk(problem: ChainProblem, weights: list[int], scale: int) -> Iterator[Gro
     if lows[0] > 0:
         return
     if l == 2:
-        yield (), "", scale, [((D + top,), _factor_text(1, D + top), 1)]
+        tails = [(D + top,)]
+        yield (), "", scale, (tails, [1], _seams(tails, 1))
         return
     # a[k-1] = a_k and coeffs[k-1] = scale * B[a_2] ... B[a_k] along the
     # current path; exps[k-1] = e_k and texts[k-1] its factor.  Depth j
@@ -318,13 +327,11 @@ def _walk(problem: ChainProblem, weights: list[int], scale: int) -> Iterator[Gro
     depth, last_low = l - 3, lows[l - 2]
 
     @functools.cache
-    def leaves(parent: int) -> list[Leaf]:
+    def leaves(parent: int) -> Leaves:
         # the same for every group with a_{l-2} = parent, so made once
-        out = []
-        for b in range(min(top, parent + rise), last_low - 1, -1):
-            tail = (D - parent + b, D - b + top)
-            out.append((tail, _exponents_text(tail, l - 2), weights[b]))
-        return out
+        choices = range(min(top, parent + rise), last_low - 1, -1)
+        tails = [(D - parent + b, D - b + top) for b in choices]
+        return tails, [weights[b] for b in choices], _seams(tails, l - 2)
 
     a, coeffs = [0] * (depth + 1), [scale] * (depth + 1)
     exps, texts = [0] * depth, [""] * depth
@@ -373,7 +380,7 @@ def _class_groups(problem: ChainProblem, counting: bool) -> Iterator[Group]:
 def _collect(problem: ChainProblem, groups: Iterator[Group]) -> ChowClass:
     return ChowClass.from_normal_form(problem.space, {
         head + tail: coeff * weight
-        for head, _, coeff, leaves in groups for tail, _, weight in leaves
+        for head, _, coeff, (tails, weights, _) in groups for tail, weight in zip(tails, weights)
     })
 
 
@@ -453,8 +460,12 @@ def witness_exponents(problem: ChainProblem) -> tuple[int, ...]:
     """The floor exponents jbar_k = floor(k*(D-m)/(l-1)), k = 1..l-2.
 
     Empty for l = 2 (no interior adjustments).  Each value lies in [0, D-m].
+    Raises BudgetExceededError, before any value is made, when l exceeds
+    WITNESS_LENGTH_BUDGET.
     """
     data, l = problem.data, problem.length
+    if l > WITNESS_LENGTH_BUDGET:
+        raise BudgetExceededError(f"chain length {l} exceeds the {WITNESS_LENGTH_BUDGET} budget")
     D, m = data.total_degree, data.m
     return tuple((k * (D - m)) // (l - 1) for k in range(1, l - 1))
 
@@ -476,6 +487,7 @@ def witness_monomial(problem: ChainProblem) -> Witness:
         e_{l-1} = 2D - m - jbar_{l-2};
     for l = 2 the single exponent is 2D - m.  When the chain criterion holds,
     every exponent is at most N and the witness survives truncation.
+    Refused like witness_exponents past WITNESS_LENGTH_BUDGET.
     """
     data, l = problem.data, problem.length
     D, m, N = data.total_degree, data.m, data.ambient

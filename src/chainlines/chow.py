@@ -19,7 +19,10 @@ factors omitted, terms joined by `` + ``; the zero class renders as ``0``.
 ``render`` is the one formatter.  It takes the terms in groups that share
 a head, with the text of every head and tail ready-made, and writes the
 coefficients: the chain walk (``chains._walk``) makes that text as it sets
-each exponent, and ``str`` makes it from the class's own terms.
+each exponent, and ``str`` makes it from the class's own terms.  A group's
+text below its head depends only on its coefficient and its leaves, so
+``render`` makes each such body once and keeps it, up to BODY_CACHE_CHARS
+characters, for the later groups with the same coefficient and leaves.
 """
 
 from __future__ import annotations
@@ -179,12 +182,18 @@ class ChowClass:
     def __str__(self) -> str:
         # terms that differ only in their last two exponents share a head, as
         # the terms below one choice of a_2..a_{l-2} do in a chain class
-        items = sorted(self.terms.items(), reverse=True)
-        groups = ((head, _exponents_text(head, 1), 1,
-                   [(mono[-2:], _exponents_text(mono[-2:], len(head) + 1), coeff)
-                    for mono, coeff in terms])
-                  for head, terms in groupby(items, key=lambda item: item[0][:-2]))
-        return "".join(render(groups))
+        def groups():
+            items = sorted(self.terms.items(), reverse=True)
+            # the seams of each list of tails are made once, as the walk
+            # makes them once per a_{l-2}; they take less than the text
+            seams = {}
+            for head, terms in groupby(items, key=lambda item: item[0][:-2]):
+                monos, coeffs = zip(*terms)
+                tails = tuple(mono[-2:] for mono in monos)
+                if tails not in seams:
+                    seams[tails] = _seams(tails, len(head) + 1)
+                yield head, _exponents_text(head, 1), 1, (tails, coeffs, seams[tails])
+        return "".join(render(groups()))
 
     def __repr__(self) -> str:
         return f"ChowClass({self.space}: {self})"
@@ -212,29 +221,76 @@ def _exponents_text(exps: Monomial, first: int) -> str:
     return "".join([_factor_text(k, e) for k, e in enumerate(exps, first)])
 
 
-# (tail, tail text, weight) and (head, head text, coeff, leaves): the terms
-# head + tail with coefficient coeff * weight, one per leaf of the group;
-# each text is its exponents' factors, as _exponents_text writes them
-Leaf = tuple[Monomial, str, int]
-Group = tuple[Monomial, str, int, Sequence[Leaf]]
+# (tails, weights, seams) and (head, head text, coeff, leaves): the terms
+# head + tails[i] with coefficients coeff * weights[i]; the seams are the
+# texts around the coefficients, seams[i] before the i-th and seams[-1]
+# after the last, as _seams writes them
+Leaves = tuple[Sequence[Monomial], Sequence[int], Sequence[str]]
+Group = tuple[Monomial, str, int, Leaves]
+
+
+def _seams(tails: Sequence[Monomial], first: int) -> list[str]:
+    """The seams of tails that are exponents of h_first, h_first+1, ...: "",
+    then each tail's factors and " + " before the next coefficient, and the
+    last tail's factors at the end."""
+    texts = [_exponents_text(tail, first) for tail in tails]
+    return [""] + [text + " + " for text in texts[:-1]] + texts[-1:]
+
+
+# characters of group bodies that one render call keeps for reuse, each part
+# counted with PART_CHARS more for its str object and list slot; past the cap
+# the kept bodies are dropped and the count starts again
+BODY_CACHE_CHARS = 10**6
+PART_CHARS = 64
+
+
+def _body(coeff: int, leaves: Leaves) -> list[str]:
+    """A group's text cut at its head's text: ``[c_1, tail_1 + " + " + c_2,
+    ..., tail_k]``, with ``c_i`` the digits of ``coeff * weights[i]``.  One
+    f-string per term."""
+    _, weights, seams = leaves
+    try:
+        parts = [f"{seam}{coeff * weight}" for seam, weight in zip(seams, weights)]
+    except ValueError:  # a coefficient beyond str's digit limit
+        parts = [seam + int_text(coeff * weight) for seam, weight in zip(seams, weights)]
+    parts.append(seams[-1])
+    return parts
 
 
 def render(groups: Iterable[Group]) -> Iterator[str]:
     """The rendering contract (module docstring) as a stream of text chunks.
 
     ``groups`` yields ``(head, head_text, coeff, leaves)`` in render order,
-    each with at least one leaf ``(tail, tail_text, weight)``.  The texts
-    come ready-made, so all that is left per term is one f-string of the
-    coefficient ``coeff * weight`` and the two texts; the exponents are not
-    read.  One chunk per group.
+    each with at least one leaf.  The texts come ready-made, and the
+    exponents are not read.  A group's text is its body (``_body``) joined
+    by its head's text.  The body depends only on ``coeff`` and the leaves,
+    so it is kept under the key ``(coeff, id(leaves))``, and a later group
+    with that key is one join: a chain walk hands every group with the same
+    ``a_{l-2}`` the same leaves.  Each kept body holds its leaves, so no id
+    is reused while its key is kept, and the leaves are never hashed.  The
+    kept bodies hold at most BODY_CACHE_CHARS characters, PART_CHARS more
+    per part; the leaves they hold, the walk holds anyway.  Making a body
+    takes one f-string per term, whether it is kept or not.  One chunk per
+    group.
     """
+    bodies: dict[tuple[int, int], tuple[Leaves, list[str]]] = {}
+    room = BODY_CACHE_CHARS
     sep = ""
     for _, head, coeff, leaves in groups:
-        try:
-            text = " + ".join([f"{coeff * weight}{head}{tail}" for _, tail, weight in leaves])
-        except ValueError:  # a coefficient beyond str's digit limit
-            text = " + ".join([int_text(coeff * weight) + head + tail
-                               for _, tail, weight in leaves])
+        key = coeff, id(leaves)
+        kept = bodies.get(key)
+        if kept is None:
+            parts = _body(coeff, leaves)
+            text = head.join(parts)
+            size = len(text) - len(head) * (len(parts) - 1) + PART_CHARS * len(parts)
+            if size > room:
+                bodies.clear()
+                room = BODY_CACHE_CHARS
+            if size <= room:
+                bodies[key] = leaves, parts
+                room -= size
+        else:
+            text = head.join(kept[1])
         yield sep + text
         sep = " + "
     if not sep:

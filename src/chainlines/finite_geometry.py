@@ -93,6 +93,9 @@ from pathlib import Path
 # evaluate plus the points of the lines it lists, and on the terms of a
 # graph's c_k table
 ENUMERATION_BUDGET = 10**8
+# hard cap on explore's max_length: the report holds and prints one fraction
+# per length, so its size grows with max_length whatever the variety
+EXPLORE_LENGTH_BUDGET = 10**5
 
 Point = tuple[int, ...]
 
@@ -947,10 +950,14 @@ def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityRepor
     the union of the radius-k balls about the points of the lines through
     x.  One level ORs each line's balls together and then each point's
     lines together; popcounts give the number of ordered pairs within each
-    distance.
+    distance.  A max_length past EXPLORE_LENGTH_BUDGET is refused with
+    BudgetExceededError before any of this.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
+    if max_length > EXPLORE_LENGTH_BUDGET:
+        raise BudgetExceededError(
+            f"max_length {max_length} exceeds the {EXPLORE_LENGTH_BUDGET} budget")
     points, lines, through = ChainGraph(spec).join_all()
     n = len(points)
     line_counts = dict(Counter(map(len, through)))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from chainlines import chains
+from chainlines import chains, chow
 from chainlines.chains import (
     CLASS_TERM_BUDGET,
     ChainProblem,
@@ -346,6 +346,22 @@ def test_class_budget_refuses_very_long_chain_by_a_capped_count(capsys):
     assert f"more than the {CLASS_TERM_BUDGET} budget" in captured.err
 
 
+def test_witness_length_budget_refuses_at_once(monkeypatch, capsys):
+    # the witness is l - 2 exponents and one string of them: past the budget
+    # it is refused before any is made
+    witness = ["witness", "--degrees", "1,1,1", "--ambient", "3", "--machine", "--length"]
+    monkeypatch.setattr(chains, "WITNESS_LENGTH_BUDGET", 5)
+    assert main(witness + ["5"]) == 0
+    assert "monomial=3,3,3,3\n" in capsys.readouterr().out
+    assert main(witness + ["6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "chain length 6 exceeds the 5 budget" in captured.err
+    for build in (witness_exponents, witness_monomial):
+        with pytest.raises(BudgetExceededError):
+            build(problem((1, 1, 1), 3, 6))
+
+
 def test_class_budget_admits_reference_class():
     assert class_term_count(problem((5, 5), 40, 8)) == 531441 <= CLASS_TERM_BUDGET
 
@@ -440,6 +456,61 @@ def test_streamed_text_past_the_int_digit_limit():
         sys.set_int_max_str_digits(limit)
     assert len(expected) > 5000
     assert streamed == str(cls) == expected
+
+
+def test_streamed_bodies_are_made_once_per_coefficient_and_leaves(monkeypatch):
+    # (5,5) N=40 l=6 counting: 6,561 terms in 729 groups but only 135
+    # distinct bodies (coefficient, a_{l-2}); one coefficient also comes
+    # with several a_{l-2}, whose bodies differ
+    p = problem((5, 5), 40, 6)
+    groups = list(chains._class_groups(p, counting=True))
+    leaves_of = {}
+    for _, _, coeff, leaves in groups:
+        leaves_of.setdefault(coeff, set()).add(id(leaves))
+    assert len(groups) == 729
+    assert sum(map(len, leaves_of.values())) == 135
+    assert max(map(len, leaves_of.values())) > 1
+    made = []
+    body = chow._body
+    monkeypatch.setattr(chow, "_body", lambda coeff, leaves: made.append(coeff) or body(coeff, leaves))
+    streamed = "".join(chow.render(groups))
+    assert len(made) == 135
+    cls = counting_class(p)
+    assert streamed == str(cls) == naive_poly.render(cls.terms)
+
+
+@pytest.mark.parametrize("cap", [0, 2000])
+def test_streamed_text_past_the_body_cache_cap(monkeypatch, cap):
+    # at 0 no body is kept; 2,000 characters hold one or two bodies of
+    # (5,5) N=40 l=6, so they are dropped again and again
+    monkeypatch.setattr(chow, "BODY_CACHE_CHARS", cap)
+    p = problem((5, 5), 40, 6)
+    for counting, collect in ((True, counting_class), (False, existence_class)):
+        cls = collect(p)
+        assert "".join(class_text(p, counting)) == str(cls) == naive_poly.render(cls.terms)
+
+
+def test_kept_bodies_add_at_most_the_cap_to_memory(monkeypatch):
+    # (100,) N=200 l=4 counting: 100 groups of 100 terms, 7.1 MB of text,
+    # and no body repeats, so bodies are kept only until the cap drops them
+    p = problem((100,), 200, 4)
+    cap = chow.BODY_CACHE_CHARS
+
+    def peak():
+        tracemalloc.start()
+        try:
+            size = sum(map(len, class_text(p, counting=True)))
+            return size, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    size, kept = peak()
+    monkeypatch.setattr(chow, "BODY_CACHE_CHARS", 0)
+    _, none_kept = peak()
+    # beyond the bodies, the cap does not count their keys and the dict
+    assert kept < none_kept + cap + 64 * 1024
+    # every body kept would hold all of the text
+    assert kept < size / 2
 
 
 def test_two_line_chains_build_no_pair_block(monkeypatch):

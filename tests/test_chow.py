@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from decimal import Decimal
 
 import pytest
@@ -110,12 +111,40 @@ def test_rendering_matches_reference_random():
 
 
 def test_render_groups_share_head_and_coefficient():
-    # 3*h1^2*(5*h2^3*h3 + 1*h2*h3^2), then 2*h1*h3^4; each group and leaf
-    # carries its exponents' text, and render writes the text it is given
-    groups = [((2,), "*h1^2", 3, [((3, 1), "*h2^3*h3", 5), ((1, 2), "*h2*h3^2", 1)]),
-              ((1,), "*h1", 2, [((0, 4), "*h3^4", 1)])]
-    assert "".join(render(groups)) == "15*h1^2*h2^3*h3 + 3*h1^2*h2*h3^2 + 2*h1*h3^4"
+    # 3*h1^2*(5*h2^3*h3 + 1*h2*h3^2), then 2*h1*h3^4; each group carries its
+    # head's text and the seams around its coefficients, and render writes
+    # the text it is given
+    groups = [((2,), "*h1^2", 3, ([(3, 1), (1, 2)], [5, 1], ["", "*h2^3*h3 + ", "*h2*h3^2"])),
+              ((1,), "*h1", 2, ([(0, 4)], [1], ["", "*h3^4"]))]
+    expected = "15*h1^2*h2^3*h3 + 3*h1^2*h2*h3^2 + 2*h1*h3^4"
+    assert "".join(render(groups)) == expected
+    # str() makes the same groups from the class's terms, fresh leaves each
+    terms = {head + tail: coeff * weight
+             for head, _, coeff, (tails, weights, _) in groups
+             for tail, weight in zip(tails, weights)}
+    assert str(ChowClass(ProductSpace((4, 4, 4)), terms)) == expected == naive_poly.render(terms)
     assert list(render([])) == ["0"]
+
+
+def test_render_reuses_a_body_past_the_str_digit_limit():
+    # a 5,071-digit coefficient, twice over the same leaves (one body, two
+    # heads), then over other leaves whose body must not be the kept one
+    big = 7**6000
+    leaves = ([(1, 0), (0, 1)], [2, 1], ["", "*h2 + ", "*h3"])
+    other = ([(1, 0)], [1], ["", "*h2"])
+    groups = [((3,), "*h1^3", big, leaves), ((2,), "*h1^2", big, leaves),
+              ((1,), "*h1", big, other)]
+    terms = {head + tail: coeff * weight
+             for head, _, coeff, (tails, weights, _) in groups
+             for tail, weight in zip(tails, weights)}
+    streamed = "".join(render(groups))
+    assert streamed == str(ChowClass(ProductSpace((3, 1, 1)), terms))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert streamed == naive_poly.render(terms)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_int_text_past_the_str_digit_limit():

@@ -847,6 +847,29 @@ def test_connectivity_report_pair_budget(monkeypatch, tmp_path):
     assert main(["explore", "--variety", str(path), "--max-length", "1"]) == 2
 
 
+def test_explore_length_budget_refuses_at_once(monkeypatch, tmp_path, capsys):
+    # the report holds and prints one fraction per length, so a max_length
+    # past the budget is refused before any point is enumerated
+    spec = coordinate_hyperplane(3)
+    path = tmp_path / "plane3.variety"
+    path.write_text(format_variety(spec))
+    explore = ["explore", "--variety", str(path), "--machine", "--max-length"]
+    monkeypatch.setattr(finite_geometry, "EXPLORE_LENGTH_BUDGET", 4)
+    assert main(explore + ["4"]) == 0
+    assert capsys.readouterr().out.count("fraction_") == 4
+
+    def no_pass(self):
+        raise AssertionError("explore enumerated past its length budget")
+
+    monkeypatch.setattr(ChainGraph, "join_all", no_pass)
+    with pytest.raises(BudgetExceededError):
+        connectivity_report(spec, 5)
+    assert main(explore + ["5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_length 5 exceeds the 4 budget" in captured.err
+
+
 def test_chain_and_locus_pair_budget(monkeypatch, tmp_path, capsys):
     # on the split quadric over F_3 each L_a solve evaluates c_2 = v0*v3 -
     # v1*v2, one term once v_j = 0, at the 4 directions of P^1 (4 * 1), and

@@ -5,6 +5,7 @@ failure reproduces.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -126,7 +127,21 @@ def test_format_then_parse_is_identity(spec):
 def test_class_walk_lists_strictly_descending_monomials(degrees, ambient, length, counting):
     problem = chains.ChainProblem(DefiningData(tuple(degrees), ambient), length)
     hypothesis.assume(chains.class_term_count(problem) <= 5000)
-    monos = [head + tail for head, _, _, leaves in chains._class_groups(problem, counting)
-             for tail, _, _ in leaves]
+    monos = [head + tail for head, _, _, (tails, _, _) in chains._class_groups(problem, counting)
+             for tail in tails]
     assert all(a > b for a, b in zip(monos, monos[1:]))
     assert len(monos) == chains.class_term_count(problem)
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(1, 25),
+       st.integers(3, 9), st.booleans())
+def test_class_walk_groups_have_polynomially_many_bodies(degrees, ambient, length, counting):
+    # a group's body is its coefficient, fixed by the multiset of
+    # a_2..a_{l-2}, and its leaves, fixed by a_{l-2}
+    problem = chains.ChainProblem(DefiningData(tuple(degrees), ambient), length)
+    hypothesis.assume(chains.class_term_count(problem) <= 5000)
+    groups = list(chains._class_groups(problem, counting))
+    top = problem.data.total_degree - problem.data.m
+    bodies = {(coeff, id(leaves)) for _, _, coeff, leaves in groups}
+    assert len(bodies) <= math.comb(top + length - 3, length - 3) * (top + 1)
