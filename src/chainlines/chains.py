@@ -53,7 +53,10 @@ the coefficient-free product, whose nonvanishing already certifies a
 chain -- is the same listing with binomials C(D-m, a) and scale 1.  A
 dynamic program over (k, a_k) counts the terms before any is built, and
 classes with more than CLASS_TERM_BUDGET terms are refused with
-BudgetExceededError.
+BudgetExceededError.  The term count does not bound the text, whose
+coefficients can have thousands of digits, so class_text also refuses a
+class whose text could pass CLASS_TEXT_BUDGET characters, by a bound from
+bit lengths alone (_text_bound).
 
 At zero expected dimension (l-1)(N-D) = D - m, and the top monomial forces
 a_k = (k-1)(N-D), so the top coefficient -- the number of chains, with
@@ -89,6 +92,7 @@ from .criteria import DefiningData, rc_criterion
 from .finite_geometry import BudgetExceededError
 
 CLASS_TERM_BUDGET = 10**6  # hard cap on the terms of a class, and on (D-m)^2
+CLASS_TEXT_BUDGET = 10**8  # hard cap on a bound of the characters of a class's text
 WITNESS_LENGTH_BUDGET = 10**5  # hard cap on l for the witness, O(l) values
 
 
@@ -278,13 +282,39 @@ def class_term_count(problem: ChainProblem) -> int:
     return _term_count(problem, math.inf)
 
 
-def _check_class_budget(problem: ChainProblem) -> None:
+def _check_class_budget(problem: ChainProblem) -> int:
+    """The number of terms of the class, refused past CLASS_TERM_BUDGET."""
     _check_block_budget(problem.data)
     # counted only up to the budget, so no row carries O(l)-bit integers
-    if _term_count(problem, CLASS_TERM_BUDGET + 1) > CLASS_TERM_BUDGET:
+    terms = _term_count(problem, CLASS_TERM_BUDGET + 1)
+    if terms > CLASS_TERM_BUDGET:
         raise BudgetExceededError(
             f"class term count is more than the {CLASS_TERM_BUDGET} budget"
         )
+    return terms
+
+
+def _text_bound(problem: ChainProblem, counting: bool, terms: int) -> int:
+    """An upper bound on the characters of the class's text, from bit
+    lengths alone: per term, " + " and the digits of the largest possible
+    coefficient, and l-1 factors *hk^e with k <= l-1 and e <= N; with no
+    term, the text is "0".
+
+    A counting coefficient scale * B[a_2] ... B[a_{l-1}] is at most
+    prod d_i! (d_i-1)! times (prod d_i^{d_i})^{l-2}, since each B[a] is
+    at most sum_a B[a] = B(1, 1) = prod d_i^{d_i-1}; an existence one, a
+    product of l-2 binomials C(D-m, a), is below 2^{(D-m)(l-2)}.  A number
+    of b bits has at most floor(b log10 2) + 1 digits.
+    """
+    data, l = problem.data, problem.length
+    if counting:
+        ends = math.prod(math.factorial(d) * math.factorial(d - 1) for d in data.degrees)
+        step = math.prod(d**d for d in data.degrees)
+        bits = ends.bit_length() + (l - 2) * step.bit_length()
+    else:
+        bits = (data.total_degree - data.m) * (l - 2) + 1
+    factor = 3 + len(str(l - 1)) + len(str(data.ambient))
+    return max(1, terms * (3 + bits * 30103 // 100000 + 1 + (l - 1) * factor))  # "0" for none
 
 
 def _walk(problem: ChainProblem, weights: list[int], scale: int) -> Iterator[Group]:
@@ -363,10 +393,15 @@ def _counting_scale(problem: ChainProblem) -> int:
     )
 
 
-def _class_groups(problem: ChainProblem, counting: bool) -> Iterator[Group]:
+def _class_groups(problem: ChainProblem, counting: bool, text: bool = False) -> Iterator[Group]:
     """The walk for the counting or the existence class, after the budget
-    check, which runs at once."""
-    _check_class_budget(problem)
+    checks, which run at once: its terms, and with text a bound on the
+    characters of its text (_text_bound)."""
+    terms = _check_class_budget(problem)
+    if text and _text_bound(problem, counting, terms) > CLASS_TEXT_BUDGET:
+        raise BudgetExceededError(
+            f"class text could be more than the {CLASS_TEXT_BUDGET} character budget"
+        )
     top = problem.data.total_degree - problem.data.m
     if problem.length == 2:  # one term, and the walk reads no weight
         weights = []
@@ -409,10 +444,11 @@ def existence_class(problem: ChainProblem) -> ChowClass:
 def class_text(problem: ChainProblem, counting: bool) -> Iterator[str]:
     """str() of the counting (or existence) class, in chunks, never built.
 
-    The budget is checked at once, before the first chunk is asked for;
-    raises BudgetExceededError like counting_class and existence_class.
+    The budgets are checked at once, before the first chunk is asked for;
+    raises BudgetExceededError like counting_class and existence_class,
+    and when the text could pass CLASS_TEXT_BUDGET characters (_text_bound).
     """
-    return render(_class_groups(problem, counting))
+    return render(_class_groups(problem, counting, text=True))
 
 
 def expected_dimension(problem: ChainProblem) -> int:

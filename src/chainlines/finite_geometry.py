@@ -25,42 +25,48 @@ nonzero binary form can vanish at all p+1 rational points of a line.  Over
 F_3 the Fermat cubic is the triple plane (x_0 + x_1 + x_2 + x_3)^3, every
 c_k vanishes identically, and every pair of its points is joined.
 
-Single-point queries (lines, chain, locus) never enumerate X(F_p):
-ChainGraph solves the c_k at each point its search reaches, by evaluating
-them at every direction of the linear space the gradient rows cut out,
-column by column (_form_columns), and expands each contained line once,
-not each pair of its points.  explore needs every line of X(F_p), so it
-enumerates the points once and the same graph tests the c_k at the pairs
-of them (ChainGraph.join_all): the two gradient tests first, then the c_k
-in between.  The gradients of all the points are evaluated at once, column
-by column, from the c_1 terms L_a uses, by the same evaluator.  Both
-gradient tests run packed, as one list of tests (_tangent_filter), with
-the same packing as the enumeration: the coordinate columns and the
-gradient columns of all the points are big integers with one slot per
-point, wide enough for the bound (N+1)(p-1)^2, so one big-integer dot
-product per point a gives grad G(a).b, and one more grad G(b).a, exactly
-for every b.  explore has this one route.  The pass tests n^2 pairs,
-while L_a at every point tests about n * p^(m-1) directions (m = dim W),
-so the pass wins on small varieties and loses past about 4,000 points.
-Measured against L_a at every point (2-CPU container, plain perf_counter,
-explore's n^2 > 10^8 refusal lifted):
+ChainGraph finds the contained lines through points from L_a, by one
+solver for a list of points at once: the gradients and the coefficients
+of the c_k, as forms in a, are evaluated column by column at all the
+points (_form_columns), the kernel of the gradient rows gives each point
+its linear space W of directions, and the c_k are evaluated column-wise on
+blocks that join the directions of many points.  Single-point queries
+(lines, chain, locus) solve each point their search reaches, never
+enumerate X(F_p), and expand each contained line once, not each pair of
+its points.
 
-    variety                              points   pass              L_a
-    random cubic surface, F_7                57   2.4 ms            12.1 ms
-    random cubic surface, F_31              962   100 ms            284 ms
-    random cubic surface, F_61            3,783   0.93 s            1.07 s
-    random cubic surface, F_101          10,303   6.4 s (refused)   3.3 s
-    split_quadric(61)                     3,844   0.73 s            0.49 s
-    split_quadric(101)                   10,404   4.7 s (refused)   1.7 s
-    Fermat cubic surface, F_101          10,303   5.2 s (refused)   1.8 s
-    Fermat threefold in P^4, F_19         7,905   5.0 s             4.3 s
-    Fermat threefold in P^4, F_23        12,720   8.1 s (refused)   9.7 s
+explore needs every line of X(F_p).  It enumerates the points once, and
+finds each line once, at its least point (ChainGraph.join_all).  A
+canonical point with a later lead comes earlier in sorted order, and a
+line meets the hyperplane x_0 = 0 in one point or lies in it, so its least
+point, which has the latest lead, lies in x_0 = 0.  So L_a is solved only
+on the section X(F_p) with x_0 = 0, and at a point a with lead j only the
+directions that lead before j are kept: those are the lines whose other
+points all come after a.  On a surface that is about p points with p
+directions each, where testing the pairs of points took n^2, about p^4,
+steps.  explore, --max-length 3, in a fresh process, against testing
+every pair of points as explore once did (2-CPU container, best of 3; the
+random surfaces have all 20 cubic terms, with seeded coefficients;
+"refused" is that pass's n^2 > 10^8 refusal; split_quadric(211) is
+refused by the bitset charge of connectivity_report):
 
-The pass works on point indices: each line is made in closed form at its
-least point and kept as the indices of its p+1 points, each point keeps
-the numbers of its lines, and the balls around all points grow at once,
-as bitsets over the indices.  None of it goes into the graph's caches,
-which only the single-point queries read.
+    variety                              points   pairwise pass     L_a on x_0 = 0
+    split_quadric(31)                     1,024   37 ms             8.4 ms
+    split_quadric(61)                     3,844   0.40 s            28 ms
+    split_quadric(101)                   10,404   refused           0.11 s
+    random cubic surface, F_31              993   42 ms             8.1 ms
+    random cubic surface, F_61            3,661   0.43 s            25 ms
+    random cubic surface, F_101          10,404   refused           87 ms
+    Fermat cubic surface, F_101          10,303   refused           67 ms
+    Fermat threefold in P^4, F_13         2,055   0.14 s            46 ms
+    Fermat threefold in P^4, F_19         7,905   1.98 s            0.20 s
+    Fermat threefold in P^4, F_23        12,720   refused           0.29 s
+
+explore works on point indices: each line is made in closed form at its
+least point (_line_at) and kept as the indices of its p+1 points, each
+point keeps the numbers of its lines, and the balls around all points
+grow at once, as bitsets over the indices.  None of it goes into the
+graph's caches, which only the single-point queries read.
 line_in_variety restricts each G to a line directly; it is the
 independent check of both.
 
@@ -79,18 +85,19 @@ import itertools
 import struct
 import sys
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, filterfalse, repeat
+from itertools import compress, repeat
 from math import prod
 from operator import add, getitem, mod, mul, not_, or_, sub
 from pathlib import Path
 
-# hard cap on p**N per enumeration, on the n**2 point pairs of explore, on
-# the directions times the terms of the c_k that one graph's L_a solves
-# evaluate plus the points of the lines it lists, and on the terms of a
+# hard cap on p**N per enumeration, on the directions times the terms of
+# the c_k that one graph's L_a solves evaluate plus the points of the lines
+# it lists and the bytes of explore's bitsets, and on the terms of a
 # graph's c_k table
 ENUMERATION_BUDGET = 10**8
 # hard cap on explore's max_length: the report holds and prints one fraction
@@ -365,6 +372,18 @@ def line_through(a: Point, b: Point, field: PrimeField) -> Line:
     return Line(tuple(tuple(row) for _, row in reduced))
 
 
+def _line_at(a: Point, v: Point, p: int) -> Line:
+    """The line through a point a and a direction v of L_a at a, both
+    canonical, in RREF without row reduction.  With j the lead of a and l
+    that of v (v_j = 0, so l != j) and a_l = 0 when l < j, the basis is
+    (v, a) if l < j and (a - a_l v, v) otherwise."""
+    l = v.index(1)
+    if l < a.index(1):
+        return Line((v, a))
+    c = a[l]
+    return Line((tuple((x - c * y) % p for x, y in zip(a, v)), v))
+
+
 def line_points(line: Line, field: PrimeField) -> list[Point]:
     """The q+1 rational points of the line, canonical.
 
@@ -491,19 +510,22 @@ def _rref(rows, p: int) -> list[tuple[int, list[int]]]:
 
 def _kernel(rows: list[list[int]], size: int, j: int, p: int) -> list[list[int]]:
     """A basis of the vectors v of length size with v_j = 0 and row.v = 0
-    for every row (there may be none).
+    for every row (there may be none), in echelon form.
 
-    Column j of every row is 0.  One basis vector per free column of the
-    reduced rows (_rref) other than j.
+    Column j of every row is 0.  The rows are reduced from the last column
+    back (_rref of the reversed rows), so each pivot is the last nonzero
+    entry of its row.  One basis vector per free column f other than j, in
+    increasing order: 1 at f, 0 at the other free columns, and nonzero
+    entries only at the pivots after f.  So f is its lead coordinate, and
+    every sum_s y_s w_s with y canonical is canonical too.
     """
-    reduced = _rref(rows, p)
-    pivots = {c for c, _ in reduced}
+    pivots = {size - 1 - c: r[::-1] for c, r in _rref([row[::-1] for row in rows], p)}
     basis = []
     for free in range(size):
         if free != j and free not in pivots:
             w = [0] * size
             w[free] = 1
-            for c, r in reduced:
+            for c, r in pivots.items():
                 w[c] = -r[free] % p
             basis.append(w)
     return basis
@@ -511,28 +533,29 @@ def _kernel(rows: list[list[int]], size: int, j: int, p: int) -> list[list[int]]
 
 def _form_columns(forms, coords, p: int):
     """Each form, a list of (coefficient, exponents) terms, at all the points
-    whose coordinate columns are coords: one column of its values mod p per
-    form, in turn.
+    whose coordinate columns are coords, entries in 0..p-1: one column of its
+    values mod p per form, in turn.  A coefficient is an int, or a list of
+    one value per point.
 
-    A column of x_i^e mod p is made once per coordinate and exponent the
-    terms use, and shared by the forms; each term's column is a product of
-    those, and the terms are summed column-wise, all by map in C.  Each sum
-    is stored per term, so no deep chain of lazy maps forms.
+    A column of x_i^e mod p is made once per coordinate and exponent e > 1
+    the terms use, and shared by the forms; each term's column is a product
+    of those, and the terms are summed column-wise, all by map in C.  Each
+    sum is stored per term, so no deep chain of lazy maps forms.
     """
     n = len(coords[0])
     powers: dict[tuple[int, int], list[int]] = {}
     for terms in forms:
-        total = [0] * n
+        total = None
         for coeff, exps in terms:
-            term = repeat(coeff, n)
+            term = coeff if isinstance(coeff, list) else repeat(coeff, n)
             for i, e in enumerate(exps):
                 if e:
-                    col = powers.get((i, e))
+                    col = coords[i] if e == 1 else powers.get((i, e))
                     if col is None:
                         col = powers[i, e] = list(map(pow, coords[i], repeat(e), repeat(p)))
                     term = map(mul, term, col)
-            total = list(map(add, total, term))
-        yield list(map(mod, total, repeat(p)))
+            total = list(term) if total is None else list(map(add, total, term))
+        yield [0] * n if total is None else list(map(mod, total, repeat(p)))
 
 
 def _slot_format(bound: int) -> str:
@@ -558,45 +581,6 @@ def _slots(v, packed: list[int], fmt: str, n: int) -> memoryview:
     return memoryview(sum(map(mul, v, packed)).to_bytes(size, sys.byteorder)).cast(fmt)
 
 
-def _tangent_filter(points: list[Point], gradients, reverse, p: int):
-    """The two gradient tests of explore's pass over the sorted points.
-
-    Each test pairs a vector at the point a with columns over all the
-    points, packed (_pack) at the slot width that _slot_format of
-    (N+1)(p-1)^2 requires: for every G, grad G(a) against the coordinate
-    columns, so the slot of b holds grad G(a).b; for every G in reverse
-    (those of degree >= 3), a against the N+1 columns of grad G, so the
-    slot of b holds grad G(b).a.  gradients and reverse hold such gradient
-    columns, as _gradient_columns makes them.  With entries in 0..p-1
-    every such dot product is at most the bound, so no slot carries into
-    the next (_slots), and a slot is 0 mod p iff it is in the set of the
-    multiples of p up to the bound.
-
-    The returned function gives, for the index i of a, the indices j > i of
-    the points b whose slots are 0 mod p in every test: the first test reads
-    the slots of all the later points through one slice, each further test
-    only those of the points kept so far.  A zero vector keeps every slot.
-    """
-    n = len(points)
-    bound = len(points[0]) * (p - 1) ** 2 if points else 0
-    fmt = _slot_format(bound)
-    zeros = frozenset(range(0, bound + 1, p))
-    cols = _pack(zip(*points), fmt)
-    tests = [(list(zip(*grad)), cols) for grad in gradients]
-    tests += [(points, _pack(grad, fmt)) for grad in reverse]
-
-    def later(i: int) -> list[int]:
-        (vectors, packed), *rest = tests
-        first = _slots(vectors[i], packed, fmt, n)[i + 1 :]
-        kept = list(compress(range(i + 1, n), map(zeros.__contains__, first)))
-        for vectors, packed in rest:
-            found = _slots(vectors[i], packed, fmt, n)
-            kept = list(compress(kept, map(zeros.__contains__, map(found.__getitem__, kept))))
-        return kept
-
-    return later
-
-
 # -- chains of lines ---------------------------------------------------------
 
 class ChainGraph:
@@ -611,48 +595,69 @@ class ChainGraph:
     line through a and v lies on X iff every c_k of every G vanishes, over
     any field.  The c_k are tabulated once per graph (_local_tables).  At a,
     with j its lead coordinate, every line through a meets the hyperplane
-    v_j = 0 in exactly one point, so:
+    v_j = 0 in exactly one point.  One solver (_directions) finds these
+    points at a list of points at once:
 
-    - the gradient rows c_1 (_gradient), with column j zeroed, cut out a
-      linear space W (_kernel);
-    - substitute a into the c_k with k >= 2, dropping the terms in a
-      coordinate of v that is 0 on all of W (v_j among them);
-    - evaluate them at every direction v = sum_s y_s w_s of P(W), for the
-      canonical points y of P^{m-1}(F_p) (_projective_reps) and the basis
-      w_s of W, m = dim W, column-wise in blocks (_form_columns), each c_k
-      only at the directions where the ones before it vanish;
-    - each v at which they all vanish gives the line through a and v.
+    - column-wise over all the points (_columns): the gradients, and the
+      coefficient of each monomial v^f of every c_k with k >= 2, which is
+      a form in a (a number in c_d = G(v));
+    - per point: the gradient rows, with column j zeroed, cut out a linear
+      space W (_kernel), and the terms of the c_k in a coordinate of v that
+      is 0 on all of W (v_j among them) are dropped;
+    - the directions v = sum_s y_s w_s of P(W), for the canonical points y
+      of P^{m-1}(F_p) (_projective_reps) and the echelon basis w_s of W,
+      m = dim W, of all the points are joined into blocks of at most
+      _T_BLOCK (point, direction) pairs, and each c_k is evaluated on a
+      block column-wise, with the coefficients of its point, only at the
+      pairs where the ones before it vanish;
+    - each v at which they all vanish gives the line through a and v, made
+      in closed form (_line_at).
 
-    explore needs the lines through every point, and finds them all at
-    once from the pairs of points instead (join_all), as lists of point
-    indices that it returns; the caches are left to the L_a solves.
+    lines, chain and locus solve one point at a time.  explore needs every
+    line of X(F_p): it solves the points with x_0 = 0 at once, keeping at
+    each the directions of the lines it is the least point of (join_all).
 
     A line's p+1 points are listed only when a search or neighbors expands
-    it, never by contained_lines_through.  Every solve charges the graph
+    it, or explore lists every line, never by contained_lines_through.
+    connectivity_report also charges the graph its bitsets.  Every solve
+    charges the graph
     each substituted c_k it evaluates, before it runs, at the directions it
-    runs at times its terms: the first c_k (or, with none left, the bare
-    directions) at all the (p^m - 1)/(p - 1) directions of P(W), before the
-    first block, and each later one per block, at the directions where the
-    ones before it vanish.  So the charge is the work the solve does, and a
-    solve over too large a P(W) is refused before it evaluates a direction.
-    Every line listed charges its p+1 points before they are built.
-    The graph raises BudgetExceededError once the sum over its life passes
-    ENUMERATION_BUDGET.  Line sets, line points and neighbor lists are
-    cached; results are deterministic and identical to joining a to every
-    other point of X(F_p), whatever order the points are asked for in.  The
-    caches are not synchronized: concurrent workers should each hold their
-    own instance.
+    runs at times its live terms: the first c_k of each point (or, with
+    none left, the bare directions) at all of that point's directions,
+    before the first block, and each later one per block, at the
+    directions where the ones before it vanish.  So the charge is the work
+    the solve does, and a solve over too large a P(W) is refused before it
+    evaluates a direction.  Every line listed charges its p+1 points
+    before they are built.  The graph raises BudgetExceededError once the
+    sum over its life passes ENUMERATION_BUDGET.  Line sets, line points
+    and neighbor lists are cached; results are deterministic and identical
+    to joining a to every other point of X(F_p), whatever order the points
+    are asked for in.  The caches are not synchronized: concurrent workers
+    should each hold their own instance.
     """
 
     def __init__(self, spec: VarietySpec):
         self.spec = spec
         self._tables = _local_tables(spec.polys, spec.field.p)
-        self._top = max(poly.degree for poly in spec.polys)
-        # the c_1 terms of each table by the v_i they carry: those of dG/dx_i
-        self._c1 = [
-            [[(c, e) for c, e, f in table.get(1, ()) if f[i]] for i in range(spec.ambient + 1)]
-            for table in self._tables
-        ]
+        # every c_k with k >= 2, in table order, by its monomials v^f: the
+        # coefficient of each is a form in a, as (multiplier, exponents)
+        # terms, or a number in c_d = G(v), the same at every a
+        self._forms: list[dict[Point, list[tuple[int, Point]] | int]] = []
+        for poly, table in zip(spec.polys, self._tables):
+            for k, terms in table.items():
+                if k > 1:
+                    form: dict = {}
+                    for mult, a_exps, f in terms:
+                        form.setdefault(f, []).append((mult, a_exps))
+                    if k == poly.degree:
+                        form = {f: mult for f, [(mult, _)] in form.items()}
+                    self._forms.append(form)
+        # the forms in a that a solve evaluates: the entries of every grad G,
+        # dG/dx_i from the c_1 terms in v_i, then the coefficients of the c_k
+        # below c_d
+        self._in_a = [[(c, e) for c, e, f in table.get(1, ()) if f[i]]
+                      for table in self._tables for i in range(spec.ambient + 1)]
+        self._in_a += [c for form in self._forms for c in form.values() if isinstance(c, list)]
         self.charged = 0  # directions times terms of the L_a solves, line points listed
         self._neighbors: dict[Point, list[Point]] = {}
         self._lines: dict[Point, set[Line]] = {}
@@ -660,84 +665,111 @@ class ChainGraph:
 
     def _charge(self, steps: int) -> None:
         self.charged += steps
-        _check_budget(self.charged, "the L_a solves and line points of this graph")
+        _check_budget(self.charged, "the work of this graph")
 
-    def _gradient(self, a: Point) -> list[list[int]]:
-        """grad G(a) for every G, from the c_1 terms of its table, since
-        c_1(a, v) = grad G(a).v."""
+    def _columns(self, points: list[Point]):
+        """grad G and the coefficients of the c_k at all the points at once,
+        by _form_columns from the forms in a of their terms (c_1(a, v) =
+        grad G(a).v): entry [g][i][k] of the first is the i-th entry of
+        grad G_g at points[k], and entry [s][t][k] of the second the
+        coefficient of the t-th monomial of the s-th c_k there."""
+        size = self.spec.ambient + 1
+        values = _form_columns(self._in_a, list(zip(*points)) or [()] * size, self.spec.field.p)
+        grads = [[next(values) for _ in range(size)] for _ in self._tables]
+        n = len(points)
+        return grads, [[next(values) if isinstance(c, list) else [c] * n for c in form.values()]
+                       for form in self._forms]
+
+    def _directions(self, points: list[Point], cuts: list[int]) -> list[list[Point]]:
+        """For each canonical point a of X(F_p) and its cut, the points v of
+        L_a whose lead coordinate comes before the cut: v_j = 0, j the lead
+        of a, and the line through a and v on X.  Each v is canonical, and
+        listed once; a cut of N+1 keeps them all.  Charged as the class
+        docstring says."""
         p = self.spec.field.p
-        return [[_eval_terms(terms, a, p) for terms in c1] for c1 in self._c1]
-
-    def _gradient_columns(self, points: list[Point]) -> list[list[list[int]]]:
-        """grad G at all the points at once, from the same c_1 terms as
-        _gradient, by _form_columns: entry [g][i][k] is the i-th entry of
-        grad G_g at points[k]."""
-        coords = list(zip(*points)) or [()] * (self.spec.ambient + 1)
-        forms = [terms for c1 in self._c1 for terms in c1]
-        values = _form_columns(forms, coords, self.spec.field.p)
-        return [list(itertools.islice(values, len(c1))) for c1 in self._c1]
-
-    def _directions(self, a: Point) -> set[Point]:
-        """The points v of L_a: v_j = 0 and the line through a and v on X."""
-        spec = self.spec
-        p = spec.field.p
-        if not on_variety(spec, a):
-            raise ValueError(f"point {format_point(a)} is not on the variety")
-        j = next(i for i, x in enumerate(a) if x)
-        rows = [g[:j] + [0] + g[j + 1 :] for g in self._gradient(a)]
-        basis = _kernel(rows, len(a), j, p)
-        m = len(basis)
-        if not m:
-            return set()
-        powers = [[pow(x, e, p) for e in range(self._top + 1)] for x in a]
-        # the coordinates of v that are 0 on all of W, v_j among them: the
-        # terms that carry one vanish at every direction
-        zero = [i for i, wi in enumerate(zip(*basis)) if not any(wi)]
-        forms = []
-        for table in self._tables:
-            for k, terms in table.items():
-                if k > 1:
-                    form: Counter[Point] = Counter()
-                    for mult, a_exps, f in terms:
-                        if not any(map(f.__getitem__, zero)):
-                            form[f] += mult * prod(map(getitem, powers, a_exps))
-                    if reduced := [(c % p, f) for f, c in form.items() if c % p]:
-                        forms.append(reduced)
-        # the first c_k runs at every direction of P(W), so it is charged
-        # for all of them at once; each later one per block, at the
-        # directions left to it (a solve with no c_k charges its directions)
-        self._charge((p**m - 1) // (p - 1) * (len(forms[0]) if forms else 1))
-        found = set()
-        reps = _projective_reps(p, m - 1)
-        while block := list(itertools.islice(reps, _T_BLOCK)):
-            ys = list(zip(*block))
-            coords = []  # coordinate i of v at every y of the block
-            for wi in zip(*basis):
-                parts = [(y, w) for y, w in zip(ys, wi) if w]
-                if len(parts) == 1 and parts[0][1] == 1:  # v_i = y_s, a free column
-                    coords.append(parts[0][0])
+        grads, coefficients = self._columns(points)
+        later = [[0] * len(points) for _ in self._forms]  # live terms of each c_k past a point's first
+        solves = []  # (index, basis of W, number of directions) with a direction
+        first = 0  # the charge of the first c_k of every point
+        for k, (a, cut) in enumerate(zip(points, cuts)):
+            j = a.index(1)
+            rows = [[0 if i == j else col[k] for i, col in enumerate(grad)] for grad in grads]
+            basis = _kernel(rows, len(a), j, p)
+            # a direction sum_s y_s w_s leads where w_s does for the lead s of
+            # y, so those that lead before the cut are the y that lead before
+            # r: the first (p^m - p^(m-r))/(p-1) of _projective_reps
+            r = sum(w.index(1) < cut for w in basis)
+            if not r:
+                continue
+            zero = [i for i, wi in enumerate(zip(*basis)) if not any(wi)]
+            for form, cols, live in zip(self._forms, coefficients, later):
+                for f, col in zip(form, cols):
+                    if col[k] and any(map(f.__getitem__, zero)):
+                        col[k] = 0  # v^f is 0 at every direction
+                live[k] = sum(col[k] > 0 for col in cols)
+            count = (p ** len(basis) - p ** (len(basis) - r)) // (p - 1)
+            head = next((live for live in later if live[k]), None)  # the first c_k left
+            first += count * (head[k] if head else 1)  # or the bare directions
+            if head:
+                head[k] = 0  # charged at all the directions now
+            solves.append((k, basis, count))
+        self._charge(first)
+        found: list[list[Point]] = [[] for _ in points]
+        for owner, cols in self._blocks(solves):
+            for form, coeffs, charge in zip(self._forms, coefficients, later):
+                if owner[0] == owner[-1]:  # the pairs of one point: its coefficients
+                    terms = [(col[owner[0]], f) for f, col in zip(form, coeffs) if col[owner[0]]]
+                else:  # one coefficient per pair, from its point
+                    terms = [(c, f) for f, col in zip(form, coeffs)
+                             if any(c := list(map(col.__getitem__, owner)))]
+                if not terms:
                     continue
-                col = [0] * len(block)
-                for y, w in parts:
-                    col = list(map(add, col, map(mul, y, repeat(w))))
-                coords.append(list(map(mod, col, repeat(p))))
-            for step, form in enumerate(forms):  # keep the directions at which it vanishes
-                if step:
-                    self._charge(len(coords[0]) * len(form))
-                [values] = _form_columns([form], coords, p)
+                self._charge(sum(map(charge.__getitem__, owner)))
+                [values] = _form_columns([terms], cols, p)
                 kept = list(map(not_, values))
-                coords = [list(compress(col, kept)) for col in coords]
-                if not coords[0]:
+                owner = list(compress(owner, kept))
+                cols = [list(compress(col, kept)) for col in cols]
+                if not owner:
                     break
-            found.update(zip(*coords))
+            for k, v in zip(owner, zip(*cols)):
+                found[k].append(v)
         return found
+
+    def _blocks(self, solves):
+        """The directions of the solves, joined in order into blocks of at
+        most _T_BLOCK: per block, the index of the point of each direction,
+        and the coordinate columns of the directions."""
+        p = self.spec.field.p
+        owner: list[int] = []
+        cols: list[list[int]] = [[] for _ in range(self.spec.ambient + 1)]
+        for k, basis, count in solves:
+            reps = itertools.islice(_projective_reps(p, len(basis) - 1), count)
+            while chunk := list(itertools.islice(reps, _T_BLOCK - len(owner))):
+                ys = list(zip(*chunk))
+                for col, wi in zip(cols, zip(*basis)):
+                    parts = [(y, w) for y, w in zip(ys, wi) if w]
+                    if len(parts) == 1 and parts[0][1] == 1:  # v_i = y_s, a free column
+                        col += parts[0][0]
+                        continue
+                    combined = [0] * len(chunk)
+                    for y, w in parts:
+                        combined = list(map(add, combined, map(mul, y, repeat(w))))
+                    col += map(mod, combined, repeat(p))
+                owner += [k] * len(chunk)
+                if len(owner) == _T_BLOCK:
+                    yield owner, cols
+                    owner, cols = [], [[] for _ in cols]
+        if owner:
+            yield owner, cols
 
     def contained_lines_through(self, a: Point) -> set[Line]:
         """The contained lines through a point a of X(F_p), solved from L_a once."""
         lines = self._lines.get(a)
         if lines is None:
-            field = self.spec.field
-            lines = self._lines[a] = {line_through(a, v, field) for v in self._directions(a)}
+            if not on_variety(self.spec, a):
+                raise ValueError(f"point {format_point(a)} is not on the variety")
+            [directions] = self._directions([a], [len(a)])
+            lines = self._lines[a] = {_line_at(a, v, self.spec.field.p) for v in directions}
         return lines
 
     def _points_on(self, line: Line) -> list[Point]:
@@ -814,89 +846,43 @@ class ChainGraph:
         return depth_of, parent
 
     def join_all(self) -> tuple[list[Point], list[list[int]], list[list[int]]]:
-        """Find every contained line of X(F_p) from its points, without
-        solving L_a: explore's route (connectivity_report).  Returns the
-        sorted points of X(F_p), which it enumerates itself, the lines as
-        the lists of the indices of their points (in line_points order),
-        and for each point index the numbers of the lines through it.
+        """Find every contained line of X(F_p), each at its least point:
+        explore's route (connectivity_report).  Returns the sorted points
+        of X(F_p), which it enumerates itself, the lines as the lists of the
+        indices of their points (in line_points order), and for each point
+        index the numbers of the lines through it.
 
-        The pass tests the c_k at pairs of points, refused when their n^2
-        exceed ENUMERATION_BUDGET.  One pass per point a, in sorted order:
-
-        - the pass starts from the lines already found through a, and looks
-          only at the later points, whose own pass has not run;
-        - of those it keeps the points b with c_k(a, b) = 0 for 1 <= k <= d-1
-          and every G of degree d (_tangent_filter, then _joins), the line ab
-          on X;
-        - the line ab through a kept b is made once, and numbered at all of
-          its p+1 points at once.
-
-        For a, b on X, c_0 = G(a) and c_d = G(b) are 0 already.  The two
-        gradient tests run packed, as one list of tests (_tangent_filter):
-        c_1(a, b) = grad G(a).b for every G, and c_{d-1}(a, b) = grad G(b).a
-        for G of degree >= 3 (for d <= 2, c_{d-1} is c_1 or c_0).  Each is
-        one big-integer dot product per point, exact in slots that hold the
-        bound (N+1)(p-1)^2.  All the gradients are evaluated at once,
-        column-wise (_gradient_columns); the c_k in between, for degree >= 4,
-        are read off the table (_middle).
-
-        A line is new at a's pass only if a is its least point: a line with
-        an earlier point was found at that point's pass.  The least point
-        of a line is the second row of its RREF basis, and the first row u
-        is the least of the others: they are u + t a, which agrees with u
-        before the lead index of a, where u is 0 and u + t a is t.  Every
-        point of a contained line passes every test, so the first kept b on
-        a new line is u, and the basis is (b, a), with no row reduction; that
-        holds because the points are those of X(F_p), sorted here.  The pass
-        runs on indices: the points reached from a and the kept points are
-        indices, and a line's points become indices once, when it is made.
-        Nothing is charged, and the graph's caches are not filled: the pairs
-        bound the work, and no query reads the caches after explore.
+        A canonical point with a later lead comes earlier in sorted order.
+        A line meets the hyperplane x_0 = 0 in one point or lies in it, so
+        its least point, which has the latest lead, has x_0 = 0.  At a point
+        a with lead j, the line through a and a direction v of L_a has a as
+        its least point iff v leads before j: then v and every a + t v lead
+        before j too, while otherwise v leads after j.  So L_a is solved
+        once, for all the points of the section x_0 = 0 at once
+        (_directions), keeping at each a the directions that lead before j;
+        a point whose W has none is dropped straight after its kernel.
+        Every contained line is found once, at its least point, as (v, a)
+        in RREF (_line_at), and numbered at all of its p+1 points at once,
+        in order of a and then of v.  The solve is charged as for the other
+        queries, and so are the p+1 points of every line before any is
+        listed.  The graph's caches are not filled: no query reads them
+        after explore.
         """
         points = sorted(enumerate_points(self.spec))
-        n = len(points)
-        _check_budget(n * n, f"the {n}^2 point pairs of the chain graph")
-        field = self.spec.field
-        middle = self._middle()
-        columns = self._gradient_columns(points)
-        reverse = [grad for poly, grad in zip(self.spec.polys, columns) if poly.degree >= 3]
-        later = _tangent_filter(points, columns, reverse, field.p)
+        section = points[: bisect_left(points, (1,))]  # the points with x_0 = 0
+        found = self._directions(section, [a.index(1) for a in section])
+        p = self.spec.field.p
+        self._charge((p + 1) * sum(map(len, found)))
         index = {pt: i for i, pt in enumerate(points)}
         lines: list[list[int]] = []
-        through: list[list[int]] = [[] for _ in range(n)]  # line numbers at each point
-        for i, a in enumerate(points):
-            reached = {i}.union(*map(lines.__getitem__, through[i]))
-            # the kept points off the lines through a found so far: the
-            # filter reads reached as the loop adds to it
-            for j in filterfalse(reached.__contains__, later(i)):
-                b = points[j]
-                if middle and not self._joins(a, b, middle):
-                    continue
-                number = len(lines)
-                members = list(map(index.__getitem__, line_points(Line((b, a)), field)))
-                lines.append(members)
+        through: list[list[int]] = [[] for _ in points]  # line numbers at each point
+        for a, directions in zip(section, found):
+            for v in sorted(directions):
+                members = list(map(index.__getitem__, line_points(_line_at(a, v, p), self.spec.field)))
                 for q in members:
-                    through[q].append(number)
-                reached.update(members)
+                    through[q].append(len(lines))
+                lines.append(members)
         return points, lines, through
-
-    def _middle(self) -> list[list[tuple[int, Point]]]:
-        """The c_k(a, b), 2 <= k <= d-2, of every G, as terms in the
-        coordinates of a + b (concatenated)."""
-        return [
-            [(mult, a_exps + f) for mult, a_exps, f in terms]
-            for poly, table in zip(self.spec.polys, self._tables)
-            for k, terms in table.items()
-            if 2 <= k <= poly.degree - 2
-        ]
-
-    def _joins(self, a: Point, b: Point, middle) -> bool:
-        """Whether the c_k(a, b) in between the gradient tests (_middle)
-        vanish, for distinct points a, b of X(F_p) that pass both: then the
-        line ab lies on X."""
-        ab = a + b
-        p = self.spec.field.p
-        return not any(_eval_terms(terms, ab, p) for terms in middle)
 
 
 def chain_search(
@@ -942,28 +928,36 @@ class ConnectivityReport:
 def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityReport:
     """Pair-connectivity fractions for l = 1..max_length plus a line census.
 
-    ChainGraph.join_all enumerates X(F_p) and finds every contained line
-    from its points, as lists of point indices, then connectivity_report
-    counts pairs with bitsets over the indices.  The line census is the
-    lengths of the per-point line lists.  The ball of radius k+1 about x is
-    the ball of radius k with every contained line that meets it, which is
-    the union of the radius-k balls about the points of the lines through
-    x.  One level ORs each line's balls together and then each point's
-    lines together; popcounts give the number of ordered pairs within each
-    distance.  A max_length past EXPLORE_LENGTH_BUDGET is refused with
-    BudgetExceededError before any of this.
+    ChainGraph.join_all enumerates X(F_p) and finds every contained line,
+    each at its least point, as lists of point indices, then
+    connectivity_report counts pairs with bitsets over the indices.  The
+    line census is the lengths of the per-point line lists.  The ball of
+    radius k+1 about x is the ball of radius k with every contained line
+    that meets it, which is the union of the radius-k balls about the
+    points of the lines through x.  One level ORs each line's balls
+    together and then each point's lines together; popcounts give the
+    number of ordered pairs within each distance.  The graph is charged the
+    n * ceil(n/8) bytes of the n balls of n bits before the first ones are
+    made and again before each level, so their memory and time stay within
+    ENUMERATION_BUDGET along with the solve and the lines.  A max_length
+    past EXPLORE_LENGTH_BUDGET is refused with BudgetExceededError before
+    any of this.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
     if max_length > EXPLORE_LENGTH_BUDGET:
         raise BudgetExceededError(
             f"max_length {max_length} exceeds the {EXPLORE_LENGTH_BUDGET} budget")
-    points, lines, through = ChainGraph(spec).join_all()
+    graph = ChainGraph(spec)
+    points, lines, through = graph.join_all()
     n = len(points)
     line_counts = dict(Counter(map(len, through)))
+    level = n * -(-n // 8)  # the bytes of n balls of n bits, charged before they are made
+    graph._charge(level)
     ball = [1 << i for i in range(n)]
     reachable = []  # ordered pairs at distance <= l, for l = 1, 2, ...
     for _ in range(max_length):
+        graph._charge(level)
         spans = [reduce(or_, [ball[i] for i in idx]) for idx in lines]
         grown = [reduce(or_, [spans[j] for j in js], b) for b, js in zip(ball, through)]
         reachable.append(sum(b.bit_count() for b in grown))
@@ -971,11 +965,7 @@ def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityRepor
             break
         ball = grown
     reachable += reachable[-1:] * (max_length - len(reachable))
-    fractions = (
-        {l: Fraction(reachable[l - 1], n * n) for l in range(1, max_length + 1)}
-        if n
-        else {}
-    )
+    fractions = {l: Fraction(r, n * n) for l, r in enumerate(reachable, 1)} if n else {}
     return ConnectivityReport(points=n, fractions=fractions, line_counts=line_counts)
 
 

@@ -362,6 +362,39 @@ def test_witness_length_budget_refuses_at_once(monkeypatch, capsys):
             build(problem((1, 1, 1), 3, 6))
 
 
+def test_class_text_budget_refuses_before_the_walk(monkeypatch, capsys):
+    # (300,) N=600 l=4 counting has 90,000 terms, within the term budget,
+    # but coefficients of about 2,600 digits: 228 MB of text.  Its bound,
+    # from bit lengths, is 246,420,000 characters, past the budget, so it
+    # is refused at once with empty stdout, before the walk starts
+    def no_walk(*args):
+        raise AssertionError("the class walked past its text budget")
+
+    monkeypatch.setattr(chains, "_walk", no_walk)
+    p = problem((300,), 600, 4)
+    assert chains._text_bound(p, True, class_term_count(p)) == 246_420_000
+    code = main(["class", "--degrees", "300", "--ambient", "600", "--length", "4",
+                 "--mode", "counting"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"more than the {chains.CLASS_TEXT_BUDGET} character budget" in captured.err
+    # (5,5) N=40 l=8 stays admitted: 531,441 terms of at most 51 digits
+    reference = problem((5, 5), 40, 8)
+    assert chains._text_bound(reference, True, 531441) == 51_018_336 <= chains.CLASS_TEXT_BUDGET
+    monkeypatch.undo()
+    # the bound holds the text, and a budget of exactly the bound admits it
+    for degrees, n, l in CROSS_GRID + [((5, 5), 40, 5), ((1000,), 1999, 2), ((1, 1, 1), 3, 500)]:
+        p = problem(degrees, n, l)
+        for counting in (True, False):
+            bound = chains._text_bound(p, counting, class_term_count(p))
+            monkeypatch.setattr(chains, "CLASS_TEXT_BUDGET", bound)
+            assert len("".join(class_text(p, counting))) <= bound
+            monkeypatch.setattr(chains, "CLASS_TEXT_BUDGET", bound - 1)
+            with pytest.raises(BudgetExceededError):
+                class_text(p, counting)
+
+
 def test_class_budget_admits_reference_class():
     assert class_term_count(problem((5, 5), 40, 8)) == 531441 <= CLASS_TERM_BUDGET
 

@@ -5,7 +5,7 @@ import struct
 import time
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -368,43 +368,30 @@ def test_chain_graph_matches_pairwise_oracle(spec):
             assert graph.contained_lines_through(pt) == lines
 
 
-def plain_tangent(graph, a, points):
-    """The points b among points with c_1(a, b) = grad G(a).b = 0 for every
-    G, one dot product per pair: the reference for the packed filter."""
-    p = graph.spec.field.p
-    grads = graph._gradient(a)
-    return [b for b in points if not any(sum(map(operator.mul, g, b)) % p for g in grads)]
-
-
-def plain_reverse(graph, a, points, gradients):
-    """The points b among points with c_(d-1)(a, b) = grad G(b).a = 0 for
-    every G, from each b's own gradient, one dot product per pair: the
-    reference for the packed reverse test.  gradients maps each point to
-    its grad G, made on first use and shared by the calls of one test."""
-    p = graph.spec.field.p
-    for b in points:
-        if b not in gradients:
-            gradients[b] = graph._gradient(b)
-    return [b for b in points
-            if not any(sum(map(operator.mul, g, a)) % p for g in gradients[b])]
-
-
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_containment_route_matches_line_in_variety(spec):
-    # explore's per-pair test: the tangent filter c_1, the reverse gradient
-    # test c_(d-1) and the c_k in between, against symbolic containment of
-    # every joining line
+    # explore's route: at each point a of the section x_0 = 0, the directions
+    # of L_a that lead before a's lead give exactly the lines ab that lie on
+    # X (symbolic containment) and have a as their least point, for every
+    # other point b; no point off the section is the least point of a line
     graph = ChainGraph(spec)
     points = sorted(enumerate_points(spec))
-    middle = graph._middle()
-    gradients = {}
-    for a in points:
-        others = [b for b in points if b != a]
-        tangent = set(plain_tangent(graph, a, others))
-        reverse = set(plain_reverse(graph, a, others, gradients))
-        for b in others:
-            joined = b in tangent and b in reverse and graph._joins(a, b, middle)
-            assert joined == line_in_variety(spec, line_through(a, b, spec.field))
+    section = [a for a in points if a[0] == 0]
+    found = graph._directions(section, [a.index(1) for a in section])
+    p = spec.field.p
+    for a, directions in zip(section, found):
+        lines = {finite_geometry._line_at(a, v, p) for v in directions}
+        assert len(lines) == len(directions)
+        for b in points:
+            if b != a:
+                line = line_through(a, b, spec.field)
+                least = min(line_points(line, spec.field)) == a
+                assert (line in lines) == (least and line_in_variety(spec, line))
+    for a in points[len(section):]:
+        for b in points:
+            if b != a:
+                line = line_through(a, b, spec.field)
+                assert min(line_points(line, spec.field))[0] == 0
 
 
 def smooth_conic(p):
@@ -412,112 +399,168 @@ def smooth_conic(p):
     return VarietySpec(PrimeField(p), 2, (HomogPoly(2, ((1, (1, 0, 1)), (p - 1, (0, 2, 0)))),))
 
 
-# varieties whose tangent bound (N+1)(p-1)^2 needs slots of 1, 2 and 4 bytes
-SLOT_VARIETIES = {
-    "hyperplane5": (coordinate_hyperplane(5, 4), 1),  # bound 80
-    "quadric11": (split_quadric(11), 2),  # bound 400
-    "conic151": (smooth_conic(151), 4),  # bound 67,500
+# three more varieties for the gradients and explore's lines: every point
+# of hyperplane5 lies in x_0 = 0, and conic151 has no line; their tangent
+# bound (N+1)(p-1)^2 needs slots of 1, 2 and 4 bytes
+MORE_VARIETIES = {
+    "hyperplane5": coordinate_hyperplane(5, 4),  # bound 80
+    "quadric11": split_quadric(11),  # bound 400
+    "conic151": smooth_conic(151),  # bound 67,500
 }
+TANGENT_WIDTHS = {"hyperplane5": 1, "quadric11": 2, "conic151": 4}
+
+
+def plain_gradient(spec, a):
+    """grad G(a) for every G, term by term from G itself: the reference for
+    the column-wise gradients."""
+    p = spec.field.p
+    return [[sum(c * e[i] * prod(pow(x, f - (k == i), p) for k, (x, f) in enumerate(zip(a, e)))
+                  for c, e in poly.terms if e[i]) % p for i in range(len(a))]
+            for poly in spec.polys]
 
 
 @pytest.mark.parametrize(
     "spec",
-    [*ORACLE_VARIETIES.values(), *(spec for spec, _ in SLOT_VARIETIES.values())],
-    ids=[*ORACLE_VARIETIES, *SLOT_VARIETIES],
+    [*ORACLE_VARIETIES.values(), *MORE_VARIETIES.values()],
+    ids=[*ORACLE_VARIETIES, *MORE_VARIETIES],
 )
 def test_packed_tangent_filter_matches_dot_products(spec):
-    # explore's pass keeps, at the point of index i, the later points that
-    # the packed filter keeps: exactly those the plain dot products keep,
-    # for the tangent test alone and with the reverse test of every G of
-    # degree >= 3 (for d <= 2 the tangent test implies c_(d-1) = 0)
+    # the tangent test c_1(a, b) = grad G(a).b = 0 at every pair of points:
+    # packed, one slot per b (_pack, _slots) at the tangent bound, from the
+    # column-wise gradients of L_a's solve, it keeps the b the plain dot
+    # products keep; and those are the b whose direction b - b_j a from a
+    # (j the lead of a) lies in the solve's W (_kernel of the gradient rows),
+    # as grad G(a).a = d G(a) = 0
     graph = ChainGraph(spec)
     points = sorted(enumerate_points(spec))
-    p = spec.field.p
-    columns = graph._gradient_columns(points)
-    reverse = [grad for poly, grad in zip(spec.polys, columns) if poly.degree >= 3]
-    tangent = finite_geometry._tangent_filter(points, columns, [], p)
-    both = finite_geometry._tangent_filter(points, columns, reverse, p)
-    # the reverse test alone: all-zero gradient columns keep every slot
-    no_gradient = [[[0] * len(points)] * (spec.ambient + 1)] * len(spec.polys)
-    back_only = finite_geometry._tangent_filter(points, no_gradient, reverse, p)
-    gradients = {}
-    for i, a in enumerate(points):
-        kept = plain_tangent(graph, a, points[i + 1 :])
-        assert [points[j] for j in tangent(i)] == kept
-        back = plain_reverse(graph, a, points[i + 1 :], gradients)
-        assert [points[j] for j in both(i)] == [b for b in kept if b in back]
-        if len(reverse) == len(spec.polys):
-            assert [points[j] for j in back_only(i)] == back
+    p, size, n = spec.field.p, spec.ambient + 1, len(points)
+    fmt = finite_geometry._slot_format(size * (p - 1) ** 2)
+    packed = finite_geometry._pack(list(zip(*points)) or [()] * size, fmt)
+    grads = graph._columns(points)[0]
+    for k, a in enumerate(points):
+        j = a.index(1)
+        rows = [[col[k] for col in grad] for grad in grads]
+        plain = [not any(sum(map(operator.mul, g, b)) % p for g in plain_gradient(spec, a))
+                 for b in points]
+        slots = [finite_geometry._slots(g, packed, fmt, n) for g in rows]
+        assert [not any(s[q] % p for s in slots) for q in range(n)] == plain
+        basis = finite_geometry._kernel(
+            [[0 if i == j else x for i, x in enumerate(g)] for g in rows], size, j, p)
+        for b, tangent in zip(points, plain):
+            v = [(x - b[j] * y) % p for x, y in zip(b, a)]
+            span = [sum(v[w.index(1)] * w[i] for w in basis) % p for i in range(size)]
+            assert (span == v) == tangent
 
 
-@pytest.mark.parametrize("spec, width", SLOT_VARIETIES.values(), ids=SLOT_VARIETIES.keys())
+@pytest.mark.parametrize(
+    "spec, width",
+    [(MORE_VARIETIES[name], width) for name, width in TANGENT_WIDTHS.items()],
+    ids=TANGENT_WIDTHS.keys(),
+)
 def test_tangent_filter_slot_widths(spec, width):
     bound = (spec.ambient + 1) * (spec.field.p - 1) ** 2
-    assert struct.calcsize(finite_geometry._slot_format(bound)) == width
+    fmt = finite_geometry._slot_format(bound)
+    assert struct.calcsize(fmt) == width
     # points and gradients with entries near p - 1 fill the slots to the
-    # bound, where a slot too narrow carries into the next one
+    # bound, where a slot too narrow carries into the next one: each slot
+    # holds its dot product exactly, not only mod p
     p, size = spec.field.p, spec.ambient + 1
     points = sorted(itertools.product(range(p - 3, p), repeat=size))
     n = len(points)
     rng = random.Random(width)
     grads = [[p - 1] * size] + [[rng.randrange(max(0, p - 8), p) for _ in range(size)] for _ in range(7)]
+    packed = finite_geometry._pack(list(zip(*points)), fmt)
     for g in grads:
         # the gradient g at every point
-        later = finite_geometry._tangent_filter(points, [[[x] * n for x in g]], [], p)
-        for i in range(n):
-            expected = [j for j in range(i + 1, n)
-                        if not sum(map(operator.mul, g, points[j])) % p]
-            assert later(i) == expected
-    # the reverse test alone (all-zero gradient columns keep every slot),
-    # with gradient rows near p - 1 and one of p - 1 throughout
+        assert list(finite_geometry._slots(g, packed, fmt, n)) == [
+            sum(map(operator.mul, g, b)) for b in points]
+    # one gradient row per point, packed column-wise, against each point,
+    # with rows near p - 1 and one of p - 1 throughout
     rows = [[p - 1] * size] + [[rng.randrange(max(0, p - 8), p) for _ in range(size)]
                                for _ in points[1:]]
-    zero = [[[0] * n] * size]
-    reverse = finite_geometry._tangent_filter(points, zero, [list(zip(*rows))], p)
-    for i, a in enumerate(points):
-        expected = [j for j in range(i + 1, n)
-                    if not sum(map(operator.mul, rows[j], a)) % p]
-        assert reverse(i) == expected
+    packed = finite_geometry._pack(list(zip(*rows)), fmt)
+    for a in points:
+        assert list(finite_geometry._slots(a, packed, fmt, n)) == [
+            sum(map(operator.mul, row, a)) for row in rows]
 
 
 @pytest.mark.parametrize(
     "spec",
-    [*ORACLE_VARIETIES.values(), *(spec for spec, _ in SLOT_VARIETIES.values())],
-    ids=[*ORACLE_VARIETIES, *SLOT_VARIETIES],
+    [*ORACLE_VARIETIES.values(), *MORE_VARIETIES.values()],
+    ids=[*ORACLE_VARIETIES, *MORE_VARIETIES],
 )
 def test_gradient_columns_match_gradient(spec):
     # the gradients of all the points at once, column-wise, equal grad G at
     # one point at a time; fermat4_5 has no point at all
     points = sorted(enumerate_points(spec))
     graph = ChainGraph(spec)
-    columns = graph._gradient_columns(points)
+    columns = graph._columns(points)[0]
     assert [len(grad) for grad in columns] == [spec.ambient + 1] * len(spec.polys)
     assert all(len(col) == len(points) for grad in columns for col in grad)
     for k, a in enumerate(points):
-        assert [[col[k] for col in grad] for grad in columns] == graph._gradient(a)
+        assert [[col[k] for col in grad] for grad in columns] == plain_gradient(spec, a)
 
 
 @pytest.mark.parametrize(
     "spec",
-    [*ORACLE_VARIETIES.values(), *(spec for spec, _ in SLOT_VARIETIES.values())],
-    ids=[*ORACLE_VARIETIES, *SLOT_VARIETIES],
+    [*ORACLE_VARIETIES.values(), *MORE_VARIETIES.values()],
+    ids=[*ORACLE_VARIETIES, *MORE_VARIETIES],
 )
 def test_join_all_lines_in_closed_form(spec):
-    # the pass makes each line at its least point a as (b, a), b the least
+    # explore makes each line at its least point a as (v, a), v the least
     # of its other points: the RREF basis line_through gives, and its index
     # list is that of the points line_points lists, numbered at every one
-    # of them
+    # of them; the least point has x_0 = 0, and no line is found twice
     points, lines, through = ChainGraph(spec).join_all()
     for number, members in enumerate(lines):
         line = index_line(points, members)
         pts = [points[q] for q in members]
         a, b = sorted(pts)[:2]
         assert line.basis == (b, a)
+        assert a[0] == 0
         assert all(line_through(a, q, spec.field) == line for q in pts if q != a)
         assert pts == line_points(line, spec.field)
         assert all(number in through[q] for q in members)
     assert sum(map(len, through)) == (spec.field.p + 1) * len(lines)
     assert len({frozenset(members) for members in lines}) == len(lines)
+
+
+@pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
+@pytest.mark.parametrize("block", [7, finite_geometry._T_BLOCK])
+def test_batched_solve_matches_one_point_solves(spec, block, monkeypatch):
+    # L_a at all the points at once, in blocks that join and split the
+    # points' directions, gives each point the directions and the charge of
+    # its own solve; with the cut at each point's lead, it keeps those that
+    # lead before it
+    points = sorted(enumerate_points(spec))
+    alone = []
+    for a in points:
+        graph = ChainGraph(spec)
+        [directions] = graph._directions([a], [len(a)])
+        alone.append((sorted(directions), graph.charged))
+    monkeypatch.setattr(finite_geometry, "_T_BLOCK", block)
+    batch = ChainGraph(spec)
+    found = batch._directions(points, [len(a) for a in points])
+    assert [(sorted(directions), charge) for directions, (_, charge) in zip(found, alone)] == alone
+    assert batch.charged == sum(charge for _, charge in alone)
+    cut = ChainGraph(spec)._directions(points, [a.index(1) for a in points])
+    for a, kept, (directions, _) in zip(points, cut, alone):
+        assert sorted(kept) == [v for v in directions if v.index(1) < a.index(1)]
+
+
+def test_closed_form_lines_match_line_through():
+    # the line through a and each direction v of L_a, made in closed form,
+    # is the RREF line line_through gives, at every point of every oracle
+    # variety, for v leading before a and after it
+    pairs = 0
+    for spec in ORACLE_VARIETIES.values():
+        graph = ChainGraph(spec)
+        for a in sorted(enumerate_points(spec)):
+            [directions] = graph._directions([a], [len(a)])
+            for v in directions:
+                assert finite_geometry._line_at(a, v, spec.field.p) == line_through(a, v, spec.field)
+                pairs += 1
+    assert pairs == 1303
 
 
 def test_slot_format_thresholds():
@@ -599,19 +642,27 @@ def test_local_model_matches_incidence_passes(spec):
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_join_all_fills_the_graph_caches(spec, monkeypatch):
-    # one owner of contained lines: explore's pass enumerates and sorts
-    # X(F_p) itself and returns its lines by point index, with no L_a
-    # solve, nothing charged, and the graph's own caches left empty; each
-    # point's lines are those L_a gives
+    # one owner of contained lines: explore enumerates and sorts X(F_p)
+    # itself and returns its lines by point index, from one L_a solve of
+    # the points with x_0 = 0, charged as any solve plus p+1 per line, and
+    # leaves the graph's own caches empty; each point's lines are those
+    # L_a gives
     explored = ChainGraph(spec)
+    solve = explored._directions
+    calls = []
 
-    def no_solve(a):
-        raise AssertionError(f"L_a solved at {a} during join_all")
+    def one_solve(points, cuts):
+        calls.append((points, cuts))
+        return solve(points, cuts)
 
-    monkeypatch.setattr(explored, "_directions", no_solve)
+    monkeypatch.setattr(explored, "_directions", one_solve)
     points, lines, through = explored.join_all()
     assert points == sorted(enumerate_points(spec))
-    assert explored.charged == 0
+    section = [a for a in points if a[0] == 0]
+    assert calls == [(section, [a.index(1) for a in section])]
+    alone = ChainGraph(spec)
+    alone._directions(section, [a.index(1) for a in section])
+    assert explored.charged == alone.charged + (spec.field.p + 1) * len(lines)
     assert not explored._lines and not explored._line_points and not explored._neighbors
     fresh = ChainGraph(spec)
     for pt, numbers in zip(points, through):
@@ -804,6 +855,43 @@ def test_connectivity_report_pinned(spec, points, fractions, line_counts):
     assert report.line_counts == line_counts
 
 
+def test_explore_split_quadric_f101():
+    # 10,404 points, past the n^2 <= 10^8 pairs explore once refused: the
+    # closed forms (p+1)^2 points, two lines through each, (2p+1)/(p+1)^2
+    # of the ordered pairs on a common line, every pair within two steps
+    p = 101
+    report = connectivity_report(split_quadric(p), 3)
+    assert report.points == (p + 1) ** 2
+    assert report.fractions == {1: Fraction(2 * p + 1, (p + 1) ** 2), 2: 1, 3: 1}
+    assert report.line_counts == {2: (p + 1) ** 2}
+
+
+def test_explore_random_cubic_surface_f101():
+    # a seeded cubic surface with all 20 monomials over F_101: its lines are
+    # contained (line_in_variety), each point's census is its own L_a solve,
+    # and the pairs within one step are the points and the (p+1)p ordered
+    # pairs of each line, since two lines share at most one point
+    p = 101
+    rng = random.Random(101)
+    monos = [e for e in itertools.product(range(4), repeat=4) if sum(e) == 3]
+    spec = VarietySpec(PrimeField(p), 3, (HomogPoly(3, tuple((rng.randrange(1, p), e) for e in monos)),))
+    points, lines, through = ChainGraph(spec).join_all()
+    assert points == sorted(enumerate_points(spec))
+    report = connectivity_report(spec, 2)
+    n = len(points)
+    assert report.points == n
+    assert report.fractions[1] == Fraction(n + len(lines) * (p + 1) * p, n * n)
+    assert sum(k * count for k, count in report.line_counts.items()) == len(lines) * (p + 1)
+    graph = ChainGraph(spec)
+    on_lines = {q for members in lines for q in members}
+    for i in sorted(on_lines) + random.Random(7).sample(range(n), 30):
+        assert {index_line(points, lines[j]) for j in through[i]} == \
+            graph.contained_lines_through(points[i])
+    for members in lines:
+        assert line_in_variety(spec, index_line(points, members))
+    assert lines
+
+
 def test_connectivity_report_fermat_f5():
     report = connectivity_report(fermat_cubic(5), 5)
     assert report.points == 31
@@ -836,15 +924,60 @@ def test_connectivity_report_matches_distances(spec):
 
 
 def test_connectivity_report_pair_budget(monkeypatch, tmp_path):
-    # the plane over F_3 has p^N = 27 ambient points but n^2 = 169 point pairs
-    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 100)
+    # explore on the plane x_0 = 0 in P^3 over F_3 (p^N = 27, 13 points) is
+    # charged 117: its solve 13 (no c_k; the 9 points of lead 1 have no
+    # direction before it, the 3 of lead 2 have 3 each, 0:0:0:1 has 4), the
+    # 13 lines of 4 points (52), and 13 balls of 2 bytes (26) for the points
+    # and again for the one level
     spec = coordinate_hyperplane(3)
     assert len(enumerate_points(spec)) == 13
-    with pytest.raises(BudgetExceededError):
-        connectivity_report(spec, 1)
     path = tmp_path / "plane3.variety"
     path.write_text(format_variety(spec))
-    assert main(["explore", "--variety", str(path), "--max-length", "1"]) == 2
+    argv = ["explore", "--variety", str(path), "--max-length", "1"]
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 116)
+    with pytest.raises(BudgetExceededError):
+        connectivity_report(spec, 1)
+    assert main(argv) == 2
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 117)
+    assert connectivity_report(spec, 1).fractions == {1: 1}
+    assert main(argv) == 0
+    # a second level is charged as the first, before it runs
+    with pytest.raises(BudgetExceededError):
+        connectivity_report(spec, 2)
+
+
+def guard_evaluations(monkeypatch, *point_lists):
+    """Let _form_columns evaluate forms at the given lists of points (the
+    gradients and the coefficients of the c_k), and raise at any other
+    columns, those of directions."""
+    evaluate = finite_geometry._form_columns
+    allowed = [list(zip(*points)) for points in point_lists]
+
+    def guarded(forms, coords, p):
+        if [tuple(col) for col in coords] not in allowed:
+            raise AssertionError("a c_k evaluated past the budget")
+        return evaluate(forms, coords, p)
+
+    monkeypatch.setattr(finite_geometry, "_form_columns", guarded)
+
+
+def test_explore_is_refused_before_it_evaluates(monkeypatch):
+    # explore on the Fermat cubic threefold over F_5 (p^N = 625) charges its
+    # solve up front: c_2 at the directions of its 31 points with x_0 = 0
+    # that lead before their lead, times its live terms, 2,103 in all; one
+    # less refuses it before any direction is made or any c_k evaluated
+    spec = fermat_cubic_threefold(5)
+
+    def no_directions(self, solves):
+        raise AssertionError("directions made past the budget")
+
+    monkeypatch.setattr(ChainGraph, "_blocks", no_directions)
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 2102)
+    with pytest.raises(BudgetExceededError):
+        connectivity_report(spec, 1)
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 2103)
+    with pytest.raises(AssertionError):
+        connectivity_report(spec, 1)
 
 
 def test_explore_length_budget_refuses_at_once(monkeypatch, tmp_path, capsys):
@@ -978,7 +1111,15 @@ def test_local_table_budget(monkeypatch, tmp_path, capsys):
         path.write_text(format_variety(spec))
         assert main(["explore", "--variety", str(path), "--max-length", "1"]) == 2
         assert capsys.readouterr().out == ""
-    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 11)
+    # past its table, explore on the cubic is charged 21: at its one point
+    # 0:1:0:0 with x_0 = 0, c_3 (c_2 is 0 there, as a_2 = a_3 = 0) at the 4
+    # directions of P(W) that lead before x_1 times its 3 terms, then the
+    # line x_2 = x_3 = 0 (3 points), and 3 balls of 1 byte for the points
+    # and again for the one level
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 20)
+    with pytest.raises(BudgetExceededError):
+        connectivity_report(cubic, 1)
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 21)
     assert connectivity_report(cubic, 1).fractions == {1: 1}
 
 
@@ -1008,12 +1149,11 @@ def test_solve_charge_budget(monkeypatch, tmp_path, capsys):
 def test_solve_is_refused_before_it_evaluates(monkeypatch):
     # a budget below the first charge (c_2 at the 12 directions of the
     # octic above, 12 * 2) refuses the solve before any c_k is evaluated
-    def no_evaluation(*args):
-        raise AssertionError("a c_k evaluated past the budget")
-
+    # (the gradient and the coefficients of the c_k at the point itself
+    # are evaluated first, as columns of one entry)
     graph = ChainGraph(fermat_surface(11, 8))  # its table has 32 terms
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 12 * 2 - 1)
-    monkeypatch.setattr(finite_geometry, "_form_columns", no_evaluation)
+    guard_evaluations(monkeypatch, [(0, 1, 1, 4)])
     with pytest.raises(BudgetExceededError):
         graph.contained_lines_through((0, 1, 1, 4))
     assert graph.charged == 12 * 2
