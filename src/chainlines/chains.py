@@ -52,11 +52,11 @@ the counting class lists the surviving paths, and the existence class --
 the coefficient-free product, whose nonvanishing already certifies a
 chain -- is the same listing with binomials C(D-m, a) and scale 1.  A
 dynamic program over (k, a_k) counts the terms before any is built, and
-classes with more than CLASS_TERM_BUDGET terms are refused with
-BudgetExceededError.  The term count does not bound the text, whose
-coefficients can have thousands of digits, so class_text also refuses a
-class whose text could pass CLASS_TEXT_BUDGET characters, by a bound from
-bit lengths alone (_text_bound).
+classes with more than CLASS_TERM_BUDGET terms, or with l past
+LENGTH_BUDGET, are refused with BudgetExceededError.  The term count does
+not bound the text, whose coefficients can have thousands of digits, so
+class_text also refuses a class whose text could pass CLASS_TEXT_BUDGET
+characters, by a bound from bit lengths alone (_text_bound).
 
 At zero expected dimension (l-1)(N-D) = D - m, and the top monomial forces
 a_k = (k-1)(N-D), so the top coefficient -- the number of chains, with
@@ -83,17 +83,16 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .chow import (ChowClass, Group, Leaves, Monomial, ProductSpace, _factor_text, _seams,
                    hyperplane, render)
 from .criteria import DefiningData, rc_criterion
-from .finite_geometry import BudgetExceededError
+from .finite_geometry import LENGTH_BUDGET, BudgetExceededError
 
 CLASS_TERM_BUDGET = 10**6  # hard cap on the terms of a class, and on (D-m)^2
 CLASS_TEXT_BUDGET = 10**8  # hard cap on a bound of the characters of a class's text
-WITNESS_LENGTH_BUDGET = 10**5  # hard cap on l for the witness, O(l) values
 
 
 class ExpectedDimensionError(ValueError):
@@ -112,16 +111,15 @@ class NegativeExpectedDimensionError(ExpectedDimensionError):
     """Overdetermined system; lengthen the chain or grow N."""
 
 
-@dataclass(frozen=True)
-class ChainProblem:
+class ChainProblem(namedtuple("ChainProblem", "data length")):
     """Degree data plus a chain length; lives in (P^N)^{l-1}."""
 
-    data: DefiningData
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length < 2:
-            raise ValueError(f"chain length must be >= 2: {self.length}")
+    def __new__(cls, data: DefiningData, length: int):
+        if length < 2:
+            raise ValueError(f"chain length must be >= 2: {length}")
+        return super().__new__(cls, data, length)
 
     @property
     def space(self) -> ProductSpace:
@@ -129,16 +127,17 @@ class ChainProblem:
         return ProductSpace((self.data.ambient,) * (self.length - 1))
 
 
-@dataclass(frozen=True)
-class ConditionTally:
+class ConditionTally(namedtuple("ConditionTally", (
+        "endpoint_x",        # equations only in p^1
+        "endpoint_y",        # equations only in p^{l-1}
+        "interior_pure",     # equations on each single interior factor
+        "interior_factors",  # number of interior factors, max(l-3, 0)
+        "mixed_per_pair",    # bihomogeneous equations per adjacent pair
+        "pairs",             # number of adjacent pairs, l-2 for l >= 3
+))):
     """How the l*D - m conditions distribute over the factors."""
 
-    endpoint_x: int        # equations only in p^1
-    endpoint_y: int        # equations only in p^{l-1}
-    interior_pure: int     # equations on each single interior factor
-    interior_factors: int  # number of interior factors, max(l-3, 0)
-    mixed_per_pair: int    # bihomogeneous equations per adjacent pair
-    pairs: int             # number of adjacent pairs, l-2 for l >= 3
+    __slots__ = ()
 
     def total(self) -> int:
         return (
@@ -175,14 +174,11 @@ def condition_tally(problem: ChainProblem) -> ConditionTally:
     return tally
 
 
-@dataclass(frozen=True)
-class CountingFactors:
-    """The condition classes, grouped by which factor(s) they constrain."""
+class CountingFactors(namedtuple("CountingFactors", "x_side y_side interior mixed")):
+    """The condition classes, grouped by which factor(s) they constrain;
+    each group is a tuple of ChowClass."""
 
-    x_side: tuple[ChowClass, ...]
-    y_side: tuple[ChowClass, ...]
-    interior: tuple[ChowClass, ...]
-    mixed: tuple[ChowClass, ...]
+    __slots__ = ()
 
     def all(self) -> tuple[ChowClass, ...]:
         return self.x_side + self.y_side + self.interior + self.mixed
@@ -245,6 +241,14 @@ def _check_budget(measure: int, what: str) -> None:
         )
 
 
+def _check_length_budget(problem: ChainProblem) -> None:
+    # the witness and every term of a class hold O(l) values
+    if problem.length > LENGTH_BUDGET:
+        raise BudgetExceededError(
+            f"chain length {problem.length} exceeds the {LENGTH_BUDGET} budget"
+        )
+
+
 def _check_block_budget(data: DefiningData) -> None:
     # building the pair block takes O((D-m)^2) operations
     _check_budget((data.total_degree - data.m) ** 2, "pair block size (D-m)^2")
@@ -283,7 +287,9 @@ def class_term_count(problem: ChainProblem) -> int:
 
 
 def _check_class_budget(problem: ChainProblem) -> int:
-    """The number of terms of the class, refused past CLASS_TERM_BUDGET."""
+    """The number of terms of the class, refused past CLASS_TERM_BUDGET,
+    and l past LENGTH_BUDGET before any O(l) work."""
+    _check_length_budget(problem)
     _check_block_budget(problem.data)
     # counted only up to the budget, so no row carries O(l)-bit integers
     terms = _term_count(problem, CLASS_TERM_BUDGET + 1)
@@ -423,7 +429,7 @@ def counting_class(problem: ChainProblem) -> ChowClass:
     """Product of all condition classes in the truncated ring.
 
     Listed from the blocks; raises BudgetExceededError beyond
-    CLASS_TERM_BUDGET terms.
+    CLASS_TERM_BUDGET terms or l past LENGTH_BUDGET.
     """
     return _collect(problem, _class_groups(problem, counting=True))
 
@@ -436,7 +442,8 @@ def existence_class(problem: ChainProblem) -> ChowClass:
         (h_1+h_2)^{D-m} * ... * (h_{l-2}+h_{l-1})^{D-m},
     and for l = 2 simply h^{2D-m}.  Every surviving term has total degree
     l*D - m; the class is nonzero whenever the chain criterion holds.
-    Raises BudgetExceededError beyond CLASS_TERM_BUDGET terms.
+    Raises BudgetExceededError beyond CLASS_TERM_BUDGET terms or
+    l past LENGTH_BUDGET.
     """
     return _collect(problem, _class_groups(problem, counting=False))
 
@@ -497,21 +504,21 @@ def witness_exponents(problem: ChainProblem) -> tuple[int, ...]:
 
     Empty for l = 2 (no interior adjustments).  Each value lies in [0, D-m].
     Raises BudgetExceededError, before any value is made, when l exceeds
-    WITNESS_LENGTH_BUDGET.
+    LENGTH_BUDGET.
     """
+    _check_length_budget(problem)
     data, l = problem.data, problem.length
-    if l > WITNESS_LENGTH_BUDGET:
-        raise BudgetExceededError(f"chain length {l} exceeds the {WITNESS_LENGTH_BUDGET} budget")
     D, m = data.total_degree, data.m
     return tuple((k * (D - m)) // (l - 1) for k in range(1, l - 1))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", (
+        "exponents",  # a Monomial, one exponent per factor
+        "fits",       # True iff every exponent is within its truncation bound
+))):
     """A single expansion monomial whose survival certifies nonvanishing."""
 
-    exponents: Monomial
-    fits: bool  # True iff every exponent is within its truncation bound
+    __slots__ = ()
 
 
 def witness_monomial(problem: ChainProblem) -> Witness:
@@ -523,7 +530,7 @@ def witness_monomial(problem: ChainProblem) -> Witness:
         e_{l-1} = 2D - m - jbar_{l-2};
     for l = 2 the single exponent is 2D - m.  When the chain criterion holds,
     every exponent is at most N and the witness survives truncation.
-    Refused like witness_exponents past WITNESS_LENGTH_BUDGET.
+    Refused like witness_exponents past LENGTH_BUDGET.
     """
     data, l = problem.data, problem.length
     D, m, N = data.total_degree, data.m, data.ambient

@@ -27,28 +27,26 @@ characters, for the later groups with the same coefficient and leaves.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from decimal import Decimal
 from itertools import groupby
 from operator import gt
 
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ProductSpace:
+class ProductSpace(namedtuple("ProductSpace", "factor_dims")):
     """A product of projective spaces, recorded by its factor dimensions."""
 
-    factor_dims: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        dims = tuple(int(n) for n in self.factor_dims)
+    def __new__(cls, factor_dims: tuple[int, ...]):
+        dims = tuple(int(n) for n in factor_dims)
         if len(dims) < 1:
             raise ValueError("a product space needs at least one factor")
         if any(n < 0 for n in dims):
             raise ValueError(f"factor dimensions must be nonnegative: {dims}")
-        object.__setattr__(self, "factor_dims", dims)
+        return super().__new__(cls, dims)
 
     @property
     def nfactors(self) -> int:
@@ -203,11 +201,14 @@ def int_text(n: int) -> str:
     """The decimal digits of n, exact at any size.
 
     ``str(int)`` refuses more than ``sys.get_int_max_str_digits()`` digits
-    (4,300 by default); ``Decimal`` converts without that limit.
+    (4,300 by default); ``Decimal`` converts without that limit.  decimal
+    is imported only here, so that importing the package does not load it.
     """
     try:
         return str(n)
     except ValueError:
+        from decimal import Decimal
+
         return str(Decimal(n))
 
 

@@ -17,11 +17,10 @@ the locus swept by length-l chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class DefiningData:
+class DefiningData(namedtuple("DefiningData", "degrees ambient")):
     """Degrees of a defining system of homogeneous polynomials in P^N.
 
     For a complete intersection the number of polynomials m equals the
@@ -29,18 +28,17 @@ class DefiningData:
     completeness of the intersection, or irreducibility.
     """
 
-    degrees: tuple[int, ...]
-    ambient: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        degrees = tuple(int(d) for d in self.degrees)
+    def __new__(cls, degrees: tuple[int, ...], ambient: int):
+        degrees = tuple(int(d) for d in degrees)
         if len(degrees) < 1:
             raise ValueError("at least one defining polynomial is required")
         if any(d < 1 for d in degrees):
             raise ValueError(f"degrees must be >= 1: {degrees}")
-        if self.ambient < 1:
-            raise ValueError(f"ambient dimension must be >= 1: {self.ambient}")
-        object.__setattr__(self, "degrees", degrees)
+        if ambient < 1:
+            raise ValueError(f"ambient dimension must be >= 1: {ambient}")
+        return super().__new__(cls, degrees, ambient)
 
     @property
     def m(self) -> int:
@@ -144,25 +142,18 @@ def wa_bound(lx_dim: int, length: int) -> int:
     return length * (lx_dim + 1)
 
 
-@dataclass(frozen=True)
-class SharpnessReport:
+class SharpnessReport(namedtuple("SharpnessReport", (
+        "length degree ambient criterion_at_length criterion_at_next min_length "
+        "lines_dim locus_bound variety_dim connected"))):
     """Why the criterion cannot be improved at a given length.
 
     For the degree-(l+1) hypersurface in P^{l+2} the criterion first holds at
     length l+1, and the chain-locus bound l*(dim L_x + 1) = l falls short of
-    dim X = l+1, so no length-l chain connects two general points.
+    dim X = l+1, so no length-l chain connects two general points.  The
+    criterion_at_* fields and connected are bools, the others ints.
     """
 
-    length: int
-    degree: int
-    ambient: int
-    criterion_at_length: bool
-    criterion_at_next: bool
-    min_length: int
-    lines_dim: int
-    locus_bound: int
-    variety_dim: int
-    connected: bool
+    __slots__ = ()
 
 
 def sharpness_report(length: int) -> SharpnessReport:

@@ -86,23 +86,21 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import Counter, namedtuple
 from functools import reduce
 from itertools import compress, repeat
 from math import prod
 from operator import add, getitem, mod, mul, not_, or_, sub
-from pathlib import Path
 
 # hard cap on p**N per enumeration, on the directions times the terms of
 # the c_k that one graph's L_a solves evaluate plus the points of the lines
 # it lists and the bytes of explore's bitsets, and on the terms of a
 # graph's c_k table
 ENUMERATION_BUDGET = 10**8
-# hard cap on explore's max_length: the report holds and prints one fraction
-# per length, so its size grows with max_length whatever the variety
-EXPLORE_LENGTH_BUDGET = 10**5
+# hard cap on the chain length of the commands whose work and output grow
+# with it whatever the input: explore's max_length (one fraction per length),
+# and the l of witness and class (O(l) values per term, chains module)
+LENGTH_BUDGET = 10**5
 
 Point = tuple[int, ...]
 
@@ -132,17 +130,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(namedtuple("PrimeField", "p")):
     """F_p for a prime p below 2^31; primality is checked at construction."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 2 <= self.p < 2**31:
-            raise ValueError(f"field characteristic out of range [2, 2^31): {self.p}")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __new__(cls, p: int):
+        if not 2 <= p < 2**31:
+            raise ValueError(f"field characteristic out of range [2, 2^31): {p}")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, p)
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -151,89 +149,86 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
 
-@dataclass(frozen=True)
-class HomogPoly:
+class HomogPoly(namedtuple("HomogPoly", "degree terms")):
     """A homogeneous polynomial as (coefficient, exponent-tuple) terms."""
 
-    degree: int
-    terms: tuple[tuple[int, Point], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1: {self.degree}")
-        if not self.terms:
+    def __new__(cls, degree: int, terms: tuple[tuple[int, Point], ...]):
+        if degree < 1:
+            raise ValueError(f"degree must be >= 1: {degree}")
+        if not terms:
             raise ValueError("a polynomial needs at least one term")
+        nvars = len(terms[0][1])
         seen = set()
-        for coeff, exps in self.terms:
-            if len(exps) != self.nvars:
+        for coeff, exps in terms:
+            if len(exps) != nvars:
                 raise ValueError(
-                    f"term {exps} has {len(exps)} exponents, expected {self.nvars}"
+                    f"term {exps} has {len(exps)} exponents, expected {nvars}"
                 )
             if coeff == 0:
                 raise ValueError("zero coefficients must not be stored")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if sum(exps) != self.degree:
+            if sum(exps) != degree:
                 raise ValueError(
-                    f"term {exps} has degree {sum(exps)}, expected {self.degree}"
+                    f"term {exps} has degree {sum(exps)}, expected {degree}"
                 )
             if exps in seen:
                 raise ValueError(f"duplicate monomial {exps}")
             seen.add(exps)
+        return super().__new__(cls, degree, terms)
 
     @property
     def nvars(self) -> int:
         return len(self.terms[0][1])
 
 
-@dataclass(frozen=True)
-class VarietySpec:
+class VarietySpec(namedtuple("VarietySpec", "field ambient polys")):
     """Explicit defining polynomials of a variety in P^N over F_p."""
 
-    field: PrimeField
-    ambient: int
-    polys: tuple[HomogPoly, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ambient < 2:
-            raise ValueError(f"ambient dimension must be >= 2: {self.ambient}")
-        if not self.polys:
+    def __new__(cls, field: PrimeField, ambient: int, polys: tuple[HomogPoly, ...]):
+        if ambient < 2:
+            raise ValueError(f"ambient dimension must be >= 2: {ambient}")
+        if not polys:
             raise ValueError("at least one defining polynomial is required")
-        for poly in self.polys:
-            if poly.nvars != self.ambient + 1:
+        for poly in polys:
+            if poly.nvars != ambient + 1:
                 raise ValueError(
-                    f"polynomial has {poly.nvars} variables, expected {self.ambient + 1}"
+                    f"polynomial has {poly.nvars} variables, expected {ambient + 1}"
                 )
             for coeff, _ in poly.terms:
-                if not 1 <= coeff < self.field.p:
+                if not 1 <= coeff < field.p:
                     raise ValueError(
-                        f"coefficient {coeff} not reduced mod {self.field.p}"
+                        f"coefficient {coeff} not reduced mod {field.p}"
                     )
+        return super().__new__(cls, field, ambient, polys)
 
 
-@dataclass(frozen=True)
-class Line:
-    """A projective line as its reduced-row-echelon basis; canonical.
+class Line(namedtuple("Line", "basis")):
+    """A projective line as its reduced-row-echelon basis, a pair of
+    points; canonical.
 
     Two Line values are equal iff they are the same projective line.
     """
 
-    basis: tuple[Point, Point]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(namedtuple("Chain", "points lines")):
     """A concrete chain witness: points q^0..q^l and the l joining lines."""
 
-    points: tuple[Point, ...]
-    lines: tuple[Line, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.points) != len(self.lines) + 1:
+    def __new__(cls, points: tuple[Point, ...], lines: tuple[Line, ...]):
+        if len(points) != len(lines) + 1:
             raise ValueError("a chain of l lines passes through l+1 points")
-        for a, b in zip(self.points, self.points[1:]):
+        for a, b in zip(points, points[1:]):
             if a == b:
                 raise ValueError("consecutive chain points must be distinct")
+        return super().__new__(cls, points, lines)
 
     @property
     def length(self) -> int:
@@ -914,15 +909,14 @@ def locus(spec: VarietySpec, x: Point, length: int) -> set[Point]:
 
 # -- explore: every line from the points --------------------------------------
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(namedtuple("ConnectivityReport", (
+        "points",       # the number of F_p-points
+        "fractions",    # l -> Fraction of ordered point pairs joined by a chain of length <= l
+        "line_counts",  # histogram: number of contained lines through a point -> point count
+))):
     """Connectivity statistics of the chain graph of a variety."""
 
-    points: int
-    # fraction of ordered point pairs joined by a chain of length <= l
-    fractions: dict[int, Fraction]
-    # histogram: number of contained lines through a point -> point count
-    line_counts: dict[int, int]
+    __slots__ = ()
 
 
 def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityReport:
@@ -940,14 +934,14 @@ def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityRepor
     n * ceil(n/8) bytes of the n balls of n bits before the first ones are
     made and again before each level, so their memory and time stay within
     ENUMERATION_BUDGET along with the solve and the lines.  A max_length
-    past EXPLORE_LENGTH_BUDGET is refused with BudgetExceededError before
+    past LENGTH_BUDGET is refused with BudgetExceededError before
     any of this.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
-    if max_length > EXPLORE_LENGTH_BUDGET:
+    if max_length > LENGTH_BUDGET:
         raise BudgetExceededError(
-            f"max_length {max_length} exceeds the {EXPLORE_LENGTH_BUDGET} budget")
+            f"max_length {max_length} exceeds the {LENGTH_BUDGET} budget")
     graph = ChainGraph(spec)
     points, lines, through = graph.join_all()
     n = len(points)
@@ -965,6 +959,8 @@ def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityRepor
             break
         ball = grown
     reachable += reachable[-1:] * (max_length - len(reachable))
+    from fractions import Fraction  # here, so that importing the package does not load it
+
     fractions = {l: Fraction(r, n * n) for l, r in enumerate(reachable, 1)} if n else {}
     return ConnectivityReport(points=n, fractions=fractions, line_counts=line_counts)
 
@@ -1050,7 +1046,8 @@ def format_variety(spec: VarietySpec) -> str:
 
 
 def load_variety(path) -> VarietySpec:
-    return parse_variety(Path(path).read_text())
+    with open(path) as f:
+        return parse_variety(f.read())
 
 
 # -- stock varieties -----------------------------------------------------------

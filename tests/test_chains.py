@@ -350,7 +350,7 @@ def test_witness_length_budget_refuses_at_once(monkeypatch, capsys):
     # the witness is l - 2 exponents and one string of them: past the budget
     # it is refused before any is made
     witness = ["witness", "--degrees", "1,1,1", "--ambient", "3", "--machine", "--length"]
-    monkeypatch.setattr(chains, "WITNESS_LENGTH_BUDGET", 5)
+    monkeypatch.setattr(chains, "LENGTH_BUDGET", 5)
     assert main(witness + ["5"]) == 0
     assert "monomial=3,3,3,3\n" in capsys.readouterr().out
     assert main(witness + ["6"]) == 2
@@ -360,6 +360,38 @@ def test_witness_length_budget_refuses_at_once(monkeypatch, capsys):
     for build in (witness_exponents, witness_monomial):
         with pytest.raises(BudgetExceededError):
             build(problem((1, 1, 1), 3, 6))
+
+
+def test_class_length_budget_refuses_at_once(monkeypatch, capsys):
+    # every term of a class holds O(l) values: past the budget the class is
+    # refused before the term count, the walk or any text, and count, a
+    # closed form, still answers
+    def no_work(*args):
+        raise AssertionError("the class did O(l) work past its length budget")
+
+    cls = ["class", "--degrees", "1,1,1", "--ambient", "3", "--machine", "--mode"]
+    monkeypatch.setattr(chains, "LENGTH_BUDGET", 5)
+    assert main(cls + ["existence", "--length", "5"]) == 0
+    assert "class=1*h1^3*h2^3*h3^3*h4^3\n" in capsys.readouterr().out
+    monkeypatch.setattr(chains, "_term_count", no_work)
+    monkeypatch.setattr(chains, "_walk", no_work)
+    for mode in ("existence", "counting"):
+        assert main(cls + [mode, "--length", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "chain length 6 exceeds the 5 budget" in captured.err
+    p = problem((1, 1, 1), 3, 6)
+    for build in (counting_class, existence_class, lambda p: class_text(p, True)):
+        with pytest.raises(BudgetExceededError):
+            build(p)
+    assert chain_count(p) == 1
+    monkeypatch.undo()
+    # the default budget: 3,000,000 factors would pass both class budgets
+    # and stream 50 MB
+    assert main(cls + ["existence", "--length", "3000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"chain length 3000000 exceeds the {chains.LENGTH_BUDGET} budget" in captured.err
 
 
 def test_class_text_budget_refuses_before_the_walk(monkeypatch, capsys):

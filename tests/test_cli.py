@@ -270,6 +270,16 @@ def test_malformed_file_reports_line(capsys, tmp_path):
     assert "line 3" in captured.err
 
 
+def test_unreadable_variety_file_is_input_error(capsys, tmp_path):
+    # the OSError of open() is the message, after "error: "
+    missing = tmp_path / "missing.variety"
+    for path, message in [(missing, f"error: [Errno 2] No such file or directory: '{missing}'\n"),
+                          (tmp_path, f"error: [Errno 21] Is a directory: '{tmp_path}'\n")]:
+        code = main(["lines", "--variety", str(path), "--point", "1:0:0:0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", message)
+
+
 def test_point_not_on_variety_is_input_error(capsys, quadric_file):
     code, out = run(capsys, "lines", "--variety", quadric_file, "--point", "1:0:0:1")
     assert code == 2

@@ -1,7 +1,9 @@
 """The package has no runtime dependencies: its modules import only the
-standard library and each other, and pyproject.toml declares none."""
+standard library and each other, and pyproject.toml declares none.  The
+CLI's import loads no module that only some commands need."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,3 +47,32 @@ def test_pyproject_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
+
+
+# slow to import, and not needed to start the CLI: records are namedtuples,
+# and decimal and fractions are imported where they are used
+LAZY = ("dataclasses", "inspect", "typing", "decimal", "fractions", "pathlib")
+
+GUARD_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import chainlines.cli
+print(",".join(name for name in sys.argv[2:] if name in sys.modules))
+from chainlines.chow import int_text
+from chainlines.finite_geometry import connectivity_report, split_quadric
+print(int_text(10**5000) == "1" + "0" * 5000)
+print(sorted(connectivity_report(split_quadric(5), 2).fractions.items()))
+"""
+
+
+def test_cli_import_loads_no_lazy_module():
+    # a clean interpreter (-I: no environment or user site, -S: no site
+    # module), so nothing was imported before the package
+    child = subprocess.run([sys.executable, "-I", "-S", "-c", GUARD_CHILD,
+                            str(ROOT / "src"), *LAZY],
+                           capture_output=True, text=True, check=True)
+    loaded, digits, fractions = child.stdout.splitlines()
+    assert loaded == ""
+    # the same process still answers where those modules are needed
+    assert digits == "True"
+    assert fractions == "[(1, Fraction(11, 36)), (2, Fraction(1, 1))]"

@@ -987,7 +987,7 @@ def test_explore_length_budget_refuses_at_once(monkeypatch, tmp_path, capsys):
     path = tmp_path / "plane3.variety"
     path.write_text(format_variety(spec))
     explore = ["explore", "--variety", str(path), "--machine", "--max-length"]
-    monkeypatch.setattr(finite_geometry, "EXPLORE_LENGTH_BUDGET", 4)
+    monkeypatch.setattr(finite_geometry, "LENGTH_BUDGET", 4)
     assert main(explore + ["4"]) == 0
     assert capsys.readouterr().out.count("fraction_") == 4
 
