@@ -18,10 +18,10 @@ from chainlines import (
     PrimeField,
     VarietySpec,
     format_point,
-    line_in_variety,
     line_points,
     lines_through,
     lx_dim_ci,
+    on_variety,
 )
 
 p = 101
@@ -33,7 +33,13 @@ print()
 
 for a in ((1, 100, 0, 0, 0), (1, 100, 1, 100, 0)):
     found = sorted(lines_through(spec, a), key=lambda ln: ln.basis)
-    assert all(line_in_variety(spec, ln) and a in line_points(ln, spec.field) for ln in found)
+    # each line holds a and lies on X: the cubic restricted to a line is a
+    # binary cubic form, and a nonzero one has at most 3 zeros on P^1, so
+    # vanishing at all p + 1 = 102 points of the line (p = 101 > d = 3)
+    # means it is zero
+    for ln in found:
+        pts = line_points(ln, spec.field)
+        assert a in pts and all(on_variety(spec, q) for q in pts)
     print(f"{len(found)} lines through {format_point(a)}:")
     for line in found[:4]:
         print(f"  span({format_point(line.basis[0])}, {format_point(line.basis[1])})")

@@ -66,7 +66,6 @@ from .finite_geometry import (
     fermat_cubic,
     format_point,
     format_variety,
-    line_in_variety,
     line_points,
     line_through,
     lines_through,

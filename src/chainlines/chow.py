@@ -16,20 +16,19 @@ Rendering contract (used verbatim by the command-line `class` output): terms
 are listed with the lexicographically largest exponent tuple first, each term
 formatted as ``<coeff>*h1^<e1>*...*hk^<ek>`` with ``^1`` and zero-exponent
 factors omitted, terms joined by `` + ``; the zero class renders as ``0``.
-``render`` is the one formatter.  It takes the terms in groups that share
-a head, with the text of every head and tail ready-made, and writes the
-coefficients: the chain walk (``chains._walk``) makes that text as it sets
-each exponent, and ``str`` makes it from the class's own terms.  A group's
-text below its head depends only on its coefficient and its leaves, so
-``render`` makes each such body once and keeps it, up to BODY_CACHE_CHARS
-characters, for the later groups with the same coefficient and leaves.
+``str`` writes it term by term.  ``render`` writes it from terms in groups
+that share a head, with the text of every head and tail ready-made, as
+the chain walk (``chains._walk``) makes that text as it sets each
+exponent.  A group's text below its head depends only on its coefficient
+and its leaves, so ``render`` makes each such body once and keeps it, up
+to BODY_CACHE_CHARS characters, for the later groups with the same
+coefficient and leaves.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import groupby
 from operator import gt
 
 Monomial = tuple[int, ...]
@@ -178,20 +177,10 @@ class ChowClass:
     __hash__ = None  # mutable dict inside; classes are not hashable
 
     def __str__(self) -> str:
-        # terms that differ only in their last two exponents share a head, as
-        # the terms below one choice of a_2..a_{l-2} do in a chain class
-        def groups():
-            items = sorted(self.terms.items(), reverse=True)
-            # the seams of each list of tails are made once, as the walk
-            # makes them once per a_{l-2}; they take less than the text
-            seams = {}
-            for head, terms in groupby(items, key=lambda item: item[0][:-2]):
-                monos, coeffs = zip(*terms)
-                tails = tuple(mono[-2:] for mono in monos)
-                if tails not in seams:
-                    seams[tails] = _seams(tails, len(head) + 1)
-                yield head, _exponents_text(head, 1), 1, (tails, coeffs, seams[tails])
-        return "".join(render(groups()))
+        # the rendering contract term by term, apart from render: the tests
+        # check the two against each other
+        return " + ".join(f"{int_text(c)}{_exponents_text(m, 1)}"
+                          for m, c in sorted(self.terms.items(), reverse=True)) or "0"
 
     def __repr__(self) -> str:
         return f"ChowClass({self.space}: {self})"

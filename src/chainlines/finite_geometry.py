@@ -65,10 +65,8 @@ refused by the bitset charge of connectivity_report):
 explore works on point indices: each line is made in closed form at its
 least point (_line_at) and kept as the indices of its p+1 points, each
 point keeps the numbers of its lines, and the balls around all points
-grow at once, as bitsets over the indices.  None of it goes into the
-graph's caches, which only the single-point queries read.
-line_in_variety restricts each G to a line directly; it is the
-independent check of both.
+grow at once, as bitsets over the indices.  The tests check both routes
+against restricting each G to a line directly.
 
 Caveat, stated once here and repeated where it matters: the symbolic theory
 lives over the complex numbers.  Counts and reachability over F_p are
@@ -392,41 +390,6 @@ def line_points(line: Line, field: PrimeField) -> list[Point]:
     return [b, *zip(*cols)]
 
 
-def _mul_linear(coeffs: list[int], ai: int, bi: int, p: int) -> list[int]:
-    # multiply a binary form (coefficients of u^(k-j) v^j) by (ai*u + bi*v)
-    out = [0] * (len(coeffs) + 1)
-    for j, c in enumerate(coeffs):
-        if c:
-            out[j] = (out[j] + c * ai) % p
-            out[j + 1] = (out[j + 1] + c * bi) % p
-    return out
-
-
-def line_in_variety(spec: VarietySpec, line: Line) -> bool:
-    """Scheme-theoretic containment, by symbolic restriction to the line.
-
-    Substitutes the parametrization u*a + v*b into each polynomial and checks
-    that all d+1 coefficients of the resulting binary form vanish.  Never
-    decided by sampling points: for p <= d that would accept lines that only
-    look contained.  The queries decide containment from the c_k table
-    instead; this direct expansion is the check they are tested against.
-    """
-    p = spec.field.p
-    a, b = line.basis
-    for poly in spec.polys:
-        coeffs = [0] * (poly.degree + 1)
-        for c, exps in poly.terms:
-            form = [c]
-            for ai, bi, e in zip(a, b, exps):
-                for _ in range(e):
-                    form = _mul_linear(form, ai, bi, p)
-            for j, v in enumerate(form):
-                coeffs[j] = (coeffs[j] + v) % p
-        if any(coeffs):
-            return False
-    return True
-
-
 def lines_through(spec: VarietySpec, x: Point) -> set[Line]:
     """All lines through x that lie on the variety (over F_p).
 
@@ -579,11 +542,11 @@ def _slots(v, packed: list[int], fmt: str, n: int) -> memoryview:
 # -- chains of lines ---------------------------------------------------------
 
 class ChainGraph:
-    """Reachability graph on the F_p-points of a variety, built lazily.
+    """Reachability graph on the F_p-points of a variety, never built.
 
     Two distinct points are adjacent iff their joining line lies on X.  The
-    graph knows no point until asked: the contained lines through a point
-    a are found on first request from the local model L_a, and cached.
+    graph holds no point: the contained lines through a point a are solved
+    from the local model L_a each time they are asked for.
 
     For each G of degree d and a on X, G(a + t v) = sum_{k=1}^{d} t^k c_k(a, v)
     with c_k bihomogeneous of bidegree (d-k, k) and c_1 = grad G(a).v; the
@@ -612,23 +575,21 @@ class ChainGraph:
     line of X(F_p): it solves the points with x_0 = 0 at once, keeping at
     each the directions of the lines it is the least point of (join_all).
 
-    A line's p+1 points are listed only when a search or neighbors expands
-    it, or explore lists every line, never by contained_lines_through.
+    A line's p+1 points are listed only when a search expands it, or
+    explore lists every line, never by contained_lines_through.
     connectivity_report also charges the graph its bitsets.  Every solve
-    charges the graph
-    each substituted c_k it evaluates, before it runs, at the directions it
-    runs at times its live terms: the first c_k of each point (or, with
-    none left, the bare directions) at all of that point's directions,
-    before the first block, and each later one per block, at the
-    directions where the ones before it vanish.  So the charge is the work
-    the solve does, and a solve over too large a P(W) is refused before it
-    evaluates a direction.  Every line listed charges its p+1 points
-    before they are built.  The graph raises BudgetExceededError once the
-    sum over its life passes ENUMERATION_BUDGET.  Line sets, line points
-    and neighbor lists are cached; results are deterministic and identical
-    to joining a to every other point of X(F_p), whatever order the points
-    are asked for in.  The caches are not synchronized: concurrent workers
-    should each hold their own instance.
+    charges the graph each substituted c_k it evaluates, before it runs, at
+    the directions it runs at times its live terms: the first c_k of each
+    point (or, with none left, the bare directions) at all of that point's
+    directions, before the first block, and each later one per block, at
+    the directions where the ones before it vanish.  So the charge is the
+    work the solve does, and a solve over too large a P(W) is refused
+    before it evaluates a direction.  Every line listed charges its p+1
+    points before they are built.  The graph raises BudgetExceededError
+    once the sum over its life passes ENUMERATION_BUDGET.  It keeps nothing
+    per point, so a second search on it does all the work of the first
+    again and is charged again.  Results are deterministic and identical
+    to joining a to every other point of X(F_p).
     """
 
     def __init__(self, spec: VarietySpec):
@@ -654,9 +615,6 @@ class ChainGraph:
                       for table in self._tables for i in range(spec.ambient + 1)]
         self._in_a += [c for form in self._forms for c in form.values() if isinstance(c, list)]
         self.charged = 0  # directions times terms of the L_a solves, line points listed
-        self._neighbors: dict[Point, list[Point]] = {}
-        self._lines: dict[Point, set[Line]] = {}
-        self._line_points: dict[Line, list[Point]] = {}  # the lines expanded so far
 
     def _charge(self, steps: int) -> None:
         self.charged += steps
@@ -758,69 +716,45 @@ class ChainGraph:
             yield owner, cols
 
     def contained_lines_through(self, a: Point) -> set[Line]:
-        """The contained lines through a point a of X(F_p), solved from L_a once."""
-        lines = self._lines.get(a)
-        if lines is None:
-            if not on_variety(self.spec, a):
-                raise ValueError(f"point {format_point(a)} is not on the variety")
-            [directions] = self._directions([a], [len(a)])
-            lines = self._lines[a] = {_line_at(a, v, self.spec.field.p) for v in directions}
-        return lines
-
-    def _points_on(self, line: Line) -> list[Point]:
-        """The p+1 points of a contained line, charged before they are built."""
-        pts = self._line_points.get(line)
-        if pts is None:
-            self._charge(self.spec.field.p + 1)
-            pts = self._line_points[line] = line_points(line, self.spec.field)
-        return pts
-
-    def neighbors(self, a: Point) -> list[Point]:
-        """The sorted points of X(F_p) other than a on contained lines through a."""
-        cached = self._neighbors.get(a)
-        if cached is None:
-            lines = self.contained_lines_through(a)
-            reached = set().union(*map(self._points_on, lines))
-            reached.discard(a)
-            cached = self._neighbors[a] = sorted(reached)
-        return cached
-
-    def distances(self, start: Point, max_depth: int) -> dict[Point, int]:
-        """BFS distance map from start, up to max_depth steps."""
-        return self._bfs(start, max_depth)[0]
+        """The contained lines through a point a of X(F_p), from one L_a solve."""
+        if not on_variety(self.spec, a):
+            raise ValueError(f"point {format_point(a)} is not on the variety")
+        [directions] = self._directions([a], [len(a)])
+        return {_line_at(a, v, self.spec.field.p) for v in directions}
 
     def shortest_chain(self, x: Point, y: Point, max_length: int) -> Chain | None:
         if x == y:
             return Chain((x,), ())
-        parent = self._bfs(x, max_length, goal=y)[1]
+        parent = self._bfs(x, max_length, goal=y)
         if y not in parent:
             return None
-        path = [y]
-        while path[-1] != x:
-            path.append(parent[path[-1]])
-        path.reverse()
-        field = self.spec.field
-        lines = tuple(line_through(a, b, field) for a, b in zip(path, path[1:]))
-        return Chain(tuple(path), lines)
+        points, lines = [y], []
+        while points[-1] != x:
+            a, line = parent[points[-1]]
+            points.append(a)
+            lines.append(line)
+        return Chain(tuple(reversed(points)), tuple(reversed(lines)))
 
     def _bfs(
         self, start: Point, max_depth: int, goal: Point | None = None
-    ) -> tuple[dict[Point, int], dict[Point, Point]]:
-        """Depth and parent maps from start, up to max_depth steps or goal.
+    ) -> dict[Point, tuple[Point, Line] | None]:
+        """The points within max_depth steps of start, or up to goal, each
+        with its parent and the line joining them (None at start).
 
         Each contained line is expanded once, by the first frontier point
-        on it; its unvisited points take that point as parent, and the new
-        points of each frontier point join the next frontier in sorted
-        order.  That is the order of a BFS over the sorted neighbor lists,
-        so every point gets the same parent as there.
+        on it, and charged its p+1 points before they are listed; its
+        unvisited points take that point as parent, and the new points of
+        each frontier point join the next frontier in sorted order.  That
+        is the order of a BFS over sorted neighbor lists, so every point
+        gets the same parent as there, whether or not the search stops at
+        goal.
         """
-        depth_of = {start: 0}
-        parent = {start: start}
+        field = self.spec.field
+        parent: dict[Point, tuple[Point, Line] | None] = {start: None}
         frontier = [start]
         expanded: set[Line] = set()
-        depth = 0
-        while frontier and depth < max_depth:
-            depth += 1
+        while frontier and max_depth:
+            max_depth -= 1
             nxt = []
             for a in frontier:
                 new = []
@@ -828,17 +762,17 @@ class ChainGraph:
                     if line in expanded:
                         continue
                     expanded.add(line)
-                    for b in self._points_on(line):
-                        if b not in depth_of:
-                            depth_of[b] = depth
-                            parent[b] = a
+                    self._charge(field.p + 1)
+                    for b in line_points(line, field):
+                        if b not in parent:
+                            parent[b] = a, line
                             new.append(b)
-                if goal in depth_of:
-                    return depth_of, parent
+                if goal in parent:
+                    return parent
                 new.sort()
                 nxt += new
             frontier = nxt
-        return depth_of, parent
+        return parent
 
     def join_all(self) -> tuple[list[Point], list[list[int]], list[list[int]]]:
         """Find every contained line of X(F_p), each at its least point:
@@ -860,8 +794,7 @@ class ChainGraph:
         in RREF (_line_at), and numbered at all of its p+1 points at once,
         in order of a and then of v.  The solve is charged as for the other
         queries, and so are the p+1 points of every line before any is
-        listed.  The graph's caches are not filled: no query reads them
-        after explore.
+        listed.
         """
         points = sorted(enumerate_points(self.spec))
         section = points[: bisect_left(points, (1,))]  # the points with x_0 = 0
@@ -904,7 +837,7 @@ def locus(spec: VarietySpec, x: Point, length: int) -> set[Point]:
     if length < 1:
         raise ValueError(f"length must be >= 1: {length}")
     x = _point_of(spec, x)
-    return set(ChainGraph(spec).distances(x, length))
+    return set(ChainGraph(spec)._bfs(x, length))
 
 
 # -- explore: every line from the points --------------------------------------

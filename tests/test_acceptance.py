@@ -34,7 +34,6 @@ from chainlines.criteria import (
     wa_bound,
 )
 from chainlines.finite_geometry import (
-    ChainGraph,
     connectivity_report,
     enumerate_points,
     fermat_cubic,
@@ -43,6 +42,7 @@ from chainlines.finite_geometry import (
 )
 
 import naive_poly
+from test_finite_geometry import pairwise_neighbors
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -202,18 +202,20 @@ def test_criterion_7_quadric_over_f5():
     count_ok = len(points) == 36
     lines_ok = all(len(lines_through(spec, pt)) == 2 for pt in points)
 
-    graph = ChainGraph(spec)
     pair_ok = connectivity_report(spec, 2).fractions[2] == 1
 
     symbolic = chain_count(ChainProblem(DefiningData((2,), 3), 2))
     chains_ok = symbolic == 2
+    # the middle points from the pairwise oracle: each pair of points joined
+    # and its line restricted to the quadric symbolically
+    oracle = pairwise_neighbors(spec)
     checked_pairs = 0
     for x in points:
-        nbrs_x = set(graph.neighbors(x))
+        nbrs_x = set(oracle[x][0])
         for y in points:
             if y == x or y in nbrs_x:
                 continue  # skip pairs sharing a line on the quadric
-            middles = [m for m in graph.neighbors(y) if m in nbrs_x]
+            middles = [m for m in oracle[y][0] if m in nbrs_x]
             chains_ok = chains_ok and len(middles) == symbolic
             checked_pairs += 1
     elapsed = time.perf_counter() - start

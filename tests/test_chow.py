@@ -118,7 +118,7 @@ def test_render_groups_share_head_and_coefficient():
               ((1,), "*h1", 2, ([(0, 4)], [1], ["", "*h3^4"]))]
     expected = "15*h1^2*h2^3*h3 + 3*h1^2*h2*h3^2 + 2*h1*h3^4"
     assert "".join(render(groups)) == expected
-    # str() makes the same groups from the class's terms, fresh leaves each
+    # str() writes the class of those terms one term at a time, apart from render
     terms = {head + tail: coeff * weight
              for head, _, coeff, (tails, weights, _) in groups
              for tail, weight in zip(tails, weights)}

@@ -28,7 +28,6 @@ from chainlines.finite_geometry import (
     eval_poly,
     fermat_cubic,
     format_variety,
-    line_in_variety,
     line_points,
     line_through,
     lines_through,
@@ -53,6 +52,41 @@ def projective_points(field, n):
 def sweep_points(spec):
     """Reference route: evaluate the polynomials at every point of P^N(F_p)."""
     return {pt for pt in projective_points(spec.field, spec.ambient) if on_variety(spec, pt)}
+
+
+def _mul_linear(coeffs: list[int], ai: int, bi: int, p: int) -> list[int]:
+    # multiply a binary form (coefficients of u^(k-j) v^j) by (ai*u + bi*v)
+    out = [0] * (len(coeffs) + 1)
+    for j, c in enumerate(coeffs):
+        if c:
+            out[j] = (out[j] + c * ai) % p
+            out[j + 1] = (out[j + 1] + c * bi) % p
+    return out
+
+
+def line_in_variety(spec, line):
+    """Scheme-theoretic containment, by symbolic restriction to the line.
+
+    Substitutes the parametrization u*a + v*b into each polynomial and checks
+    that all d+1 coefficients of the resulting binary form vanish.  Never
+    decided by sampling points: for p <= d that would accept lines that only
+    look contained.  The package decides containment from the c_k table
+    instead; this direct expansion is the check it is tested against.
+    """
+    p = spec.field.p
+    a, b = line.basis
+    for poly in spec.polys:
+        coeffs = [0] * (poly.degree + 1)
+        for c, exps in poly.terms:
+            form = [c]
+            for ai, bi, e in zip(a, b, exps):
+                for _ in range(e):
+                    form = _mul_linear(form, ai, bi, p)
+            for j, v in enumerate(form):
+                coeffs[j] = (coeffs[j] + v) % p
+        if any(coeffs):
+            return False
+    return True
 
 
 def sweep_lines_through(spec, x):
@@ -359,13 +393,14 @@ def test_chain_graph_matches_pairwise_oracle(spec):
     oracle = pairwise_neighbors(spec)
     shuffled = list(oracle)
     random.Random(1).shuffle(shuffled)
-    # each point's L_a is solved on its first request, in either order
+    # one graph answers for every point, whatever it was asked before: the
+    # lines through the point, and the points a search reaches in one step
     for order in (sorted(oracle), shuffled):
         graph = ChainGraph(spec)
         for pt in order:
             nbrs, lines = oracle[pt]
-            assert graph.neighbors(pt) == nbrs
             assert graph.contained_lines_through(pt) == lines
+            assert graph._bfs(pt, 1).keys() == {pt, *nbrs}
 
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
@@ -644,9 +679,8 @@ def test_local_model_matches_incidence_passes(spec):
 def test_join_all_fills_the_graph_caches(spec, monkeypatch):
     # one owner of contained lines: explore enumerates and sorts X(F_p)
     # itself and returns its lines by point index, from one L_a solve of
-    # the points with x_0 = 0, charged as any solve plus p+1 per line, and
-    # leaves the graph's own caches empty; each point's lines are those
-    # L_a gives
+    # the points with x_0 = 0, charged as any solve plus p+1 per line; each
+    # point's lines are those L_a gives
     explored = ChainGraph(spec)
     solve = explored._directions
     calls = []
@@ -663,7 +697,6 @@ def test_join_all_fills_the_graph_caches(spec, monkeypatch):
     alone = ChainGraph(spec)
     alone._directions(section, [a.index(1) for a in section])
     assert explored.charged == alone.charged + (spec.field.p + 1) * len(lines)
-    assert not explored._lines and not explored._line_points and not explored._neighbors
     fresh = ChainGraph(spec)
     for pt, numbers in zip(points, through):
         found = {index_line(points, lines[j]) for j in numbers}
@@ -673,22 +706,50 @@ def test_join_all_fills_the_graph_caches(spec, monkeypatch):
 @pytest.mark.parametrize("spec, lengths", [(split_quadric(5), (3,)), (fermat_cubic(7), (2, 3))],
                          ids=["quadric5", "fermat7"])
 def test_shortest_chain_matches_pairwise_bfs(spec, lengths):
+    # one full search from each point, to the largest length, gives every
+    # point it reaches the parent, and the joining line, of a BFS over the
+    # pairwise neighbor lists; a search that stops sooner, at a smaller
+    # length or at its goal, assigns the same parents up to there, so
+    # shortest_chain itself runs on a fixed sample of pairs
     oracle = pairwise_neighbors(spec)
     graph = ChainGraph(spec)
+    points = sorted(oracle)
+    for x in points:
+        parent = pairwise_parents(oracle, x, max(lengths))
+        found = graph._bfs(x, max(lengths))
+        assert found.keys() == parent.keys()
+        for y, step in found.items():
+            assert step is None if y == x else step == (parent[y], line_through(parent[y], y, spec.field))
+    sample = random.Random(5).sample(list(itertools.product(points, repeat=2)), 200)
     for max_length in lengths:
-        for x in oracle:
+        for x, y in sample:
             parent = pairwise_parents(oracle, x, max_length)
-            for y in oracle:
-                chain = graph.shortest_chain(x, y, max_length)
-                if y not in parent:
-                    assert chain is None
-                    continue
-                path = [y]
-                while path[-1] != x:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                lines = tuple(line_through(a, b, spec.field) for a, b in zip(path, path[1:]))
-                assert chain == Chain(tuple(path), lines)
+            chain = graph.shortest_chain(x, y, max_length)
+            if y not in parent:
+                assert chain is None
+                continue
+            path = [y]
+            while path[-1] != x:
+                path.append(parent[path[-1]])
+            path.reverse()
+            lines = tuple(line_through(a, b, spec.field) for a, b in zip(path, path[1:]))
+            assert chain == Chain(tuple(path), lines)
+
+
+def test_searches_on_one_graph_are_charged_each_time():
+    # the graph keeps nothing per point: a second search from the same
+    # point solves and lists everything again, charged as the first was
+    spec = split_quadric(5)
+    x, y = (1, 0, 0, 0), (0, 0, 0, 1)
+    graph = ChainGraph(spec)
+    state = dict(vars(graph))
+    chain = graph.shortest_chain(x, y, 3)
+    once = graph.charged
+    assert chain.length == 2 and once > 0
+    assert graph.shortest_chain(x, y, 3) == chain
+    assert graph.charged == 2 * once
+    assert vars(graph).keys() == state.keys()
+    assert all(vars(graph)[k] is v for k, v in state.items() if k != "charged")
 
 
 def test_unnormalized_points_are_accepted():
@@ -798,16 +859,14 @@ def test_locus_monotone():
         previous = current
 
 
-def test_graph_cache_matches_uncached():
+def test_one_step_search_matches_sweep():
     spec = split_quadric(5)
     graph = ChainGraph(spec)
     for pt in sorted(enumerate_points(spec)):
-        expected = set()
-        for line in sweep_lines_through(spec, pt):  # independent, uncached route
+        expected = {pt}
+        for line in sweep_lines_through(spec, pt):  # independent route, over P^N
             expected.update(line_points(line, F5))
-        expected.discard(pt)
-        assert set(graph.neighbors(pt)) == expected
-        assert graph.neighbors(pt) is graph.neighbors(pt)  # cache hit
+        assert set(graph._bfs(pt, 1)) == expected
 
 
 def test_connectivity_report_quadric_f3():
@@ -900,18 +959,18 @@ def test_connectivity_report_fermat_f5():
     assert report.line_counts.get(0, 0) == 16
 
 
-def distance_report(spec, max_length):
-    """Reference route: one BFS per source, its distances counted by value."""
-    graph = ChainGraph(spec)
-    points = sorted(enumerate_points(spec))
-    n = len(points)
+def distance_report(oracle, max_length):
+    """Reference route: one BFS per source over the pairwise neighbor lists,
+    its distances counted by value."""
+    n = len(oracle)
     pairs_at = [0] * (max_length + 1)  # ordered pairs at distance exactly d
     line_counts = {}
-    for x in points:
-        for d in graph.distances(x, max_length).values():
-            pairs_at[d] += 1
-        k = len(graph.contained_lines_through(x))
-        line_counts[k] = line_counts.get(k, 0) + 1
+    for x, (_, lines) in oracle.items():
+        depth = {}
+        for b, a in pairwise_parents(oracle, x, max_length).items():
+            depth[b] = 0 if b == x else depth[a] + 1
+            pairs_at[depth[b]] += 1
+        line_counts[len(lines)] = line_counts.get(len(lines), 0) + 1
     reachable = list(itertools.accumulate(pairs_at))
     fractions = {l: Fraction(reachable[l], n * n) for l in range(1, max_length + 1)} if n else {}
     return ConnectivityReport(points=n, fractions=fractions, line_counts=line_counts)
@@ -919,8 +978,9 @@ def distance_report(spec, max_length):
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_connectivity_report_matches_distances(spec):
+    oracle = pairwise_neighbors(spec)
     for max_length in range(1, 5):
-        assert connectivity_report(spec, max_length) == distance_report(spec, max_length)
+        assert connectivity_report(spec, max_length) == distance_report(oracle, max_length)
 
 
 def test_connectivity_report_pair_budget(monkeypatch, tmp_path):
@@ -1264,16 +1324,14 @@ def test_split_quadric_two_middle_points():
     # between points with no common ruling line there are exactly two
     # two-step connections, matching the symbolic count for a quadric
     for p in (3, 5, 7):
-        spec = split_quadric(p)
-        graph = ChainGraph(spec)
-        pts = sorted(enumerate_points(spec))
+        oracle = pairwise_neighbors(split_quadric(p))
         checked = 0
-        for x in pts:
-            nbrs_x = set(graph.neighbors(x))
-            for y in pts:
+        for x in oracle:
+            nbrs_x = set(oracle[x][0])
+            for y in oracle:
                 if y == x or y in nbrs_x:
                     continue
-                middles = [m for m in graph.neighbors(y) if m in nbrs_x]
+                middles = [m for m in oracle[y][0] if m in nbrs_x]
                 assert len(middles) == 2
                 checked += 1
         assert checked > 0

@@ -88,8 +88,8 @@ def test_chain_graph_matches_pairwise_oracle(spec, rng):
     rng.shuffle(order)
     for pt in order:
         nbrs, at = oracle[pt]
-        assert graph.neighbors(pt) == nbrs
         assert graph.contained_lines_through(pt) == at == explored[pt]
+        assert graph._bfs(pt, 1).keys() == {pt, *nbrs}
 
 
 @SETTINGS
