@@ -12,14 +12,25 @@ one ``key=value`` pair per line with stable keys and each note as
 positive/neutral result, 1 for a definite negative answer (criterion fails,
 no chain, nothing found, count zero), 2 for an input error, with nothing on
 stdout.
+
+Arguments are read first by ``_fast``, straight from the ``COMMANDS``
+table: it takes only a command name followed by each of that command's
+flags once, spelled out, each with a value that does not start with
+``-``, and ``--machine`` at most once, and converts the values with the
+table's own callables.  Any other ``argv``, and any value that fails to
+convert or is not among its choices, goes unchanged to argparse
+(``build_parser``), which is imported only then.  So ``-h``, abbreviated
+flags, ``--flag=value``, repeated flags, negative numbers and every error
+get argparse's own ``usage:`` text, message and exit status 2, and both
+routes give the same namespace wherever the fast one answers.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from collections.abc import Iterator
+from types import SimpleNamespace
 
 from . import chains, criteria, finite_geometry as fg
 from .chow import int_text
@@ -37,11 +48,14 @@ FIELD_CAVEAT = (
 def _degrees(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        if values:
+            return values
+        message = "at least one degree is required"
     except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed degree list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("at least one degree is required")
-    return values
+        message = f"malformed degree list {text!r}"
+    import argparse  # only to report the error, as argparse's type check expects
+
+    raise argparse.ArgumentTypeError(message)
 
 
 def _bool(value: bool) -> str:
@@ -210,9 +224,57 @@ COMMANDS = (
 )
 
 
+def _fast_entry(func, arguments):
+    """A command's function, its flags (flag -> dest, type, choices) and its
+    echo list, as build_parser gives them to argparse."""
+    flags, echo = {}, []
+    for flag, kwargs, show in arguments:
+        dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+        flags[flag] = dest, kwargs.get("type"), kwargs.get("choices")
+        echo.append((dest, show))
+    return func, flags, echo
+
+
+_FAST = {name: _fast_entry(func, arguments) for name, func, _, arguments in COMMANDS}
+
+
+def _fast(argv):
+    """The namespace build_parser().parse_args(argv) would give, read
+    without argparse; None unless argv is a command name followed by each
+    of its flags once, spelled out, each with a value that does not start
+    with "-" and converts, and by --machine at most once."""
+    if not argv or argv[0] not in _FAST:
+        return None
+    func, flags, echo = _FAST[argv[0]]
+    args = {"command": argv[0], "func": func, "echo": echo, "machine": False}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--machine" and not args["machine"]:
+            args["machine"] = True
+            continue
+        if token not in flags:
+            return None
+        dest, convert, choices = flags[token]
+        value = next(tokens, "-")
+        if dest in args or value.startswith("-"):
+            return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except Exception:  # ValueError or ArgumentTypeError: argparse reports it
+                return None
+        if choices is not None and value not in choices:
+            return None
+        args[dest] = value
+    # every flag in COMMANDS is required, so a flag left out defers
+    return SimpleNamespace(**args) if len(args) == 4 + len(flags) else None
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; callers must not change it."""
+def build_parser():
+    """The argparse parser, built once per process; callers must not change it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="chainlines",
         description=(
@@ -254,7 +316,8 @@ def _render(pairs, notes, machine: bool):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _fast(argv) or build_parser().parse_args(argv)
     try:
         pairs, notes, code = args.func(args)
         pairs = [("command", args.command)] + [

@@ -297,10 +297,18 @@ def _check_budget(measure: int, what: str) -> None:
 
 
 def _projective_reps(p: int, n: int):
-    """All canonical points of P^n(F_p): lead coordinate 1, zeros before it."""
+    """All canonical points of P^n(F_p): lead coordinate 1, zeros before it,
+    in the order of itertools.product over the coordinates after the lead.
+    Those with one coordinate after the lead take it from a lazy range(p),
+    so the first few points of P^1 cost little at any p; a longer product
+    holds range(p), but its callers charge p^2 points or more before it."""
     for lead in range(n + 1):
-        for tail in itertools.product(range(p), repeat=n - lead):
-            yield (0,) * lead + (1,) + tail
+        head = (0,) * lead + (1,)
+        if lead == n - 1:
+            yield from map(add, repeat(head, p), zip(range(p)))
+        else:
+            for tail in itertools.product(range(p), repeat=n - lead):
+                yield head + tail
 
 
 _T_BLOCK = 1 << 14  # prefixes of an enumeration, or directions of L_a, tried together
@@ -571,9 +579,11 @@ class ChainGraph:
     - each v at which they all vanish gives the line through a and v, made
       in closed form (_line_at).
 
-    lines, chain and locus solve one point at a time.  explore needs every
-    line of X(F_p): it solves the points with x_0 = 0 at once, keeping at
-    each the directions of the lines it is the least point of (join_all).
+    lines solves its one point, and chain one frontier point at a time, so
+    that it stops at its goal; locus solves each level of its search at
+    once.  explore needs every line of X(F_p): it solves the points with
+    x_0 = 0 at once, keeping at each the directions of the lines it is the
+    least point of (join_all).
 
     A line's p+1 points are listed only when a search expands it, or
     explore lists every line, never by contained_lines_through.
@@ -715,10 +725,13 @@ class ChainGraph:
         if owner:
             yield owner, cols
 
-    def contained_lines_through(self, a: Point) -> set[Line]:
-        """The contained lines through a point a of X(F_p), from one L_a solve."""
+    def _check_on_x(self, a: Point) -> None:
         if not on_variety(self.spec, a):
             raise ValueError(f"point {format_point(a)} is not on the variety")
+
+    def contained_lines_through(self, a: Point) -> set[Line]:
+        """The contained lines through a point a of X(F_p), from one L_a solve."""
+        self._check_on_x(a)
         [directions] = self._directions([a], [len(a)])
         return {_line_at(a, v, self.spec.field.p) for v in directions}
 
@@ -738,17 +751,21 @@ class ChainGraph:
     def _bfs(
         self, start: Point, max_depth: int, goal: Point | None = None
     ) -> dict[Point, tuple[Point, Line] | None]:
-        """The points within max_depth steps of start, or up to goal, each
-        with its parent and the line joining them (None at start).
+        """The points within max_depth steps of start, a point of X(F_p),
+        or up to goal, each with its parent and the line joining them (None
+        at start).
 
-        Each contained line is expanded once, by the first frontier point
-        on it, and charged its p+1 points before they are listed; its
-        unvisited points take that point as parent, and the new points of
-        each frontier point join the next frontier in sorted order.  That
-        is the order of a BFS over sorted neighbor lists, so every point
-        gets the same parent as there, whether or not the search stops at
-        goal.
+        Without a goal, L_a is solved at a whole frontier at once, which is
+        charged what one solve per point is; with one, at one frontier point
+        at a time, so that the search stops at goal.  Each contained line is
+        expanded once, by the first frontier point on it, and charged its p+1
+        points before they are listed; its unvisited points take that point
+        as parent, and the new points of each frontier point join the next
+        frontier in sorted order.  That is the order of a BFS over sorted
+        neighbor lists, so every point gets the same parent as there,
+        whether or not the search stops at goal.
         """
+        self._check_on_x(start)
         field = self.spec.field
         parent: dict[Point, tuple[Point, Line] | None] = {start: None}
         frontier = [start]
@@ -756,21 +773,24 @@ class ChainGraph:
         while frontier and max_depth:
             max_depth -= 1
             nxt = []
-            for a in frontier:
-                new = []
-                for line in self.contained_lines_through(a):
-                    if line in expanded:
-                        continue
-                    expanded.add(line)
-                    self._charge(field.p + 1)
-                    for b in line_points(line, field):
-                        if b not in parent:
-                            parent[b] = a, line
-                            new.append(b)
-                if goal in parent:
-                    return parent
-                new.sort()
-                nxt += new
+            for batch in [frontier] if goal is None else [[a] for a in frontier]:
+                solved = self._directions(batch, [len(start)] * len(batch))
+                for a, directions in zip(batch, solved):
+                    new = []
+                    for v in directions:
+                        line = _line_at(a, v, field.p)
+                        if line in expanded:
+                            continue
+                        expanded.add(line)
+                        self._charge(field.p + 1)
+                        for b in line_points(line, field):
+                            if b not in parent:
+                                parent[b] = a, line
+                                new.append(b)
+                    if goal in parent:
+                        return parent
+                    new.sort()
+                    nxt += new
             frontier = nxt
         return parent
 

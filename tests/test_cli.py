@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import chainlines
 from chainlines.chains import ChainProblem, chain_count, counting_class
+from chainlines import cli
 from chainlines.cli import build_parser, main
 from chainlines.criteria import DefiningData
 from chainlines.finite_geometry import format_variety, split_quadric, fermat_cubic
@@ -455,3 +457,153 @@ def test_module_exit_codes():
     assert "usage:" in bad.stderr
     assert cli("check", "--degrees", "4", "--ambient", "5", "--length", "3").returncode == 1
     assert cli("count", "--degrees", "3", "--ambient", "4", "--length", "3").returncode == 0
+
+
+# -- the fast path and argparse ----------------------------------------------------
+
+# a value for each flag that argparse accepts
+GOOD = {"--degrees": "2,2", "--ambient": "4", "--length": "3", "--mode": "counting",
+        "--variety": "q.var", "--point": "1:0:0:0", "--from": "1:0:0:0", "--to": "0:0:0:1",
+        "--max-length": "2"}
+CHECK = ["check", "--degrees", "3", "--ambient", "4", "--length", "3"]
+
+
+def argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in cli.COMMANDS])
+def test_fast_path_reads_every_command(name):
+    # each flag once, in table order and reversed, with and without --machine
+    [arguments] = [arguments for command, *_, arguments in cli.COMMANDS if command == name]
+    pairs = [[flag, GOOD[flag]] for flag, _, _ in arguments]
+    for argv in ([name, *sum(pairs, [])], [name, "--machine", *sum(pairs[::-1], [])]):
+        fast = cli._fast(argv)
+        assert fast is not None and vars(fast) == argparse_vars(argv)
+        assert fast.machine == ("--machine" in argv)
+
+
+def test_fast_path_gives_argparse_namespace_or_defers():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # bad values, negative ones, and odd ones that int still reads
+    other = ("", ",", "3,x", "four", "-4", "-1,2", "both", "--machine", "-h", " 5", "1_0", "0")
+    noise = ("-h", "--help", "--machine", "--mach", "--bogus", "extra", "-5", "--", "chek")
+
+    @st.composite
+    def argvs(draw):
+        # each flag 0-2 times, spelled out, abbreviated or as --flag=value,
+        # with a good value or another, in any order, and noise
+        name, _, _, arguments = draw(st.sampled_from(cli.COMMANDS))
+        pairs = [["--machine"]] * draw(st.sampled_from((0, 0, 1, 1, 1, 2)))
+        for flag, _, _ in arguments:
+            for _ in range(draw(st.sampled_from((1,) * 8 + (0, 2)))):
+                value = draw(st.sampled_from((GOOD[flag],) * 12 + other))
+                spelling = draw(st.sampled_from((flag,) * 12 + (flag[:5], flag + "=")))
+                pairs.append([spelling + value] if spelling[-1] == "=" else [spelling, value])
+        argv = [name, *sum(draw(st.permutations(pairs)), [])]
+        for _ in range(draw(st.sampled_from((0,) * 7 + (1,)))):
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(noise)))
+        return argv
+
+    answered = []
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(argvs())
+    def agrees(argv):
+        fast = cli._fast(argv)
+        if fast is not None:
+            assert vars(fast) == argparse_vars(argv)
+            answered.append(argv)
+
+    agrees()
+    assert len(answered) > 50  # the property is not met by deferring always
+
+
+# argv the fast path leaves to argparse, and what argparse answers: the
+# exit code and the exact stderr, whether argparse or main rejects it
+USAGE = ("usage: chainlines [-h]\n                  {check,minlength,cilength,class,count,"
+         "witness,sharpness,lines,chain,locus,explore}\n                  ...\n")
+CHECK_USAGE = ("usage: chainlines check [-h] [--machine] --degrees DEGREES --ambient N\n"
+               "                        --length L\n")
+DEFERRED_ERRORS = {
+    "no command": ([], USAGE + "chainlines: error: the following arguments are required: command\n"),
+    "unknown command": (["chek", *CHECK[1:]], USAGE + (
+        "chainlines: error: argument command: invalid choice: 'chek' (choose from 'check', "
+        "'minlength', 'cilength', 'class', 'count', 'witness', 'sharpness', 'lines', "
+        "'chain', 'locus', 'explore')\n")),
+    "machine before the command": (["--machine", *CHECK],
+                                   USAGE + "chainlines: error: unrecognized arguments: --machine\n"),
+    "missing flag": (CHECK[:5], CHECK_USAGE + (
+        "chainlines check: error: the following arguments are required: --length\n")),
+    "missing value": (CHECK[:6], CHECK_USAGE + (
+        "chainlines check: error: argument --length: expected one argument\n")),
+    "unknown flag": ([*CHECK, "--bogus"], USAGE + "chainlines: error: unrecognized arguments: --bogus\n"),
+    "unknown token": ([*CHECK, "extra"], USAGE + "chainlines: error: unrecognized arguments: extra\n"),
+    "malformed degrees": (["check", "--degrees", "3,x", *CHECK[3:]], CHECK_USAGE + (
+        "chainlines check: error: argument --degrees: malformed degree list '3,x'\n")),
+    "no degrees": (["check", "--degrees", ",", *CHECK[3:]], CHECK_USAGE + (
+        "chainlines check: error: argument --degrees: at least one degree is required\n")),
+    "bad int": (["check", "--degrees", "3", "--ambient", "four", *CHECK[5:]], CHECK_USAGE + (
+        "chainlines check: error: argument --ambient: invalid int value: 'four'\n")),
+    "mode out of range": (["class", *CHECK[1:], "--mode", "both"], (
+        "usage: chainlines class [-h] [--machine] --degrees DEGREES --ambient N\n"
+        "                        --length L --mode {existence,counting}\n"
+        "chainlines class: error: argument --mode: invalid choice: 'both' "
+        "(choose from 'existence', 'counting')\n")),
+    # argparse takes a negative number as a value; the command rejects it
+    "negative number": (["count", "--degrees", "3", "--ambient", "-4", "--length", "3"],
+                        "error: ambient dimension must be >= 1: -4\n"),
+}
+
+
+@pytest.mark.parametrize("argv, err", DEFERRED_ERRORS.values(), ids=DEFERRED_ERRORS.keys())
+def test_deferred_error_is_argparse_own(capsys, argv, err):
+    assert cli._fast(argv) is None
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)
+
+
+# argv the fast path leaves to argparse, which answers them as CHECK
+DEFERRED_ANSWERS = {
+    "abbreviated flag": ["check", "--deg", "3", "--ambient", "4", "--le", "3"],
+    "equals form": ["check", "--degrees=3", "--ambient", "4", "--length=3"],
+    "repeated flag": [*CHECK[:5], "--length", "2", "--length", "3"],
+    "repeated machine": ["check", "--machine", *CHECK[1:], "--machine"],
+}
+
+
+@pytest.mark.parametrize("argv", DEFERRED_ANSWERS.values(), ids=DEFERRED_ANSWERS.keys())
+def test_deferred_answer_is_argparse_own(capsys, argv):
+    assert cli._fast(argv) is None
+    machine = ["--machine"] if "--machine" in argv else []
+    expected = run(capsys, *CHECK, *machine)
+    assert expected[0] == 0 and run(capsys, *argv) == expected
+
+
+def test_help_is_argparse_own(capsys):
+    assert cli._fast([*CHECK, "-h"]) is None
+    with pytest.raises(SystemExit) as exc:
+        main([*CHECK, "-h"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    assert captured.out.startswith(CHECK_USAGE + "\noptions:\n  -h, --help ")
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # on both routes, as argparse itself does
+    expected = run(capsys, *CHECK, "--machine")
+    for argv in (CHECK, ["check", "--deg", "3", "--ambient", "4", "--length", "3"]):
+        monkeypatch.setattr(sys, "argv", ["chainlines", *argv, "--machine"])
+        assert main() == expected[0]
+        assert capsys.readouterr().out == expected[1]

@@ -1,6 +1,7 @@
 """The package has no runtime dependencies: its modules import only the
 standard library and each other, and pyproject.toml declares none.  The
-CLI's import loads no module that only some commands need."""
+CLI's import, and one call that its fast path reads, load no module that only
+some commands need."""
 
 import ast
 import subprocess
@@ -50,14 +51,18 @@ def test_pyproject_declares_no_dependencies():
 
 
 # slow to import, and not needed to start the CLI: records are namedtuples,
-# and decimal and fractions are imported where they are used
-LAZY = ("dataclasses", "inspect", "typing", "decimal", "fractions", "pathlib")
+# decimal and fractions are imported where they are used, and argparse (with
+# the gettext and shutil it loads) only where the fast path defers to it
+LAZY = ("dataclasses", "inspect", "typing", "decimal", "fractions", "pathlib",
+        "argparse", "gettext", "shutil")
 
 GUARD_CHILD = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import chainlines.cli
-print(",".join(name for name in sys.argv[2:] if name in sys.modules))
+code = chainlines.cli.main(["check", "--degrees", "3", "--ambient", "4", "--length", "3",
+                            "--machine"])
+print(code, ",".join(name for name in sys.argv[2:] if name in sys.modules))
 from chainlines.chow import int_text
 from chainlines.finite_geometry import connectivity_report, split_quadric
 print(int_text(10**5000) == "1" + "0" * 5000)
@@ -67,12 +72,15 @@ print(sorted(connectivity_report(split_quadric(5), 2).fractions.items()))
 
 def test_cli_import_loads_no_lazy_module():
     # a clean interpreter (-I: no environment or user site, -S: no site
-    # module), so nothing was imported before the package
+    # module), so nothing was imported before the package; one check call
+    # through the fast path loads none of them either
     child = subprocess.run([sys.executable, "-I", "-S", "-c", GUARD_CHILD,
                             str(ROOT / "src"), *LAZY],
                            capture_output=True, text=True, check=True)
-    loaded, digits, fractions = child.stdout.splitlines()
-    assert loaded == ""
+    *answer, loaded, digits, fractions = child.stdout.splitlines()
+    assert answer == ["command=check", "degrees=3", "ambient=4", "length=3",
+                      "lhs=9", "rhs=9", "holds=true"]
+    assert loaded == "0 "
     # the same process still answers where those modules are needed
     assert digits == "True"
     assert fractions == "[(1, Fraction(11, 36)), (2, Fraction(1, 1))]"

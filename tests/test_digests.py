@@ -2,7 +2,8 @@
 
 Every query any seed of the four ``perfbench`` workloads can send goes
 through ``cli.main`` here, and its exit code and the SHA-256 of its
-``--machine`` stdout must equal the ones ``perfbench/digests.json`` records.
+``--machine`` stdout must equal the ones ``perfbench/digests.json`` records,
+both through the fast path and through argparse alone.
 The benchmark's own modules build the queries and the variety files; the
 files are written under the test's temporary directory, and nothing under
 ``perfbench/`` is changed.
@@ -38,7 +39,8 @@ def _run(argv):
     return code, out.getvalue()
 
 
-def test_every_pool_query_gives_its_recorded_digest(tmp_path, monkeypatch):
+def _replay(tmp_path, monkeypatch):
+    """The answers to every pool query, checked against digests.json."""
     workloads = _bench_module(monkeypatch, "workloads")
     oracle = _bench_module(monkeypatch, "oracle")
     reference = oracle.load_digests()
@@ -61,3 +63,14 @@ def test_every_pool_query_gives_its_recorded_digest(tmp_path, monkeypatch):
     assert answers.keys() == reference.keys()
     wrong = [key for key, answer in answers.items() if answer != reference[key]]
     assert not wrong, f"{len(wrong)} of {len(answers)} answers differ, first {wrong[:5]}"
+
+
+def test_every_pool_query_gives_its_recorded_digest(tmp_path, monkeypatch):
+    _replay(tmp_path, monkeypatch)
+
+
+def test_argparse_gives_every_recorded_digest(tmp_path, monkeypatch):
+    # argparse, the fallback, stays the oracle of the fast path: with the
+    # fast path off, every query still gets its exit code and digest
+    monkeypatch.setattr(cli, "_fast", lambda argv: None)
+    _replay(tmp_path, monkeypatch)

@@ -752,6 +752,44 @@ def test_searches_on_one_graph_are_charged_each_time():
     assert all(vars(graph)[k] is v for k, v in state.items() if k != "charged")
 
 
+@pytest.mark.parametrize("spec", [split_quadric(5), fermat_cubic(7)], ids=["quadric5", "fermat7"])
+def test_search_without_goal_solves_each_level_at_once(spec, monkeypatch):
+    # a search with no goal solves L_a at a whole frontier in one call, one
+    # call per level; one whose goal is never reached solves one point per
+    # call, yet both reach the same points with the same parents and lines
+    # and are charged the same
+    solves = []
+    directions = ChainGraph._directions
+
+    def recorded(graph, points, cuts):
+        solves.append(len(points))
+        return directions(graph, points, cuts)
+
+    monkeypatch.setattr(ChainGraph, "_directions", recorded)
+    outside = (1, 1, 0, 1)
+    assert not finite_geometry.on_variety(spec, outside)
+    for x in sorted(enumerate_points(spec))[::7]:
+        batched, alone = ChainGraph(spec), ChainGraph(spec)
+        solves.clear()
+        found = batched._bfs(x, 3)
+        levels = list(solves)
+        solves.clear()
+        assert alone._bfs(x, 3, goal=outside) == found
+        assert set(solves) == {1} and len(solves) == sum(levels)
+        assert len(levels) <= 3 and levels[0] == 1
+        assert batched.charged == alone.charged > 0
+
+
+def test_search_from_a_point_off_the_variety_is_refused():
+    graph = ChainGraph(split_quadric(5))
+    off, y = (1, 1, 0, 1), (0, 0, 0, 1)
+    for search in (lambda: graph.shortest_chain(off, y, 2), lambda: graph._bfs(off, 2),
+                   lambda: graph.contained_lines_through(off)):
+        with pytest.raises(ValueError, match="point 1:1:0:1 is not on the variety"):
+            search()
+    assert graph.charged == 0
+
+
 def test_unnormalized_points_are_accepted():
     spec = split_quadric(5)
     x, x2, y = (1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 1)
@@ -1241,6 +1279,28 @@ def test_solve_of_high_degree_holds_no_expansion():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_projective_reps_match_product(p, n):
+    # lead 1, zeros before it, the coordinates after it in product order
+    expected = [(0,) * lead + (1,) + tail
+                for lead in range(n + 1) for tail in itertools.product(range(p), repeat=n - lead)]
+    assert list(finite_geometry._projective_reps(p, n)) == expected
+    assert len(expected) == (p ** (n + 1) - 1) // (p - 1)
+
+
+def test_first_projective_reps_of_a_line_hold_no_range():
+    # P^1(F_p) for p = 10^7: range(p) held as a tuple would take 80 MB
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(finite_geometry._projective_reps(10**7, 1), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [(1, 0), (1, 1), (1, 2)]
+    assert peak < 2**20
 
 
 def test_binomials_mod_p():
