@@ -67,7 +67,6 @@ from .finite_geometry import (
     format_point,
     format_variety,
     line_points,
-    line_through,
     lines_through,
     load_variety,
     locus,

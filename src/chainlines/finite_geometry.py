@@ -19,7 +19,7 @@ One rule decides whether a line lies on X, the paper's local model L_a:
 for G of degree d, G(a + t v) = sum_{k=1}^{d} t^k c_k(a, v) with c_k of
 bidegree (d-k, k), and for a on X the line through a and v lies on X iff
 every c_k of every G vanishes, over any field.  The c_k are tabulated once
-per variety (_local_tables), with c_1 = grad G(a).v and c_{d-1}(a, v) =
+per graph (_local_terms), with c_1 = grad G(a).v and c_{d-1}(a, v) =
 grad G(v).a.  Containment is never decided by sampling: for p <= d a
 nonzero binary form can vanish at all p+1 rational points of a line.  Over
 F_3 the Fermat cubic is the triple plane (x_0 + x_1 + x_2 + x_3)^3, every
@@ -30,10 +30,10 @@ solver for a list of points at once: the gradients and the coefficients
 of the c_k, as forms in a, are evaluated column by column at all the
 points (_form_columns), the kernel of the gradient rows gives each point
 its linear space W of directions, and the c_k are evaluated column-wise on
-blocks that join the directions of many points.  Single-point queries
-(lines, chain, locus) solve each point their search reaches, never
-enumerate X(F_p), and expand each contained line once, not each pair of
-its points.
+blocks that join the directions of many points.  The single-point queries
+lines_through, chain_search and locus check their points on X once, build
+one graph, solve each point their search reaches, never enumerate X(F_p),
+and expand each contained line once, not each pair of its points.
 
 explore needs every line of X(F_p).  It enumerates the points once, and
 finds each line once, at its least point (ChainGraph.join_all).  A
@@ -43,24 +43,7 @@ point, which has the latest lead, lies in x_0 = 0.  So L_a is solved only
 on the section X(F_p) with x_0 = 0, and at a point a with lead j only the
 directions that lead before j are kept: those are the lines whose other
 points all come after a.  On a surface that is about p points with p
-directions each, where testing the pairs of points took n^2, about p^4,
-steps.  explore, --max-length 3, in a fresh process, against testing
-every pair of points as explore once did (2-CPU container, best of 3; the
-random surfaces have all 20 cubic terms, with seeded coefficients;
-"refused" is that pass's n^2 > 10^8 refusal; split_quadric(211) is
-refused by the bitset charge of connectivity_report):
-
-    variety                              points   pairwise pass     L_a on x_0 = 0
-    split_quadric(31)                     1,024   37 ms             8.4 ms
-    split_quadric(61)                     3,844   0.40 s            28 ms
-    split_quadric(101)                   10,404   refused           0.11 s
-    random cubic surface, F_31              993   42 ms             8.1 ms
-    random cubic surface, F_61            3,661   0.43 s            25 ms
-    random cubic surface, F_101          10,404   refused           87 ms
-    Fermat cubic surface, F_101          10,303   refused           67 ms
-    Fermat threefold in P^4, F_13         2,055   0.14 s            46 ms
-    Fermat threefold in P^4, F_19         7,905   1.98 s            0.20 s
-    Fermat threefold in P^4, F_23        12,720   refused           0.29 s
+directions each.
 
 explore works on point indices: each line is made in closed form at its
 least point (_line_at) and kept as the indices of its p+1 points, each
@@ -147,34 +130,42 @@ class PrimeField(namedtuple("PrimeField", "p")):
         return pow(a, self.p - 2, self.p)
 
 
+def _check_terms(degree: int, terms) -> None:
+    """ValueError unless the (coefficient, exponents) terms make a form of
+    the degree, whatever their coefficients: a degree of at least 1, at
+    least one term, as many exponents in each, none negative, each term of
+    the degree, and no monomial twice."""
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1: {degree}")
+    if not terms:
+        raise ValueError("a polynomial needs at least one term")
+    nvars = len(terms[0][1])
+    seen = set()
+    for _, exps in terms:
+        if len(exps) != nvars:
+            raise ValueError(
+                f"term {exps} has {len(exps)} exponents, expected {nvars}"
+            )
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
+        if sum(exps) != degree:
+            raise ValueError(
+                f"term {exps} has degree {sum(exps)}, expected {degree}"
+            )
+        if exps in seen:
+            raise ValueError(f"duplicate monomial {exps}")
+        seen.add(exps)
+
+
 class HomogPoly(namedtuple("HomogPoly", "degree terms")):
     """A homogeneous polynomial as (coefficient, exponent-tuple) terms."""
 
     __slots__ = ()
 
     def __new__(cls, degree: int, terms: tuple[tuple[int, Point], ...]):
-        if degree < 1:
-            raise ValueError(f"degree must be >= 1: {degree}")
-        if not terms:
-            raise ValueError("a polynomial needs at least one term")
-        nvars = len(terms[0][1])
-        seen = set()
-        for coeff, exps in terms:
-            if len(exps) != nvars:
-                raise ValueError(
-                    f"term {exps} has {len(exps)} exponents, expected {nvars}"
-                )
-            if coeff == 0:
-                raise ValueError("zero coefficients must not be stored")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            if sum(exps) != degree:
-                raise ValueError(
-                    f"term {exps} has degree {sum(exps)}, expected {degree}"
-                )
-            if exps in seen:
-                raise ValueError(f"duplicate monomial {exps}")
-            seen.add(exps)
+        _check_terms(degree, terms)
+        if not all(coeff for coeff, _ in terms):
+            raise ValueError("zero coefficients must not be stored")
         return super().__new__(cls, degree, terms)
 
     @property
@@ -363,16 +354,6 @@ def enumerate_points(spec: VarietySpec) -> set[Point]:
 
 # -- lines -------------------------------------------------------------------
 
-def line_through(a: Point, b: Point, field: PrimeField) -> Line:
-    """The line spanned by two distinct points, in canonical RREF form."""
-    if a == b:
-        raise ValueError("two distinct points are needed to span a line")
-    reduced = _rref([a, b], field.p)
-    if len(reduced) < 2:
-        raise ValueError("points do not span a line")
-    return Line(tuple(tuple(row) for _, row in reduced))
-
-
 def _line_at(a: Point, v: Point, p: int) -> Line:
     """The line through a point a and a direction v of L_a at a, both
     canonical, in RREF without row reduction.  With j the lead of a and l
@@ -401,35 +382,46 @@ def line_points(line: Line, field: PrimeField) -> list[Point]:
 def lines_through(spec: VarietySpec, x: Point) -> set[Line]:
     """All lines through x that lie on the variety (over F_p).
 
-    The F_p-points of the local model L_a at a = x, one per line (see
-    ChainGraph); X(F_p) is not enumerated.
+    The F_p-points of the local model L_a at a = x, one per line, from one
+    solve (ChainGraph._directions), each line made in closed form; X(F_p)
+    is not enumerated and no line's points are listed.
     """
-    return ChainGraph(spec).contained_lines_through(_point_of(spec, x))
+    a = _point_of(spec, x)
+    [directions] = ChainGraph(spec)._directions([a], [len(a)])
+    return {_line_at(a, v, spec.field.p) for v in directions}
 
 
 # -- the local model L_a -------------------------------------------------------
 
 def _binomials(e: int, p: int) -> list[int]:
-    """binom(e, f) mod p for f = 0..e, one exact row by the multiplicative
-    recurrence, each entry reduced as it is stored."""
-    row, c = [], 1
-    for f in range(e + 1):
-        row.append(c % p)
-        c = c * (e - f) // (f + 1)
+    """binom(e, f) mod p for f = 0..e, by Lucas' theorem: binom(e, f) is
+    prod binom(e_i, f_i) mod p over the base-p digits e_i of e and f_i of
+    f.  So the row is the row of e // p, each entry times the row of the
+    last digit e % p, padded with zeros to p entries.  A row with e < p
+    comes from the recurrence binom(e, f+1) = binom(e, f) (e-f) / (f+1),
+    each step mod p, where f+1 <= e < p is invertible."""
+    if e >= p:
+        high, low = divmod(e, p)
+        digit = _binomials(low, p) + [0] * (p - 1 - low)
+        return [h * c % p for h in _binomials(high, p) for c in digit][: e + 1]
+    row = [1]
+    for f in range(e):
+        row.append(row[-1] * (e - f) * pow(f + 1, -1, p) % p)
     return row
 
 
-def _local_terms(poly: HomogPoly, p: int) -> dict[int, list[tuple[int, Point, Point]]]:
+def _local_terms(poly: HomogPoly, p: int) -> dict[int, dict[Point, list[tuple[int, Point]]]]:
     """The coefficients c_k(a, v), k = 1..d, of G(a + t v) - G(a).
 
-    Each c_k is a list of terms (multiplier, exponents of a, exponents of v)
-    of bidegree (d-k, k).  Expanding x_i^e_i = (a_i + t v_i)^e_i binomially,
-    the term coeff * x^e contributes coeff * prod binom(e_i, f_i) a^(e-f) v^f
-    at t^|f|: multipliers reduced mod p, exact in every characteristic, with
+    Each c_k is grouped by its monomials v^f, |f| = k: the coefficient of
+    v^f is a form in a of degree d-k, a list of (multiplier, exponents of
+    a) terms.  Expanding x_i^e_i = (a_i + t v_i)^e_i binomially, the term
+    coeff * x^e contributes coeff * prod binom(e_i, f_i) a^(e-f) v^f at
+    t^|f|: multipliers reduced mod p, exact in every characteristic, with
     no division by k!.  Terms whose multiplier vanishes mod p are dropped.
     """
     binomials = {e: _binomials(e, p) for e in {e for _, exps in poly.terms for e in exps}}
-    table: dict[int, list] = {}
+    table: dict[int, dict] = {}
     for coeff, exps in poly.terms:
         rows = [binomials[e] for e in exps]
         for f in itertools.product(*(range(e + 1) for e in exps)):
@@ -439,16 +431,8 @@ def _local_terms(poly: HomogPoly, p: int) -> dict[int, list[tuple[int, Point, Po
                 # costs one factor binom(0, 0) = 1, not a Python step
                 mult = coeff * prod(map(getitem, rows, f)) % p
                 if mult:
-                    table.setdefault(k, []).append((mult, tuple(map(sub, exps, f)), f))
+                    table.setdefault(k, {}).setdefault(f, []).append((mult, tuple(map(sub, exps, f))))
     return table
-
-
-def _local_tables(polys, p: int) -> list[dict[int, list[tuple[int, Point, Point]]]]:
-    """The c_k tables of the polynomials (_local_terms), refused when their
-    prod(e_i + 1) - 1 terms per term x^e exceed ENUMERATION_BUDGET."""
-    size = sum(prod(e + 1 for e in exps) - 1 for poly in polys for _, exps in poly.terms)
-    _check_budget(size, f"the {size} terms of the c_k table")
-    return [_local_terms(poly, p) for poly in polys]
 
 
 def _rref(rows, p: int) -> list[tuple[int, list[int]]]:
@@ -559,14 +543,15 @@ class ChainGraph:
     For each G of degree d and a on X, G(a + t v) = sum_{k=1}^{d} t^k c_k(a, v)
     with c_k bihomogeneous of bidegree (d-k, k) and c_1 = grad G(a).v; the
     line through a and v lies on X iff every c_k of every G vanishes, over
-    any field.  The c_k are tabulated once per graph (_local_tables).  At a,
+    any field.  The c_k are tabulated once per graph (_local_terms), their
+    terms refused past ENUMERATION_BUDGET before they are made.  At a,
     with j its lead coordinate, every line through a meets the hyperplane
     v_j = 0 in exactly one point.  One solver (_directions) finds these
     points at a list of points at once:
 
     - column-wise over all the points (_columns): the gradients, and the
       coefficient of each monomial v^f of every c_k with k >= 2, which is
-      a form in a (a number in c_d = G(v));
+      a form in a (a constant in c_d = G(v));
     - per point: the gradient rows, with column j zeroed, cut out a linear
       space W (_kernel), and the terms of the c_k in a coordinate of v that
       is 0 on all of W (v_j among them) are dropped;
@@ -579,14 +564,8 @@ class ChainGraph:
     - each v at which they all vanish gives the line through a and v, made
       in closed form (_line_at).
 
-    lines solves its one point, and chain one frontier point at a time, so
-    that it stops at its goal; locus solves each level of its search at
-    once.  explore needs every line of X(F_p): it solves the points with
-    x_0 = 0 at once, keeping at each the directions of the lines it is the
-    least point of (join_all).
-
-    A line's p+1 points are listed only when a search expands it, or
-    explore lists every line, never by contained_lines_through.
+    A line's p+1 points are listed only when a search (_bfs) expands it,
+    or explore lists every line (join_all), never by lines_through.
     connectivity_report also charges the graph its bitsets.  Every solve
     charges the graph each substituted c_k it evaluates, before it runs, at
     the directions it runs at times its live terms: the first c_k of each
@@ -604,26 +583,19 @@ class ChainGraph:
 
     def __init__(self, spec: VarietySpec):
         self.spec = spec
-        self._tables = _local_tables(spec.polys, spec.field.p)
+        count = sum(prod(e + 1 for e in exps) - 1 for poly in spec.polys for _, exps in poly.terms)
+        _check_budget(count, f"the {count} terms of the c_k table")
+        tables = [_local_terms(poly, spec.field.p) for poly in spec.polys]
         # every c_k with k >= 2, in table order, by its monomials v^f: the
-        # coefficient of each is a form in a, as (multiplier, exponents)
-        # terms, or a number in c_d = G(v), the same at every a
-        self._forms: list[dict[Point, list[tuple[int, Point]] | int]] = []
-        for poly, table in zip(spec.polys, self._tables):
-            for k, terms in table.items():
-                if k > 1:
-                    form: dict = {}
-                    for mult, a_exps, f in terms:
-                        form.setdefault(f, []).append((mult, a_exps))
-                    if k == poly.degree:
-                        form = {f: mult for f, [(mult, _)] in form.items()}
-                    self._forms.append(form)
+        # coefficient of each is a form in a, constant in c_d = G(v)
+        self._forms = [form for table in tables for k, form in table.items() if k > 1]
         # the forms in a that a solve evaluates: the entries of every grad G,
-        # dG/dx_i from the c_1 terms in v_i, then the coefficients of the c_k
-        # below c_d
-        self._in_a = [[(c, e) for c, e, f in table.get(1, ()) if f[i]]
-                      for table in self._tables for i in range(spec.ambient + 1)]
-        self._in_a += [c for form in self._forms for c in form.values() if isinstance(c, list)]
+        # dG/dx_i the coefficient of v_i in c_1, then those of the c_k
+        self._in_a = []
+        for table in tables:
+            grad = {f.index(1): terms for f, terms in table.get(1, {}).items()}
+            self._in_a += [grad.get(i, []) for i in range(spec.ambient + 1)]
+        self._in_a += [terms for form in self._forms for terms in form.values()]
         self.charged = 0  # directions times terms of the L_a solves, line points listed
 
     def _charge(self, steps: int) -> None:
@@ -638,10 +610,8 @@ class ChainGraph:
         coefficient of the t-th monomial of the s-th c_k there."""
         size = self.spec.ambient + 1
         values = _form_columns(self._in_a, list(zip(*points)) or [()] * size, self.spec.field.p)
-        grads = [[next(values) for _ in range(size)] for _ in self._tables]
-        n = len(points)
-        return grads, [[next(values) if isinstance(c, list) else [c] * n for c in form.values()]
-                       for form in self._forms]
+        grads = [[next(values) for _ in range(size)] for _ in self.spec.polys]
+        return grads, [[next(values) for _ in form] for form in self._forms]
 
     def _directions(self, points: list[Point], cuts: list[int]) -> list[list[Point]]:
         """For each canonical point a of X(F_p) and its cut, the points v of
@@ -725,36 +695,15 @@ class ChainGraph:
         if owner:
             yield owner, cols
 
-    def _check_on_x(self, a: Point) -> None:
-        if not on_variety(self.spec, a):
-            raise ValueError(f"point {format_point(a)} is not on the variety")
-
-    def contained_lines_through(self, a: Point) -> set[Line]:
-        """The contained lines through a point a of X(F_p), from one L_a solve."""
-        self._check_on_x(a)
-        [directions] = self._directions([a], [len(a)])
-        return {_line_at(a, v, self.spec.field.p) for v in directions}
-
-    def shortest_chain(self, x: Point, y: Point, max_length: int) -> Chain | None:
-        if x == y:
-            return Chain((x,), ())
-        parent = self._bfs(x, max_length, goal=y)
-        if y not in parent:
-            return None
-        points, lines = [y], []
-        while points[-1] != x:
-            a, line = parent[points[-1]]
-            points.append(a)
-            lines.append(line)
-        return Chain(tuple(reversed(points)), tuple(reversed(lines)))
-
     def _bfs(
         self, start: Point, max_depth: int, goal: Point | None = None
     ) -> dict[Point, tuple[Point, Line] | None]:
-        """The points within max_depth steps of start, a point of X(F_p),
-        or up to goal, each with its parent and the line joining them (None
-        at start).
+        """The points within max_depth steps of start, or up to goal, each
+        with its parent and the line joining them (None at start).
 
+        start must be a canonical point of X(F_p), which is not checked
+        here: the queries check their points (_point_of) before they build
+        the graph.  A goal equal to start is reached at once, with no solve.
         Without a goal, L_a is solved at a whole frontier at once, which is
         charged what one solve per point is; with one, at one frontier point
         at a time, so that the search stops at goal.  Each contained line is
@@ -765,12 +714,11 @@ class ChainGraph:
         neighbor lists, so every point gets the same parent as there,
         whether or not the search stops at goal.
         """
-        self._check_on_x(start)
         field = self.spec.field
         parent: dict[Point, tuple[Point, Line] | None] = {start: None}
         frontier = [start]
         expanded: set[Line] = set()
-        while frontier and max_depth:
+        while frontier and max_depth and goal not in parent:
             max_depth -= 1
             nxt = []
             for batch in [frontier] if goal is None else [[a] for a in frontier]:
@@ -840,11 +788,22 @@ def chain_search(
 
     x == y yields the empty chain.  Returning None means no F_p-rational
     chain of that length exists; it does not refute existence over C.
+
+    The search (ChainGraph._bfs) solves L_a one frontier point at a time,
+    so that it stops at y, and the chain is read back along its parents.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
     x, y = _point_of(spec, x), _point_of(spec, y)
-    return ChainGraph(spec).shortest_chain(x, y, max_length)
+    parent = ChainGraph(spec)._bfs(x, max_length, goal=y)
+    if y not in parent:
+        return None
+    points, lines = [y], []
+    while points[-1] != x:
+        a, line = parent[points[-1]]
+        points.append(a)
+        lines.append(line)
+    return Chain(tuple(reversed(points)), tuple(reversed(lines)))
 
 
 def locus(spec: VarietySpec, x: Point, length: int) -> set[Point]:
@@ -852,7 +811,8 @@ def locus(spec: VarietySpec, x: Point, length: int) -> set[Point]:
 
     Finite-field stand-in for the chain locus: full graph reachability
     rather than the characteristic-zero definition through general points
-    and closures, so it can under- or over-shoot the true locus.
+    and closures, so it can under- or over-shoot the true locus.  The
+    search (ChainGraph._bfs) solves each level at once.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1: {length}")
@@ -930,9 +890,11 @@ def parse_variety(text: str) -> VarietySpec:
         poly <d> : <c> <e0> ... <eN> ; <c> <e0> ... <eN> ; ...
 
     Lines starting with ``#`` are comments; blank lines are skipped.
-    Coefficients are reduced mod p and terms that vanish are dropped; the
-    rest is validated by PrimeField, HomogPoly and VarietySpec, whose
-    errors are reported with the number of the line they concern.
+    Every term is checked as HomogPoly checks its terms (_check_terms),
+    those that vanish mod p included; then coefficients are reduced mod p,
+    the terms that vanish are dropped, and the rest is validated by
+    PrimeField, HomogPoly and VarietySpec.  Errors are reported with the
+    number of the line they concern.
     """
     lines = [
         (no, stripped)
@@ -973,12 +935,13 @@ def parse_variety(text: str) -> VarietySpec:
             terms = []
             for group in rest.split(";"):
                 coeff, *exps = map(int, group.split())
-                if coeff % p:
-                    terms.append((coeff % p, tuple(exps)))
+                terms.append((coeff, tuple(exps)))
         except ValueError:
             raise VarietyParseError(
                 no, f"expected an integer degree and terms '<c> <e0> ... <eN>', got {content!r}"
             ) from None
+        _checked(no, _check_terms, degree, terms)
+        terms = [(coeff % p, exps) for coeff, exps in terms if coeff % p]
         if not terms:
             raise VarietyParseError(no, f"polynomial vanishes modulo {p}")
         poly = _checked(no, HomogPoly, degree, tuple(terms))

@@ -1,7 +1,7 @@
 """The package has no runtime dependencies: its modules import only the
 standard library and each other, and pyproject.toml declares none.  The
-CLI's import, and one call that its fast path reads, load no module that only
-some commands need."""
+CLI's import, and a check and a lines call that its fast path reads, load no
+module that only some commands need."""
 
 import ast
 import subprocess
@@ -62,7 +62,9 @@ sys.path.insert(0, sys.argv[1])
 import chainlines.cli
 code = chainlines.cli.main(["check", "--degrees", "3", "--ambient", "4", "--length", "3",
                             "--machine"])
-print(code, ",".join(name for name in sys.argv[2:] if name in sys.modules))
+lines = chainlines.cli.main(["lines", "--variety", sys.argv[2], "--point", "1:0:0:0",
+                             "--machine"])
+print(code, lines, ",".join(name for name in sys.argv[3:] if name in sys.modules))
 from chainlines.chow import int_text
 from chainlines.finite_geometry import connectivity_report, split_quadric
 print(int_text(10**5000) == "1" + "0" * 5000)
@@ -70,17 +72,22 @@ print(sorted(connectivity_report(split_quadric(5), 2).fractions.items()))
 """
 
 
-def test_cli_import_loads_no_lazy_module():
+def test_cli_import_loads_no_lazy_module(tmp_path):
     # a clean interpreter (-I: no environment or user site, -S: no site
     # module), so nothing was imported before the package; one check call
-    # through the fast path loads none of them either
+    # and one lines call on a variety file, through the fast path, load
+    # none of them either
+    variety = tmp_path / "quadric5.variety"
+    variety.write_text("field 5\nambient 3\npoly 2 : 1 1 0 0 1 ; 4 0 1 1 0\n")
     child = subprocess.run([sys.executable, "-I", "-S", "-c", GUARD_CHILD,
-                            str(ROOT / "src"), *LAZY],
+                            str(ROOT / "src"), str(variety), *LAZY],
                            capture_output=True, text=True, check=True)
     *answer, loaded, digits, fractions = child.stdout.splitlines()
     assert answer == ["command=check", "degrees=3", "ambient=4", "length=3",
-                      "lhs=9", "rhs=9", "holds=true"]
-    assert loaded == "0 "
+                      "lhs=9", "rhs=9", "holds=true",
+                      "command=lines", f"variety={variety}", "point=1:0:0:0", "count=2",
+                      "line_1=1:0:0:0;0:0:1:0", "line_2=1:0:0:0;0:1:0:0"]
+    assert loaded == "0 0 "
     # the same process still answers where those modules are needed
     assert digits == "True"
     assert fractions == "[(1, Fraction(11, 36)), (2, Fraction(1, 1))]"

@@ -29,7 +29,6 @@ from chainlines.finite_geometry import (
     fermat_cubic,
     format_variety,
     line_points,
-    line_through,
     lines_through,
     locus,
     normalize_point,
@@ -52,6 +51,18 @@ def projective_points(field, n):
 def sweep_points(spec):
     """Reference route: evaluate the polynomials at every point of P^N(F_p)."""
     return {pt for pt in projective_points(spec.field, spec.ambient) if on_variety(spec, pt)}
+
+
+def line_through(a, b, field):
+    """The line spanned by two distinct points, in canonical RREF form, by
+    row reduction: the oracle for the lines the package makes in closed
+    form at a point and a direction of L_a (_line_at)."""
+    if a == b:
+        raise ValueError("two distinct points are needed to span a line")
+    reduced = finite_geometry._rref([a, b], field.p)
+    if len(reduced) < 2:
+        raise ValueError("points do not span a line")
+    return Line(tuple(tuple(row) for _, row in reduced))
 
 
 def _mul_linear(coeffs: list[int], ai: int, bi: int, p: int) -> list[int]:
@@ -393,13 +404,14 @@ def test_chain_graph_matches_pairwise_oracle(spec):
     oracle = pairwise_neighbors(spec)
     shuffled = list(oracle)
     random.Random(1).shuffle(shuffled)
-    # one graph answers for every point, whatever it was asked before: the
-    # lines through the point, and the points a search reaches in one step
+    # the lines through each point, and the points a search reaches in one
+    # step, where one graph searches from every point, whatever it searched
+    # before
     for order in (sorted(oracle), shuffled):
         graph = ChainGraph(spec)
         for pt in order:
             nbrs, lines = oracle[pt]
-            assert graph.contained_lines_through(pt) == lines
+            assert lines_through(spec, pt) == lines
             assert graph._bfs(pt, 1).keys() == {pt, *nbrs}
 
 
@@ -667,10 +679,9 @@ def test_local_model_matches_incidence_passes(spec):
     points, lines, through = ChainGraph(spec).join_all()
     assert points == sorted(oracle)
     explored = [index_line(points, members) for members in lines]
-    graph = ChainGraph(spec)
     assert set(explored) == set().union(*(at for _, at in oracle.values()))
     for i, (pt, (nbrs, lines_at)) in enumerate(zip(points, oracle.values())):
-        assert graph.contained_lines_through(pt) == {explored[j] for j in through[i]} == lines_at
+        assert lines_through(spec, pt) == {explored[j] for j in through[i]} == lines_at
         reached = {points[q] for j in through[i] for q in lines[j]} - {pt}
         assert sorted(reached) == nbrs
 
@@ -697,10 +708,9 @@ def test_join_all_fills_the_graph_caches(spec, monkeypatch):
     alone = ChainGraph(spec)
     alone._directions(section, [a.index(1) for a in section])
     assert explored.charged == alone.charged + (spec.field.p + 1) * len(lines)
-    fresh = ChainGraph(spec)
     for pt, numbers in zip(points, through):
         found = {index_line(points, lines[j]) for j in numbers}
-        assert found == fresh.contained_lines_through(pt)
+        assert found == lines_through(spec, pt)
 
 
 @pytest.mark.parametrize("spec, lengths", [(split_quadric(5), (3,)), (fermat_cubic(7), (2, 3))],
@@ -710,7 +720,7 @@ def test_shortest_chain_matches_pairwise_bfs(spec, lengths):
     # point it reaches the parent, and the joining line, of a BFS over the
     # pairwise neighbor lists; a search that stops sooner, at a smaller
     # length or at its goal, assigns the same parents up to there, so
-    # shortest_chain itself runs on a fixed sample of pairs
+    # chain_search itself runs on a fixed sample of pairs
     oracle = pairwise_neighbors(spec)
     graph = ChainGraph(spec)
     points = sorted(oracle)
@@ -724,7 +734,7 @@ def test_shortest_chain_matches_pairwise_bfs(spec, lengths):
     for max_length in lengths:
         for x, y in sample:
             parent = pairwise_parents(oracle, x, max_length)
-            chain = graph.shortest_chain(x, y, max_length)
+            chain = chain_search(spec, x, y, max_length)
             if y not in parent:
                 assert chain is None
                 continue
@@ -743,10 +753,10 @@ def test_searches_on_one_graph_are_charged_each_time():
     x, y = (1, 0, 0, 0), (0, 0, 0, 1)
     graph = ChainGraph(spec)
     state = dict(vars(graph))
-    chain = graph.shortest_chain(x, y, 3)
+    parent = graph._bfs(x, 3, goal=y)
     once = graph.charged
-    assert chain.length == 2 and once > 0
-    assert graph.shortest_chain(x, y, 3) == chain
+    assert parent[parent[y][0]][0] == x and once > 0  # a chain of length 2
+    assert graph._bfs(x, 3, goal=y) == parent
     assert graph.charged == 2 * once
     assert vars(graph).keys() == state.keys()
     assert all(vars(graph)[k] is v for k, v in state.items() if k != "charged")
@@ -780,14 +790,38 @@ def test_search_without_goal_solves_each_level_at_once(spec, monkeypatch):
         assert batched.charged == alone.charged > 0
 
 
-def test_search_from_a_point_off_the_variety_is_refused():
-    graph = ChainGraph(split_quadric(5))
+def test_search_from_a_point_off_the_variety_is_refused(monkeypatch):
+    # each query checks its points before it builds its graph
+    spec = split_quadric(5)
     off, y = (1, 1, 0, 1), (0, 0, 0, 1)
-    for search in (lambda: graph.shortest_chain(off, y, 2), lambda: graph._bfs(off, 2),
-                   lambda: graph.contained_lines_through(off)):
+
+    def no_graph(self, spec):
+        raise AssertionError("a graph was built for a point off the variety")
+
+    monkeypatch.setattr(ChainGraph, "__init__", no_graph)
+    for search in (lambda: chain_search(spec, off, y, 2), lambda: chain_search(spec, y, off, 2),
+                   lambda: locus(spec, off, 2), lambda: lines_through(spec, off)):
         with pytest.raises(ValueError, match="point 1:1:0:1 is not on the variety"):
             search()
-    assert graph.charged == 0
+
+
+def test_each_query_checks_each_point_once(monkeypatch):
+    # lines and locus check their point on X once, chain each of its two
+    checks = []
+    check = finite_geometry.on_variety
+
+    def counted(spec, pt):
+        checks.append(pt)
+        return check(spec, pt)
+
+    monkeypatch.setattr(finite_geometry, "on_variety", counted)
+    spec = split_quadric(5)
+    x, y = (1, 0, 0, 0), (0, 0, 0, 1)
+    for query, count in ((lambda: lines_through(spec, x), 1), (lambda: chain_search(spec, x, y, 3), 2),
+                         (lambda: chain_search(spec, x, x, 3), 2), (lambda: locus(spec, x, 2), 1)):
+        checks.clear()
+        query()
+        assert len(checks) == count
 
 
 def test_unnormalized_points_are_accepted():
@@ -816,10 +850,9 @@ def test_lines_through_fermat_cubic_censuses():
     # 7 = 1 mod 3: all 27 lines are rational and cover every rational point
     # (18 of which are triple points of the line configuration)
     spec7 = fermat_cubic(7)
-    graph = ChainGraph(spec7)
     counts = {}
     for pt in enumerate_points(spec7):
-        k = len(graph.contained_lines_through(pt))
+        k = len(lines_through(spec7, pt))
         counts[k] = counts.get(k, 0) + 1
     assert counts == {2: 81, 3: 18}
     # 5 = 2 mod 3: only 3 rational lines, most points lie on none
@@ -979,11 +1012,9 @@ def test_explore_random_cubic_surface_f101():
     assert report.points == n
     assert report.fractions[1] == Fraction(n + len(lines) * (p + 1) * p, n * n)
     assert sum(k * count for k, count in report.line_counts.items()) == len(lines) * (p + 1)
-    graph = ChainGraph(spec)
     on_lines = {q for members in lines for q in members}
     for i in sorted(on_lines) + random.Random(7).sample(range(n), 30):
-        assert {index_line(points, lines[j]) for j in through[i]} == \
-            graph.contained_lines_through(points[i])
+        assert {index_line(points, lines[j]) for j in through[i]} == lines_through(spec, points[i])
     for members in lines:
         assert line_in_variety(spec, index_line(points, members))
     assert lines
@@ -1109,8 +1140,9 @@ def test_chain_and_locus_pair_budget(monkeypatch, tmp_path, capsys):
     # solves and three lines (20), locus 2 seven and eight (60)
     spec = split_quadric(3)
     x, y = (1, 0, 0, 0), (0, 0, 0, 1)
+    assert chain_search(spec, x, y, 2).length == 2
     graph = ChainGraph(spec)
-    assert graph.shortest_chain(x, y, 2).length == 2
+    graph._bfs(x, 2, goal=y)
     assert graph.charged == 2 * 4 + 3 * 4
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 19)
     with pytest.raises(BudgetExceededError):
@@ -1179,7 +1211,7 @@ def test_lines_on_a_conic_over_a_large_prime():
         PrimeField(p), 2, (HomogPoly(2, ((1, (1, 0, 1)), (p - 1, (0, 2, 0)))),)
     )
     graph = ChainGraph(conic)
-    assert graph.contained_lines_through((1, 0, 0)) == set()
+    assert graph._directions([(1, 0, 0)], [3]) == [[]]
     assert graph.charged == 1 * 1
     assert lines_through(conic, (1, 5, 25)) == set()
 
@@ -1238,7 +1270,7 @@ def test_solve_charge_budget(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", charge)
     graph = ChainGraph(spec)
-    graph.contained_lines_through((0, 1, 1, 4))
+    graph._directions([(0, 1, 1, 4)], [4])
     assert graph.charged == charge
     assert main(argv) == 1  # answered: no line through the point
     assert "count    0" in capsys.readouterr().out
@@ -1253,7 +1285,7 @@ def test_solve_is_refused_before_it_evaluates(monkeypatch):
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 12 * 2 - 1)
     guard_evaluations(monkeypatch, [(0, 1, 1, 4)])
     with pytest.raises(BudgetExceededError):
-        graph.contained_lines_through((0, 1, 1, 4))
+        graph._directions([(0, 1, 1, 4)], [4])
     assert graph.charged == 12 * 2
 
 
@@ -1263,7 +1295,8 @@ def test_solve_drops_terms_that_vanish_on_w():
     # c_9 is the only c_k left, charged at the 102 directions times its two
     # terms v_2^9 + v_3^9
     graph = ChainGraph(fermat_surface(101, 9))
-    assert len(graph.contained_lines_through((1, 100, 0, 0))) == 1
+    [directions] = graph._directions([(1, 100, 0, 0)], [4])
+    assert len(directions) == 1
     assert graph.charged == 102 * 2
 
 
@@ -1274,7 +1307,7 @@ def test_solve_of_high_degree_holds_no_expansion():
     graph = ChainGraph(fermat_surface(101, 403))
     tracemalloc.start()
     try:
-        assert graph.contained_lines_through((1, 1, 1, 48)) == set()
+        assert graph._directions([(1, 1, 1, 48)], [4]) == [[]]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1304,10 +1337,30 @@ def test_first_projective_reps_of_a_line_hold_no_range():
 
 
 def test_binomials_mod_p():
-    # one exact row per exponent, reduced as it is stored: p <= e and p > e
-    for p in (2, 3, 5, 7, 101):
-        for e in range(60):
+    # Lucas' theorem against the exact binomials: rows with p <= e, with
+    # several base-p digits, and with p > e
+    for p in (2, 3, 5, 7, 101, 10007, 2**31 - 1):
+        for e in range(80):
             assert finite_geometry._binomials(e, p) == [comb(e, f) % p for f in range(e + 1)]
+    # sampled entries of a long row: each exact binomial is made once
+    e = 2 * 10**5
+    low = [0, 1, 2, 6, 7, 100, 101, 10006, 10007, *random.Random(e).sample(range(3000), 8)]
+    exact = {f: comb(e, f) for f in low + [e // 2]}
+    exact.update({e - f: c for f, c in exact.items()})
+    for p in (2, 3, 7, 101, 10007, 2**31 - 1):
+        row = finite_geometry._binomials(e, p)
+        assert len(row) == e + 1
+        assert all(row[f] == c % p for f, c in exact.items())
+
+
+def test_binomials_row_is_linear_in_the_exponent():
+    # the row of x0^d + x1^d + x2^d over F_2 at d = 160,000: by Lucas'
+    # theorem a few products per entry, where the exact binomials have up
+    # to 48,000 digits
+    start = time.perf_counter()
+    row = finite_geometry._binomials(160000, 2)
+    assert time.perf_counter() - start < 1.0
+    assert sum(row) == 2 ** bin(160000).count("1")  # odd binomials, by Lucas
 
 
 def test_lines_on_a_cone_of_degree_20000(tmp_path, capsys):
@@ -1370,6 +1423,7 @@ poly 2 : 1 1 0 0 1 ; -1 0 1 1 0
         ("field 5\nambient 3\npoly 2 : 5 1 0 0 1\n", 3),  # vanishes mod 5
         ("field 5\nambient 3\nquadric 2 : 1 1 0 0 1\n", 3),
         ("field 5\nambient 3\npoly 2 : 1 1 0 0 1 ; 4 1 0 0 1\n", 3),  # duplicate
+        ("field 5\nambient 2\npoly 2 : 5 9 9 9 9 9 ; 1 1 1 0\n", 3),  # malformed term, 0 mod 5
         ("field 5\n", 1),
     ],
 )

@@ -21,6 +21,7 @@ from chainlines.finite_geometry import (  # noqa: E402
     VarietySpec,
     eval_poly,
     format_variety,
+    lines_through,
     parse_variety,
 )
 from test_finite_geometry import index_line, pairwise_neighbors  # noqa: E402
@@ -88,15 +89,16 @@ def test_chain_graph_matches_pairwise_oracle(spec, rng):
     rng.shuffle(order)
     for pt in order:
         nbrs, at = oracle[pt]
-        assert graph.contained_lines_through(pt) == at == explored[pt]
+        assert lines_through(spec, pt) == at == explored[pt]
         assert graph._bfs(pt, 1).keys() == {pt, *nbrs}
 
 
 @SETTINGS
 @given(st.data())
 def test_local_terms_expand_g_along_a_line(data):
-    # sum_k t^k c_k(a, v) = G(a + t v) - G(a) for any a, v, t; for p <= d
-    # some binomial multipliers vanish mod p
+    # sum_k t^k c_k(a, v) = G(a + t v) - G(a) for any a, v, t, with each
+    # c_k grouped by its monomials v^f; for p <= d some binomial
+    # multipliers vanish mod p
     p = data.draw(st.sampled_from(PRIMES))
     ambient = data.draw(st.integers(2, 3))
     poly = data.draw(hypersurfaces(p, ambient))
@@ -105,13 +107,15 @@ def test_local_terms_expand_g_along_a_line(data):
     t = data.draw(st.integers(0, p - 1))
     field = PrimeField(p)
     total = eval_poly(poly, a, field)
-    for k, terms in finite_geometry._local_terms(poly, p).items():
-        for mult, a_exps, v_exps in terms:
-            assert sum(v_exps) == k and sum(a_exps) == poly.degree - k
-            term = mult * t**k
-            for x, e in zip(a + v, a_exps + v_exps):
-                term *= x**e
-            total += term
+    for k, form in finite_geometry._local_terms(poly, p).items():
+        for v_exps, terms in form.items():
+            assert sum(v_exps) == k and terms
+            for mult, a_exps in terms:
+                assert sum(a_exps) == poly.degree - k
+                term = mult * t**k
+                for x, e in zip(a + v, a_exps + v_exps):
+                    term *= x**e
+                total += term
     assert total % p == eval_poly(poly, [x + t * y for x, y in zip(a, v)], field)
 
 
