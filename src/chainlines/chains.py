@@ -70,10 +70,13 @@ class as text without building it, and counting_class/existence_class
 collect it without sorting or checking it again.  The walk makes the text
 of each exponent as it sets it, so rendering a term is one f-string of its
 coefficient and a ready-made string, in O(l) memory beyond the output and
-the bodies chow.render keeps.  A coefficient scale * B[a_2] ... B[a_{l-2}]
-depends only on the multiset of the a_k, so the groups (exponentially many
-in l) have at most C(D-m+l-3, l-3) * (D-m+1) distinct bodies (coefficient
-and a_{l-2}), and render writes each of those once while it keeps it.
+the bodies chow.render keeps.  It stops at a_{l-3}: the last two levels,
+a_{l-2} and a_{l-1}, are lists made once per value of the level above, a
+run per a_{l-3} and leaves per a_{l-2}.  A coefficient
+scale * B[a_2] ... B[a_{l-2}] depends only on the multiset of the a_k, so
+the run entries (exponentially many in l) have at most
+C(D-m+l-3, l-3) * (D-m+1) distinct bodies (coefficient and a_{l-2}), and
+render writes each of those once while it keeps it.
 
 counting_factors keeps the individual condition classes; their product in
 the truncated ring is the reference the tests compare the blocks against.
@@ -86,8 +89,8 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .chow import (ChowClass, Group, Leaves, Monomial, ProductSpace, _factor_text, _seams,
-                   hyperplane, render)
+from .chow import (ChowClass, Group, Leaves, Monomial, ProductSpace, Run, _factor_text,
+                   _seams, hyperplane, render)
 from .criteria import DefiningData, rc_criterion
 from .finite_geometry import LENGTH_BUDGET, BudgetExceededError
 
@@ -331,16 +334,23 @@ def _walk(problem: ChainProblem, weights: list[int], scale: int) -> Iterator[Gro
     A depth-first walk over the paths, with an explicit stack, that takes
     every a_k in descending order: e_1 = D + a_2 falls with a_2, and once
     a_2..a_k are fixed e_k = D - a_k + a_{k+1} falls with a_{k+1}, so the
-    exponent tuples come out in descending lexicographic order.  One group
-    per choice of a_2..a_{l-2}: the head is e_1..e_{l-3}, and each leaf
-    a_{l-1} adds (e_{l-2}, e_{l-1}) and the weight B[a_{l-1}].  The text
-    is made as the walk goes: setting e_k also sets its factor `*hk^e`, and
-    a head's text is one join of those.  The leaves of one a_{l-2} (tails,
-    weights and the seams between the coefficients) are made once, and
-    every group below that a_{l-2} gets the same object, which is what
-    lets chow.render key its kept bodies on the leaves' identity.  Besides
-    the leaves, at most D-m+1 of them with at most D-m+1 tails each, it
-    holds O(l) values: a choice, a partial coefficient, an exponent and its
+    exponent tuples come out in descending lexicographic order.  The walk
+    stops one level above the last head choice: one group per choice of
+    a_2..a_{l-3}, whose head is e_1..e_{l-4} and whose coefficient is
+    scale * B[a_2] ... B[a_{l-3}].  Its run has one entry per a_{l-2}, in
+    descending order, which adds e_{l-3}, its factor text `*h{l-3}^e`,
+    the weight B[a_{l-2}] and the leaves of a_{l-2}; each leaf a_{l-1}
+    adds (e_{l-2}, e_{l-1}) and the weight B[a_{l-1}].  l = 2 and l = 3
+    have no a_{l-3}: one group, whose run is one entry with no exponent
+    and weight 1.  The text is made as the walk goes: setting e_k also
+    sets its factor `*hk^e`, and a head's text is one join of those.  The
+    run of one a_{l-3} and the leaves of one a_{l-2} (tails, weights and
+    the seams between the coefficients) are made once, and every group or
+    entry below gets the same object, which is what lets chow.render key
+    its kept bodies on the leaves' identity, and each e_{l-3} with its
+    text is made once for all runs.  Besides the runs and the leaves, at
+    most D-m+1 of each with at most D-m+1 entries or tails each, it holds
+    O(l) values: a choice, a partial coefficient, an exponent and its
     factor text per factor.
     """
     data, l = problem.data, problem.length
@@ -355,20 +365,35 @@ def _walk(problem: ChainProblem, weights: list[int], scale: int) -> Iterator[Gro
         return
     if l == 2:
         tails = [(D + top,)]
-        yield (), "", scale, (tails, [1], _seams(tails, 1))
+        yield (), "", scale, [((), "", 1, (tails, [1], _seams(tails, 1)))]
         return
-    # a[k-1] = a_k and coeffs[k-1] = scale * B[a_2] ... B[a_k] along the
-    # current path; exps[k-1] = e_k and texts[k-1] its factor.  Depth j
-    # picks a_{j+1}, j = 1..l-3.
-    depth, last_low = l - 3, lows[l - 2]
 
     @functools.cache
     def leaves(parent: int) -> Leaves:
-        # the same for every group with a_{l-2} = parent, so made once
-        choices = range(min(top, parent + rise), last_low - 1, -1)
+        # the same for every entry with a_{l-2} = parent, so made once
+        choices = range(min(top, parent + rise), lows[l - 2] - 1, -1)
         tails = [(D - parent + b, D - b + top) for b in choices]
         return tails, [weights[b] for b in choices], _seams(tails, l - 2)
 
+    if l == 3:
+        yield (), "", scale, [((), "", 1, leaves(0))]
+        return
+
+    @functools.cache
+    def mid(e: int) -> tuple[Monomial, str]:
+        # e_{l-3} and its factor text, shared by every run
+        return (e,), _factor_text(l - 3, e)
+
+    @functools.cache
+    def run(parent: int) -> Run:
+        # the same for every group with a_{l-3} = parent, so made once
+        return [(*mid(D - parent + b), weights[b], leaves(b))
+                for b in range(min(top, parent + rise), lows[l - 3] - 1, -1)]
+
+    # a[k-1] = a_k and coeffs[k-1] = scale * B[a_2] ... B[a_k] along the
+    # current path; exps[k-1] = e_k and texts[k-1] its factor.  Depth j
+    # picks a_{j+1}, j = 1..l-4.
+    depth = l - 4
     a, coeffs = [0] * (depth + 1), [scale] * (depth + 1)
     exps, texts = [0] * depth, [""] * depth
     j = 1
@@ -376,7 +401,7 @@ def _walk(problem: ChainProblem, weights: list[int], scale: int) -> Iterator[Gro
         a[1] = min(top, rise) + 1
     while j:
         if j > depth:
-            yield tuple(exps), "".join(texts), coeffs[depth], leaves(a[depth])
+            yield tuple(exps), "".join(texts), coeffs[depth], run(a[depth])
             j -= 1
             continue
         a[j] -= 1
@@ -420,8 +445,10 @@ def _class_groups(problem: ChainProblem, counting: bool, text: bool = False) -> 
 
 def _collect(problem: ChainProblem, groups: Iterator[Group]) -> ChowClass:
     return ChowClass.from_normal_form(problem.space, {
-        head + tail: coeff * weight
-        for head, _, coeff, (tails, weights, _) in groups for tail, weight in zip(tails, weights)
+        head + mid + tail: coeff * weight * leaf
+        for head, _, coeff, run in groups
+        for mid, _, weight, (tails, weights, _) in run
+        for tail, leaf in zip(tails, weights)
     })
 
 

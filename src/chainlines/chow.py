@@ -17,11 +17,12 @@ are listed with the lexicographically largest exponent tuple first, each term
 formatted as ``<coeff>*h1^<e1>*...*hk^<ek>`` with ``^1`` and zero-exponent
 factors omitted, terms joined by `` + ``; the zero class renders as ``0``.
 ``str`` writes it term by term.  ``render`` writes it from terms in groups
-that share a head, with the text of every head and tail ready-made, as
-the chain walk (``chains._walk``) makes that text as it sets each
-exponent.  A group's text below its head depends only on its coefficient
-and its leaves, so ``render`` makes each such body once and keeps it, up
-to BODY_CACHE_CHARS characters, for the later groups with the same
+that share a head, each group a run of entries that each add one
+exponent, with the text of every head, entry and tail ready-made, as the
+chain walk (``chains._walk``) makes that text as it sets each exponent.
+An entry's text below its head depends only on its coefficient and its
+leaves, so ``render`` makes each such body once and keeps it, up to
+BODY_CACHE_CHARS characters, for the later entries with the same
 coefficient and leaves.
 """
 
@@ -211,12 +212,14 @@ def _exponents_text(exps: Monomial, first: int) -> str:
     return "".join([_factor_text(k, e) for k, e in enumerate(exps, first)])
 
 
-# (tails, weights, seams) and (head, head text, coeff, leaves): the terms
-# head + tails[i] with coefficients coeff * weights[i]; the seams are the
-# texts around the coefficients, seams[i] before the i-th and seams[-1]
-# after the last, as _seams writes them
+# (tails, weights, seams); a run, entries (mid, mid text, weight, leaves);
+# and a group (head, head text, coeff, run): for each entry, the terms
+# head + mid + tails[i] with coefficients coeff * weight * weights[i].  The
+# seams are the texts around the coefficients, seams[i] before the i-th
+# and seams[-1] after the last, as _seams writes them
 Leaves = tuple[Sequence[Monomial], Sequence[int], Sequence[str]]
-Group = tuple[Monomial, str, int, Leaves]
+Run = Sequence[tuple[Monomial, str, int, Leaves]]
+Group = tuple[Monomial, str, int, Run]
 
 
 def _seams(tails: Sequence[Monomial], first: int) -> list[str]:
@@ -227,7 +230,7 @@ def _seams(tails: Sequence[Monomial], first: int) -> list[str]:
     return [""] + [text + " + " for text in texts[:-1]] + texts[-1:]
 
 
-# characters of group bodies that one render call keeps for reuse, each part
+# characters of entry bodies that one render call keeps for reuse, each part
 # counted with PART_CHARS more for its str object and list slot; past the cap
 # the kept bodies are dropped and the count starts again
 BODY_CACHE_CHARS = 10**6
@@ -235,7 +238,7 @@ PART_CHARS = 64
 
 
 def _body(coeff: int, leaves: Leaves) -> list[str]:
-    """A group's text cut at its head's text: ``[c_1, tail_1 + " + " + c_2,
+    """An entry's text cut at its head's text: ``[c_1, tail_1 + " + " + c_2,
     ..., tail_k]``, with ``c_i`` the digits of ``coeff * weights[i]``.  One
     f-string per term."""
     _, weights, seams = leaves
@@ -250,39 +253,42 @@ def _body(coeff: int, leaves: Leaves) -> list[str]:
 def render(groups: Iterable[Group]) -> Iterator[str]:
     """The rendering contract (module docstring) as a stream of text chunks.
 
-    ``groups`` yields ``(head, head_text, coeff, leaves)`` in render order,
-    each with at least one leaf.  The texts come ready-made, and the
-    exponents are not read.  A group's text is its body (``_body``) joined
-    by its head's text.  The body depends only on ``coeff`` and the leaves,
-    so it is kept under the key ``(coeff, id(leaves))``, and a later group
-    with that key is one join: a chain walk hands every group with the same
+    ``groups`` yields ``(head, head_text, coeff, run)`` in render order, and
+    each run at least one entry ``(mid, mid_text, weight, leaves)`` with at
+    least one leaf.  The texts come ready-made, and the exponents are not
+    read.  An entry's text is its body (``_body`` of ``coeff * weight`` and
+    the leaves) joined by ``head_text + mid_text``.  The body is kept under
+    the key ``(coeff * weight, id(leaves))``, and a later entry with that
+    key is one join: a chain walk hands every entry with the same
     ``a_{l-2}`` the same leaves.  Each kept body holds its leaves, so no id
     is reused while its key is kept, and the leaves are never hashed.  The
     kept bodies hold at most BODY_CACHE_CHARS characters, PART_CHARS more
     per part; the leaves they hold, the walk holds anyway.  Making a body
     takes one f-string per term, whether it is kept or not.  One chunk per
-    group.
+    entry, never one per run, so no chunk holds more than one body's text.
     """
     bodies: dict[tuple[int, int], tuple[Leaves, list[str]]] = {}
     room = BODY_CACHE_CHARS
     sep = ""
-    for _, head, coeff, leaves in groups:
-        key = coeff, id(leaves)
-        kept = bodies.get(key)
-        if kept is None:
-            parts = _body(coeff, leaves)
-            text = head.join(parts)
-            size = len(text) - len(head) * (len(parts) - 1) + PART_CHARS * len(parts)
-            if size > room:
-                bodies.clear()
-                room = BODY_CACHE_CHARS
-            if size <= room:
-                bodies[key] = leaves, parts
-                room -= size
-        else:
-            text = head.join(kept[1])
-        yield sep + text
-        sep = " + "
+    for _, head, coeff, run in groups:
+        for _, mid, weight, leaves in run:
+            prefix = head + mid
+            key = coeff * weight, id(leaves)
+            kept = bodies.get(key)
+            if kept is None:
+                parts = _body(key[0], leaves)
+                text = prefix.join(parts)
+                size = len(text) - len(prefix) * (len(parts) - 1) + PART_CHARS * len(parts)
+                if size > room:
+                    bodies.clear()
+                    room = BODY_CACHE_CHARS
+                if size <= room:
+                    bodies[key] = leaves, parts
+                    room -= size
+            else:
+                text = prefix.join(kept[1])
+            yield sep + text
+            sep = " + "
     if not sep:
         yield "0"
 

@@ -524,15 +524,18 @@ def test_streamed_text_past_the_int_digit_limit():
 
 
 def test_streamed_bodies_are_made_once_per_coefficient_and_leaves(monkeypatch):
-    # (5,5) N=40 l=6 counting: 6,561 terms in 729 groups but only 135
-    # distinct bodies (coefficient, a_{l-2}); one coefficient also comes
-    # with several a_{l-2}, whose bodies differ
+    # (5,5) N=40 l=6 counting: 6,561 terms in 81 groups, whose runs hold
+    # 729 entries but only 135 distinct bodies (coefficient, a_{l-2}); one
+    # coefficient also comes with several a_{l-2}, whose bodies differ
     p = problem((5, 5), 40, 6)
     groups = list(chains._class_groups(p, counting=True))
+    entries = [(coeff * weight, leaves) for _, _, coeff, run in groups
+               for _, _, weight, leaves in run]
     leaves_of = {}
-    for _, _, coeff, leaves in groups:
+    for coeff, leaves in entries:
         leaves_of.setdefault(coeff, set()).add(id(leaves))
-    assert len(groups) == 729
+    assert len(groups) == 81
+    assert len(entries) == 729
     assert sum(map(len, leaves_of.values())) == 135
     assert max(map(len, leaves_of.values())) > 1
     made = []
@@ -576,6 +579,17 @@ def test_kept_bodies_add_at_most_the_cap_to_memory(monkeypatch):
     assert kept < none_kept + cap + 64 * 1024
     # every body kept would hold all of the text
     assert kept < size / 2
+
+
+def test_a_run_is_streamed_one_entry_at_a_time():
+    # (100,) N=200 l=4 counting is one group whose run has 100 entries of
+    # 100 terms each: render writes a chunk per entry, never the whole run
+    p = problem((100,), 200, 4)
+    (group,) = chains._class_groups(p, counting=True)
+    assert len(group[3]) == 100
+    chunks = list(class_text(p, counting=True))
+    assert len(chunks) == 100
+    assert max(map(len, chunks)) <= sum(map(len, chunks)) / 50
 
 
 def test_two_line_chains_build_no_pair_block(monkeypatch):

@@ -5,6 +5,7 @@ from decimal import Decimal
 
 import pytest
 
+from chainlines import chow
 from chainlines.chow import ChowClass, ProductSpace, hyperplane, int_text, one, render, zero
 
 import naive_poly
@@ -110,35 +111,49 @@ def test_rendering_matches_reference_random():
         assert str(c) == naive_poly.render(c.terms)
 
 
+def _terms(groups):
+    return {head + mid + tail: coeff * weight * leaf
+            for head, _, coeff, run in groups
+            for mid, _, weight, (tails, weights, _) in run
+            for tail, leaf in zip(tails, weights)}
+
+
 def test_render_groups_share_head_and_coefficient():
-    # 3*h1^2*(5*h2^3*h3 + 1*h2*h3^2), then 2*h1*h3^4; each group carries its
-    # head's text and the seams around its coefficients, and render writes
-    # the text it is given
-    groups = [((2,), "*h1^2", 3, ([(3, 1), (1, 2)], [5, 1], ["", "*h2^3*h3 + ", "*h2*h3^2"])),
-              ((1,), "*h1", 2, ([(0, 4)], [1], ["", "*h3^4"]))]
-    expected = "15*h1^2*h2^3*h3 + 3*h1^2*h2*h3^2 + 2*h1*h3^4"
-    assert "".join(render(groups)) == expected
+    # 3*h1^2*(5*h2^3*(h3*h4 + h4^2) + h2*h3^2*h4), then 2*h1*h4^4; each
+    # group carries its head's text, each run entry its own exponent's text
+    # and each leaf list the seams around its coefficients, and render
+    # writes the text it is given, one chunk per entry
+    leaves = ([(1, 1), (0, 2)], [1, 1], ["", "*h3*h4 + ", "*h4^2"])
+    groups = [((2,), "*h1^2", 3, [((3,), "*h2^3", 5, leaves),
+                                   ((1,), "*h2", 1, ([(2, 1)], [1], ["", "*h3^2*h4"]))]),
+              ((1,), "*h1", 2, [((0,), "", 1, ([(0, 4)], [1], ["", "*h4^4"]))])]
+    expected = ("15*h1^2*h2^3*h3*h4 + 15*h1^2*h2^3*h4^2 + 3*h1^2*h2*h3^2*h4"
+                " + 2*h1*h4^4")
+    chunks = list(render(groups))
+    assert len(chunks) == 3
+    assert "".join(chunks) == expected
     # str() writes the class of those terms one term at a time, apart from render
-    terms = {head + tail: coeff * weight
-             for head, _, coeff, (tails, weights, _) in groups
-             for tail, weight in zip(tails, weights)}
-    assert str(ChowClass(ProductSpace((4, 4, 4)), terms)) == expected == naive_poly.render(terms)
+    terms = _terms(groups)
+    assert str(ChowClass(ProductSpace((4, 4, 4, 4)), terms)) == expected == naive_poly.render(terms)
     assert list(render([])) == ["0"]
 
 
-def test_render_reuses_a_body_past_the_str_digit_limit():
+def test_render_reuses_a_body_past_the_str_digit_limit(monkeypatch):
     # a 5,071-digit coefficient, twice over the same leaves (one body, two
-    # heads), then over other leaves whose body must not be the kept one
+    # heads), then over other leaves whose body must not be the kept one;
+    # the second head reaches the same coefficient by another split
     big = 7**6000
-    leaves = ([(1, 0), (0, 1)], [2, 1], ["", "*h2 + ", "*h3"])
-    other = ([(1, 0)], [1], ["", "*h2"])
-    groups = [((3,), "*h1^3", big, leaves), ((2,), "*h1^2", big, leaves),
-              ((1,), "*h1", big, other)]
-    terms = {head + tail: coeff * weight
-             for head, _, coeff, (tails, weights, _) in groups
-             for tail, weight in zip(tails, weights)}
+    leaves = ([(1, 0), (0, 1)], [2, 1], ["", "*h3 + ", "*h4"])
+    other = ([(1, 0)], [1], ["", "*h3"])
+    groups = [((3,), "*h1^3", big, [((1,), "*h2", 1, leaves)]),
+              ((2,), "*h1^2", big // 7, [((1,), "*h2", 7, leaves), ((0,), "", 7, other)])]
+    made = []
+    body = chow._body
+    monkeypatch.setattr(chow, "_body", lambda coeff, leaves: made.append(coeff) or body(coeff, leaves))
     streamed = "".join(render(groups))
-    assert streamed == str(ChowClass(ProductSpace((3, 1, 1)), terms))
+    assert made == [big, big]
+    terms = _terms(groups)
+    assert streamed == str(ChowClass(ProductSpace((3, 1, 1, 1)), terms))
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

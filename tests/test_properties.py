@@ -6,13 +6,14 @@ failure reproduces.
 
 import itertools
 import math
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from chainlines import chains, finite_geometry  # noqa: E402
+from chainlines import chains, chow, finite_geometry  # noqa: E402
 from chainlines.criteria import DefiningData  # noqa: E402
 from chainlines.finite_geometry import (  # noqa: E402
     ChainGraph,
@@ -24,6 +25,7 @@ from chainlines.finite_geometry import (  # noqa: E402
     lines_through,
     parse_variety,
 )
+import naive_poly  # noqa: E402
 from test_finite_geometry import index_line, pairwise_neighbors  # noqa: E402
 
 PRIMES = (2, 3, 5, 7)
@@ -125,13 +127,28 @@ def test_format_then_parse_is_identity(spec):
     assert parse_variety(format_variety(spec)) == spec
 
 
-@SETTINGS
-@given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(1, 25),
-       st.integers(2, 9), st.booleans())
-def test_class_walk_lists_strictly_descending_monomials(degrees, ambient, length, counting):
+CLASSES = (st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(1, 25),
+           st.integers(2, 9), st.booleans())
+
+
+def small_class(degrees, ambient, length):
     problem = chains.ChainProblem(DefiningData(tuple(degrees), ambient), length)
     hypothesis.assume(chains.class_term_count(problem) <= 5000)
-    monos = [head + tail for head, _, _, (tails, _, _) in chains._class_groups(problem, counting)
+    return problem
+
+
+def entries(problem, counting):
+    """(monomial prefix, coefficient, leaves) of every run entry of the walk."""
+    return [(head + mid, coeff * weight, leaves)
+            for head, _, coeff, run in chains._class_groups(problem, counting)
+            for mid, _, weight, leaves in run]
+
+
+@SETTINGS
+@given(*CLASSES)
+def test_class_walk_lists_strictly_descending_monomials(degrees, ambient, length, counting):
+    problem = small_class(degrees, ambient, length)
+    monos = [prefix + tail for prefix, _, (tails, _, _) in entries(problem, counting)
              for tail in tails]
     assert all(a > b for a, b in zip(monos, monos[1:]))
     assert len(monos) == chains.class_term_count(problem)
@@ -141,11 +158,22 @@ def test_class_walk_lists_strictly_descending_monomials(degrees, ambient, length
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(1, 25),
        st.integers(3, 9), st.booleans())
 def test_class_walk_groups_have_polynomially_many_bodies(degrees, ambient, length, counting):
-    # a group's body is its coefficient, fixed by the multiset of
+    # an entry's body is its coefficient, fixed by the multiset of
     # a_2..a_{l-2}, and its leaves, fixed by a_{l-2}
-    problem = chains.ChainProblem(DefiningData(tuple(degrees), ambient), length)
-    hypothesis.assume(chains.class_term_count(problem) <= 5000)
-    groups = list(chains._class_groups(problem, counting))
+    problem = small_class(degrees, ambient, length)
     top = problem.data.total_degree - problem.data.m
-    bodies = {(coeff, id(leaves)) for _, _, coeff, leaves in groups}
+    bodies = {(coeff, id(leaves)) for _, coeff, leaves in entries(problem, counting)}
     assert len(bodies) <= math.comb(top + length - 3, length - 3) * (top + 1)
+
+
+# the default cap, none kept, and a cap of a few bodies, which is cleared
+# in the middle of a run
+@pytest.mark.parametrize("cap", [chow.BODY_CACHE_CHARS, 0, 300])
+@SETTINGS
+@given(*CLASSES)
+def test_streamed_class_text_matches_str_and_reference(cap, degrees, ambient, length, counting):
+    problem = small_class(degrees, ambient, length)
+    cls = (chains.counting_class if counting else chains.existence_class)(problem)
+    with mock.patch.object(chow, "BODY_CACHE_CHARS", cap):
+        streamed = "".join(chains.class_text(problem, counting))
+    assert streamed == str(cls) == naive_poly.render(cls.terms)
