@@ -54,9 +54,11 @@ chain -- is the same listing with binomials C(D-m, a) and scale 1.  A
 dynamic program over (k, a_k) counts the terms before any is built, and
 classes with more than CLASS_TERM_BUDGET terms, or with l past
 LENGTH_BUDGET, are refused with BudgetExceededError.  The term count does
-not bound the text, whose coefficients can have thousands of digits, so
-class_text also refuses a class whose text could pass CLASS_TEXT_BUDGET
-characters, by a bound from bit lengths alone (_text_bound).
+not bound the text, whose coefficients can have thousands of digits, so a
+class whose text could pass CLASS_TEXT_BUDGET characters, by a bound from
+bit lengths alone (_text_bound), is refused too.  class_text,
+counting_class and existence_class all pass the same checks
+(_class_groups), since a collected class holds the same integers.
 
 At zero expected dimension (l-1)(N-D) = D - m, and the top monomial forces
 a_k = (k-1)(N-D), so the top coefficient -- the number of chains, with
@@ -136,7 +138,7 @@ class ConditionTally(namedtuple("ConditionTally", (
         "interior_pure",     # equations on each single interior factor
         "interior_factors",  # number of interior factors, max(l-3, 0)
         "mixed_per_pair",    # bihomogeneous equations per adjacent pair
-        "pairs",             # number of adjacent pairs, l-2 for l >= 3
+        "pairs",             # number of adjacent pairs, l-2
 ))):
     """How the l*D - m conditions distribute over the factors."""
 
@@ -155,24 +157,15 @@ def condition_tally(problem: ChainProblem) -> ConditionTally:
     """Bookkeeping of the conditions; the total always equals l*D - m."""
     data, l = problem.data, problem.length
     D, m = data.total_degree, data.m
-    if l == 2:
-        tally = ConditionTally(
-            endpoint_x=D,
-            endpoint_y=D - m,
-            interior_pure=m,
-            interior_factors=0,
-            mixed_per_pair=D - m,
-            pairs=0,
-        )
-    else:
-        tally = ConditionTally(
-            endpoint_x=D,
-            endpoint_y=D,
-            interior_pure=m,
-            interior_factors=l - 3,
-            mixed_per_pair=D - m,
-            pairs=l - 2,
-        )
+    tally = ConditionTally(
+        endpoint_x=D,
+        # the y side's top coefficient is d - (l == 2): see counting_factors
+        endpoint_y=sum(d - (l == 2) for d in data.degrees),
+        interior_pure=m,
+        interior_factors=max(l - 3, 0),
+        mixed_per_pair=D - m,
+        pairs=l - 2,
+    )
     assert tally.total() == l * D - m
     return tally
 
@@ -194,31 +187,25 @@ def counting_factors(problem: ChainProblem) -> CountingFactors:
     x_side = [
         j * hyperplane(space, 1) for d in data.degrees for j in range(1, d + 1)
     ]
-    if l == 2:
-        # the degree-d coefficient on the y side duplicates G(p^1), which the
-        # x side already imposed
-        y_side = [
-            j * hyperplane(space, 1) for d in data.degrees for j in range(1, d)
-        ]
-        interior: list[ChowClass] = []
-        mixed: list[ChowClass] = []
-    else:
-        y_side = [
-            j * hyperplane(space, l - 1)
-            for d in data.degrees
-            for j in range(1, d + 1)
-        ]
-        interior = [
-            d * hyperplane(space, k)
-            for d in data.degrees
-            for k in range(2, l - 1)
-        ]
-        mixed = [
-            j * hyperplane(space, k - 1) + (d - j) * hyperplane(space, k)
-            for d in data.degrees
-            for k in range(2, l)
-            for j in range(1, d)
-        ]
+    # the y side's top coefficient is d - (l == 2): at l = 2 the degree-d
+    # coefficient is G(p^1) again, which the x side already imposed, so it
+    # is left out by design; the interior and mixed ranges are empty there
+    y_side = [
+        j * hyperplane(space, l - 1)
+        for d in data.degrees
+        for j in range(1, d - (l == 2) + 1)
+    ]
+    interior = [
+        d * hyperplane(space, k)
+        for d in data.degrees
+        for k in range(2, l - 1)
+    ]
+    mixed = [
+        j * hyperplane(space, k - 1) + (d - j) * hyperplane(space, k)
+        for d in data.degrees
+        for k in range(2, l)
+        for j in range(1, d)
+    ]
     factors = CountingFactors(tuple(x_side), tuple(y_side), tuple(interior), tuple(mixed))
     assert len(factors.all()) == l * data.total_degree - data.m
     return factors
@@ -237,13 +224,6 @@ def _pair_block(data: DefiningData) -> list[int]:
     return coeffs
 
 
-def _check_budget(measure: int, what: str) -> None:
-    if measure > CLASS_TERM_BUDGET:
-        raise BudgetExceededError(
-            f"{what} {measure} exceeds the {CLASS_TERM_BUDGET} budget"
-        )
-
-
 def _check_length_budget(problem: ChainProblem) -> None:
     # the witness and every term of a class hold O(l) values
     if problem.length > LENGTH_BUDGET:
@@ -254,7 +234,11 @@ def _check_length_budget(problem: ChainProblem) -> None:
 
 def _check_block_budget(data: DefiningData) -> None:
     # building the pair block takes O((D-m)^2) operations
-    _check_budget((data.total_degree - data.m) ** 2, "pair block size (D-m)^2")
+    size = (data.total_degree - data.m) ** 2
+    if size > CLASS_TERM_BUDGET:
+        raise BudgetExceededError(
+            f"pair block size (D-m)^2 {size} exceeds the {CLASS_TERM_BUDGET} budget"
+        )
 
 
 def _term_count(problem: ChainProblem, cap: float) -> int:
@@ -287,20 +271,6 @@ def class_term_count(problem: ChainProblem) -> int:
     """Number of terms of the counting class, and of the existence class,
     exact at any size."""
     return _term_count(problem, math.inf)
-
-
-def _check_class_budget(problem: ChainProblem) -> int:
-    """The number of terms of the class, refused past CLASS_TERM_BUDGET,
-    and l past LENGTH_BUDGET before any O(l) work."""
-    _check_length_budget(problem)
-    _check_block_budget(problem.data)
-    # counted only up to the budget, so no row carries O(l)-bit integers
-    terms = _term_count(problem, CLASS_TERM_BUDGET + 1)
-    if terms > CLASS_TERM_BUDGET:
-        raise BudgetExceededError(
-            f"class term count is more than the {CLASS_TERM_BUDGET} budget"
-        )
-    return terms
 
 
 def _text_bound(problem: ChainProblem, counting: bool, terms: int) -> int:
@@ -424,12 +394,23 @@ def _counting_scale(problem: ChainProblem) -> int:
     )
 
 
-def _class_groups(problem: ChainProblem, counting: bool, text: bool = False) -> Iterator[Group]:
+def _class_groups(problem: ChainProblem, counting: bool) -> Iterator[Group]:
     """The walk for the counting or the existence class, after the budget
-    checks, which run at once: its terms, and with text a bound on the
-    characters of its text (_text_bound)."""
-    terms = _check_class_budget(problem)
-    if text and _text_bound(problem, counting, terms) > CLASS_TEXT_BUDGET:
+    checks, which run at once and in this order: l against LENGTH_BUDGET,
+    before any O(l) work; (D-m)^2, the cost of the pair block; the number
+    of terms against CLASS_TERM_BUDGET; and a bound on the characters of
+    the class's text (_text_bound) against CLASS_TEXT_BUDGET.  The text
+    bound holds for a collected class too, whose coefficients are the
+    same integers."""
+    _check_length_budget(problem)
+    _check_block_budget(problem.data)
+    # counted only up to the budget, so no row carries O(l)-bit integers
+    terms = _term_count(problem, CLASS_TERM_BUDGET + 1)
+    if terms > CLASS_TERM_BUDGET:
+        raise BudgetExceededError(
+            f"class term count is more than the {CLASS_TERM_BUDGET} budget"
+        )
+    if _text_bound(problem, counting, terms) > CLASS_TEXT_BUDGET:
         raise BudgetExceededError(
             f"class text could be more than the {CLASS_TEXT_BUDGET} character budget"
         )
@@ -455,8 +436,9 @@ def _collect(problem: ChainProblem, groups: Iterator[Group]) -> ChowClass:
 def counting_class(problem: ChainProblem) -> ChowClass:
     """Product of all condition classes in the truncated ring.
 
-    Listed from the blocks; raises BudgetExceededError beyond
-    CLASS_TERM_BUDGET terms or l past LENGTH_BUDGET.
+    Listed from the blocks; raises BudgetExceededError, before any term
+    is made, beyond CLASS_TERM_BUDGET terms, with l past LENGTH_BUDGET, or
+    when the text could pass CLASS_TEXT_BUDGET characters (_class_groups).
     """
     return _collect(problem, _class_groups(problem, counting=True))
 
@@ -469,8 +451,7 @@ def existence_class(problem: ChainProblem) -> ChowClass:
         (h_1+h_2)^{D-m} * ... * (h_{l-2}+h_{l-1})^{D-m},
     and for l = 2 simply h^{2D-m}.  Every surviving term has total degree
     l*D - m; the class is nonzero whenever the chain criterion holds.
-    Raises BudgetExceededError beyond CLASS_TERM_BUDGET terms or
-    l past LENGTH_BUDGET.
+    Refused like counting_class, by the same checks (_class_groups).
     """
     return _collect(problem, _class_groups(problem, counting=False))
 
@@ -479,10 +460,9 @@ def class_text(problem: ChainProblem, counting: bool) -> Iterator[str]:
     """str() of the counting (or existence) class, in chunks, never built.
 
     The budgets are checked at once, before the first chunk is asked for;
-    raises BudgetExceededError like counting_class and existence_class,
-    and when the text could pass CLASS_TEXT_BUDGET characters (_text_bound).
+    raises BudgetExceededError like counting_class and existence_class.
     """
-    return render(_class_groups(problem, counting, text=True))
+    return render(_class_groups(problem, counting))
 
 
 def expected_dimension(problem: ChainProblem) -> int:
@@ -552,24 +532,18 @@ def witness_monomial(problem: ChainProblem) -> Witness:
     """The distinguished expansion monomial of the existence class.
 
     Choosing j_k = jbar_k in each binomial factor produces the monomial with
-        e_1 = D + jbar_1,
-        e_k = D - jbar_{k-1} + jbar_k   (k = 2..l-2),
-        e_{l-1} = 2D - m - jbar_{l-2};
-    for l = 2 the single exponent is 2D - m.  When the chain criterion holds,
-    every exponent is at most N and the witness survives truncation.
+        e_k = D - jbar_{k-1} + jbar_k   (k = 1..l-1),
+    where jbar_0 = 0 and jbar_{l-1} = D - m, so e_1 = D + jbar_1 and
+    e_{l-1} = 2D - m - jbar_{l-2}; for l = 2 the single exponent is
+    2D - m.  When the chain criterion holds, every exponent is at most N
+    and the witness survives truncation.
     Refused like witness_exponents past LENGTH_BUDGET.
     """
     data, l = problem.data, problem.length
-    D, m, N = data.total_degree, data.m, data.ambient
-    if l == 2:
-        exponents: tuple[int, ...] = (2 * D - m,)
-    else:
-        jbar = witness_exponents(problem)
-        exps = [D + jbar[0]]
-        exps += [D - jbar[k - 2] + jbar[k - 1] for k in range(2, l - 1)]
-        exps += [2 * D - m - jbar[-1]]
-        exponents = tuple(exps)
-    witness = Witness(exponents, all(e <= N for e in exponents))
+    D, m = data.total_degree, data.m
+    jbar = (0, *witness_exponents(problem), D - m)  # jbar_0 .. jbar_{l-1}
+    exponents = tuple(D - jbar[k - 1] + jbar[k] for k in range(1, l))
+    witness = Witness(exponents, all(e <= data.ambient for e in exponents))
     if rc_criterion(data, l):
         assert witness.fits
     return witness

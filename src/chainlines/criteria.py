@@ -52,10 +52,9 @@ class DefiningData(namedtuple("DefiningData", "degrees ambient")):
 
 
 def _ceil_div(a: int, b: int) -> int:
-    # exact ceiling for a >= 0, b >= 1; the preconditions upstream keep both
-    # operands nonnegative, so no negative-operand ambiguity arises
-    if a == 0:
-        return 0
+    # exact ceiling for a >= 0, b >= 1 (0 at a = 0); the preconditions
+    # upstream keep both operands nonnegative, so no negative-operand
+    # ambiguity arises
     return (a + b - 1) // b
 
 

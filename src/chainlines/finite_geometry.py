@@ -173,14 +173,18 @@ class HomogPoly(namedtuple("HomogPoly", "degree terms")):
         return len(self.terms[0][1])
 
 
+def _check_ambient(ambient: int) -> None:
+    if ambient < 2:
+        raise ValueError(f"ambient dimension must be >= 2: {ambient}")
+
+
 class VarietySpec(namedtuple("VarietySpec", "field ambient polys")):
     """Explicit defining polynomials of a variety in P^N over F_p."""
 
     __slots__ = ()
 
     def __new__(cls, field: PrimeField, ambient: int, polys: tuple[HomogPoly, ...]):
-        if ambient < 2:
-            raise ValueError(f"ambient dimension must be >= 2: {ambient}")
+        _check_ambient(ambient)
         if not polys:
             raise ValueError("at least one defining polynomial is required")
         for poly in polys:
@@ -924,6 +928,7 @@ def parse_variety(text: str) -> VarietySpec:
     p = _keyword_int(lines[0], "field")
     field = _checked(lines[0][0], PrimeField, p)
     ambient = _keyword_int(lines[1], "ambient")
+    _checked(lines[1][0], _check_ambient, ambient)
     polys = []
     for no, content in lines[2:]:
         head, sep, rest = content.partition(":")

@@ -162,8 +162,13 @@ def test_tally_and_degree_identities():
     for degrees, n, l in GRID:
         p = problem(degrees, n, l)
         total = l * p.data.total_degree - p.data.m
-        assert condition_tally(p).total() == total
-        assert len(counting_factors(p).all()) == total
+        tally, factors = condition_tally(p), counting_factors(p)
+        assert tally.total() == total
+        assert len(factors.all()) == total
+        assert len(factors.x_side) == tally.endpoint_x
+        assert len(factors.y_side) == tally.endpoint_y
+        assert len(factors.interior) == tally.interior_pure * tally.interior_factors
+        assert len(factors.mixed) == tally.mixed_per_pair * tally.pairs
         cls = existence_class(p)
         assert all(sum(mono) == total for mono in cls.terms)
         assert class_term_count(p) == len(cls.terms)
@@ -411,20 +416,36 @@ def test_class_text_budget_refuses_before_the_walk(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"more than the {chains.CLASS_TEXT_BUDGET} character budget" in captured.err
+    # a collected class holds the same integers, so it is refused the same
+    # way.  The existence text of (300,) N=600 l=4 is bounded by 18,450,000
+    # characters, within the budget; that of (600,) N=1200 l=4, 360,000
+    # terms of at most 362 digits, by 139,680,000
+    with pytest.raises(BudgetExceededError, match="character budget"):
+        counting_class(p)
+    assert chains._text_bound(p, False, class_term_count(p)) == 18_450_000
+    wide = problem((600,), 1200, 4)
+    assert chains._text_bound(wide, False, class_term_count(wide)) == 139_680_000
+    for build in (existence_class, lambda p: class_text(p, False)):
+        with pytest.raises(BudgetExceededError, match="character budget"):
+            build(wide)
     # (5,5) N=40 l=8 stays admitted: 531,441 terms of at most 51 digits
     reference = problem((5, 5), 40, 8)
     assert chains._text_bound(reference, True, 531441) == 51_018_336 <= chains.CLASS_TEXT_BUDGET
     monkeypatch.undo()
-    # the bound holds the text, and a budget of exactly the bound admits it
+    # the bound holds the text, and a budget of exactly the bound admits it,
+    # streamed or collected
     for degrees, n, l in CROSS_GRID + [((5, 5), 40, 5), ((1000,), 1999, 2), ((1, 1, 1), 3, 500)]:
         p = problem(degrees, n, l)
-        for counting in (True, False):
+        for counting, collect in ((True, counting_class), (False, existence_class)):
             bound = chains._text_bound(p, counting, class_term_count(p))
             monkeypatch.setattr(chains, "CLASS_TEXT_BUDGET", bound)
-            assert len("".join(class_text(p, counting))) <= bound
+            text = "".join(class_text(p, counting))
+            assert len(text) <= bound
+            assert str(collect(p)) == text
             monkeypatch.setattr(chains, "CLASS_TEXT_BUDGET", bound - 1)
-            with pytest.raises(BudgetExceededError):
-                class_text(p, counting)
+            for build in (collect, lambda p: class_text(p, counting)):
+                with pytest.raises(BudgetExceededError):
+                    build(p)
 
 
 def test_class_budget_admits_reference_class():

@@ -1418,6 +1418,7 @@ poly 2 : 1 1 0 0 1 ; -1 0 1 1 0
     [
         ("field 6\nambient 3\npoly 1 : 1 1 0 0 0\n", 1),
         ("field 5\nambient x\npoly 1 : 1 1 0 0 0\n", 2),
+        ("field 5\nambient 1\npoly 1 : 1 1 0\n", 2),  # ambient below 2
         ("field 5\nambient 3\npoly 2 : 1 1 0 0 0\n", 3),  # degree mismatch
         ("field 5\nambient 3\npoly 2 : 1 1 0 0 1 ; 1 1 0 0\n", 3),  # short term
         ("field 5\nambient 3\npoly 2 : 5 1 0 0 1\n", 3),  # vanishes mod 5
