@@ -45,11 +45,20 @@ directions that lead before j are kept: those are the lines whose other
 points all come after a.  On a surface that is about p points with p
 directions each.
 
-explore works on point indices: each line is made in closed form at its
-least point (_line_at) and kept as the indices of its p+1 points, each
-point keeps the numbers of its lines, and the balls around all points
-grow at once, as bitsets over the indices.  The tests check both routes
-against restricting each G to a line directly.
+explore works on point indices, column-wise.  The lines are kept as p+1
+columns of point indices, column t holding member t of every line: its
+least point a, then v + t a for t = 0..p-1, made for all the lines at
+once by one map chain per coordinate and t (join_all).  The census counts
+each point's entries in the columns, r_x lines through x.  Two lines
+through x meet only at x, so |ball_1(x)| = 1 + p r_x and length 1 has a
+closed form; once a count reaches n^2 the remaining lengths repeat it.
+Otherwise the balls of the points on a line grow at once, as bitsets over
+those points alone, by map(or_, ...) gathers over the columns and one
+scatter per slot of each point's lines (_ball_sizes); a point on no line
+adds 1 to every count.  The bitset charges are those of every level up to
+the first at which no ball grows, also where a closed form skips it.  The
+tests check both routes against restricting each G to a line directly,
+and the levels against bitsets over all the points, grown line by line.
 
 Caveat, stated once here and repeated where it matters: the symbolic theory
 lives over the complex numbers.  Counts and reachability over F_p are
@@ -68,10 +77,9 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter, namedtuple
-from functools import reduce
 from itertools import compress, repeat
 from math import prod
-from operator import add, getitem, mod, mul, not_, or_, sub
+from operator import add, getitem, lshift, mod, mul, neg, not_, or_, sub
 
 # hard cap on p**N per enumeration, on the directions times the terms of
 # the c_k that one graph's L_a solves evaluate plus the points of the lines
@@ -242,7 +250,7 @@ def normalize_point(coords, field: PrimeField) -> Point:
 
 
 def format_point(pt: Point) -> str:
-    return ":".join(str(c) for c in pt)
+    return ":".join(map(str, pt))
 
 
 def parse_point(text: str, field: PrimeField) -> Point:
@@ -746,12 +754,13 @@ class ChainGraph:
             frontier = nxt
         return parent
 
-    def join_all(self) -> tuple[list[Point], list[list[int]], list[list[int]]]:
+    def join_all(self) -> tuple[list[Point], list[list[int]]]:
         """Find every contained line of X(F_p), each at its least point:
         explore's route (connectivity_report).  Returns the sorted points
-        of X(F_p), which it enumerates itself, the lines as the lists of the
-        indices of their points (in line_points order), and for each point
-        index the numbers of the lines through it.
+        of X(F_p), which it enumerates itself, and the lines as p+1 columns
+        of point indices: column 0 holds every line's least point a, and
+        column t+1 its point v + t a, for t = 0..p-1 (line_points order),
+        one entry per line in each column.
 
         A canonical point with a later lead comes earlier in sorted order.
         A line meets the hyperplane x_0 = 0 in one point or lies in it, so
@@ -763,26 +772,26 @@ class ChainGraph:
         (_directions), keeping at each a the directions that lead before j;
         a point whose W has none is dropped straight after its kernel.
         Every contained line is found once, at its least point, as (v, a)
-        in RREF (_line_at), and numbered at all of its p+1 points at once,
-        in order of a and then of v.  The solve is charged as for the other
-        queries, and so are the p+1 points of every line before any is
-        listed.
+        in RREF (_line_at), in order of a and then of v.  The columns are
+        made for all the lines at once: per t, one map chain per coordinate
+        gives v + t a mod p at every line from v + (t-1) a, and one map
+        turns the points into indices.  The solve is charged as for the other queries, and so are
+        the p+1 points of every line before any is listed.
         """
         points = sorted(enumerate_points(self.spec))
         section = points[: bisect_left(points, (1,))]  # the points with x_0 = 0
         found = self._directions(section, [a.index(1) for a in section])
         p = self.spec.field.p
         self._charge((p + 1) * sum(map(len, found)))
-        index = {pt: i for i, pt in enumerate(points)}
-        lines: list[list[int]] = []
-        through: list[list[int]] = [[] for _ in points]  # line numbers at each point
-        for a, directions in zip(section, found):
-            for v in sorted(directions):
-                members = list(map(index.__getitem__, line_points(_line_at(a, v, p), self.spec.field)))
-                for q in members:
-                    through[q].append(len(lines))
-                lines.append(members)
-        return points, lines, through
+        index = dict(zip(points, range(len(points))))
+        least = list(itertools.chain.from_iterable(map(repeat, section, map(len, found))))
+        directions = list(itertools.chain.from_iterable(map(sorted, found)))
+        columns = [list(map(index.__getitem__, least)), list(map(index.__getitem__, directions))]
+        a_cols, coords = list(zip(*least)), list(zip(*directions))
+        for _ in range(1, p):  # v + t a from v + (t-1) a, where a has a nonzero coordinate
+            coords = [list(map(mod, map(add, x, a), repeat(p))) if any(a) else x for x, a in zip(coords, a_cols)]
+            columns.append(list(map(index.__getitem__, zip(*coords))))
+        return points, columns
 
 
 def chain_search(
@@ -836,23 +845,67 @@ class ConnectivityReport(namedtuple("ConnectivityReport", (
     __slots__ = ()
 
 
+def _ball_sizes(columns: list[list[int]], incidence: Counter):
+    """sum |ball_k(x)| over the points x on a line, for k = 1, 2, ...: the
+    balls are bitsets over those points alone, renumbered by their number
+    of lines r_x (incidence), most first, and grown column-wise.
+
+    The ball of radius k+1 about x is the union of the radius-k balls about
+    the points of the lines through x.  A level gathers each line's balls,
+    one map(or_, ...) per column, and then ORs each point's lines together,
+    one slot at a time: slot s holds the s-th line of each point with more
+    than s lines, which are the first points in the renumbering, so that a
+    slot is one slice assignment.  Nothing runs before the first size is
+    asked for."""
+    lined = sorted(incidence, key=incidence.__getitem__, reverse=True)
+    counts = list(map(incidence.__getitem__, lined))  # r_x, falling
+    renumber = dict(zip(lined, range(len(lined))))
+    columns = [list(map(renumber.__getitem__, col)) for col in columns]
+    nlines = len(columns[0])
+    # the incidences t * nlines + j, of line j and point columns[t][j], by
+    # point: those of point i from starts[i] on
+    flat = list(itertools.chain.from_iterable(columns))
+    by_point = sorted(range(len(flat)), key=flat.__getitem__)
+    starts = list(itertools.accumulate(counts, initial=0))
+    slots = []
+    for s in range(counts[0]):
+        more = bisect_left(counts, -s, key=neg)  # the points with more than s lines
+        slots.append(list(map(mod, map(by_point.__getitem__, map(add, starts[:more], repeat(s))), repeat(nlines))))
+    ball = list(map(lshift, repeat(1), range(len(lined))))
+    while True:
+        spans = list(map(ball.__getitem__, columns[0]))
+        for col in columns[1:]:
+            spans = list(map(or_, spans, map(ball.__getitem__, col)))
+        ball = list(map(spans.__getitem__, slots[0]))
+        for slot in slots[1:]:
+            ball[: len(slot)] = list(map(or_, ball, map(spans.__getitem__, slot)))
+        yield sum(map(int.bit_count, ball))
+
+
 def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityReport:
     """Pair-connectivity fractions for l = 1..max_length plus a line census.
 
     ChainGraph.join_all enumerates X(F_p) and finds every contained line,
-    each at its least point, as lists of point indices, then
-    connectivity_report counts pairs with bitsets over the indices.  The
-    line census is the lengths of the per-point line lists.  The ball of
-    radius k+1 about x is the ball of radius k with every contained line
-    that meets it, which is the union of the radius-k balls about the
-    points of the lines through x.  One level ORs each line's balls
-    together and then each point's lines together; popcounts give the
-    number of ordered pairs within each distance.  The graph is charged the
-    n * ceil(n/8) bytes of the n balls of n bits before the first ones are
-    made and again before each level, so their memory and time stay within
-    ENUMERATION_BUDGET along with the solve and the lines.  A max_length
-    past LENGTH_BUDGET is refused with BudgetExceededError before
-    any of this.
+    each at its least point, as p+1 columns of point indices.  The census
+    counts each point's entries in the columns, r_x lines through x.  Two
+    lines through x meet only at x, so the ball of radius 1 about x has
+    1 + p r_x points, and length 1 counts n + p(p+1) L ordered pairs, L
+    the number of lines.  Once a count reaches n^2, every pair is joined
+    and the remaining lengths repeat it.  Otherwise the balls of radius 2
+    and up are bitsets (_ball_sizes) over the points on a line only: a
+    point on no line has itself as its ball at every length, and adds 1
+    to every count.  Once no ball grows, the remaining lengths repeat the
+    last count.
+
+    The graph is charged the n * ceil(n/8) bytes of n balls of n bits
+    before the first ones would be made and again before each level up to
+    the first at which no ball grows, also where the closed forms leave
+    the bitsets unmade: L = 0 stops after length 1, a count of n^2 one
+    length after it.  So their memory and time stay within
+    ENUMERATION_BUDGET along with the solve and the lines, and the charge
+    does not depend on which levels are counted in closed form.  A
+    max_length past LENGTH_BUDGET is refused with BudgetExceededError
+    before any of this.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
@@ -860,21 +913,27 @@ def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityRepor
         raise BudgetExceededError(
             f"max_length {max_length} exceeds the {LENGTH_BUDGET} budget")
     graph = ChainGraph(spec)
-    points, lines, through = graph.join_all()
-    n = len(points)
-    line_counts = dict(Counter(map(len, through)))
+    points, columns = graph.join_all()
+    n, p = len(points), spec.field.p
+    incidence = Counter(itertools.chain.from_iterable(columns))  # r_x at each point x on a line
+    line_counts = dict(Counter(map(incidence.__getitem__, range(n))))
     level = n * -(-n // 8)  # the bytes of n balls of n bits, charged before they are made
     graph._charge(level)
-    ball = [1 << i for i in range(n)]
+    sizes = itertools.islice(_ball_sizes(columns, incidence), 1, None)  # radius 2 on, made lazily
     reachable = []  # ordered pairs at distance <= l, for l = 1, 2, ...
-    for _ in range(max_length):
+    count = n  # at distance 0
+    for length in range(1, max_length + 1):
         graph._charge(level)
-        spans = [reduce(or_, [ball[i] for i in idx]) for idx in lines]
-        grown = [reduce(or_, [spans[j] for j in js], b) for b, js in zip(ball, through)]
-        reachable.append(sum(b.bit_count() for b in grown))
-        if grown == ball:  # no ball grows any more
+        if length == 1:
+            grown = n + p * (p + 1) * len(columns[0])
+        elif count == n * n:
+            grown = count
+        else:
+            grown = n - len(incidence) + next(sizes)
+        reachable.append(grown)
+        if grown == count:  # no ball grows any more
             break
-        ball = grown
+        count = grown
     reachable += reachable[-1:] * (max_length - len(reachable))
     from fractions import Fraction  # here, so that importing the package does not load it
 

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import operator
 import random
 import struct
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import comb, prod
 
@@ -142,6 +144,39 @@ def index_line(points, members):
     return Line((points[members[1]], points[members[0]]))
 
 
+def column_lines(columns, n):
+    """join_all's p+1 index columns as the lines, each the indices of its
+    points in line_points order, and for each of the n point indices the
+    numbers of the lines through it."""
+    lines = [list(members) for members in zip(*columns)]
+    through = [[] for _ in range(n)]
+    for number, members in enumerate(lines):
+        for q in members:
+            through[q].append(number)
+    return lines, through
+
+
+def indexed_lines(graph):
+    """Reference route for join_all's lines, one line at a time: the sorted
+    points, every line found at its least point a of the section x_0 = 0,
+    made by _line_at and listed by line_points as point indices, in order of
+    a and then of v, and each point's line numbers.  Charged as join_all."""
+    spec = graph.spec
+    points = sorted(enumerate_points(spec))
+    section = [a for a in points if a[0] == 0]
+    found = graph._directions(section, [a.index(1) for a in section])
+    graph._charge((spec.field.p + 1) * sum(map(len, found)))
+    index = {pt: i for i, pt in enumerate(points)}
+    lines, through = [], [[] for _ in points]
+    for a, directions in zip(section, found):
+        for v in sorted(directions):
+            members = [index[q] for q in line_points(finite_geometry._line_at(a, v, spec.field.p), spec.field)]
+            for q in members:
+                through[q].append(len(lines))
+            lines.append(members)
+    return points, lines, through
+
+
 def pairwise_parents(neighbors, start, max_depth):
     """Parent map of a BFS over the given neighbor lists, pair by pair."""
     parent, frontier = {start: start}, [start]
@@ -183,6 +218,13 @@ def cubic_with_line():
         (2, (1, 1, 0, 1)), (5, (1, 0, 2, 0)), (5, (1, 0, 1, 1)), (5, (1, 0, 0, 2)),
         (5, (0, 3, 0, 0)), (2, (0, 1, 0, 2)),
     )
+    return VarietySpec(PrimeField(7), 3, (HomogPoly(3, terms),))
+
+
+def lineless_cubic():
+    """A cubic surface over F_7 with 43 points and no line on it."""
+    terms = ((5, (0, 0, 3, 0)), (6, (0, 1, 1, 1)), (2, (0, 3, 0, 0)), (3, (2, 0, 1, 0)),
+             (1, (2, 1, 0, 0)), (5, (3, 0, 0, 0)))
     return VarietySpec(PrimeField(7), 3, (HomogPoly(3, terms),))
 
 
@@ -555,10 +597,15 @@ def test_gradient_columns_match_gradient(spec):
 )
 def test_join_all_lines_in_closed_form(spec):
     # explore makes each line at its least point a as (v, a), v the least
-    # of its other points: the RREF basis line_through gives, and its index
-    # list is that of the points line_points lists, numbered at every one
-    # of them; the least point has x_0 = 0, and no line is found twice
-    points, lines, through = ChainGraph(spec).join_all()
+    # of its other points: the RREF basis line_through gives, and its entry
+    # in the p+1 columns is the index of each point line_points lists, in
+    # turn; the least point has x_0 = 0, no line is found twice, and the
+    # lines come in the order of the reference route, one line at a time
+    points, columns = ChainGraph(spec).join_all()
+    assert len(columns) == spec.field.p + 1
+    assert len({len(col) for col in columns}) == 1
+    lines, through = column_lines(columns, len(points))
+    assert (points, lines, through) == indexed_lines(ChainGraph(spec))
     for number, members in enumerate(lines):
         line = index_line(points, members)
         pts = [points[q] for q in members]
@@ -676,8 +723,9 @@ def test_local_model_matches_incidence_passes(spec):
     # the two routes to contained lines: L_a at each point (lines, chain,
     # locus) and the pass over the pairs of X(F_p) (explore)
     oracle = pairwise_neighbors(spec)
-    points, lines, through = ChainGraph(spec).join_all()
+    points, columns = ChainGraph(spec).join_all()
     assert points == sorted(oracle)
+    lines, through = column_lines(columns, len(points))
     explored = [index_line(points, members) for members in lines]
     assert set(explored) == set().union(*(at for _, at in oracle.values()))
     for i, (pt, (nbrs, lines_at)) in enumerate(zip(points, oracle.values())):
@@ -688,10 +736,10 @@ def test_local_model_matches_incidence_passes(spec):
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_join_all_fills_the_graph_caches(spec, monkeypatch):
-    # one owner of contained lines: explore enumerates and sorts X(F_p)
-    # itself and returns its lines by point index, from one L_a solve of
-    # the points with x_0 = 0, charged as any solve plus p+1 per line; each
-    # point's lines are those L_a gives
+    # one solve of the section: explore enumerates and sorts X(F_p) itself
+    # and returns its lines as columns of point indices, from one L_a solve
+    # of the points with x_0 = 0, charged as any solve plus p+1 per line;
+    # each point's lines are those L_a gives (the graph keeps no cache)
     explored = ChainGraph(spec)
     solve = explored._directions
     calls = []
@@ -701,8 +749,9 @@ def test_join_all_fills_the_graph_caches(spec, monkeypatch):
         return solve(points, cuts)
 
     monkeypatch.setattr(explored, "_directions", one_solve)
-    points, lines, through = explored.join_all()
+    points, columns = explored.join_all()
     assert points == sorted(enumerate_points(spec))
+    lines, through = column_lines(columns, len(points))
     section = [a for a in points if a[0] == 0]
     assert calls == [(section, [a.index(1) for a in section])]
     alone = ChainGraph(spec)
@@ -1005,8 +1054,9 @@ def test_explore_random_cubic_surface_f101():
     rng = random.Random(101)
     monos = [e for e in itertools.product(range(4), repeat=4) if sum(e) == 3]
     spec = VarietySpec(PrimeField(p), 3, (HomogPoly(3, tuple((rng.randrange(1, p), e) for e in monos)),))
-    points, lines, through = ChainGraph(spec).join_all()
+    points, columns = ChainGraph(spec).join_all()
     assert points == sorted(enumerate_points(spec))
+    lines, through = column_lines(columns, len(points))
     report = connectivity_report(spec, 2)
     n = len(points)
     assert report.points == n
@@ -1045,11 +1095,97 @@ def distance_report(oracle, max_length):
     return ConnectivityReport(points=n, fractions=fractions, line_counts=line_counts)
 
 
+def bitset_report(spec, max_length):
+    """Reference route for connectivity_report: the lines one at a time
+    (indexed_lines), the census from each point's line list, and a bitset
+    ball over all n points about every point, grown level by level by an
+    OR over each line's balls and then over each point's lines, until no
+    ball grows.  Its graph is charged as connectivity_report's."""
+    graph = ChainGraph(spec)
+    points, lines, through = indexed_lines(graph)
+    n = len(points)
+    level = n * -(-n // 8)
+    graph._charge(level)
+    ball = [1 << i for i in range(n)]
+    reachable = []
+    for _ in range(max_length):
+        graph._charge(level)
+        spans = [functools.reduce(operator.or_, [ball[i] for i in idx]) for idx in lines]
+        grown = [functools.reduce(operator.or_, [spans[j] for j in js], b) for b, js in zip(ball, through)]
+        reachable.append(sum(b.bit_count() for b in grown))
+        if grown == ball:
+            break
+        ball = grown
+    reachable += reachable[-1:] * (max_length - len(reachable))
+    fractions = {l: Fraction(r, n * n) for l, r in enumerate(reachable, 1)} if n else {}
+    return ConnectivityReport(points=n, fractions=fractions, line_counts=dict(Counter(map(len, through))))
+
+
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 def test_connectivity_report_matches_distances(spec):
     oracle = pairwise_neighbors(spec)
     for max_length in range(1, 5):
         assert connectivity_report(spec, max_length) == distance_report(oracle, max_length)
+
+
+# each exit of connectivity_report, and whether it grows bitsets past
+# length 1: no point, no line, every pair joined at length 1, and points
+# both on lines and on none
+EXPLORE_EXITS = {
+    "fermat4_5": (fermat_quartic(5), False),
+    "lineless7": (lineless_cubic(), False),
+    "plane3": (coordinate_hyperplane(3), False),
+    "hyperplane5": (coordinate_hyperplane(5, 4), False),
+    "fermat5": (fermat_cubic(5), True),
+    "fermat11": (fermat_cubic(11), True),
+}
+
+
+@pytest.mark.parametrize("spec, grows", EXPLORE_EXITS.values(), ids=EXPLORE_EXITS.keys())
+def test_connectivity_report_exits_match_bitset_oracle(spec, grows, monkeypatch):
+    # the report, the key order of its census and the charge equal the
+    # reference route's at every max_length, and the closed forms leave the
+    # bitsets unmade where every ball is known without them
+    graphs, grown = [], []
+    init, sizes = ChainGraph.__init__, finite_geometry._ball_sizes
+
+    def kept(self, spec):
+        init(self, spec)
+        graphs.append(self)
+
+    def recorded(columns, incidence):
+        grown.append(len(incidence))
+        yield from sizes(columns, incidence)
+
+    monkeypatch.setattr(ChainGraph, "__init__", kept)
+    monkeypatch.setattr(finite_geometry, "_ball_sizes", recorded)
+    for max_length in range(1, 5):
+        report = connectivity_report(spec, max_length)
+        oracle = bitset_report(spec, max_length)
+        assert report == oracle
+        assert list(report.line_counts) == list(oracle.line_counts)
+        assert graphs[-2].charged == graphs[-1].charged
+    assert bool(grown) == grows
+
+
+# explore --max-length 3 where the closed forms skip the bitsets, charged
+# as when every level ran: the line-free cubic surface is charged its solve
+# (284) and 43 balls of 6 bytes for the points and for length 1, after
+# which no ball grows (800); the plane x_0 = 0 in P^3 over F_3 its solve
+# (13), its 13 lines of 4 points (52), and 13 balls of 2 bytes for the
+# points and for lengths 1 and 2, where no ball grows past n^2 (143)
+@pytest.mark.parametrize("spec, charge", [(lineless_cubic(), 800), (coordinate_hyperplane(3), 143)],
+                         ids=["lineless7", "plane3"])
+def test_explore_closed_form_exits_keep_their_charge(spec, charge, monkeypatch, tmp_path, capsys):
+    path = tmp_path / "exit.variety"
+    path.write_text(format_variety(spec))
+    argv = ["explore", "--variety", str(path), "--max-length", "3", "--machine"]
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", charge - 1)
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", charge)
+    assert main(argv) == 0
+    assert "fraction_3=" in capsys.readouterr().out
 
 
 def test_connectivity_report_pair_budget(monkeypatch, tmp_path):

@@ -26,7 +26,12 @@ from chainlines.finite_geometry import (  # noqa: E402
     parse_variety,
 )
 import naive_poly  # noqa: E402
-from test_finite_geometry import index_line, pairwise_neighbors  # noqa: E402
+from test_finite_geometry import (  # noqa: E402
+    bitset_report,
+    column_lines,
+    index_line,
+    pairwise_neighbors,
+)
 
 PRIMES = (2, 3, 5, 7)
 SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -80,8 +85,9 @@ def varieties(draw):
 def test_chain_graph_matches_pairwise_oracle(spec, rng):
     # the L_a lines, and those of explore's pass over X(F_p)
     oracle = pairwise_neighbors(spec)
-    points, lines, through = ChainGraph(spec).join_all()
+    points, columns = ChainGraph(spec).join_all()
     assert points == sorted(oracle)
+    lines, through = column_lines(columns, len(points))
     explored = {
         pt: {index_line(points, lines[j]) for j in numbers}
         for pt, numbers in zip(points, through)
@@ -93,6 +99,18 @@ def test_chain_graph_matches_pairwise_oracle(spec, rng):
         nbrs, at = oracle[pt]
         assert lines_through(spec, pt) == at == explored[pt]
         assert graph._bfs(pt, 1).keys() == {pt, *nbrs}
+
+
+@SETTINGS
+@given(varieties())
+def test_connectivity_report_matches_bitset_oracle(spec):
+    # the column-wise levels and closed forms against the bitset levels
+    # over all the points, the census key order included
+    for max_length in range(1, 5):
+        report = finite_geometry.connectivity_report(spec, max_length)
+        oracle = bitset_report(spec, max_length)
+        assert report == oracle
+        assert list(report.line_counts) == list(oracle.line_counts)
 
 
 @SETTINGS
