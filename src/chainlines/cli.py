@@ -294,10 +294,14 @@ def build_parser():
 
 
 def _text(value):
-    """A value as text; an iterator of chunks is left to be written lazily."""
-    if isinstance(value, Iterator):
+    """A value as text; an iterator of chunks is left to be written lazily.
+    Text and integers are tested first: the Iterator test goes through
+    abc.__instancecheck__, a cost per value on queries with many pairs."""
+    if isinstance(value, str):
         return value
-    return int_text(value) if isinstance(value, int) else str(value)
+    if isinstance(value, int):
+        return int_text(value)
+    return value if isinstance(value, Iterator) else str(value)
 
 
 def _render(pairs, notes, machine: bool):

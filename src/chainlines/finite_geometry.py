@@ -28,9 +28,12 @@ c_k vanishes identically, and every pair of its points is joined.
 ChainGraph finds the contained lines through points from L_a, by one
 solver for a list of points at once: the gradients and the coefficients
 of the c_k, as forms in a, are evaluated column by column at all the
-points (_form_columns), the kernel of the gradient rows gives each point
-its linear space W of directions, and the c_k are evaluated column-wise on
-blocks that join the directions of many points.  The single-point queries
+points (_form_columns); one elimination of the gradient rows, column-wise
+over all the points, gives each point its linear space W of directions
+and groups the points by the shape of W (_kernels); each group's
+directions are made once and tiled over its points, and the c_k are
+evaluated column-wise on blocks that join the directions of many points.
+A single point is a group of one.  The single-point queries
 lines_through, chain_search and locus check their points on X once, build
 one graph, solve each point their search reaches, never enumerate X(F_p),
 and expand each contained line once, not each pair of its points.
@@ -79,7 +82,7 @@ from bisect import bisect_left
 from collections import Counter, namedtuple
 from itertools import compress, repeat
 from math import prod
-from operator import add, getitem, lshift, mod, mul, neg, not_, or_, sub
+from operator import add, getitem, lshift, mod, mul, ne, neg, not_, or_, sub, truth
 
 # hard cap on p**N per enumeration, on the directions times the terms of
 # the c_k that one graph's L_a solves evaluate plus the points of the lines
@@ -447,50 +450,41 @@ def _local_terms(poly: HomogPoly, p: int) -> dict[int, dict[Point, list[tuple[in
     return table
 
 
-def _rref(rows, p: int) -> list[tuple[int, list[int]]]:
-    """Gauss-Jordan elimination over F_p: the nonzero rows of the reduced
-    row echelon form of rows, as (pivot column, row) sorted by pivot column."""
-    reduced: list[tuple[int, list[int]]] = []
-    for row in rows:
-        row = [x % p for x in row]
-        for col, r in reduced:
-            if row[col]:
-                f = row[col]
-                row = [(x - f * y) % p for x, y in zip(row, r)]
-        col = next((i for i, x in enumerate(row) if x), None)
-        if col is None:
-            continue
-        inv = pow(row[col], p - 2, p)
-        row = [x * inv % p for x in row]
-        reduced = [
-            (c, [(x - r[col] * y) % p for x, y in zip(r, row)] if r[col] else r)
-            for c, r in reduced
-        ]
-        reduced.append((col, row))
-    return sorted(reduced)
+def _split(keys) -> list[list[int]]:
+    """The positions of keys, grouped by their key: each group in increasing
+    order, the groups in the order of their keys."""
+    if not keys:
+        return []
+    if keys.count(keys[0]) == len(keys):  # one group
+        return [list(range(len(keys)))]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [list(group) for _, group in itertools.groupby(order, keys.__getitem__)]
 
 
-def _kernel(rows: list[list[int]], size: int, j: int, p: int) -> list[list[int]]:
-    """A basis of the vectors v of length size with v_j = 0 and row.v = 0
-    for every row (there may be none), in echelon form.
+def _gather(col, part: list[int]):
+    """The entries of col at the increasing positions part: col itself
+    where part holds every position."""
+    return col if len(part) == len(col) else list(map(col.__getitem__, part))
 
-    Column j of every row is 0.  The rows are reduced from the last column
-    back (_rref of the reversed rows), so each pivot is the last nonzero
-    entry of its row.  One basis vector per free column f other than j, in
-    increasing order: 1 at f, 0 at the other free columns, and nonzero
-    entries only at the pivots after f.  So f is its lead coordinate, and
-    every sum_s y_s w_s with y canonical is canonical too.
-    """
-    pivots = {size - 1 - c: r[::-1] for c, r in _rref([row[::-1] for row in rows], p)}
-    basis = []
-    for free in range(size):
-        if free != j and free not in pivots:
-            w = [0] * size
-            w[free] = 1
-            for c, r in pivots.items():
-                w[c] = -r[free] % p
-            basis.append(w)
-    return basis
+
+def _spread(col, lo: int, hi: int, width: int):
+    """The entries col[lo:hi], each repeated width times, lazily."""
+    if hi - lo == 1:
+        return repeat(col[lo], width)
+    return itertools.chain.from_iterable(map(repeat, col[lo:hi], repeat(width)))
+
+
+def _flags(entries) -> list[bytes]:
+    """Per point, given its entries, one byte per entry: 1 where it is nonzero."""
+    return list(map(bytes, map(map, repeat(truth), entries)))
+
+
+def _axpy(row, factor, other, p: int):
+    """row + factor * other mod p, column by column, with one factor per point."""
+    if not any(factor):
+        return row
+    return [list(map(mod, map(add, x, map(mul, factor, y)), repeat(p))) if any(y) else x
+            for x, y in zip(row, other)]
 
 
 def _form_columns(forms, coords, p: int):
@@ -564,15 +558,18 @@ class ChainGraph:
     - column-wise over all the points (_columns): the gradients, and the
       coefficient of each monomial v^f of every c_k with k >= 2, which is
       a form in a (a constant in c_d = G(v));
-    - per point: the gradient rows, with column j zeroed, cut out a linear
-      space W (_kernel), and the terms of the c_k in a coordinate of v that
-      is 0 on all of W (v_j among them) are dropped;
+    - over all the points at once (_kernels): the gradient rows, with
+      column j zeroed, are reduced column-wise and cut out a linear space W
+      at each point; the points are grouped by lead, cut and the shape of
+      the echelon basis w_s of W, m = dim W.  Per group: its free columns,
+      its number of directions, and the terms of the c_k in a coordinate
+      of v that is 0 on all of W (v_j among them), which are dropped;
     - the directions v = sum_s y_s w_s of P(W), for the canonical points y
-      of P^{m-1}(F_p) (_projective_reps) and the echelon basis w_s of W,
-      m = dim W, of all the points are joined into blocks of at most
-      _T_BLOCK (point, direction) pairs, and each c_k is evaluated on a
-      block column-wise, with the coefficients of its point, only at the
-      pairs where the ones before it vanish;
+      of P^{m-1}(F_p) (_projective_reps), are made once per group and
+      tiled over its points (_blocks); the pairs of all the groups are
+      joined into blocks of at most _T_BLOCK (point, direction) pairs, and
+      each c_k is evaluated on a block column-wise, with the coefficients
+      of its point, only at the pairs where the ones before it vanish;
     - each v at which they all vanish gives the line through a and v, made
       in closed form (_line_at).
 
@@ -625,85 +622,183 @@ class ChainGraph:
         grads = [[next(values) for _ in range(size)] for _ in self.spec.polys]
         return grads, [[next(values) for _ in form] for form in self._forms]
 
+    def _kernels(self, grads, points: list[Point], cuts: list[int]):
+        """The points grouped by the shape of their space W of directions:
+        per group (indices, j, cut, entries), the indices of its points in
+        points, their lead j, their cut, and the entries of the echelon
+        basis of W off its free columns.
+
+        At a point, the gradient rows with column j zeroed are reduced from
+        the last column back, so that each pivot is the last nonzero entry
+        of its row.  W has one basis vector w_f per free column f (neither j
+        nor a pivot): 1 at f, 0 at the other free columns, and -r_f / r_c at
+        the pivot c of each reduced row r, nonzero only at pivots after f.
+        The rows are taken in turn and reduced at every point at once,
+        column by column; each point has its own pivot per row, reached by
+        map over its entries.  Then the points are grouped by lead, cut and
+        the places of the nonzero entries of every reduced row: a group has
+        one set of free columns and pivots, and entries maps each pivot c to
+        (f, the column of w_f[c] at the group's points) for each free f where
+        w_f[c] is nonzero.  With one polynomial the pivot is the last nonzero
+        entry of grad G, and these columns are -g_f / g_c mod p."""
+        p = self.spec.field.p
+        leads = list(map(tuple.index, points, repeat(1)))
+        lead_set = set(leads)
+        # (row, pivots, scale, flags): pivots[k] is the column of the last
+        # nonzero entry of the row at point k, -1 where the row is 0 there,
+        # scale[k] minus the inverse of that entry, and flags[k] marks the
+        # nonzero entries (_flags); w_f[c] is entry f times scale at pivot c
+        reduced = []
+        for grad in grads:
+            row = [list(map(mul, col, map(ne, leads, repeat(i)))) if i in lead_set else col
+                   for i, col in enumerate(grad)]
+            for other, pivots, scale, _ in reduced:
+                row = _axpy(row, list(map(mul, map(getitem, zip(*row), pivots), scale)), other, p)
+            at_points = list(zip(*row))
+            flags = _flags(at_points)
+            pivots = list(map(bytes.rfind, flags, repeat(1)))
+            values = map(max, map(getitem, at_points, pivots), repeat(1))  # 1 where the row is 0
+            scale = list(map(pow, map(neg, values), repeat(-1), repeat(p)))
+            for at, (other, *rest) in enumerate(reduced):
+                cleared = _axpy(other, list(map(mul, map(getitem, zip(*other), pivots), scale)), row, p)
+                if cleared is not other:
+                    reduced[at] = cleared, *rest[:2], _flags(zip(*cleared))
+            reduced.append((row, pivots, scale, flags))
+        groups = []
+        for part in _split(list(zip(leads, cuts, *(flags for *_, flags in reduced)))):
+            k = part[0]
+            entries = {}
+            for row, pivots, scale, flags in reduced:
+                if pivots[k] >= 0:
+                    factor = _gather(scale, part)
+                    entries[pivots[k]] = [(f, list(map(mod, map(mul, _gather(row[f], part), factor), repeat(p))))
+                                          for f in range(pivots[k]) if flags[k][f]]
+            groups.append((part, leads[k], cuts[k], entries))
+        return groups
+
     def _directions(self, points: list[Point], cuts: list[int]) -> list[list[Point]]:
         """For each canonical point a of X(F_p) and its cut, the points v of
         L_a whose lead coordinate comes before the cut: v_j = 0, j the lead
         of a, and the line through a and v on X.  Each v is canonical, and
         listed once; a cut of N+1 keeps them all.  Charged as the class
         docstring says."""
-        p = self.spec.field.p
+        p, size = self.spec.field.p, self.spec.ambient + 1
         grads, coefficients = self._columns(points)
-        later = [[0] * len(points) for _ in self._forms]  # live terms of each c_k past a point's first
-        solves = []  # (index, basis of W, number of directions) with a direction
-        first = 0  # the charge of the first c_k of every point
-        for k, (a, cut) in enumerate(zip(points, cuts)):
-            j = a.index(1)
-            rows = [[0 if i == j else col[k] for i, col in enumerate(grad)] for grad in grads]
-            basis = _kernel(rows, len(a), j, p)
+        solves = []  # (first position, points, free columns, directions each, entries) per group
+        order = []  # the indices of the points with a direction, group by group
+        counts = []  # the directions of each of those points
+        zeros = []  # per group, the coordinates that are 0 on all of W
+        for at, j, cut, entries in self._kernels(grads, points, cuts):
+            free = [f for f in range(size) if f != j and f not in entries]
             # a direction sum_s y_s w_s leads where w_s does for the lead s of
             # y, so those that lead before the cut are the y that lead before
             # r: the first (p^m - p^(m-r))/(p-1) of _projective_reps
-            r = sum(w.index(1) < cut for w in basis)
+            r = bisect_left(free, cut)
             if not r:
                 continue
-            zero = [i for i, wi in enumerate(zip(*basis)) if not any(wi)]
-            for form, cols, live in zip(self._forms, coefficients, later):
+            count = (p ** len(free) - p ** (len(free) - r)) // (p - 1)
+            solves.append((len(order), len(at), free, count, entries))
+            zeros.append([i for i in range(size) if i not in free and not entries.get(i)])
+            order += at
+            counts += [count] * len(at)
+        if len(order) < len(points) or len(solves) > 1:  # the coefficients at those points, group by group
+            coefficients = [[list(map(col.__getitem__, order)) for col in cols] for cols in coefficients]
+        for (start, n, *_), zero in zip(solves, zeros):
+            for form, cols in zip(self._forms, coefficients):
                 for f, col in zip(form, cols):
-                    if col[k] and any(map(f.__getitem__, zero)):
-                        col[k] = 0  # v^f is 0 at every direction
-                live[k] = sum(col[k] > 0 for col in cols)
-            count = (p ** len(basis) - p ** (len(basis) - r)) // (p - 1)
-            head = next((live for live in later if live[k]), None)  # the first c_k left
-            first += count * (head[k] if head else 1)  # or the bare directions
-            if head:
-                head[k] = 0  # charged at all the directions now
-            solves.append((k, basis, count))
+                    if any(map(f.__getitem__, zero)):
+                        col[start:start + n] = repeat(0, n)  # v^f is 0 at every direction
+        # each point's first c_k with a live term is charged at all of its
+        # directions now (with none left, the bare directions), each later
+        # one per block (later), at the directions where the ones before vanish
+        first, later = 0, []
+        pending = [1] * len(order)  # no c_k with a live term yet
+        for cols in coefficients:
+            live = list(map(sub, repeat(len(cols)), map(tuple.count, zip(*cols), repeat(0))))
+            first += sum(map(mul, counts, map(mul, pending, live)))
+            later.append(list(map(mul, live, map(not_, pending))))
+            pending = list(map(mul, pending, map(not_, live)))
+        first += sum(map(mul, counts, pending))
         self._charge(first)
         found: list[list[Point]] = [[] for _ in points]
         for owner, cols in self._blocks(solves):
             for form, coeffs, charge in zip(self._forms, coefficients, later):
-                if owner[0] == owner[-1]:  # the pairs of one point: its coefficients
+                one = owner[0] == owner[-1]
+                if one:  # the pairs of one point: its coefficients
                     terms = [(col[owner[0]], f) for f, col in zip(form, coeffs) if col[owner[0]]]
                 else:  # one coefficient per pair, from its point
                     terms = [(c, f) for f, col in zip(form, coeffs)
                              if any(c := list(map(col.__getitem__, owner)))]
                 if not terms:
                     continue
-                self._charge(sum(map(charge.__getitem__, owner)))
+                self._charge(charge[owner[0]] * len(owner) if one else sum(map(charge.__getitem__, owner)))
                 [values] = _form_columns([terms], cols, p)
                 kept = list(map(not_, values))
                 owner = list(compress(owner, kept))
                 cols = [list(compress(col, kept)) for col in cols]
                 if not owner:
                     break
-            for k, v in zip(owner, zip(*cols)):
+            for k, v in zip(map(order.__getitem__, owner), zip(*cols)):
                 found[k].append(v)
         return found
 
     def _blocks(self, solves):
-        """The directions of the solves, joined in order into blocks of at
-        most _T_BLOCK: per block, the index of the point of each direction,
-        and the coordinate columns of the directions."""
-        p = self.spec.field.p
-        owner: list[int] = []
-        cols: list[list[int]] = [[] for _ in range(self.spec.ambient + 1)]
-        for k, basis, count in solves:
-            reps = itertools.islice(_projective_reps(p, len(basis) - 1), count)
-            while chunk := list(itertools.islice(reps, _T_BLOCK - len(owner))):
-                ys = list(zip(*chunk))
-                for col, wi in zip(cols, zip(*basis)):
-                    parts = [(y, w) for y, w in zip(ys, wi) if w]
-                    if len(parts) == 1 and parts[0][1] == 1:  # v_i = y_s, a free column
-                        col += parts[0][0]
-                        continue
-                    combined = [0] * len(chunk)
-                    for y, w in parts:
-                        combined = list(map(add, combined, map(mul, y, repeat(w))))
-                    col += map(mod, combined, repeat(p))
-                owner += [k] * len(chunk)
-                if len(owner) == _T_BLOCK:
-                    yield owner, cols
-                    owner, cols = [], [[] for _ in cols]
+        """The directions of the groups, joined in order into blocks of at
+        most _T_BLOCK (point, direction) pairs: per block, the position of
+        the point of each pair, and the coordinate columns of the
+        directions.
+
+        A group's directions sum_s y_s w_s take the same y, the first count
+        canonical points of P^{m-1}(F_p), at each of its points.  The group
+        runs in steps of as many points as a block holds every direction
+        of, or of one point with more than _T_BLOCK directions, in chunks
+        of at most _T_BLOCK; the columns of a step's y are made once and
+        tiled over its points: y_s itself at the free column f_s, 0 at a
+        coordinate that is 0 on W, and at a pivot c the sum over the free
+        f_s of y_s times w_s[c], each point's entry repeated once per
+        direction.  Each point's directions come in the order of the y, and
+        the points in their order, so the pairs of a block run point by
+        point."""
+        p, size = self.spec.field.p, self.spec.ambient + 1
+        owner, cols = [], []
+        for start, n, free, count, entries in solves:
+            # each coordinate as the (s, w_s at the group's points) it sums, w None for 1
+            position = dict(zip(free, range(len(free))))
+            recipe = [[(position[f], w) for f, w in entries.get(i, ())] if i not in position
+                      else [(position[i], None)] for i in range(size)]
+            step = max(1, _T_BLOCK // count)  # the points a block holds every direction of
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
+                reps = itertools.islice(_projective_reps(p, len(free) - 1), count)
+                while chunk := list(itertools.islice(reps, _T_BLOCK)):
+                    ys, width = list(zip(*chunk)), len(chunk)
+                    tiled = [list(y) * (hi - lo) for y in ys]
+                    more = list(_spread(range(start, start + n), lo, hi, width))
+                    parts = []
+                    for terms in recipe:
+                        if not terms:
+                            parts.append([0] * len(more))
+                        elif terms[0][1] is None:
+                            parts.append(tiled[terms[0][0]])
+                        else:
+                            total = None
+                            for s, w in terms:
+                                term = map(mul, tiled[s], _spread(w, lo, hi, width))
+                                total = list(term) if total is None else list(map(add, total, term))
+                            parts.append(list(map(mod, total, repeat(p))))
+                    if owner:
+                        room = _T_BLOCK - len(owner)
+                        owner += more[:room]
+                        for col, part in zip(cols, parts):
+                            col += part[:room]
+                        if len(owner) < _T_BLOCK:
+                            continue
+                        yield owner, cols
+                        more, parts = more[room:], [part[room:] for part in parts]
+                    owner, cols = more, parts
+                    if len(owner) == _T_BLOCK:
+                        yield owner, cols
+                        owner = []
         if owner:
             yield owner, cols
 

@@ -61,7 +61,7 @@ def line_through(a, b, field):
     form at a point and a direction of L_a (_line_at)."""
     if a == b:
         raise ValueError("two distinct points are needed to span a line")
-    reduced = finite_geometry._rref([a, b], field.p)
+    reduced = rref([a, b], field.p)
     if len(reduced) < 2:
         raise ValueError("points do not span a line")
     return Line(tuple(tuple(row) for _, row in reduced))
@@ -175,6 +175,100 @@ def indexed_lines(graph):
                 through[q].append(len(lines))
             lines.append(members)
     return points, lines, through
+
+
+def rref(rows, p):
+    """Gauss-Jordan elimination over F_p: the nonzero rows of the reduced
+    row echelon form of rows, as (pivot column, row) sorted by pivot column."""
+    reduced = []
+    for row in rows:
+        row = [x % p for x in row]
+        for col, r in reduced:
+            if row[col]:
+                f = row[col]
+                row = [(x - f * y) % p for x, y in zip(row, r)]
+        col = next((i for i, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        inv = pow(row[col], p - 2, p)
+        row = [x * inv % p for x in row]
+        reduced = [
+            (c, [(x - r[col] * y) % p for x, y in zip(r, row)] if r[col] else r)
+            for c, r in reduced
+        ]
+        reduced.append((col, row))
+    return sorted(reduced)
+
+
+def kernel(rows, size, j, p):
+    """Reference route for the bases of W, one point at a time: a basis of
+    the vectors v of length size with v_j = 0 and row.v = 0 for every row
+    (there may be none), in echelon form.
+
+    Column j of every row is 0.  The rows are reduced from the last column
+    back (rref of the reversed rows), so each pivot is the last nonzero
+    entry of its row.  One basis vector per free column f other than j, in
+    increasing order: 1 at f, 0 at the other free columns, and nonzero
+    entries only at the pivots after f.
+    """
+    pivots = {size - 1 - c: r[::-1] for c, r in rref([row[::-1] for row in rows], p)}
+    basis = []
+    for free in range(size):
+        if free != j and free not in pivots:
+            w = [0] * size
+            w[free] = 1
+            for c, r in pivots.items():
+                w[c] = -r[free] % p
+            basis.append(w)
+    return basis
+
+
+def check_grouped_kernels(spec):
+    """The grouped elimination (ChainGraph._kernels) gives every point of
+    X(F_p) the echelon basis of W that kernel gives it alone, at the cut j
+    of its lead and at the cut N+1, and the number of directions of that
+    basis before the cut; each point is in one group, and the points of a
+    group share their lead and the places of their nonzero basis entries."""
+    graph = ChainGraph(spec)
+    points = sorted(enumerate_points(spec))
+    p, size = spec.field.p, spec.ambient + 1
+    grads = graph._columns(points)[0]
+    for cuts in ([a.index(1) for a in points], [size] * len(points)):
+        bases, groups = grouped_bases(graph, points, cuts)
+        assert sorted(k for at in groups for k in at) == list(range(len(points)))
+        for k, (a, cut) in enumerate(zip(points, cuts)):
+            j = a.index(1)
+            basis = kernel([[0 if i == j else col[k] for i, col in enumerate(grad)] for grad in grads],
+                           size, j, p)
+            r = sum(w.index(1) < cut for w in basis)
+            assert bases[k] == (basis, (p ** len(basis) - p ** (len(basis) - r)) // (p - 1))
+        for at in groups:
+            shapes = {(points[k].index(1), tuple(tuple(map(bool, w)) for w in bases[k][0])) for k in at}
+            assert len(shapes) == 1
+
+
+def grouped_bases(graph, points, cuts):
+    """The echelon basis of W at each point, rebuilt from the groups of
+    ChainGraph._kernels, with the number of directions its group is
+    solved at (0 for a group the cut leaves without one), and each
+    group's indices."""
+    size, p = graph.spec.ambient + 1, graph.spec.field.p
+    bases, groups = [None] * len(points), []
+    for at, j, cut, entries in graph._kernels(graph._columns(points)[0], points, cuts):
+        free = [f for f in range(size) if f != j and f not in entries]
+        r = sum(f < cut for f in free)
+        count = (p ** len(free) - p ** (len(free) - r)) // (p - 1)
+        groups.append(at)
+        for q, k in enumerate(at):
+            basis = []
+            for f in free:
+                w = [0] * size
+                w[f] = 1
+                for c, nonzero in entries.items():
+                    w[c] = dict(nonzero).get(f, [0] * len(at))[q]
+                basis.append(w)
+            bases[k] = (basis, count)
+    return bases, groups
 
 
 def pairwise_parents(neighbors, start, max_depth):
@@ -533,8 +627,7 @@ def test_packed_tangent_filter_matches_dot_products(spec):
                  for b in points]
         slots = [finite_geometry._slots(g, packed, fmt, n) for g in rows]
         assert [not any(s[q] % p for s in slots) for q in range(n)] == plain
-        basis = finite_geometry._kernel(
-            [[0 if i == j else x for i, x in enumerate(g)] for g in rows], size, j, p)
+        basis = kernel([[0 if i == j else x for i, x in enumerate(g)] for g in rows], size, j, p)
         for b, tangent in zip(points, plain):
             v = [(x - b[j] * y) % p for x, y in zip(b, a)]
             span = [sum(v[w.index(1)] * w[i] for w in basis) % p for i in range(size)]
@@ -619,13 +712,32 @@ def test_join_all_lines_in_closed_form(spec):
     assert len({frozenset(members) for members in lines}) == len(lines)
 
 
+def two_planes(p):
+    """x1 + x2 + x3 = x1 + 2 x2 = 0 in P^3, a line: at each point the second
+    gradient row takes its pivot at x2, and clears it from the first."""
+    return VarietySpec(PrimeField(p), 3, (
+        HomogPoly(1, ((1, (0, 1, 0, 0)), (1, (0, 0, 1, 0)), (1, (0, 0, 0, 1)))),
+        HomogPoly(1, ((1, (0, 1, 0, 0)), (2, (0, 0, 1, 0))))))
+
+
+@pytest.mark.parametrize("spec", [*ORACLE_VARIETIES.values(), two_planes(5)],
+                         ids=[*ORACLE_VARIETIES, "planes5"])
+def test_grouped_kernels_match_one_point_kernels(spec):
+    # minors5 and mixed5 have two polynomials, the gradient of fermat3
+    # vanishes identically, and planes5 needs a row cleared by a later one
+    check_grouped_kernels(spec)
+
+
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
 @pytest.mark.parametrize("block", [7, finite_geometry._T_BLOCK])
 def test_batched_solve_matches_one_point_solves(spec, block, monkeypatch):
     # L_a at all the points at once, in blocks that join and split the
     # points' directions, gives each point the directions and the charge of
     # its own solve; with the cut at each point's lead, it keeps those that
-    # lead before it
+    # lead before it.  No block handed to evaluation holds more than
+    # _T_BLOCK pairs: at 7, those of plane3 join many points with few
+    # directions each, and each point of fermat3fold5 has p^2 + p + 1 = 31
+    # directions, more than a block holds
     points = sorted(enumerate_points(spec))
     alone = []
     for a in points:
@@ -633,10 +745,29 @@ def test_batched_solve_matches_one_point_solves(spec, block, monkeypatch):
         [directions] = graph._directions([a], [len(a)])
         alone.append((sorted(directions), graph.charged))
     monkeypatch.setattr(finite_geometry, "_T_BLOCK", block)
+    blocks, made = [], ChainGraph._blocks
+
+    def recorded(graph, solves):
+        for owner, cols in made(graph, solves):
+            assert {len(col) for col in cols} == {len(owner)}
+            blocks.append(list(owner))
+            yield owner, cols
+
+    monkeypatch.setattr(ChainGraph, "_blocks", recorded)
     batch = ChainGraph(spec)
     found = batch._directions(points, [len(a) for a in points])
     assert [(sorted(directions), charge) for directions, (_, charge) in zip(found, alone)] == alone
     assert batch.charged == sum(charge for _, charge in alone)
+    # every (point, direction) pair is made once, in blocks that hold no more
+    # than _T_BLOCK
+    bases, _ = grouped_bases(ChainGraph(spec), points, [len(a) for a in points])
+    assert sum(map(len, blocks)) == sum(count for _, count in bases)
+    assert all(0 < len(owner) <= block for owner in blocks)
+    if block == 7 and spec is ORACLE_VARIETIES["plane3"]:
+        assert any(len(set(owner)) > 1 for owner in blocks)
+    if block == 7 and spec is ORACLE_VARIETIES["fermat3fold5"]:
+        spans = Counter(k for owner in blocks for k in set(owner))
+        assert {count for _, count in bases} == {31} and min(spans.values()) >= 5
     cut = ChainGraph(spec)._directions(points, [a.index(1) for a in points])
     for a, kept, (directions, _) in zip(points, cut, alone):
         assert sorted(kept) == [v for v in directions if v.index(1) < a.index(1)]
@@ -1230,18 +1361,27 @@ def test_explore_is_refused_before_it_evaluates(monkeypatch):
     # explore on the Fermat cubic threefold over F_5 (p^N = 625) charges its
     # solve up front: c_2 at the directions of its 31 points with x_0 = 0
     # that lead before their lead, times its live terms, 2,103 in all; one
-    # less refuses it before any direction is made or any c_k evaluated
+    # less refuses it before any direction is made or any c_k evaluated.
+    # _blocks makes every direction column, tiled per group of points, and
+    # the refusal comes after the points are grouped (_kernels)
     spec = fermat_cubic_threefold(5)
+    grouped, kernels = [], ChainGraph._kernels
+
+    def recorded(self, grads, points, cuts):
+        grouped.append(len(points))
+        return kernels(self, grads, points, cuts)
 
     def no_directions(self, solves):
         raise AssertionError("directions made past the budget")
 
+    monkeypatch.setattr(ChainGraph, "_kernels", recorded)
     monkeypatch.setattr(ChainGraph, "_blocks", no_directions)
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 2102)
     with pytest.raises(BudgetExceededError):
         connectivity_report(spec, 1)
+    assert grouped == [31]
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 2103)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="directions made past the budget"):
         connectivity_report(spec, 1)
 
 

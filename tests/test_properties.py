@@ -28,6 +28,7 @@ from chainlines.finite_geometry import (  # noqa: E402
 import naive_poly  # noqa: E402
 from test_finite_geometry import (  # noqa: E402
     bitset_report,
+    check_grouped_kernels,
     column_lines,
     index_line,
     pairwise_neighbors,
@@ -99,6 +100,14 @@ def test_chain_graph_matches_pairwise_oracle(spec, rng):
         nbrs, at = oracle[pt]
         assert lines_through(spec, pt) == at == explored[pt]
         assert graph._bfs(pt, 1).keys() == {pt, *nbrs}
+
+
+@SETTINGS
+@given(varieties())
+def test_grouped_kernels_match_one_point_kernels(spec):
+    # the bases of W from the grouped elimination, at every point and at
+    # both cuts, against the one-point kernel
+    check_grouped_kernels(spec)
 
 
 @SETTINGS
