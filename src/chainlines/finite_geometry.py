@@ -35,8 +35,11 @@ directions are made once and tiled over its points, and the c_k are
 evaluated column-wise on blocks that join the directions of many points.
 A single point is a group of one.  The single-point queries
 lines_through, chain_search and locus check their points on X once, build
-one graph, solve each point their search reaches, never enumerate X(F_p),
-and expand each contained line once, not each pair of its points.
+one graph and never enumerate X(F_p).  chain_search and locus run one
+breadth-first search, which solves each level it expands in one batch and
+expands each contained line once, not each pair of its points;
+chain_search also solves L_y once at its goal y, and meets y from y's own
+lines rather than by expanding the last level.
 
 explore needs every line of X(F_p).  It enumerates the points once, and
 finds each line once, at its least point (ChainGraph.join_all).  A
@@ -573,8 +576,9 @@ class ChainGraph:
     - each v at which they all vanish gives the line through a and v, made
       in closed form (_line_at).
 
-    A line's p+1 points are listed only when a search (_bfs) expands it,
-    or explore lists every line (join_all), never by lines_through.
+    A line's p+1 points are listed only when a search (_levels) expands
+    it, or explore lists every line (join_all), never by lines_through or
+    at chain_search's goal.
     connectivity_report also charges the graph its bitsets.  Every solve
     charges the graph each substituted c_k it evaluates, before it runs, at
     the directions it runs at times its live terms: the first c_k of each
@@ -802,52 +806,47 @@ class ChainGraph:
         if owner:
             yield owner, cols
 
-    def _bfs(
-        self, start: Point, max_depth: int, goal: Point | None = None
-    ) -> dict[Point, tuple[Point, Line] | None]:
-        """The points within max_depth steps of start, or up to goal, each
-        with its parent and the line joining them (None at start).
+    def _levels(self, start: Point):
+        """The breadth-first search from start, one level at a time: yields
+        (parent, level) for level 0 = [start], then 1, 2, ..., where parent
+        maps every point reached so far to its parent and the line joining
+        them (None at start).  A level is made only when the one before it
+        has been yielded and the next one is asked for, and the search ends
+        at the first empty level.
 
         start must be a canonical point of X(F_p), which is not checked
         here: the queries check their points (_point_of) before they build
-        the graph.  A goal equal to start is reached at once, with no solve.
-        Without a goal, L_a is solved at a whole frontier at once, which is
-        charged what one solve per point is; with one, at one frontier point
-        at a time, so that the search stops at goal.  Each contained line is
-        expanded once, by the first frontier point on it, and charged its p+1
-        points before they are listed; its unvisited points take that point
-        as parent, and the new points of each frontier point join the next
-        frontier in sorted order.  That is the order of a BFS over sorted
-        neighbor lists, so every point gets the same parent as there,
-        whether or not the search stops at goal.
+        the graph.  Each level is made from one L_a solve of the level
+        before it (_directions), charged what one solve per point is.  Each
+        contained line is expanded once, by the first point of the level on
+        it, and charged its p+1 points before they are listed; its unvisited
+        points take that point as parent, and the new points of each point
+        join the next level in sorted order.  That is the order of a BFS
+        over sorted neighbor lists, so every point gets the same parent as
+        there, at whatever level the caller stops.
         """
         field = self.spec.field
         parent: dict[Point, tuple[Point, Line] | None] = {start: None}
-        frontier = [start]
+        level = [start]
         expanded: set[Line] = set()
-        while frontier and max_depth and goal not in parent:
-            max_depth -= 1
+        while level:
+            yield parent, level
             nxt = []
-            for batch in [frontier] if goal is None else [[a] for a in frontier]:
-                solved = self._directions(batch, [len(start)] * len(batch))
-                for a, directions in zip(batch, solved):
-                    new = []
-                    for v in directions:
-                        line = _line_at(a, v, field.p)
-                        if line in expanded:
-                            continue
-                        expanded.add(line)
-                        self._charge(field.p + 1)
-                        for b in line_points(line, field):
-                            if b not in parent:
-                                parent[b] = a, line
-                                new.append(b)
-                    if goal in parent:
-                        return parent
-                    new.sort()
-                    nxt += new
-            frontier = nxt
-        return parent
+            for a, directions in zip(level, self._directions(level, [len(start)] * len(level))):
+                new = []
+                for v in directions:
+                    line = _line_at(a, v, field.p)
+                    if line in expanded:
+                        continue
+                    expanded.add(line)
+                    self._charge(field.p + 1)
+                    for b in line_points(line, field):
+                        if b not in parent:
+                            parent[b] = a, line
+                            new.append(b)
+                new.sort()
+                nxt += new
+            level = nxt
 
     def join_all(self) -> tuple[list[Point], list[list[int]]]:
         """Find every contained line of X(F_p), each at its least point:
@@ -897,13 +896,39 @@ def chain_search(
     x == y yields the empty chain.  Returning None means no F_p-rational
     chain of that length exists; it does not refute existence over C.
 
-    The search (ChainGraph._bfs) solves L_a one frontier point at a time,
-    so that it stops at y, and the chain is read back along its parents.
+    The search from x (ChainGraph._levels) makes level 1 from a solve at
+    x.  From there on each level is checked against the lines through y
+    before the next is made.  L_y is solved once, when level 1 is neither
+    empty nor holds y.  With j the lead of y, a point a lies on a line
+    through y iff a - a_j y, canonical, is a direction of L_y, so no point
+    of y's lines is listed.  The first such a in level order becomes y's
+    parent, joined to y by that line: that is the parent a BFS that stops
+    at y gives, since had the line been expanded from an earlier point, y
+    would sit on a lower level.  The search stops when y is on no line,
+    and after checking level max_length - 1, which it does not expand.
+    The chain is read back along the parents.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1: {max_length}")
     x, y = _point_of(spec, x), _point_of(spec, y)
-    parent = ChainGraph(spec)._bfs(x, max_length, goal=y)
+    graph, field, j = ChainGraph(spec), spec.field, y.index(1)
+    for depth, (parent, level) in enumerate(graph._levels(x)):
+        if y in parent or depth == max_length:  # y is x or on level 1, or max_length is 1
+            break
+        if not depth:
+            continue
+        if depth == 1:  # the directions of L_y, solved once
+            [directions] = graph._directions([y], [len(y)])
+            at_y = set(directions)
+            if not at_y:  # y is on no line
+                break
+        for a in level:
+            v = normalize_point([s - a[j] * t for s, t in zip(a, y)], field)
+            if v in at_y:
+                parent[y] = a, _line_at(y, v, field.p)
+                break
+        if y in parent or depth + 1 == max_length:
+            break
     if y not in parent:
         return None
     points, lines = [y], []
@@ -919,13 +944,14 @@ def locus(spec: VarietySpec, x: Point, length: int) -> set[Point]:
 
     Finite-field stand-in for the chain locus: full graph reachability
     rather than the characteristic-zero definition through general points
-    and closures, so it can under- or over-shoot the true locus.  The
-    search (ChainGraph._bfs) solves each level at once.
+    and closures, so it can under- or over-shoot the true locus: the
+    union of levels 0..length of the search from x (ChainGraph._levels).
     """
     if length < 1:
         raise ValueError(f"length must be >= 1: {length}")
     x = _point_of(spec, x)
-    return set(ChainGraph(spec)._bfs(x, length))
+    levels = itertools.islice(ChainGraph(spec)._levels(x), length + 1)
+    return set(itertools.chain.from_iterable(level for _, level in levels))
 
 
 # -- explore: every line from the points --------------------------------------

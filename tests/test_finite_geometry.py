@@ -8,6 +8,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb, prod
+from unittest import mock
 
 import pytest
 
@@ -285,6 +286,115 @@ def pairwise_parents(neighbors, start, max_depth):
     return parent
 
 
+def searched(graph, start, depth):
+    """The parent map of the search from start (ChainGraph._levels) once
+    its levels 0..depth are made."""
+    for parent, _ in itertools.islice(graph._levels(start), depth + 1):
+        pass
+    return parent
+
+
+def one_point_solves(spec):
+    """L_a solved at one point a per call, each on a fresh graph, and
+    memoized: a's directions and the charge of its solve."""
+
+    @functools.cache
+    def solve(a):
+        graph = ChainGraph(spec)
+        [directions] = graph._directions([a], [len(a)])
+        return directions, graph.charged
+
+    return solve
+
+
+def goal_search(spec, solve, start, max_depth, goal):
+    """Reference route for chain_search, one point at a time: a BFS from
+    start that solves L_a at one frontier point per call (solve, from
+    one_point_solves) and stops as soon as goal is reached, or after
+    max_depth levels.  Each contained line is expanded once, by the first
+    frontier point on it, and charged its p+1 points; the new points of
+    each frontier point join the next frontier in sorted order.  Returns
+    the parent map and the charge: every solve plus the points listed."""
+    field = spec.field
+    parent, frontier, expanded, charged = {start: None}, [start], set(), 0
+    while frontier and max_depth and goal not in parent:
+        max_depth -= 1
+        nxt = []
+        for a in frontier:
+            directions, charge = solve(a)
+            charged += charge
+            new = []
+            for v in directions:
+                line = finite_geometry._line_at(a, v, field.p)
+                if line in expanded:
+                    continue
+                expanded.add(line)
+                charged += field.p + 1
+                for b in line_points(line, field):
+                    if b not in parent:
+                        parent[b] = a, line
+                        new.append(b)
+            if goal in parent:
+                return parent, charged
+            new.sort()
+            nxt += new
+        frontier = nxt
+    return parent, charged
+
+
+def goal_chain(spec, solve, x, y, max_length):
+    """The chain goal_search finds from x to y, or None, and its charge."""
+    parent, charged = goal_search(spec, solve, x, max_length, y)
+    if y not in parent:
+        return None, charged
+    points, lines = [y], []
+    while points[-1] != x:
+        a, line = parent[points[-1]]
+        points.append(a)
+        lines.append(line)
+    return Chain(tuple(reversed(points)), tuple(reversed(lines))), charged
+
+
+def charged_chain(spec, x, y, max_length):
+    """chain_search's chain and the charge of the graph it builds."""
+    graphs = []
+    init = ChainGraph.__init__
+
+    def recorded(graph, spec):
+        init(graph, spec)
+        graphs.append(graph)
+
+    with mock.patch.object(ChainGraph, "__init__", recorded):
+        chain = chain_search(spec, x, y, max_length)
+    [graph] = graphs
+    return chain, graph.charged
+
+
+def check_chain_search(spec, pairs, lengths):
+    """chain_search gives every (x, y) pair at every length the chain of
+    goal_search, and is charged at most goal_search's charge plus one solve
+    at y; the same charge when y == x, when y is on level 1, when x is on
+    no line or at length 1, where chain_search does not solve at y.
+    Returns how many cases of each kind were met."""
+    solve, kinds = one_point_solves(spec), Counter()
+    for x, y in pairs:
+        at_y, at_x = solve(y), solve(x)
+        on_level_1 = goal_chain(spec, solve, x, y, 1)[0] is not None
+        for max_length in lengths:
+            chain, charged = charged_chain(spec, x, y, max_length)
+            oracle, bound = goal_chain(spec, solve, x, y, max_length)
+            assert chain == oracle, (x, y, max_length)
+            if on_level_1 or not at_x[0] or max_length == 1:
+                assert charged == bound, (x, y, max_length)
+            else:
+                assert charged <= bound + at_y[1], (x, y, max_length)
+            kinds.update({"x == y": x == y, "y on no line": not at_y[0], "x on no line": not at_x[0],
+                          "y on level 1": on_level_1 and x != y, "no chain": chain is None,
+                          "level 3 on": chain is not None and chain.length >= 3,
+                          "cheaper": charged < bound, "dearer": charged > bound})
+    return kinds
+
+
 def fermat_cubic_threefold(p):
     exps = [tuple(3 if j == i else 0 for j in range(5)) for i in range(5)]
     return VarietySpec(PrimeField(p), 4, (HomogPoly(3, tuple((1, e) for e in exps)),))
@@ -356,6 +466,18 @@ def quadric_and_quartic(p):
     quadric = split_quadric(p).polys[0]
     quartic = HomogPoly(4, ((1, (1, 1, 1, 1)), (1, (4, 0, 0, 0)), (p - 1, (0, 4, 0, 0))))
     return VarietySpec(PrimeField(p), 3, (quadric, quartic))
+
+
+def quadric_and_skew_line(p):
+    """The split quadric in x4 = x5 = 0 and the line x0 = ... = x3 = 0 in
+    P^5: x0*x3 - x1*x2 and every x_i*x_k, i <= 3 < k.  Two components of
+    the chain graph, the quadric's three levels deep from each of its
+    points."""
+    quadric = split_quadric(p).polys[0]
+    lift = HomogPoly(2, tuple((c, e + (0, 0)) for c, e in quadric.terms))
+    products = tuple(HomogPoly(2, ((1, tuple(int(m in (i, k)) for m in range(6))),))
+                     for i in range(4) for k in (4, 5))
+    return VarietySpec(PrimeField(p), 5, (lift, *products))
 
 
 ORACLE_VARIETIES = {
@@ -548,7 +670,7 @@ def test_chain_graph_matches_pairwise_oracle(spec):
         for pt in order:
             nbrs, lines = oracle[pt]
             assert lines_through(spec, pt) == lines
-            assert graph._bfs(pt, 1).keys() == {pt, *nbrs}
+            assert searched(graph, pt, 1).keys() == {pt, *nbrs}
 
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
@@ -898,15 +1020,15 @@ def test_join_all_fills_the_graph_caches(spec, monkeypatch):
 def test_shortest_chain_matches_pairwise_bfs(spec, lengths):
     # one full search from each point, to the largest length, gives every
     # point it reaches the parent, and the joining line, of a BFS over the
-    # pairwise neighbor lists; a search that stops sooner, at a smaller
-    # length or at its goal, assigns the same parents up to there, so
-    # chain_search itself runs on a fixed sample of pairs
+    # pairwise neighbor lists; a search that stops sooner assigns the same
+    # parents up to there, and chain_search, which meets y from y's own
+    # lines, runs on a fixed sample of pairs
     oracle = pairwise_neighbors(spec)
     graph = ChainGraph(spec)
     points = sorted(oracle)
     for x in points:
         parent = pairwise_parents(oracle, x, max(lengths))
-        found = graph._bfs(x, max(lengths))
+        found = searched(graph, x, max(lengths))
         assert found.keys() == parent.keys()
         for y, step in found.items():
             assert step is None if y == x else step == (parent[y], line_through(parent[y], y, spec.field))
@@ -933,21 +1055,24 @@ def test_searches_on_one_graph_are_charged_each_time():
     x, y = (1, 0, 0, 0), (0, 0, 0, 1)
     graph = ChainGraph(spec)
     state = dict(vars(graph))
-    parent = graph._bfs(x, 3, goal=y)
+    parent = searched(graph, x, 3)
     once = graph.charged
     assert parent[parent[y][0]][0] == x and once > 0  # a chain of length 2
-    assert graph._bfs(x, 3, goal=y) == parent
+    assert searched(graph, x, 3) == parent
     assert graph.charged == 2 * once
     assert vars(graph).keys() == state.keys()
     assert all(vars(graph)[k] is v for k, v in state.items() if k != "charged")
+    # the one-point search that stops at y gives y the same chain
+    reached = goal_search(spec, one_point_solves(spec), x, 3, y)[0]
+    assert reached[y] == parent[y] and reached[parent[y][0]] == parent[parent[y][0]]
 
 
 @pytest.mark.parametrize("spec", [split_quadric(5), fermat_cubic(7)], ids=["quadric5", "fermat7"])
 def test_search_without_goal_solves_each_level_at_once(spec, monkeypatch):
-    # a search with no goal solves L_a at a whole frontier in one call, one
-    # call per level; one whose goal is never reached solves one point per
-    # call, yet both reach the same points with the same parents and lines
-    # and are charged the same
+    # the search solves L_a at a whole level in one call, one call per
+    # level it expands; the one-point search, whose goal is never reached,
+    # solves one point per call, yet both reach the same points with the
+    # same parents and lines and are charged the same
     solves = []
     directions = ChainGraph._directions
 
@@ -959,15 +1084,84 @@ def test_search_without_goal_solves_each_level_at_once(spec, monkeypatch):
     outside = (1, 1, 0, 1)
     assert not finite_geometry.on_variety(spec, outside)
     for x in sorted(enumerate_points(spec))[::7]:
-        batched, alone = ChainGraph(spec), ChainGraph(spec)
+        batched = ChainGraph(spec)
         solves.clear()
-        found = batched._bfs(x, 3)
+        found = searched(batched, x, 3)
         levels = list(solves)
         solves.clear()
-        assert alone._bfs(x, 3, goal=outside) == found
+        parent, charged = goal_search(spec, one_point_solves(spec), x, 3, outside)
+        assert parent == found
         assert set(solves) == {1} and len(solves) == sum(levels)
         assert len(levels) <= 3 and levels[0] == 1
-        assert batched.charged == alone.charged > 0
+        assert levels == [len(level) for _, level in itertools.islice(ChainGraph(spec)._levels(x), 3)]
+        assert batched.charged == charged > 0
+
+
+@pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
+def test_chain_search_matches_goal_search(spec):
+    # chain_search meets y from y's own lines; the one-point search that
+    # stops at y (goal_search) gives the same chain at every length, on at
+    # most 3,000 ordered pairs, and is charged as check_chain_search says
+    points = sorted(enumerate_points(spec))
+    pairs = list(itertools.product(points, repeat=2))
+    if len(pairs) > 3000:
+        pairs = random.Random(7).sample(pairs, 3000)
+    kinds = check_chain_search(spec, pairs + [(x, x) for x in points[:1]], range(1, 5))
+    assert kinds["x == y"] >= 4 * bool(points)
+
+
+def test_chain_search_charge_against_goal_search():
+    # the new charge is at most goal_search's plus one solve at y, and the
+    # same in the shapes of the single-point query benchmark (y on level 1,
+    # x on no line); on these samples it is lower on many pairs and higher
+    # on some, where the solve at y costs more than the last level spared
+    kinds = Counter()
+    for spec in (fermat_cubic_threefold(5), cubic_with_line(), fermat_cubic(5)):
+        points = sorted(enumerate_points(spec))
+        pairs = random.Random(3).sample(list(itertools.product(points, repeat=2)), 300)
+        kinds += check_chain_search(spec, pairs + [(points[0], points[0])], range(1, 5))
+    for kind in ("x == y", "y on no line", "x on no line", "y on level 1", "no chain", "level 3 on",
+                 "cheaper", "dearer"):
+        assert kinds[kind], kind
+
+
+def test_chain_search_solves_each_level_once_and_y_once(monkeypatch):
+    # one _directions call per level expanded, plus one for [y]; none for
+    # x == y; none past level 0 when level 1 is empty or holds y; and a y
+    # on no line ends the search right after its solve
+    calls = []
+    directions = ChainGraph._directions
+
+    def recorded(graph, points, cuts):
+        calls.append(list(points))
+        return directions(graph, points, cuts)
+
+    def solves(spec, x, y, max_length):
+        calls.clear()
+        chain = chain_search(spec, x, y, max_length)
+        made = list(calls)
+        calls.clear()
+        return chain, made
+
+    monkeypatch.setattr(ChainGraph, "_directions", recorded)
+    spec = quadric_and_skew_line(5)
+    x, y = (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)
+    levels = [level for _, level in ChainGraph(spec)._levels(x)]
+    assert [len(level) for level in levels] == [1, 10, 25]
+    for max_length in (2, 3, 4):
+        # no chain: the levels before max_length - 1, and y after level 0
+        assert solves(spec, x, y, max_length) == (None, [levels[0], [y], *levels[1:max_length - 1]])
+    assert solves(spec, x, x, 3) == (Chain((x,), ()), [])
+    on_line = levels[1][0]
+    assert solves(spec, x, on_line, 3)[1] == [[x]]  # y on level 1
+    spec = fermat_cubic(5)
+    points = sorted(enumerate_points(spec))
+    lined = [a for a in points if lines_through(spec, a)]
+    lineless = [a for a in points if a not in lined]
+    assert solves(spec, lineless[0], lined[0], 3) == (None, [[lineless[0]]])  # level 1 empty
+    for max_length in (2, 3, 4):  # y on no line
+        assert solves(spec, lined[0], lineless[0], max_length) == (None, [[lined[0]], [lineless[0]]])
+    assert solves(spec, lined[0], lineless[0], 1) == (None, [[lined[0]]])
 
 
 def test_search_from_a_point_off_the_variety_is_refused(monkeypatch):
@@ -1117,7 +1311,7 @@ def test_one_step_search_matches_sweep():
         expected = {pt}
         for line in sweep_lines_through(spec, pt):  # independent route, over P^N
             expected.update(line_points(line, F5))
-        assert set(graph._bfs(pt, 1)) == expected
+        assert set(searched(graph, pt, 1)) == expected
 
 
 def test_connectivity_report_quadric_f3():
@@ -1412,15 +1606,15 @@ def test_chain_and_locus_pair_budget(monkeypatch, tmp_path, capsys):
     # on the split quadric over F_3 each L_a solve evaluates c_2 = v0*v3 -
     # v1*v2, one term once v_j = 0, at the 4 directions of P^1 (4 * 1), and
     # each line listed has 4 points; one query sums them: lines takes one
-    # solve (4), locus 1 one solve and two lines (12), the chain below two
-    # solves and three lines (20), locus 2 seven and eight (60)
+    # solve (4), locus 1 one solve and two lines (12), locus 2 seven solves
+    # and eight lines (60).  The chain below solves at x (4) and lists x's
+    # two lines (8); y is on neither, so it solves at y (4) and meets y from
+    # the first point of level 1 on one of y's lines, listing none: 16
     spec = split_quadric(3)
     x, y = (1, 0, 0, 0), (0, 0, 0, 1)
-    assert chain_search(spec, x, y, 2).length == 2
-    graph = ChainGraph(spec)
-    graph._bfs(x, 2, goal=y)
-    assert graph.charged == 2 * 4 + 3 * 4
-    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 19)
+    chain, charged = charged_chain(spec, x, y, 2)
+    assert chain.length == 2 and charged == 4 + 2 * 4 + 4
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", charged - 1)
     with pytest.raises(BudgetExceededError):
         chain_search(spec, x, y, 2)
     with pytest.raises(BudgetExceededError):
@@ -1430,11 +1624,17 @@ def test_chain_and_locus_pair_budget(monkeypatch, tmp_path, capsys):
     path = tmp_path / "quadric3.variety"
     path.write_text(format_variety(spec))
     variety = ["--variety", str(path)]
-    assert main(["chain", *variety, "--from", "1:0:0:0", "--to", "0:0:0:1", "--max-length", "2"]) == 2
+    chain_argv = ["chain", *variety, "--from", "1:0:0:0", "--to", "0:0:0:1", "--max-length", "2"]
+    assert main(chain_argv) == 2
     assert main(["locus", *variety, "--point", "1:0:0:0", "--length", "2"]) == 2
     assert capsys.readouterr().out == ""
     assert main(["locus", *variety, "--point", "1:0:0:0", "--length", "1"]) == 0
     assert main(["lines", *variety, "--point", "1:0:0:0"]) == 0
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", charged)
+    assert chain_search(spec, x, y, 2) == chain
+    capsys.readouterr()
+    assert main(chain_argv) == 0
+    assert ["length", "2"] in [row.split() for row in capsys.readouterr().out.splitlines()]
 
 
 def test_lines_on_cubic_threefold_over_f101():

@@ -28,10 +28,12 @@ from chainlines.finite_geometry import (  # noqa: E402
 import naive_poly  # noqa: E402
 from test_finite_geometry import (  # noqa: E402
     bitset_report,
+    check_chain_search,
     check_grouped_kernels,
     column_lines,
     index_line,
     pairwise_neighbors,
+    searched,
 )
 
 PRIMES = (2, 3, 5, 7)
@@ -99,7 +101,19 @@ def test_chain_graph_matches_pairwise_oracle(spec, rng):
     for pt in order:
         nbrs, at = oracle[pt]
         assert lines_through(spec, pt) == at == explored[pt]
-        assert graph._bfs(pt, 1).keys() == {pt, *nbrs}
+        assert searched(graph, pt, 1).keys() == {pt, *nbrs}
+
+
+@SETTINGS
+@given(varieties(), st.randoms(use_true_random=False))
+def test_chain_search_matches_goal_search(spec, rng):
+    # chain_search, which meets y from y's own lines, against the one-point
+    # search that stops at y, at every length, on a sample of ordered pairs
+    # and the pair x == y, charged as check_chain_search says
+    points = sorted(finite_geometry.enumerate_points(spec))
+    pairs = list(itertools.product(points, repeat=2))
+    pairs = rng.sample(pairs, min(len(pairs), 100)) + [(x, x) for x in points[:1]]
+    check_chain_search(spec, pairs, range(1, 5))
 
 
 @SETTINGS
