@@ -91,10 +91,10 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 
+from . import LENGTH_BUDGET, BudgetExceededError
 from .chow import (ChowClass, Group, Leaves, Monomial, ProductSpace, Run, _factor_text,
                    _seams, hyperplane, render)
 from .criteria import DefiningData, rc_criterion
-from .finite_geometry import LENGTH_BUDGET, BudgetExceededError
 
 CLASS_TERM_BUDGET = 10**6  # hard cap on the terms of a class, and on (D-m)^2
 CLASS_TEXT_BUDGET = 10**8  # hard cap on a bound of the characters of a class's text

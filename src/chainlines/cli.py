@@ -23,6 +23,14 @@ convert or is not among its choices, goes unchanged to argparse
 flags, ``--flag=value``, repeated flags, negative numbers and every error
 get argparse's own ``usage:`` text, message and exit status 2, and both
 routes give the same namespace wherever the fast one answers.
+
+The module imports no layer of the package.  Each row of ``COMMANDS``
+names the layers its function reads: ``criteria`` for the numeric
+commands, ``criteria`` and ``chains`` for the class commands,
+``finite_geometry`` for the variety commands.  ``main`` imports a
+command's layers on the first call that needs them and binds each as a
+global of this module under its own name, so a one-shot call loads only
+what it runs, and a later call finds them bound and imports nothing.
 """
 
 from __future__ import annotations
@@ -31,9 +39,6 @@ import functools
 import sys
 from collections.abc import Iterator
 from types import SimpleNamespace
-
-from . import chains, criteria, finite_geometry as fg
-from .chow import int_text
 
 COUNT_CAVEAT = (
     "intersection-number count: chains are counted with multiplicity and "
@@ -66,9 +71,9 @@ def _joined(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _format_line(line: fg.Line) -> str:
+def _format_line(line: finite_geometry.Line) -> str:
     a, b = line.basis
-    return f"{fg.format_point(a)};{fg.format_point(b)}"
+    return f"{finite_geometry.format_point(a)};{finite_geometry.format_point(b)}"
 
 
 def _problem(args) -> chains.ChainProblem:
@@ -139,41 +144,45 @@ def _cmd_sharpness(args):
 # -- finite-field commands --------------------------------------------------------
 
 def _cmd_lines(args):
-    spec = fg.load_variety(args.variety)
-    point = fg.parse_point(args.point, spec.field)
-    found = sorted(fg.lines_through(spec, point), key=lambda ln: ln.basis)
-    pairs = [("point", fg.format_point(point)), ("count", len(found))]
+    spec = finite_geometry.load_variety(args.variety)
+    point = finite_geometry.parse_point(args.point, spec.field)
+    found = sorted(finite_geometry.lines_through(spec, point), key=lambda ln: ln.basis)
+    pairs = [("point", finite_geometry.format_point(point)), ("count", len(found))]
     pairs += [(f"line_{i}", _format_line(line)) for i, line in enumerate(found, start=1)]
     return pairs, (), 0 if found else 1
 
 
 def _cmd_chain(args):
-    spec = fg.load_variety(args.variety)
-    start = fg.parse_point(args.from_point, spec.field)
-    goal = fg.parse_point(args.to_point, spec.field)
-    chain = fg.chain_search(spec, start, goal, args.max_length)
-    pairs = [("from", fg.format_point(start)), ("to", fg.format_point(goal)),
+    spec = finite_geometry.load_variety(args.variety)
+    start = finite_geometry.parse_point(args.from_point, spec.field)
+    goal = finite_geometry.parse_point(args.to_point, spec.field)
+    chain = finite_geometry.chain_search(spec, start, goal, args.max_length)
+    pairs = [("from", finite_geometry.format_point(start)),
+             ("to", finite_geometry.format_point(goal)),
              ("max_length", args.max_length), ("found", _bool(chain is not None))]
     if chain is None:
         return pairs + [("chain", "absent")], [FIELD_CAVEAT], 1
     pairs.append(("length", chain.length))
-    pairs += [(f"point_{i}", fg.format_point(pt)) for i, pt in enumerate(chain.points)]
+    pairs += [(f"point_{i}", finite_geometry.format_point(pt))
+              for i, pt in enumerate(chain.points)]
     pairs += [(f"line_{i}", _format_line(ln)) for i, ln in enumerate(chain.lines, start=1)]
     return pairs, (), 0
 
 
 def _cmd_locus(args):
-    spec = fg.load_variety(args.variety)
-    point = fg.parse_point(args.point, spec.field)
-    reached = sorted(fg.locus(spec, point, args.length))
-    pairs = [("point", fg.format_point(point)), ("length", args.length),
+    spec = finite_geometry.load_variety(args.variety)
+    point = finite_geometry.parse_point(args.point, spec.field)
+    reached = sorted(finite_geometry.locus(spec, point, args.length))
+    pairs = [("point", finite_geometry.format_point(point)), ("length", args.length),
              ("count", len(reached))]
-    pairs += [(f"point_{i}", fg.format_point(pt)) for i, pt in enumerate(reached, start=1)]
+    pairs += [(f"point_{i}", finite_geometry.format_point(pt))
+              for i, pt in enumerate(reached, start=1)]
     return pairs, ["F_p reachability set; may differ from the characteristic-zero locus"], 0
 
 
 def _cmd_explore(args):
-    report = fg.connectivity_report(fg.load_variety(args.variety), args.max_length)
+    spec = finite_geometry.load_variety(args.variety)
+    report = finite_geometry.connectivity_report(spec, args.max_length)
     pairs = [("max_length", args.max_length), ("points", report.points)]
     pairs += [(f"fraction_{l}", f"{f.numerator}/{f.denominator}")
               for l, f in sorted(report.fractions.items())]
@@ -196,46 +205,55 @@ VARIETY = ("--variety", {"required": True, "metavar": "FILE",
 POINT = ("--point", {"required": True, "help": "point as a0:a1:...:aN"}, None)
 MAX_LENGTH = ("--max-length", {"dest": "max_length", "type": int, "required": True}, None)
 
+# The layers a command's function reads, bound by main as globals of this
+# module under their own names.
+CRITERIA = ("criteria",)
+CHAINS = ("criteria", "chains")
+FIELD = ("finite_geometry",)
+
 COMMANDS = (
-    ("check", _cmd_check, "test the chain-connectedness inequality l*D <= N*(l-1)+m",
+    ("check", _cmd_check, CRITERIA, "test the chain-connectedness inequality l*D <= N*(l-1)+m",
      (DEGREES, AMBIENT, LENGTH)),
-    ("minlength", _cmd_minlength, "least chain length satisfying the criterion",
+    ("minlength", _cmd_minlength, CRITERIA, "least chain length satisfying the criterion",
      (DEGREES, AMBIENT)),
-    ("cilength", _cmd_cilength,
+    ("cilength", _cmd_cilength, CRITERIA,
      "length, Fano index and line-family dimension of a complete intersection",
      (DEGREES, AMBIENT)),
-    ("class", _cmd_class, "print the intersection class",
+    ("class", _cmd_class, CHAINS, "print the intersection class",
      (DEGREES, AMBIENT, LENGTH,
       ("--mode", {"choices": ("existence", "counting"), "required": True}, None))),
-    ("count", _cmd_count, "number of chains between two general points (with multiplicity)",
+    ("count", _cmd_count, CHAINS,
+     "number of chains between two general points (with multiplicity)",
      (DEGREES, AMBIENT, LENGTH)),
-    ("witness", _cmd_witness, "witness exponents and monomial certifying nonvanishing",
+    ("witness", _cmd_witness, CHAINS, "witness exponents and monomial certifying nonvanishing",
      (DEGREES, AMBIENT, LENGTH)),
-    ("sharpness", _cmd_sharpness, "boundary family showing the criterion is sharp",
+    ("sharpness", _cmd_sharpness, CRITERIA, "boundary family showing the criterion is sharp",
      (("--length", {"type": int, "required": True, "metavar": "L"}, None),)),
-    ("lines", _cmd_lines, "lines through a point lying on the variety", (VARIETY, POINT)),
-    ("chain", _cmd_chain, "search for a chain of lines between two points",
+    ("lines", _cmd_lines, FIELD, "lines through a point lying on the variety",
+     (VARIETY, POINT)),
+    ("chain", _cmd_chain, FIELD, "search for a chain of lines between two points",
      (VARIETY, ("--from", {"dest": "from_point", "required": True, "metavar": "P"}, None),
       ("--to", {"dest": "to_point", "required": True, "metavar": "Q"}, None), MAX_LENGTH)),
-    ("locus", _cmd_locus, "points reachable by at most l line-steps",
+    ("locus", _cmd_locus, FIELD, "points reachable by at most l line-steps",
      (VARIETY, POINT, ("--length", {"type": int, "required": True}, None))),
-    ("explore", _cmd_explore, "connectivity statistics of the chain graph",
+    ("explore", _cmd_explore, FIELD, "connectivity statistics of the chain graph",
      (VARIETY, MAX_LENGTH)),
 )
 
 
-def _fast_entry(func, arguments):
-    """A command's function, its flags (flag -> dest, type, choices) and its
-    echo list, as build_parser gives them to argparse."""
+def _fast_entry(func, layers, arguments):
+    """A command's function and layers, its flags (flag -> dest, type,
+    choices) and its echo list, as build_parser gives them to argparse."""
     flags, echo = {}, []
     for flag, kwargs, show in arguments:
         dest = kwargs.get("dest", flag[2:].replace("-", "_"))
         flags[flag] = dest, kwargs.get("type"), kwargs.get("choices")
         echo.append((dest, show))
-    return func, flags, echo
+    return func, layers, flags, echo
 
 
-_FAST = {name: _fast_entry(func, arguments) for name, func, _, arguments in COMMANDS}
+_FAST = {name: _fast_entry(func, layers, arguments)
+         for name, func, layers, _, arguments in COMMANDS}
 
 
 def _fast(argv):
@@ -245,8 +263,8 @@ def _fast(argv):
     with "-" and converts, and by --machine at most once."""
     if not argv or argv[0] not in _FAST:
         return None
-    func, flags, echo = _FAST[argv[0]]
-    args = {"command": argv[0], "func": func, "echo": echo, "machine": False}
+    func, layers, flags, echo = _FAST[argv[0]]
+    args = {"command": argv[0], "func": func, "layers": layers, "echo": echo, "machine": False}
     tokens = iter(argv[1:])
     for token in tokens:
         if token == "--machine" and not args["machine"]:
@@ -267,7 +285,7 @@ def _fast(argv):
             return None
         args[dest] = value
     # every flag in COMMANDS is required, so a flag left out defers
-    return SimpleNamespace(**args) if len(args) == 4 + len(flags) else None
+    return SimpleNamespace(**args) if len(args) == 5 + len(flags) else None
 
 
 @functools.cache
@@ -284,23 +302,43 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text, arguments in COMMANDS:
+    for name, func, layers, help_text, arguments in COMMANDS:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--machine", action="store_true",
                         help="emit one key=value pair per line")
-        sp.set_defaults(func=func, echo=[(sp.add_argument(flag, **kwargs).dest, show)
-                                         for flag, kwargs, show in arguments])
+        echo = [(sp.add_argument(flag, **kwargs).dest, show) for flag, kwargs, show in arguments]
+        sp.set_defaults(func=func, layers=layers, echo=echo)
     return parser
+
+
+_bound = set()  # the layer tuples of COMMANDS that _bind has bound
+
+
+def _bind(layers) -> None:
+    """Import a command's layers and bind each as a global of this module,
+    under its own name; main calls this once per tuple of layers."""
+    for layer in layers:
+        name = f"{__package__}.{layer}"
+        __import__(name)
+        globals()[layer] = sys.modules[name]
+    _bound.add(layers)
 
 
 def _text(value):
     """A value as text; an iterator of chunks is left to be written lazily.
     Text and integers are tested first: the Iterator test goes through
-    abc.__instancecheck__, a cost per value on queries with many pairs."""
+    abc.__instancecheck__, a cost per value on queries with many pairs.
+    chow.int_text is imported only for an integer past str's digit limit
+    (sys.get_int_max_str_digits()), so the variety commands never load chow."""
     if isinstance(value, str):
         return value
     if isinstance(value, int):
-        return int_text(value)
+        try:
+            return str(value)
+        except ValueError:
+            from .chow import int_text
+
+            return int_text(value)
     return value if isinstance(value, Iterator) else str(value)
 
 
@@ -322,6 +360,8 @@ def _render(pairs, notes, machine: bool):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _fast(argv) or build_parser().parse_args(argv)
+    if args.layers not in _bound:
+        _bind(args.layers)
     try:
         pairs, notes, code = args.func(args)
         pairs = [("command", args.command)] + [

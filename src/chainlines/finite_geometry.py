@@ -87,21 +87,15 @@ from itertools import compress, repeat
 from math import prod
 from operator import add, getitem, lshift, mod, mul, ne, neg, not_, or_, sub, truth
 
+from . import LENGTH_BUDGET, BudgetExceededError
+
 # hard cap on p**N per enumeration, on the directions times the terms of
 # the c_k that one graph's L_a solves evaluate plus the points of the lines
 # it lists and the bytes of explore's bitsets, and on the terms of a
 # graph's c_k table
 ENUMERATION_BUDGET = 10**8
-# hard cap on the chain length of the commands whose work and output grow
-# with it whatever the input: explore's max_length (one fraction per length),
-# and the l of witness and class (O(l) values per term, chains module)
-LENGTH_BUDGET = 10**5
 
 Point = tuple[int, ...]
-
-
-class BudgetExceededError(ValueError):
-    """Raised when an enumeration or a search would exceed ENUMERATION_BUDGET."""
 
 
 class VarietyParseError(ValueError):

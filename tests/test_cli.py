@@ -500,7 +500,7 @@ def test_fast_path_gives_argparse_namespace_or_defers():
     def argvs(draw):
         # each flag 0-2 times, spelled out, abbreviated or as --flag=value,
         # with a good value or another, in any order, and noise
-        name, _, _, arguments = draw(st.sampled_from(cli.COMMANDS))
+        name, *_, arguments = draw(st.sampled_from(cli.COMMANDS))
         pairs = [["--machine"]] * draw(st.sampled_from((0, 0, 1, 1, 1, 2)))
         for flag, _, _ in arguments:
             for _ in range(draw(st.sampled_from((1,) * 8 + (0, 2)))):
