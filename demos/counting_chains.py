@@ -5,7 +5,9 @@ is zero, so the conditions cut out finitely many chains and their number is
 an intersection number.  For the cubic threefold in P^4 and length 3 the
 conditions are: three classes h1, 2h1, 3h1 carving the cone of lines
 through x, three classes h2, 2h2, 3h2 for the cone through y, and two mixed
-classes 2h1+h2, h1+2h2 tying the intermediate points together.
+classes 2h1+h2, h1+2h2 tying the intermediate points together.  Their
+product is (3!)^2 h1^3 h2^3 times 2h1^2 + 5h1h2 + 2h2^2, and only the middle
+term reaches h1^4 h2^4: 36 * 5 = 180.
 """
 
 from chainlines import (
@@ -14,10 +16,8 @@ from chainlines import (
     chain_count,
     condition_tally,
     counting_class,
-    counting_factors,
     existence_class,
     expected_dimension,
-    one,
     witness_exponents,
     witness_monomial,
 )
@@ -32,16 +32,7 @@ tally = condition_tally(problem)
 print(f"conditions: {tally.endpoint_x} on p^1, {tally.endpoint_y} on p^2, "
       f"{tally.mixed_per_pair} mixed; total {tally.total()}")
 
-blocks = counting_factors(problem)
-pure = one(problem.space)
-for f in blocks.x_side + blocks.y_side:
-    pure = pure * f
-mixed = one(problem.space)
-for f in blocks.mixed:
-    mixed = mixed * f
-print("pure endpoint block: ", pure)
-print("mixed block:         ", mixed)
-print("full counting class: ", counting_class(problem))
+print("counting class:", counting_class(problem))
 print("chains through two general points:", chain_count(problem))
 print()
 

@@ -2,8 +2,9 @@
 
 Four layers, one per concern:
 
-* :mod:`chainlines.chow` -- exact sparse arithmetic in the Chow ring of a
-  product of projective spaces (integer coefficients, truncated monomials).
+* :mod:`chainlines.chow` -- classes in the Chow ring of a product of
+  projective spaces as sparse values (integer coefficients, truncated
+  monomials), and their text.
 * :mod:`chainlines.criteria` -- the closed-form tests: the chain-connectivity
   inequality, minimal chain length, complete-intersection length, Fano index,
   line-family dimension, chain-locus bound, sharpness family.
@@ -41,14 +42,13 @@ class BudgetExceededError(ValueError):
 
 
 _LAYERS = {
-    "chow": "ChowClass Monomial ProductSpace hyperplane one zero",
+    "chow": "ChowClass Monomial ProductSpace",
     "criteria": "DefiningData SharpnessReport ci_length fano_index_ci lx_dim_ci "
                 "min_chain_length rc_criterion sharpness_report wa_bound",
-    "chains": "ChainProblem ConditionTally CountingFactors ExpectedDimensionError "
+    "chains": "ChainProblem ConditionTally ExpectedDimensionError "
               "NegativeExpectedDimensionError PositiveExpectedDimensionError Witness "
               "chain_count class_term_count class_text condition_tally counting_class "
-              "counting_factors existence_class expected_dimension witness_exponents "
-              "witness_monomial",
+              "existence_class expected_dimension witness_exponents witness_monomial",
     "finite_geometry": "Chain ChainGraph ConnectivityReport HomogPoly Line PrimeField "
                        "VarietyParseError VarietySpec chain_search connectivity_report "
                        "coordinate_hyperplane enumerate_points eval_poly fermat_cubic "

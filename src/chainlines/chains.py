@@ -80,8 +80,9 @@ the run entries (exponentially many in l) have at most
 C(D-m+l-3, l-3) * (D-m+1) distinct bodies (coefficient and a_{l-2}), and
 render writes each of those once while it keeps it.
 
-counting_factors keeps the individual condition classes; their product in
-the truncated ring is the reference the tests compare the blocks against.
+Nothing here multiplies classes.  The product of the individual condition
+classes in the truncated ring lives in the tests, as the reference they
+compare the blocks against.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ from collections.abc import Iterator
 
 from . import LENGTH_BUDGET, BudgetExceededError
 from .chow import (ChowClass, Group, Leaves, Monomial, ProductSpace, Run, _factor_text,
-                   _seams, hyperplane, render)
+                   _seams, render)
 from .criteria import DefiningData, rc_criterion
 
 CLASS_TERM_BUDGET = 10**6  # hard cap on the terms of a class, and on (D-m)^2
@@ -159,7 +160,9 @@ def condition_tally(problem: ChainProblem) -> ConditionTally:
     D, m = data.total_degree, data.m
     tally = ConditionTally(
         endpoint_x=D,
-        # the y side's top coefficient is d - (l == 2): see counting_factors
+        # the y side's top coefficient is d - (l == 2): at l = 2 the
+        # degree-d coefficient is G(p^1) again, which the x side already
+        # imposed, so it is left out by design (module docstring)
         endpoint_y=sum(d - (l == 2) for d in data.degrees),
         interior_pure=m,
         interior_factors=max(l - 3, 0),
@@ -168,47 +171,6 @@ def condition_tally(problem: ChainProblem) -> ConditionTally:
     )
     assert tally.total() == l * D - m
     return tally
-
-
-class CountingFactors(namedtuple("CountingFactors", "x_side y_side interior mixed")):
-    """The condition classes, grouped by which factor(s) they constrain;
-    each group is a tuple of ChowClass."""
-
-    __slots__ = ()
-
-    def all(self) -> tuple[ChowClass, ...]:
-        return self.x_side + self.y_side + self.interior + self.mixed
-
-
-def counting_factors(problem: ChainProblem) -> CountingFactors:
-    """Condition classes with their degree coefficients, one per condition."""
-    data, l = problem.data, problem.length
-    space = problem.space
-    x_side = [
-        j * hyperplane(space, 1) for d in data.degrees for j in range(1, d + 1)
-    ]
-    # the y side's top coefficient is d - (l == 2): at l = 2 the degree-d
-    # coefficient is G(p^1) again, which the x side already imposed, so it
-    # is left out by design; the interior and mixed ranges are empty there
-    y_side = [
-        j * hyperplane(space, l - 1)
-        for d in data.degrees
-        for j in range(1, d - (l == 2) + 1)
-    ]
-    interior = [
-        d * hyperplane(space, k)
-        for d in data.degrees
-        for k in range(2, l - 1)
-    ]
-    mixed = [
-        j * hyperplane(space, k - 1) + (d - j) * hyperplane(space, k)
-        for d in data.degrees
-        for k in range(2, l)
-        for j in range(1, d)
-    ]
-    factors = CountingFactors(tuple(x_side), tuple(y_side), tuple(interior), tuple(mixed))
-    assert len(factors.all()) == l * data.total_degree - data.m
-    return factors
 
 
 def _pair_block(data: DefiningData) -> list[int]:

@@ -1,16 +1,15 @@
-"""Exact arithmetic in the Chow ring of a product of projective spaces.
+"""Classes in the Chow ring of a product of projective spaces, as values.
 
 The intersection ring of P^{N_1} x ... x P^{N_k} is the integer polynomial
 ring Z[h_1, ..., h_k] modulo the relations h_i^{N_i+1} = 0, where h_i is the
 hyperplane class pulled back from the i-th factor.  A class is stored
-sparsely: a mapping from exponent tuples to nonzero integer coefficients.
-Python ints are arbitrary precision, so products of many degree coefficients
-never overflow.  Any monomial with some exponent above its factor dimension
-lies in the truncation ideal and is dropped the moment it appears, which
-keeps intermediate results bounded by prod(N_i + 1) monomials.
-
-All operations are pure: they never mutate their operands, so values can be
-shared freely across threads.
+sparsely: a mapping from exponent tuples to nonzero integer coefficients,
+Python ints of any size.  Any monomial with some exponent above its factor
+dimension lies in the truncation ideal and is left out.  The module does no
+ring arithmetic: the chain classes are listed term by term from their
+blocks (chains), and a class is a value to compare, collect and render.
+The product of the condition classes in the truncated ring is kept in the
+tests, as the oracle those listings are checked against.
 
 Rendering contract (used verbatim by the command-line `class` output): terms
 are listed with the lexicographically largest exponent tuple first, each term
@@ -60,9 +59,9 @@ class ChowClass:
     """A cycle class, kept in normal form.
 
     Stored terms never include a zero coefficient or a monomial outside the
-    truncation bounds.  Classes need not be homogeneous; operations that care
-    about homogeneity must check it themselves.  Instances are treated as
-    immutable: every operation returns a fresh class.
+    truncation bounds; the constructor drops those and refuses monomials
+    of the wrong length or with a negative exponent.  Classes need not be
+    homogeneous.  Instances are treated as immutable.
     """
 
     __slots__ = ("space", "terms")
@@ -95,79 +94,6 @@ class ChowClass:
         self.terms = terms
         return self
 
-    # -- queries ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mono: Monomial) -> int:
-        """Coefficient of the given monomial (0 if absent or truncated)."""
-        mono = tuple(mono)
-        if len(mono) != self.space.nfactors:
-            raise ValueError(
-                f"monomial {mono} has {len(mono)} exponents, "
-                f"expected {self.space.nfactors}"
-            )
-        if any(e < 0 for e in mono):
-            raise ValueError(f"negative exponent in monomial {mono}")
-        return self.terms.get(mono, 0)
-
-    def top_coefficient(self) -> int:
-        """Coefficient of h_1^{N_1} ... h_k^{N_k}.
-
-        For a zero-dimensional class this is the intersection number.
-        Homogeneity is not checked; that is the caller's business.
-        """
-        return self.terms.get(self.space.factor_dims, 0)
-
-    # -- ring structure ----------------------------------------------------
-
-    def _require_same_space(self, other: "ChowClass") -> None:
-        if self.space != other.space:
-            raise ValueError(
-                f"classes live in different spaces: {self.space} vs {other.space}"
-            )
-
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        self._require_same_space(other)
-        acc = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc[mono] = acc.get(mono, 0) + coeff
-        return ChowClass(self.space, acc)
-
-    def __neg__(self) -> "ChowClass":
-        return ChowClass(self.space, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "ChowClass":
-        if isinstance(other, int):
-            return ChowClass(self.space, {m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        self._require_same_space(other)
-        dims = self.space.factor_dims
-        acc: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                # product monomials in the truncation ideal are dropped here,
-                # not at the end, so intermediates stay small
-                if any(e > n for e, n in zip(mono, dims)):
-                    continue
-                acc[mono] = acc.get(mono, 0) + c1 * c2
-        return ChowClass(self.space, acc)
-
-    def __rmul__(self, other) -> "ChowClass":
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -192,7 +118,8 @@ def int_text(n: int) -> str:
 
     ``str(int)`` refuses more than ``sys.get_int_max_str_digits()`` digits
     (4,300 by default); ``Decimal`` converts without that limit.  decimal
-    is imported only here, so that importing the package does not load it.
+    is imported only past that limit, so that ``count`` and ``class`` on
+    smaller coefficients never load it.
     """
     try:
         return str(n)
@@ -291,25 +218,3 @@ def render(groups: Iterable[Group]) -> Iterator[str]:
             sep = " + "
     if not sep:
         yield "0"
-
-
-def zero(space: ProductSpace) -> ChowClass:
-    return ChowClass(space, {})
-
-
-def one(space: ProductSpace) -> ChowClass:
-    """The multiplicative identity (empty monomial, coefficient 1)."""
-    return ChowClass(space, {(0,) * space.nfactors: 1})
-
-
-def hyperplane(space: ProductSpace, i: int) -> ChowClass:
-    """The hyperplane class h_i of the i-th factor (1-based, matching h_1..h_k).
-
-    In a P^0 factor the hyperplane class is already zero (h^1 = 0 when N = 0).
-    """
-    if not 1 <= i <= space.nfactors:
-        raise ValueError(
-            f"factor index {i} out of range 1..{space.nfactors}"
-        )
-    mono = tuple(1 if j == i - 1 else 0 for j in range(space.nfactors))
-    return ChowClass(space, {mono: 1})

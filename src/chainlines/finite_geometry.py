@@ -944,8 +944,14 @@ def locus(spec: VarietySpec, x: Point, length: int) -> set[Point]:
     if length < 1:
         raise ValueError(f"length must be >= 1: {length}")
     x = _point_of(spec, x)
-    levels = itertools.islice(ChainGraph(spec)._levels(x), length + 1)
-    return set(itertools.chain.from_iterable(level for _, level in levels))
+    points: set[Point] = set()
+    # stopped on depth, not by islice, whose stop must fit in sys.maxsize:
+    # the search ends at its first empty level, so any length is bounded
+    for depth, (_, level) in enumerate(ChainGraph(spec)._levels(x)):
+        points.update(level)
+        if depth == length:
+            break
+    return points
 
 
 # -- explore: every line from the points --------------------------------------
@@ -1050,7 +1056,8 @@ def connectivity_report(spec: VarietySpec, max_length: int) -> ConnectivityRepor
             break
         count = grown
     reachable += reachable[-1:] * (max_length - len(reachable))
-    from fractions import Fraction  # here, so that importing the package does not load it
+    # imported here: lines, chain and locus share this module and never load fractions
+    from fractions import Fraction
 
     fractions = {l: Fraction(r, n * n) for l, r in enumerate(reachable, 1)} if n else {}
     return ConnectivityReport(points=n, fractions=fractions, line_counts=line_counts)

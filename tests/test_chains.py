@@ -16,18 +16,18 @@ from chainlines.chains import (
     class_text,
     condition_tally,
     counting_class,
-    counting_factors,
     existence_class,
     expected_dimension,
     witness_exponents,
     witness_monomial,
 )
-from chainlines.chow import ChowClass, ProductSpace, one
+from chainlines.chow import ChowClass, ProductSpace
 from chainlines.cli import main
 from chainlines.criteria import DefiningData, rc_criterion
 from chainlines.finite_geometry import BudgetExceededError
 
 import naive_poly
+from truncated_ring import all_factors, condition_factors, truncated_product
 
 
 def problem(degrees, ambient, length):
@@ -49,30 +49,27 @@ def test_existence_class_examples():
     cls = existence_class(CUBIC_THREEFOLD)
     # h1^3 h2^3 (h1+h2)^2 truncated in (P^4)^2
     assert cls == ChowClass(ProductSpace((4, 4)), {(4, 4): 2})
-    assert not cls.is_zero()
+    assert cls.terms
     assert all(sum(m) == 8 for m in cls.terms)
 
     quadric = existence_class(problem((2,), 3, 2))
     assert quadric == ChowClass(ProductSpace((3,)), {(3,): 1})  # h^3 in P^3
 
     # every expansion monomial of h1^4 h2^4 (h1+h2)^3 has an exponent > 5
-    assert existence_class(problem((4,), 5, 3)).is_zero()
+    assert existence_class(problem((4,), 5, 3)).terms == {}
     assert not rc_criterion(DefiningData((4,), 5), 3)
 
 
 def test_counting_factors_blocks():
-    blocks = counting_factors(CUBIC_THREEFOLD)
-    space = CUBIC_THREEFOLD.space
-    pure = ChowClass(space, {(0, 0): 1})
-    for f in blocks.x_side + blocks.y_side:
-        pure = pure * f
-    assert pure == ChowClass(space, {(3, 3): 36})  # 36 = (3!)^2
-    mixed = ChowClass(space, {(0, 0): 1})
-    for f in blocks.mixed:
-        mixed = mixed * f
-    assert mixed == ChowClass(space, {(2, 0): 2, (1, 1): 5, (0, 2): 2})
-    assert len(blocks.interior) == 0
-    assert len(blocks.all()) == 8
+    # the condition classes of the truncated-ring oracle, in their blocks
+    blocks = condition_factors((3,), 3)
+    dims = CUBIC_THREEFOLD.space.factor_dims
+    pure = truncated_product(blocks["x_side"] + blocks["y_side"], dims)
+    assert pure == {(3, 3): 36}  # 36 = (3!)^2
+    mixed = truncated_product(blocks["mixed"], dims)
+    assert mixed == {(2, 0): 2, (1, 1): 5, (0, 2): 2}
+    assert len(blocks["interior"]) == 0
+    assert len(all_factors((3,), 3)) == 8
 
 
 def test_counting_class_examples():
@@ -162,13 +159,13 @@ def test_tally_and_degree_identities():
     for degrees, n, l in GRID:
         p = problem(degrees, n, l)
         total = l * p.data.total_degree - p.data.m
-        tally, factors = condition_tally(p), counting_factors(p)
+        tally, factors = condition_tally(p), condition_factors(degrees, l)
         assert tally.total() == total
-        assert len(factors.all()) == total
-        assert len(factors.x_side) == tally.endpoint_x
-        assert len(factors.y_side) == tally.endpoint_y
-        assert len(factors.interior) == tally.interior_pure * tally.interior_factors
-        assert len(factors.mixed) == tally.mixed_per_pair * tally.pairs
+        assert sum(map(len, factors.values())) == total
+        assert len(factors["x_side"]) == tally.endpoint_x
+        assert len(factors["y_side"]) == tally.endpoint_y
+        assert len(factors["interior"]) == tally.interior_pure * tally.interior_factors
+        assert len(factors["mixed"]) == tally.mixed_per_pair * tally.pairs
         cls = existence_class(p)
         assert all(sum(mono) == total for mono in cls.terms)
         assert class_term_count(p) == len(cls.terms)
@@ -209,7 +206,7 @@ def test_criterion_implies_nonvanishing_on_grid():
         if not rc_criterion(data, l):
             continue
         p = problem(degrees, n, l)
-        assert not existence_class(p).is_zero()
+        assert existence_class(p).terms
         w = witness_monomial(p)
         assert w.fits
         assert all(e <= n for e in w.exponents)
@@ -231,18 +228,14 @@ def test_count_positive_at_zero_expected_dimension():
 
 def test_endpoint_prefactor_is_degree_factorial_squared():
     for d in (2, 3, 4):
-        p = problem((d,), 2 * d - 1, 3)  # any ambient large enough to survive
-        blocks = counting_factors(p)
-        space = p.space
-        x_block = ChowClass(space, {(0, 0): 1})
-        for f in blocks.x_side:
-            x_block = x_block * f
-        y_block = ChowClass(space, {(0, 0): 1})
-        for f in blocks.y_side:
-            y_block = y_block * f
-        assert x_block.coefficient((d, 0)) == math.factorial(d)
-        assert y_block.coefficient((0, d)) == math.factorial(d)
-        assert (x_block * y_block).coefficient((d, d)) == math.factorial(d) ** 2
+        dims = problem((d,), 2 * d - 1, 3).space.factor_dims  # large enough to survive
+        blocks = condition_factors((d,), 3)
+        x_block = truncated_product(blocks["x_side"], dims)
+        y_block = truncated_product(blocks["y_side"], dims)
+        assert x_block == {(d, 0): math.factorial(d)}
+        assert y_block == {(0, d): math.factorial(d)}
+        both = truncated_product(blocks["x_side"] + blocks["y_side"], dims)
+        assert both == {(d, d): math.factorial(d) ** 2}
 
 
 def test_counting_class_matches_naive_expansion_golden_cases():
@@ -257,9 +250,8 @@ def test_counting_class_matches_naive_expansion_golden_cases():
     ]
     for degrees, n, l in cases:
         p = problem(degrees, n, l)
-        factor_dicts = [dict(f.terms) for f in counting_factors(p).all()]
         reference = naive_poly.truncate(
-            naive_poly.product(factor_dicts, l - 1), p.space.factor_dims
+            naive_poly.product(all_factors(degrees, l), l - 1), p.space.factor_dims
         )
         assert dict(counting_class(p).terms) == reference
 
@@ -274,8 +266,7 @@ def test_counting_class_matches_naive_expansion_full_grid(capsys):
         p = problem(degrees, n, l)
         key = (degrees, l)
         if key not in untruncated:
-            factor_dicts = [dict(f.terms) for f in counting_factors(p).all()]
-            untruncated[key] = naive_poly.product(factor_dicts, l - 1)
+            untruncated[key] = naive_poly.product(all_factors(degrees, l), l - 1)
         reference = naive_poly.truncate(untruncated[key], p.space.factor_dims)
         cls = counting_class(p)
         assert dict(cls.terms) == reference
@@ -283,13 +274,10 @@ def test_counting_class_matches_naive_expansion_full_grid(capsys):
         _assert_cli_class(capsys, p, "counting", reference)
 
 
-def _ring_product(factors, space):
+def _ring_product(factors, dims):
     # the dense route: multiply every condition class in the truncated ring,
     # single-monomial factors first so the binomial ones meet small classes
-    result = one(space)
-    for f in sorted(factors, key=lambda c: len(c.terms)):
-        result = result * f
-    return result
+    return truncated_product(sorted(factors, key=len), dims)
 
 
 def test_chain_count_matches_dense_ring_top_coefficient(capsys):
@@ -302,12 +290,12 @@ def test_chain_count_matches_dense_ring_top_coefficient(capsys):
                     p = problem(degrees, n, l)
                     if expected_dimension(p) != 0 or (n + 1) ** (l - 1) > 10**6:
                         continue
-                    dense = _ring_product(counting_factors(p).all(), p.space)
-                    assert chain_count(p) == dense.top_coefficient(), (degrees, n, l)
-                    _assert_cli_class(capsys, p, "counting", dense.terms)
-                    existence = _ring_product(
-                        [ChowClass(p.space, f) for f in _existence_factor_dicts(p)], p.space)
-                    _assert_cli_class(capsys, p, "existence", existence.terms)
+                    dims = p.space.factor_dims
+                    dense = _ring_product(all_factors(degrees, l), dims)
+                    assert chain_count(p) == dense.get(dims, 0), (degrees, n, l)
+                    _assert_cli_class(capsys, p, "counting", dense)
+                    existence = _ring_product(_existence_factor_dicts(p), dims)
+                    _assert_cli_class(capsys, p, "existence", existence)
                     checked += 1
     assert checked > 200
 
@@ -456,7 +444,7 @@ def test_chain_count_without_loop_when_ambient_equals_total_degree():
     # N = D forces every degree to be 1: the pair block is [1], the count 1
     for l in range(2, 8):
         p = problem((1, 1, 1), 3, l)
-        assert chain_count(p) == 1 == counting_class(p).top_coefficient()
+        assert chain_count(p) == 1 == counting_class(p).terms[p.space.factor_dims]
     assert chain_count(problem((1, 1, 1), 3, 10**6)) == 1
 
 
@@ -508,7 +496,7 @@ def test_streamed_text_str_and_reference_rendering_agree():
         p = problem(degrees, n, l)
         D, m = p.data.total_degree, p.data.m
         untruncated = {
-            "counting": naive_poly.product([dict(f.terms) for f in counting_factors(p).all()], l - 1),
+            "counting": naive_poly.product(all_factors(degrees, l), l - 1),
             "existence": naive_poly.product(_existence_factor_dicts(p), l - 1),
         }
         for mode, collect in (("counting", counting_class), ("existence", existence_class)):
@@ -532,7 +520,7 @@ def test_streamed_text_past_the_int_digit_limit():
     with pytest.raises(ValueError):
         str(coeff)
     streamed = "".join(class_text(p, counting=True))
-    reference = naive_poly.product([dict(f.terms) for f in counting_factors(p).all()], 1)
+    reference = naive_poly.product(all_factors((1000,), 2), 1)
     # naive_poly.render formats coefficients with str(): lift its limit
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

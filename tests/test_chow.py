@@ -6,12 +6,12 @@ from decimal import Decimal
 import pytest
 
 from chainlines import chow
-from chainlines.chow import ChowClass, ProductSpace, hyperplane, int_text, one, render, zero
+from chainlines.chow import ChowClass, ProductSpace, int_text, render
 
 import naive_poly
+from truncated_ring import truncated_product
 
 P44 = ProductSpace((4, 4))
-P11 = ProductSpace((1, 1))
 P4 = ProductSpace((4,))
 
 
@@ -23,80 +23,53 @@ def test_product_space_validation():
         ProductSpace((3, -1))
 
 
-def test_hyperplane_basics():
-    assert hyperplane(P44, 1) == ChowClass(P44, {(1, 0): 1})
-    assert hyperplane(P44, 2) == ChowClass(P44, {(0, 1): 1})
+def test_constructor_keeps_normal_form():
+    c = ChowClass(P44, {(2, 0): 2, (1, 1): 5, (0, 2): 0, (5, 0): 1})
+    # zero coefficients and monomials beyond truncation are dropped
+    assert c.terms == {(2, 0): 2, (1, 1): 5}
+    assert c == ChowClass(P44, {(1, 1): 5, (2, 0): 2})
+    assert c != ChowClass(ProductSpace((4, 5)), c.terms)
     # h = 0 in P^0
-    assert hyperplane(ProductSpace((0, 4)), 1).is_zero()
+    assert ChowClass(ProductSpace((0, 4)), {(1, 0): 1}).terms == {}
     with pytest.raises(ValueError):
-        hyperplane(P44, 0)
+        ChowClass(P44, {(1,): 1})
     with pytest.raises(ValueError):
-        hyperplane(P44, 3)
-
-
-def test_add():
-    h1 = hyperplane(P44, 1)
-    assert h1 + h1 == 2 * h1
-    c = ChowClass(P44, {(2, 0): 2, (1, 1): 5})
-    assert (c + (-1) * c).is_zero()
-    inner = ChowClass(P44, {(2, 0): 2, (1, 1): 5, (0, 2): 2})
-    assert c + ChowClass(P44, {(0, 2): 2}) == inner
-
-
-def test_add_mismatched_spaces():
-    with pytest.raises(ValueError):
-        hyperplane(P44, 1) + hyperplane(P11, 1)
-    with pytest.raises(ValueError):
-        hyperplane(P44, 1) * hyperplane(P4, 1)
+        ChowClass(P44, {(-1, 1): 1})
 
 
 def test_mul_examples():
-    h1, h2 = hyperplane(P44, 1), hyperplane(P44, 2)
-    assert (2 * h1 + h2) * (h1 + 2 * h2) == ChowClass(
-        P44, {(2, 0): 2, (1, 1): 5, (0, 2): 2}
-    )
-    g = hyperplane(P11, 1) + hyperplane(P11, 2)
-    assert g * g == ChowClass(P11, {(1, 1): 2})
-    h = hyperplane(P4, 1)
-    assert (h * h * h * h * h).is_zero()
-
-
-def test_coefficient():
-    c = ChowClass(P44, {(2, 0): 2, (1, 1): 5, (0, 2): 2})
-    assert c.coefficient((1, 1)) == 5
-    assert c.coefficient((2, 0)) == 2
-    assert zero(P44).coefficient((1, 1)) == 0
-    assert hyperplane(P44, 1).coefficient((0, 1)) == 0
-    assert c.coefficient((5, 0)) == 0  # beyond truncation
-    with pytest.raises(ValueError):
-        c.coefficient((1,))
-    with pytest.raises(ValueError):
-        c.coefficient((-1, 1))
+    h1, h2 = {(1, 0): 1}, {(0, 1): 1}
+    assert truncated_product([{(1, 0): 2, (0, 1): 1}, {(1, 0): 1, (0, 1): 2}], (4, 4)) == {
+        (2, 0): 2, (1, 1): 5, (0, 2): 2}
+    assert truncated_product([{**h1, **h2}] * 2, (1, 1)) == {(1, 1): 2}
+    assert truncated_product([h1] * 5, (4, 4)) == {}
+    assert truncated_product([h2, h1], (4, 4)) == {(1, 1): 1}
 
 
 def test_top_coefficient():
-    assert ChowClass(P44, {(4, 4): 180}).top_coefficient() == 180
-    assert zero(P44).top_coefficient() == 0
-    p3 = ProductSpace((3,))
-    h = hyperplane(p3, 1)
-    prod = (1 * h) * (2 * h) * (1 * h)
-    assert prod.top_coefficient() == 2
-    # cross-check against the untruncated reference expansion
-    ref = naive_poly.product([{(1,): 1}, {(1,): 2}, {(1,): 1}], 1)
-    assert naive_poly.truncate(ref, (3,)) == dict(prod.terms)
+    # 1*h * 2*h * 1*h in P^3: the top coefficient 2, as the untruncated
+    # reference expansion has it
+    factors = [{(1,): 1}, {(1,): 2}, {(1,): 1}]
+    ref = naive_poly.truncate(naive_poly.product(factors, 1), (3,))
+    assert truncated_product(factors, (3,)) == {(3,): 2} == ref
+    assert truncated_product(factors, (2,)) == {}
 
 
 def test_is_zero():
-    assert zero(P44).is_zero()
-    assert not hyperplane(P44, 1).is_zero()
-    h = hyperplane(P4, 1)
-    assert (h * h * h * h * h).is_zero()
+    # a product is zero once every monomial leaves the box, even though
+    # no single factor does, and a coefficient that cancels is dropped
+    h = {(1,): 1}
+    assert truncated_product([h] * 4, (4,)) == {(4,): 1}
+    assert truncated_product([h] * 5, (4,)) == {}
+    assert str(ChowClass(P4, truncated_product([h] * 5, (4,)))) == "0"
+    assert truncated_product([{(1,): 1, (0,): 1}, {(1,): 1, (0,): -1}], (2,)) == {
+        (2,): 1, (0,): -1}
 
 
 def test_rendering():
-    assert str(zero(P44)) == "0"
-    assert str(hyperplane(P44, 1)) == "1*h1"
-    assert str(one(P44) * 7) == "7"
+    assert str(ChowClass(P44, {})) == "0"
+    assert str(ChowClass(P44, {(1, 0): 1})) == "1*h1"
+    assert str(ChowClass(P44, {(0, 0): 7})) == "7"
     c = ChowClass(P44, {(0, 2): 2, (1, 1): 5, (2, 0): 2})
     assert str(c) == "2*h1^2 + 5*h1*h2 + 2*h2^2"
     assert str(ChowClass(P44, {(4, 4): 180})) == "180*h1^4*h2^4"
@@ -188,41 +161,40 @@ def _random_class(rng, space, max_terms=4, max_coeff=6):
     return ChowClass(space, terms)
 
 
+def _random_factors(rng, dims):
+    return [_random_class(rng, ProductSpace(dims)).terms for _ in range(rng.randint(0, 4))]
+
+
 def test_ring_laws_random():
+    # the truncated product does not depend on the order or the grouping
+    # of its factors, and the unit changes nothing: truncating after each
+    # step is sound because the truncation ideal is an ideal
     rng = random.Random(20260810)
     for _ in range(150):
         k = rng.randint(1, 3)
-        space = ProductSpace(tuple(rng.randint(0, 4) for _ in range(k)))
-        a = _random_class(rng, space)
-        b = _random_class(rng, space)
-        c = _random_class(rng, space)
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + zero(space) == a
-        assert a * one(space) == a
-        assert (a - a).is_zero()
+        dims = tuple(rng.randint(0, 4) for _ in range(k))
+        factors = _random_factors(rng, dims)
+        product = truncated_product(factors, dims)
+        assert truncated_product(factors[::-1], dims) == product
+        split = rng.randint(0, len(factors))
+        grouped = [truncated_product(factors[:split], dims),
+                   truncated_product(factors[split:], dims)]
+        assert truncated_product(grouped, dims) == product
+        assert truncated_product(factors + [{(0,) * k: 1}], dims) == product
 
 
 def test_truncation_soundness_random():
     rng = random.Random(99)
     for _ in range(100):
         k = rng.randint(1, 3)
-        space = ProductSpace(tuple(rng.randint(0, 5) for _ in range(k)))
-        result = _random_class(rng, space) * _random_class(rng, space)
-        result = result + _random_class(rng, space)
-        power = one(space)
-        for _ in range(rng.randint(0, 3)):
-            power = power * result
-        for mono, coeff in power.terms.items():
+        dims = tuple(rng.randint(0, 5) for _ in range(k))
+        power = truncated_product(_random_factors(rng, dims) * rng.randint(0, 3), dims)
+        for mono, coeff in power.items():
             assert coeff != 0
-            assert all(0 <= e <= n for e, n in zip(mono, space.factor_dims))
+            assert all(0 <= e <= n for e, n in zip(mono, dims))
 
 
-def _random_linear(rng, space):
-    k = space.nfactors
+def _random_linear(rng, k):
     terms = {(0,) * k: rng.randint(-3, 3)}
     for i in range(k):
         mono = tuple(1 if j == i else 0 for j in range(k))
@@ -231,28 +203,20 @@ def _random_linear(rng, space):
 
 
 def test_oracle_equivalence_random_products():
+    # truncating after each step equals truncating once at the end
     rng = random.Random(42)
     for _ in range(250):
         k = rng.randint(1, 3)
-        space = ProductSpace(tuple(rng.randint(1, 5) for _ in range(k)))
-        factor_dicts = [_random_linear(rng, space) for _ in range(rng.randint(1, 6))]
-        truncated = one(space)
-        for d in factor_dicts:
-            truncated = truncated * ChowClass(space, d)
-        reference = naive_poly.truncate(
-            naive_poly.product(factor_dicts, k), space.factor_dims
-        )
-        assert dict(truncated.terms) == reference
+        dims = tuple(rng.randint(1, 5) for _ in range(k))
+        factor_dicts = [_random_linear(rng, k) for _ in range(rng.randint(1, 6))]
+        reference = naive_poly.truncate(naive_poly.product(factor_dicts, k), dims)
+        assert truncated_product(factor_dicts, dims) == reference
 
 
 def test_big_binomial_coefficients_exact():
     # (h1+h2)^40 in (P^20)^2: only the central monomial survives truncation
-    space = ProductSpace((20, 20))
-    s = hyperplane(space, 1) + hyperplane(space, 2)
-    powers = [one(space)]
-    for _ in range(40):
-        powers.append(powers[-1] * s)
-    assert dict(powers[40].terms) == {(20, 20): math.comb(40, 20)}
+    s = {(1, 0): 1, (0, 1): 1}
+    assert truncated_product([s] * 40, (20, 20)) == {(20, 20): math.comb(40, 20)}
     # (h1+h2)^30 keeps eleven terms with genuinely large coefficients
     expected = {(j, 30 - j): math.comb(30, j) for j in range(10, 21)}
-    assert dict(powers[30].terms) == expected
+    assert truncated_product([s] * 30, (20, 20)) == expected

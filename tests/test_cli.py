@@ -250,6 +250,20 @@ def test_locus(capsys, quadric_file):
     assert values["point_1"] == "0:0:1:0"
 
 
+def test_locus_length_past_sys_maxsize(capsys, quadric_file):
+    # the search ends at its first empty level, so a length past
+    # sys.maxsize answers like any length beyond the last level
+    outputs = []
+    for length in (sys.maxsize - 1, 10**20):
+        code, out = run(capsys, "locus", "--variety", quadric_file, "--point", "0:0:0:1",
+                        "--length", str(length), "--machine")
+        assert code == 0
+        assert f"\nlength={length}\n" in out
+        outputs.append(out.replace(f"\nlength={length}\n", "\n"))
+    assert outputs[0] == outputs[1]
+    assert as_dict(outputs[0])["count"] == "36"
+
+
 def test_explore(capsys, quadric_file):
     code, out = run(
         capsys, "explore", "--variety", quadric_file, "--max-length", "2", "--machine"

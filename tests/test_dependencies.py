@@ -46,6 +46,18 @@ def test_the_walk_sees_every_import():
     assert "argparse" in imported_names(ROOT / "src" / "chainlines" / "cli.py")[0]
 
 
+# the tests' oracles: routes the package's results are checked against,
+# which must be able to disagree with it
+ORACLES = [ROOT / "tests" / "naive_poly.py", ROOT / "tests" / "truncated_ring.py"]
+
+
+@pytest.mark.parametrize("path", ORACLES, ids=[path.name for path in ORACLES])
+def test_oracles_import_nothing_from_the_package(path):
+    names, relative = imported_names(path)
+    assert "chainlines" not in names and not relative
+    assert names <= sys.stdlib_module_names, names - sys.stdlib_module_names
+
+
 def test_pyproject_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -1,6 +1,6 @@
-"""The package's exports: the same names as when the package imported every
-layer at once, each the very object of its layer, and one budget error
-shared by the layers that refuse work."""
+"""The package's exports: the names listed here and no other, each the very
+object of its layer, and one budget error shared by the layers that refuse
+work."""
 
 import importlib
 
@@ -13,13 +13,13 @@ from chainlines.criteria import DefiningData
 
 # every name the package exports, by the layer that defines or re-exports it
 EXPORTS = {
-    "chow": ["ChowClass", "Monomial", "ProductSpace", "hyperplane", "one", "zero"],
+    "chow": ["ChowClass", "Monomial", "ProductSpace"],
     "criteria": ["DefiningData", "SharpnessReport", "ci_length", "fano_index_ci", "lx_dim_ci",
                  "min_chain_length", "rc_criterion", "sharpness_report", "wa_bound"],
-    "chains": ["ChainProblem", "ConditionTally", "CountingFactors", "ExpectedDimensionError",
+    "chains": ["ChainProblem", "ConditionTally", "ExpectedDimensionError",
                "NegativeExpectedDimensionError", "PositiveExpectedDimensionError", "Witness",
                "chain_count", "class_term_count", "class_text", "condition_tally",
-               "counting_class", "counting_factors", "existence_class", "expected_dimension",
+               "counting_class", "existence_class", "expected_dimension",
                "witness_exponents", "witness_monomial"],
     "finite_geometry": ["BudgetExceededError", "Chain", "ChainGraph", "ConnectivityReport",
                         "HomogPoly", "Line", "PrimeField", "VarietyParseError", "VarietySpec",

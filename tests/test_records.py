@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from chainlines.chains import ChainProblem, ConditionTally, CountingFactors, Witness
-from chainlines.chow import ProductSpace, hyperplane
+from chainlines.chains import ChainProblem, ConditionTally, Witness
+from chainlines.chow import ProductSpace
 from chainlines.criteria import DefiningData, SharpnessReport
 from chainlines.finite_geometry import (Chain, ConnectivityReport, HomogPoly, Line, PrimeField,
                                         VarietySpec)
@@ -35,9 +35,6 @@ RECORDS = [
       "mixed_per_pair": 2, "pairs": 1},
      "ConditionTally(endpoint_x=3, endpoint_y=3, interior_pure=1, interior_factors=0, "
      "mixed_per_pair=2, pairs=1)"),
-    (CountingFactors,
-     {"x_side": (hyperplane(ProductSpace((3,)), 1),), "y_side": (), "interior": (), "mixed": ()},
-     "CountingFactors(x_side=(ChowClass(P^3: 1*h1),), y_side=(), interior=(), mixed=())"),
     (Witness, {"exponents": (4, 4), "fits": True}, "Witness(exponents=(4, 4), fits=True)"),
     (PrimeField, {"p": 5}, "PrimeField(p=5)"),
     (HomogPoly, {"degree": 2, "terms": QUADRIC_TERMS},
@@ -69,7 +66,7 @@ def test_record_behaviour(cls, fields, text):
     values = tuple(fields.values())
     try:
         expected = hash(values)
-    except TypeError:  # a field holds a dict or a ChowClass
+    except TypeError:  # a field holds a dict
         with pytest.raises(TypeError):
             hash(record)
     else:
