@@ -47,10 +47,6 @@ class ProductSpace(namedtuple("ProductSpace", "factor_dims")):
             raise ValueError(f"factor dimensions must be nonnegative: {dims}")
         return super().__new__(cls, dims)
 
-    @property
-    def nfactors(self) -> int:
-        return len(self.factor_dims)
-
     def __str__(self) -> str:
         return " x ".join(f"P^{n}" for n in self.factor_dims)
 

@@ -30,10 +30,11 @@ solver for a list of points at once: the gradients and the coefficients
 of the c_k, as forms in a, are evaluated column by column at all the
 points (_form_columns); one elimination of the gradient rows, column-wise
 over all the points, gives each point its linear space W of directions
-and groups the points by the shape of W (_kernels); each group's
-directions are made once and tiled over its points, and the c_k are
-evaluated column-wise on blocks that join the directions of many points.
-A single point is a group of one.  The single-point queries
+and groups the points by the shape of W (_kernels).  c_2 restricted to W
+is a quadratic form, rooted on each line of P(W) by the quadratic
+formula, so the later c_k are evaluated only at its zeros: column-wise,
+on blocks that join the candidates of many points.  Where c_2 vanishes on
+W every direction is a candidate.  A single point is a group of one.  The single-point queries
 lines_through, chain_search and locus check their points on X once, build
 one graph and never enumerate X(F_p).  chain_search and locus run one
 breadth-first search, which solves each level it expands in one batch and
@@ -314,7 +315,12 @@ def _projective_reps(p: int, n: int):
                 yield head + tail
 
 
-_T_BLOCK = 1 << 14  # prefixes of an enumeration, or directions of L_a, tried together
+def _first_reps(p: int, n: int, count: int):
+    """The first count points of _projective_reps(p, n), lazily."""
+    return itertools.islice(_projective_reps(p, n), count)
+
+
+_T_BLOCK = 1 << 14  # prefixes of an enumeration or of P(W), or directions of L_a, tried together
 
 
 def _prefix_points(forms, n: int, p: int) -> set[Point]:
@@ -464,11 +470,11 @@ def _gather(col, part: list[int]):
     return col if len(part) == len(col) else list(map(col.__getitem__, part))
 
 
-def _spread(col, lo: int, hi: int, width: int):
-    """The entries col[lo:hi], each repeated width times, lazily."""
-    if hi - lo == 1:
-        return repeat(col[lo], width)
-    return itertools.chain.from_iterable(map(repeat, col[lo:hi], repeat(width)))
+def _spread(col, width: int):
+    """The entries of col, each repeated width times, lazily."""
+    if len(col) == 1:
+        return repeat(col[0], width)
+    return itertools.chain.from_iterable(map(repeat, col, repeat(width)))
 
 
 def _flags(entries) -> list[bytes]:
@@ -534,6 +540,152 @@ def _slots(v, packed: list[int], fmt: str, n: int) -> memoryview:
     return memoryview(sum(map(mul, v, packed)).to_bytes(size, sys.byteorder)).cast(fmt)
 
 
+# -- roots of c_2 on the lines of P(W) ----------------------------------------
+
+def _sqrt_mod(d: int, p: int) -> int | None:
+    """A square root of d modulo the prime p, or None if d is not a square.
+
+    The other root is p minus this one.  Euler's criterion decides whether d
+    is a square; the root is d^((p+1)/4) when p = 3 mod 4, and otherwise
+    comes from Tonelli-Shanks with the least non-residue.  Exact and
+    deterministic, in O(log p)^2 multiplications mod p."""
+    d %= p
+    if d < 2 or p == 2:
+        return d
+    if pow(d, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(d, (p + 1) // 4, p)
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s with q odd
+    q = (p - 1) >> s
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    # invariant: x^2 = t d, with t of order 2^i for some i < s, and c of order 2^s
+    c, t, x = pow(z, q, p), pow(d, q, p), pow(d, (q + 1) // 2, p)
+    while t != 1:
+        i, square = 1, t * t % p
+        while square != 1:
+            i, square = i + 1, square * square % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, x = i, b * b % p, t * b * b % p, x * b % p
+    return x
+
+
+def _quadratic_roots(a: int, b: int, c: int, p: int):
+    """The t in F_p with a t^2 + b t + c = 0, for a, b, c in 0..p-1, by the
+    quadratic formula (over F_2, both values tried): at most two, or None
+    when all three vanish and so does every t."""
+    if not (a or b or c):
+        return None
+    if p == 2:
+        return tuple(t for t in (0, 1) if not (a + b) * t + c & 1)  # t^2 = t
+    if not a:
+        return (-c * pow(b, -1, p) % p,) if b else ()
+    root = _sqrt_mod(b * b - 4 * a * c, p)
+    if root is None:
+        return ()
+    inv = pow(2 * a, -1, p)
+    return ((root - b) * inv % p, (p - root - b) * inv % p) if root else (-b * inv % p,)
+
+
+def _recipe(free: list[int], entries, size: int):
+    """Each coordinate of the directions sum_s y_s w_s of a group of points
+    (_kernels), as the (s, w_s at the group's points) it sums, w None for
+    1: y_s itself at the free column f_s, nothing at a coordinate that is 0
+    on W, and at a pivot c y_s times w_s[c] for each free f_s."""
+    position = dict(zip(free, range(len(free))))
+    return [[(position[f], w) for f, w in entries.get(i, ())] if i not in position
+            else [(position[i], None)] for i in range(size)]
+
+
+def _restricted(factors, coeffs, recipe, m: int, p: int) -> list[list[int]]:
+    """The quadratic form Q(y) = c_2(a, sum_s y_s w_s) at every point a of a
+    group, column-wise: per s <= t, in the order of
+    combinations_with_replacement, the column of the coefficient of
+    y_s y_t.  c_2 is given by its monomials v_i v_k, as the pairs (i, k)
+    of factors (i = k for v_i^2), and their coefficient columns coeffs, the
+    coordinates by their recipe (_recipe).  A monomial v_i v_k adds its
+    coefficient times w_s[i] w_t[k] to the coefficient of y_s y_t for every
+    term (s, w_s) of v_i and (t, w_t) of v_k; for v_i^2 each pair of terms
+    s != t is taken once, twice over."""
+    sums: dict[tuple[int, int], list[int]] = {}
+    for (i, k), col in zip(factors, coeffs):
+        if not any(col):
+            continue
+        for at, (s, ws) in enumerate(recipe[i]):
+            for t, wt in recipe[k][at:] if i == k else recipe[k]:
+                term = col if ws is None else map(mul, col, ws)
+                if wt is not None:
+                    term = map(mul, term, wt)
+                if i == k and s != t:
+                    term = map(lshift, term, repeat(1))
+                key = (s, t) if s <= t else (t, s)
+                sums[key] = list(term) if key not in sums else list(map(add, sums[key], term))
+    zero = [0] * len(coeffs[0])
+    return [list(map(mod, sums[key], repeat(p))) if key in sums else zero
+            for key in itertools.combinations_with_replacement(range(m), 2)]
+
+
+def _zeros(forms, m: int, r: int, lines: int, p: int):
+    """The zeros of quadratic forms Q in m variables, none of them 0, given
+    as (index, Q's coefficients in the order of _restricted), among the
+    canonical points y of P^{m-1}(F_p) that lead before r: (pairs, whole),
+    the pairs (index, y) of the zeros off the lines where Q vanishes, and
+    those lines as (index, prefix z).
+
+    The y with lead < m-1 lie on the lines {(z, t)} through the canonical
+    points z of P^{m-2}, and those that lead before r on the first `lines`
+    of them, taken _T_BLOCK at a time.  On such a line Q(z, t) = a t^2 +
+    b t + c, with a the coefficient of y_{m-1}^2, b the sum of those of
+    y_s y_{m-1} times z_s and c = Q(z, 0); its zeros are the roots of that
+    quadratic (_quadratic_roots), or all p points of the line where Q
+    vanishes on it.  The lone y = e_{m-1}, which leads before r only when
+    r = m, is a zero iff a = 0."""
+    # the index in q of the coefficient of y_s y_t, s <= t
+    at = {key: i for i, key in enumerate(itertools.combinations_with_replacement(range(m), 2))}
+    linear = [(s, at[s, m - 1]) for s in range(m - 1)]
+    square = [(s, t, i) for (s, t), i in at.items() if t < m - 1]
+    pairs, whole = [], []
+    prefixes = _first_reps(p, m - 2, lines)
+    while chunk := list(itertools.islice(prefixes, _T_BLOCK)):
+        for k, q in forms:
+            for z in chunk:
+                b = sum([z[s] * q[i] for s, i in linear]) % p
+                c = sum([z[s] * z[t] * q[i] for s, t, i in square]) % p
+                ts = _quadratic_roots(q[-1], b, c, p)
+                if ts:
+                    pairs += [(k, z + (t,)) for t in ts]
+                elif ts is None:
+                    whole.append((k, z))
+    if r == m:  # the lone y = e_{m-1}
+        pairs += [(k, (0,) * (m - 1) + (1,)) for k, q in forms if not q[-1]]
+    return pairs, whole
+
+
+def _tiled(at: list[int], p: int, n: int, count: int):
+    """The pairs of each index in at with each of the first count canonical
+    points y of P^n(F_p) (_projective_reps), in pieces of at most _T_BLOCK
+    pairs: per piece, the index of each pair and the columns of its y.  A
+    piece holds as many indices as it holds every y of, or one index with
+    more than _T_BLOCK y, in chunks of at most _T_BLOCK; its y are made
+    once and tiled over its indices."""
+    step = max(1, _T_BLOCK // count)
+    for lo in range(0, len(at), step):
+        part = at[lo:lo + step]
+        made = _first_reps(p, n, count)
+        while chunk := list(itertools.islice(made, _T_BLOCK)):
+            yield list(_spread(part, len(chunk))), [list(y) * len(part) for y in zip(*chunk)]
+
+
+def _paired(pairs):
+    """The pairs (index, y), lazily made, in pieces of at most _T_BLOCK
+    pairs: per piece, the index of each pair and the columns of its y."""
+    while chunk := list(itertools.islice(pairs, _T_BLOCK)):
+        owner, ys = zip(*chunk)
+        yield list(owner), list(map(list, zip(*ys)))
+
+
 # -- chains of lines ---------------------------------------------------------
 
 class ChainGraph:
@@ -561,12 +713,23 @@ class ChainGraph:
       the echelon basis w_s of W, m = dim W.  Per group: its free columns,
       its number of directions, and the terms of the c_k in a coordinate
       of v that is 0 on all of W (v_j among them), which are dropped;
-    - the directions v = sum_s y_s w_s of P(W), for the canonical points y
-      of P^{m-1}(F_p) (_projective_reps), are made once per group and
-      tiled over its points (_blocks); the pairs of all the groups are
-      joined into blocks of at most _T_BLOCK (point, direction) pairs, and
-      each c_k is evaluated on a block column-wise, with the coefficients
-      of its point, only at the pairs where the ones before it vanish;
+    - the first c_2 of the table (_roots) is restricted to W, column-wise
+      over each group's points: Q(y) = c_2(a, sum_s y_s w_s), a quadratic
+      form with m(m+1)/2 coefficients (_restricted).  The canonical points
+      y of P^{m-1}(F_p) lie on the lines {(z, t)} through the canonical
+      points z of P^{m-2}, plus the lone y = e_{m-1}; on each line Q is a
+      quadratic in t, rooted by the quadratic formula (_zeros,
+      _quadratic_roots, _sqrt_mod), all p points of the line where Q
+      vanishes on it.  A point's candidates are those zeros; at a point
+      where that c_2 has no live term or Q is 0, they are all its
+      directions;
+    - the candidates v = sum_s y_s w_s are made column-wise: all the
+      directions of a group's points tiled over them (_tiled), and the
+      zeros, those of the lines where Q vanishes made lazily, as pairs
+      (_paired); the pairs of all the groups are joined into blocks of at
+      most _T_BLOCK (_blocks), and each later c_k is evaluated on a block
+      column-wise, with the coefficients of its point, only at the pairs
+      where the ones before it vanish;
     - each v at which they all vanish gives the line through a and v, made
       in closed form (_line_at).
 
@@ -574,14 +737,16 @@ class ChainGraph:
     it, or explore lists every line (join_all), never by lines_through or
     at chain_search's goal.
     connectivity_report also charges the graph its bitsets.  Every solve
-    charges the graph each substituted c_k it evaluates, before it runs, at
-    the directions it runs at times its live terms: the first c_k of each
-    point (or, with none left, the bare directions) at all of that point's
-    directions, before the first block, and each later one per block, at
-    the directions where the ones before it vanish.  So the charge is the
-    work the solve does, and a solve over too large a P(W) is refused
-    before it evaluates a direction.  Every line listed charges its p+1
-    points before they are built.  The graph raises BudgetExceededError
+    charges the graph its work, each step before it runs: c_2's restriction
+    at its m(m+1)/2 coefficients times its live terms, at every point where
+    it has one; one unit per line of P(W) it roots, at every point where Q
+    is not 0; then each later c_k at the candidates it runs at times its
+    live terms: the first one of each point (or, with none left, the bare
+    candidates) at all of that point's candidates, before the first block,
+    and each later one per block, at the candidates where the ones before
+    it vanish.  So a solve over too large a P(W) is refused before it roots
+    a line or makes a direction.  Every line listed charges its p+1 points
+    before they are built.  The graph raises BudgetExceededError
     once the sum over its life passes ENUMERATION_BUDGET.  It keeps nothing
     per point, so a second search on it does all the work of the first
     again and is charged again.  Results are deterministic and identical
@@ -596,6 +761,11 @@ class ChainGraph:
         # every c_k with k >= 2, in table order, by its monomials v^f: the
         # coefficient of each is a form in a, constant in c_d = G(v)
         self._forms = [form for table in tables for k, form in table.items() if k > 1]
+        ks = [k for table in tables for k in table if k > 1]
+        self._quadric = ks.index(2) if 2 in ks else None  # the c_2 that a solve roots
+        # the coordinates (i, k) of each monomial v_i v_k of that c_2
+        self._factors = [(f.index(2),) * 2 if 2 in f else tuple(compress(range(len(f)), f))
+                         for f in self._forms[self._quadric]] if self._quadric is not None else []
         # the forms in a that a solve evaluates: the entries of every grad G,
         # dG/dx_i the coefficient of v_i in c_1, then those of the c_k
         self._in_a = []
@@ -682,46 +852,64 @@ class ChainGraph:
         docstring says."""
         p, size = self.spec.field.p, self.spec.ambient + 1
         grads, coefficients = self._columns(points)
-        solves = []  # (first position, points, free columns, directions each, entries) per group
+        solves = []  # (first position, points, dim W, r, recipe) per group
         order = []  # the indices of the points with a direction, group by group
-        counts = []  # the directions of each of those points
         zeros = []  # per group, the coordinates that are 0 on all of W
         for at, j, cut, entries in self._kernels(grads, points, cuts):
             free = [f for f in range(size) if f != j and f not in entries]
             # a direction sum_s y_s w_s leads where w_s does for the lead s of
-            # y, so those that lead before the cut are the y that lead before
-            # r: the first (p^m - p^(m-r))/(p-1) of _projective_reps
+            # y, so those that lead before the cut are the y that lead before r
             r = bisect_left(free, cut)
-            if not r:
-                continue
-            count = (p ** len(free) - p ** (len(free) - r)) // (p - 1)
-            solves.append((len(order), len(at), free, count, entries))
-            zeros.append([i for i in range(size) if i not in free and not entries.get(i)])
-            order += at
-            counts += [count] * len(at)
+            if r:
+                solves.append((len(order), len(at), len(free), r, _recipe(free, entries, size)))
+                zeros.append([i for i in range(size) if i not in free and not entries.get(i)])
+                order += at
         if len(order) < len(points) or len(solves) > 1:  # the coefficients at those points, group by group
             coefficients = [[list(map(col.__getitem__, order)) for col in cols] for cols in coefficients]
         for (start, n, *_), zero in zip(solves, zeros):
-            for form, cols in zip(self._forms, coefficients):
+            for form, cols in zip(self._forms, coefficients) if zero else ():
                 for f, col in zip(form, cols):
                     if any(map(f.__getitem__, zero)):
                         col[start:start + n] = repeat(0, n)  # v^f is 0 at every direction
-        # each point's first c_k with a live term is charged at all of its
-        # directions now (with none left, the bare directions), each later
-        # one per block (later), at the directions where the ones before vanish
+        live = [list(map(sub, repeat(len(cols)), map(tuple.count, zip(*cols), repeat(0)))) for cols in coefficients]
+        # the candidates: the zeros of c_2 where it is rooted, and all the
+        # directions elsewhere, the first (p^m - p^(m-r))/(p-1) of _projective_reps
+        counts, pieces = [], []
+        for (start, n, m, r, recipe), (rooted, pairs, whole) in zip(solves, self._roots(solves, coefficients, live)):
+            every = (p ** m - p ** (m - r)) // (p - 1)
+            each = [every] * n
+            for k in rooted:
+                each[k] = 0
+            rest = [k for k, count in enumerate(each) if count]
+            for k, _ in pairs:
+                each[k] += 1
+            for k, _ in whole:
+                each[k] += p
+            counts += each
+            # then the p points z + (t,) of each line where Q vanishes, made lazily
+            made = _paired(itertools.chain(pairs, *(zip(repeat(k), map(add, repeat(z, p), zip(range(p))))
+                                                    for k, z in whole)))
+            if rest:
+                made = itertools.chain(_tiled(rest, p, m - 1, every), made)
+            pieces.append((start, recipe, made))
+        # the c_k evaluated at the candidates: all but the c_2 rooted, which
+        # vanishes there.  Each point's first c_k with a live term is charged
+        # at all of its candidates now (with none left, the bare candidates),
+        # each later one per block (later), at those where the ones before vanish
+        forms = [(form, cols, at) for i, (form, cols, at) in enumerate(zip(self._forms, coefficients, live))
+                 if i != self._quadric]
         first, later = 0, []
         pending = [1] * len(order)  # no c_k with a live term yet
-        for cols in coefficients:
-            live = list(map(sub, repeat(len(cols)), map(tuple.count, zip(*cols), repeat(0))))
-            first += sum(map(mul, counts, map(mul, pending, live)))
-            later.append(list(map(mul, live, map(not_, pending))))
-            pending = list(map(mul, pending, map(not_, live)))
+        for _, _, at in forms:
+            first += sum(map(mul, counts, map(mul, pending, at)))
+            later.append(list(map(mul, at, map(not_, pending))))
+            pending = list(map(mul, pending, map(not_, at)))
         first += sum(map(mul, counts, pending))
         self._charge(first)
         found: list[list[Point]] = [[] for _ in points]
-        for owner, cols in self._blocks(solves):
-            for form, coeffs, charge in zip(self._forms, coefficients, later):
-                one = owner[0] == owner[-1]
+        for owner, cols in self._blocks(pieces):
+            for (form, coeffs, _), charge in zip(forms, later):
+                one = owner.count(owner[0]) == len(owner)
                 if one:  # the pairs of one point: its coefficients
                     terms = [(col[owner[0]], f) for f, col in zip(form, coeffs) if col[owner[0]]]
                 else:  # one coefficient per pair, from its point
@@ -740,63 +928,77 @@ class ChainGraph:
                 found[k].append(v)
         return found
 
-    def _blocks(self, solves):
-        """The directions of the groups, joined in order into blocks of at
-        most _T_BLOCK (point, direction) pairs: per block, the position of
-        the point of each pair, and the coordinate columns of the
-        directions.
+    def _roots(self, solves, coefficients, live):
+        """Per group of the solve, the zeros in P(W) of the c_2 it roots,
+        (rooted, pairs, whole): the indices of the points where that c_2
+        is restricted to a form Q that is not 0 on W, and Q's zeros there
+        (_zeros).  At the other points every direction is a candidate.
 
-        A group's directions sum_s y_s w_s take the same y, the first count
-        canonical points of P^{m-1}(F_p), at each of its points.  The group
-        runs in steps of as many points as a block holds every direction
-        of, or of one point with more than _T_BLOCK directions, in chunks
-        of at most _T_BLOCK; the columns of a step's y are made once and
-        tiled over its points: y_s itself at the free column f_s, 0 at a
-        coordinate that is 0 on W, and at a pivot c the sum over the free
-        f_s of y_s times w_s[c], each point's entry repeated once per
-        direction.  Each point's directions come in the order of the y, and
-        the points in their order, so the pairs of a block run point by
-        point."""
+        c_2(a, .) is restricted to W, a quadratic form Q(y) = c_2(a, sum_s
+        y_s w_s) with m(m+1)/2 coefficients, column-wise over each group's
+        points (_restricted), charged before it runs at those coefficients
+        times c_2's live terms.  Then every line of P(W) through a prefix
+        where Q is not 0 is charged one unit, before any is rooted."""
+        if self._quadric is None:
+            return [([], [], [])] * len(solves)
+        p = self.spec.field.p
+        cols, live = coefficients[self._quadric], live[self._quadric]
+        self._charge(sum(m * (m + 1) // 2 * sum(live[start:start + n]) for start, n, m, *_ in solves))
+        quadrics = []  # per group: the (index, Q's coefficients) where Q is not 0, m, r and lines
+        for start, n, m, r, recipe in solves:
+            forms = []
+            if any(live[start:start + n]):
+                group = cols if n == len(live) else [col[start:start + n] for col in cols]
+                forms = [(k, q) for k, q in enumerate(zip(*_restricted(self._factors, group, recipe, m, p))) if any(q)]
+            # the prefixes of P^{m-2} that lead before r: the first (p^(m-1) -
+            # p^(m-1-r'))/(p-1) of _projective_reps, r' = min(r, m-1)
+            quadrics.append((forms, m, r, (p ** (m - 1) - p ** (m - 1 - min(r, m - 1))) // (p - 1)))
+        self._charge(sum(len(forms) * lines for forms, *_, lines in quadrics))
+        return [([k for k, _ in group[0]], *(_zeros(*group, p) if group[0] else ([], [])))
+                for group in quadrics]
+
+    def _blocks(self, solves):
+        """The (point, direction) pairs of the groups, joined in order into
+        blocks of at most _T_BLOCK pairs: per block, the position of the
+        point of each pair, and the coordinate columns of the directions.
+
+        solves holds per group (start, recipe, pieces): its first position,
+        its coordinates as sums over its basis w_s of W (_recipe), and its
+        pairs in pieces of at most _T_BLOCK (_tiled, _paired), each the
+        index in the group of the point of each pair and the columns of the
+        y of its direction sum_s y_s w_s: y_s itself at the free column f_s,
+        0 at a coordinate that is 0 on W, and at a pivot c the sum over the
+        free f_s of y_s times w_s[c] at the pair's point."""
         p, size = self.spec.field.p, self.spec.ambient + 1
         owner, cols = [], []
-        for start, n, free, count, entries in solves:
-            # each coordinate as the (s, w_s at the group's points) it sums, w None for 1
-            position = dict(zip(free, range(len(free))))
-            recipe = [[(position[f], w) for f, w in entries.get(i, ())] if i not in position
-                      else [(position[i], None)] for i in range(size)]
-            step = max(1, _T_BLOCK // count)  # the points a block holds every direction of
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                reps = itertools.islice(_projective_reps(p, len(free) - 1), count)
-                while chunk := list(itertools.islice(reps, _T_BLOCK)):
-                    ys, width = list(zip(*chunk)), len(chunk)
-                    tiled = [list(y) * (hi - lo) for y in ys]
-                    more = list(_spread(range(start, start + n), lo, hi, width))
-                    parts = []
-                    for terms in recipe:
-                        if not terms:
-                            parts.append([0] * len(more))
-                        elif terms[0][1] is None:
-                            parts.append(tiled[terms[0][0]])
-                        else:
-                            total = None
-                            for s, w in terms:
-                                term = map(mul, tiled[s], _spread(w, lo, hi, width))
-                                total = list(term) if total is None else list(map(add, total, term))
-                            parts.append(list(map(mod, total, repeat(p))))
-                    if owner:
-                        room = _T_BLOCK - len(owner)
-                        owner += more[:room]
-                        for col, part in zip(cols, parts):
-                            col += part[:room]
-                        if len(owner) < _T_BLOCK:
-                            continue
-                        yield owner, cols
-                        more, parts = more[room:], [part[room:] for part in parts]
-                    owner, cols = more, parts
-                    if len(owner) == _T_BLOCK:
-                        yield owner, cols
-                        owner = []
+        for start, recipe, pieces in solves:
+            for at, ys in pieces:
+                more = list(map(add, at, repeat(start)))
+                parts = []
+                for terms in recipe:
+                    if not terms:
+                        parts.append([0] * len(at))
+                    elif terms[0][1] is None:
+                        parts.append(ys[terms[0][0]])
+                    else:
+                        total = None
+                        for s, w in terms:
+                            term = map(mul, ys[s], map(w.__getitem__, at))
+                            total = list(term) if total is None else list(map(add, total, term))
+                        parts.append(list(map(mod, total, repeat(p))))
+                if owner:
+                    room = _T_BLOCK - len(owner)
+                    owner += more[:room]
+                    for col, part in zip(cols, parts):
+                        col += part[:room]
+                    if len(owner) < _T_BLOCK:
+                        continue
+                    yield owner, cols
+                    more, parts = more[room:], [part[room:] for part in parts]
+                owner, cols = more, parts
+                if len(owner) == _T_BLOCK:
+                    yield owner, cols
+                    owner = []
         if owner:
             yield owner, cols
 

@@ -16,7 +16,7 @@ P4 = ProductSpace((4,))
 
 
 def test_product_space_validation():
-    assert ProductSpace((0,)).nfactors == 1
+    assert len(ProductSpace((0,)).factor_dims) == 1
     with pytest.raises(ValueError):
         ProductSpace(())
     with pytest.raises(ValueError):

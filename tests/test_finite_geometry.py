@@ -294,6 +294,54 @@ def searched(graph, start, depth):
     return parent
 
 
+def local_coefficients(spec, a, v):
+    """c_k(a, v) for every k >= 1 of every G, each from its table
+    (_local_terms) evaluated at the one point a and direction v: per G, a
+    dict k -> value mod p."""
+    p = spec.field.p
+    return [{k: sum(finite_geometry._eval_terms(terms, a, p) * prod(map(pow, v, f)) for f, terms in form.items()) % p
+             for k, form in finite_geometry._local_terms(poly, p).items()} for poly in spec.polys]
+
+
+def all_directions(spec, a, cut):
+    """Reference route for the L_a solve (ChainGraph._directions), one point
+    at a time and with no rooting: every direction v = sum_s y_s w_s of
+    P(W) for the canonical y of P^{m-1}(F_p), W from kernel, kept if it
+    leads before the cut and every c_k of every G vanishes at (a, v).  The
+    package evaluated the c_k this way, at every direction, before it
+    rooted c_2 first; for small p only."""
+    p, size, j = spec.field.p, spec.ambient + 1, a.index(1)
+    grads = [[values.get(1, 0) for values in local_coefficients(spec, a, tuple(int(i == x) for x in range(size)))]
+             for i in range(size)]
+    rows = [[0 if i == j else grads[i][g] for i in range(size)] for g in range(len(spec.polys))]
+    basis = kernel(rows, size, j, p)
+    found = []
+    for y in projective_points(spec.field, len(basis) - 1) if basis else ():
+        v = tuple(sum(map(operator.mul, y, column)) % p for column in zip(*basis))
+        if v.index(1) < cut and not any(any(values.values()) for values in local_coefficients(spec, a, v)):
+            found.append(v)
+    return sorted(found)
+
+
+def c2_zeros(spec, a, cut):
+    """How many directions of P(W) at a, leading before the cut, the c_2
+    that the solve roots (the first G with a c_2 in its table) vanishes at:
+    the candidates the solve evaluates the later c_k at, all of P(W) where
+    that c_2 is 0 on W or there is none."""
+    p, size, j = spec.field.p, spec.ambient + 1, a.index(1)
+    grads = [[values.get(1, 0) for values in local_coefficients(spec, a, tuple(int(i == x) for x in range(size)))]
+             for i in range(size)]
+    rows = [[0 if i == j else grads[i][g] for i in range(size)] for g in range(len(spec.polys))]
+    basis = kernel(rows, size, j, p)
+    rooted = [g for g, poly in enumerate(spec.polys) if 2 in finite_geometry._local_terms(poly, p)][:1]
+    count = 0
+    for y in projective_points(spec.field, len(basis) - 1) if basis else ():
+        v = tuple(sum(map(operator.mul, y, column)) % p for column in zip(*basis))
+        values = local_coefficients(spec, a, v)
+        count += v.index(1) < cut and not any(values[g][2] for g in rooted)
+    return count
+
+
 def one_point_solves(spec):
     """L_a solved at one point a per call, each on a fresh graph, and
     memoized: a's directions and the charge of its solve."""
@@ -854,12 +902,14 @@ def test_grouped_kernels_match_one_point_kernels(spec):
 @pytest.mark.parametrize("block", [7, finite_geometry._T_BLOCK])
 def test_batched_solve_matches_one_point_solves(spec, block, monkeypatch):
     # L_a at all the points at once, in blocks that join and split the
-    # points' directions, gives each point the directions and the charge of
+    # points' candidates, gives each point the directions and the charge of
     # its own solve; with the cut at each point's lead, it keeps those that
-    # lead before it.  No block handed to evaluation holds more than
-    # _T_BLOCK pairs: at 7, those of plane3 join many points with few
-    # directions each, and each point of fermat3fold5 has p^2 + p + 1 = 31
-    # directions, more than a block holds
+    # lead before it.  The candidates are the directions where the c_2 the
+    # solve roots vanishes (c2_zeros), and no block handed to evaluation
+    # holds more than _T_BLOCK pairs: at 7, those of plane3 join many points
+    # with few directions each, and each point of fermat3fold5 has
+    # p^2 + p + 1 = 31 directions, all of them candidates where c_2 vanishes
+    # on W, more than a block holds
     points = sorted(enumerate_points(spec))
     alone = []
     for a in points:
@@ -880,16 +930,18 @@ def test_batched_solve_matches_one_point_solves(spec, block, monkeypatch):
     found = batch._directions(points, [len(a) for a in points])
     assert [(sorted(directions), charge) for directions, (_, charge) in zip(found, alone)] == alone
     assert batch.charged == sum(charge for _, charge in alone)
-    # every (point, direction) pair is made once, in blocks that hold no more
-    # than _T_BLOCK
+    # every (point, candidate) pair is made once, in blocks that hold no
+    # more than _T_BLOCK
     bases, _ = grouped_bases(ChainGraph(spec), points, [len(a) for a in points])
-    assert sum(map(len, blocks)) == sum(count for _, count in bases)
+    zeros = [c2_zeros(spec, a, len(a)) for a in points]
+    assert sum(map(len, blocks)) == sum(zeros)
     assert all(0 < len(owner) <= block for owner in blocks)
     if block == 7 and spec is ORACLE_VARIETIES["plane3"]:
         assert any(len(set(owner)) > 1 for owner in blocks)
     if block == 7 and spec is ORACLE_VARIETIES["fermat3fold5"]:
-        spans = Counter(k for owner in blocks for k in set(owner))
-        assert {count for _, count in bases} == {31} and min(spans.values()) >= 5
+        spans = sorted(Counter(k for owner in blocks for k in set(owner)).values(), reverse=True)
+        assert {count for _, count in bases} == {31} and zeros.count(31) == 10
+        assert min(spans[:10]) >= 5
     cut = ChainGraph(spec)._directions(points, [a.index(1) for a in points])
     for a, kept, (directions, _) in zip(points, cut, alone):
         assert sorted(kept) == [v for v in directions if v.index(1) < a.index(1)]
@@ -988,7 +1040,7 @@ def test_local_model_matches_incidence_passes(spec):
 
 
 @pytest.mark.parametrize("spec", ORACLE_VARIETIES.values(), ids=ORACLE_VARIETIES.keys())
-def test_join_all_fills_the_graph_caches(spec, monkeypatch):
+def test_join_all_is_one_section_solve(spec, monkeypatch):
     # one solve of the section: explore enumerates and sorts X(F_p) itself
     # and returns its lines as columns of point indices, from one L_a solve
     # of the points with x_0 = 0, charged as any solve plus p+1 per line;
@@ -1495,11 +1547,13 @@ def test_connectivity_report_exits_match_bitset_oracle(spec, grows, monkeypatch)
 
 # explore --max-length 3 where the closed forms skip the bitsets, charged
 # as when every level ran: the line-free cubic surface is charged its solve
-# (284) and 43 balls of 6 bytes for the points and for length 1, after
-# which no ball grows (800); the plane x_0 = 0 in P^3 over F_3 its solve
-# (13), its 13 lines of 4 points (52), and 13 balls of 2 bytes for the
-# points and for lengths 1 and 2, where no ball grows past n^2 (143)
-@pytest.mark.parametrize("spec, charge", [(lineless_cubic(), 800), (coordinate_hyperplane(3), 143)],
+# at its 7 points with x_0 = 0 (c_2 restricted to W, 57, its lines of P(W)
+# rooted, 13, and c_3 at the zeros, 108: 178) and 43 balls of 6 bytes for
+# the points and for length 1, after which no ball grows (694); the plane
+# x_0 = 0 in P^3 over F_3 its solve (13), its 13 lines of 4 points (52),
+# and 13 balls of 2 bytes for the points and for lengths 1 and 2, where no
+# ball grows past n^2 (143)
+@pytest.mark.parametrize("spec, charge", [(lineless_cubic(), 694), (coordinate_hyperplane(3), 143)],
                          ids=["lineless7", "plane3"])
 def test_explore_closed_form_exits_keep_their_charge(spec, charge, monkeypatch, tmp_path, capsys):
     path = tmp_path / "exit.variety"
@@ -1553,11 +1607,13 @@ def guard_evaluations(monkeypatch, *point_lists):
 
 def test_explore_is_refused_before_it_evaluates(monkeypatch):
     # explore on the Fermat cubic threefold over F_5 (p^N = 625) charges its
-    # solve up front: c_2 at the directions of its 31 points with x_0 = 0
-    # that lead before their lead, times its live terms, 2,103 in all; one
-    # less refuses it before any direction is made or any c_k evaluated.
-    # _blocks makes every direction column, tiled per group of points, and
-    # the refusal comes after the points are grouped (_kernels)
+    # solve of the 31 points with x_0 = 0 step by step, each step before it
+    # runs: c_2 restricted to W, its 6 coefficients times its live terms
+    # (378); one unit per line of P(W) rooted (128); c_3 at the zeros of c_2
+    # (1,090), 1,596 in all.  A budget below a step refuses it before it
+    # runs: no line is rooted (_zeros) below 506, and no direction is made
+    # (_blocks) below 1,596.  The refusals come after the points are grouped
+    # (_kernels)
     spec = fermat_cubic_threefold(5)
     grouped, kernels = [], ChainGraph._kernels
 
@@ -1568,13 +1624,28 @@ def test_explore_is_refused_before_it_evaluates(monkeypatch):
     def no_directions(self, solves):
         raise AssertionError("directions made past the budget")
 
+    zeros = finite_geometry._zeros
+
+    def no_lines(*args):
+        if finite_geometry.ENUMERATION_BUDGET < 506:
+            raise AssertionError("lines rooted past the budget")
+        return zeros(*args)
+
+    points = sorted(enumerate_points(spec))
+    section = [a for a in points if a[0] == 0]
     monkeypatch.setattr(ChainGraph, "_kernels", recorded)
     monkeypatch.setattr(ChainGraph, "_blocks", no_directions)
-    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 2102)
+    monkeypatch.setattr(finite_geometry, "_zeros", no_lines)
+    for budget, charged in ((377, 378), (505, 506), (1595, 1596)):
+        graph = ChainGraph(spec)
+        monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", budget)
+        with pytest.raises(BudgetExceededError):
+            graph._directions(section, [a.index(1) for a in section])
+        assert graph.charged == charged
     with pytest.raises(BudgetExceededError):
         connectivity_report(spec, 1)
-    assert grouped == [31]
-    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 2103)
+    assert grouped == [31] * 4
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 1596)
     with pytest.raises(AssertionError, match="directions made past the budget"):
         connectivity_report(spec, 1)
 
@@ -1603,17 +1674,19 @@ def test_explore_length_budget_refuses_at_once(monkeypatch, tmp_path, capsys):
 
 
 def test_chain_and_locus_pair_budget(monkeypatch, tmp_path, capsys):
-    # on the split quadric over F_3 each L_a solve evaluates c_2 = v0*v3 -
-    # v1*v2, one term once v_j = 0, at the 4 directions of P^1 (4 * 1), and
-    # each line listed has 4 points; one query sums them: lines takes one
-    # solve (4), locus 1 one solve and two lines (12), locus 2 seven solves
-    # and eight lines (60).  The chain below solves at x (4) and lists x's
-    # two lines (8); y is on neither, so it solves at y (4) and meets y from
-    # the first point of level 1 on one of y's lines, listing none: 16
+    # on the split quadric over F_3 each L_a solve restricts c_2 = v0*v3 -
+    # v1*v2, one term once v_j = 0, to W (3 coefficients times 1 term),
+    # roots it on the one line of P(W) (1), and keeps its two zeros, with no
+    # c_k left to evaluate there (2): 6; each line listed has 4 points.  One
+    # query sums them: lines takes one solve (6), locus 1 one solve and two
+    # lines (14), locus 2 seven solves and eight lines (74).  The chain
+    # below solves at x (6) and lists x's two lines (8); y is on neither, so
+    # it solves at y (6) and meets y from the first point of level 1 on one
+    # of y's lines, listing none: 20
     spec = split_quadric(3)
     x, y = (1, 0, 0, 0), (0, 0, 0, 1)
     chain, charged = charged_chain(spec, x, y, 2)
-    assert chain.length == 2 and charged == 4 + 2 * 4 + 4
+    assert chain.length == 2 and charged == 6 + 2 * 4 + 6
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", charged - 1)
     with pytest.raises(BudgetExceededError):
         chain_search(spec, x, y, 2)
@@ -1730,39 +1803,41 @@ def test_local_table_budget(monkeypatch, tmp_path, capsys):
 
 
 def test_solve_charge_budget(monkeypatch, tmp_path, capsys):
-    # the octic over F_11 at 0:1:1:4: v_1 = 0 and dim W = 2, so 12
-    # directions; with a_0 = 0, c_k keeps the terms in v_2^k and v_3^k for
-    # k = 2..7, and c_8 those in v_0^8, v_2^8 and v_3^8.  Each c_k is
-    # charged, before it runs, at the directions where the ones before it
-    # vanish: c_2 at all 12 (12 * 2), and only (1:0:0:0) is left for c_3..c_7
-    # (5 * 2) and c_8 (3), which rules it out: 37
-    spec = fermat_surface(11, 8)
-    path = tmp_path / "octic11.variety"
+    # the octic over F_17 at 1:1:3:3, on two of its lines: v_0 = 0 and
+    # dim W = 2, so 18 directions, and c_k keeps the terms in v_1^k, v_2^k
+    # and v_3^k.  c_2 is restricted to W, 3 coefficients times its 3 terms
+    # (3 * 3), and rooted on the one line of P(W) (1): its two zeros are the
+    # directions of the two lines.  Each later c_k is charged, before it
+    # runs, at the zeros where the ones before it vanish: c_3..c_8 at both
+    # (6 * 2 * 3): 46, above the 32 terms of the c_k table, where
+    # evaluating c_2 at all 18 directions was charged 90
+    spec = fermat_surface(17, 8)
+    path = tmp_path / "octic17.variety"
     path.write_text(format_variety(spec))
-    argv = ["lines", "--variety", str(path), "--point", "0:1:1:4"]
-    charge = 12 * 2 + 5 * 2 + 3
+    argv = ["lines", "--variety", str(path), "--point", "1:1:3:3"]
+    charge = 3 * 3 + 1 + 6 * 2 * 3
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", charge - 1)
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", charge)
     graph = ChainGraph(spec)
-    graph._directions([(0, 1, 1, 4)], [4])
+    graph._directions([(1, 1, 3, 3)], [4])
     assert graph.charged == charge
-    assert main(argv) == 1  # answered: no line through the point
-    assert "count    0" in capsys.readouterr().out
+    assert main(argv) == 0  # answered: the two lines through the point
+    assert "count    2" in capsys.readouterr().out
 
 
 def test_solve_is_refused_before_it_evaluates(monkeypatch):
-    # a budget below the first charge (c_2 at the 12 directions of the
-    # octic above, 12 * 2) refuses the solve before any c_k is evaluated
-    # (the gradient and the coefficients of the c_k at the point itself
-    # are evaluated first, as columns of one entry)
+    # a budget below the first charge (c_2 restricted to W at the octic
+    # above, 3 * 2) refuses the solve before any c_k is evaluated or any
+    # line rooted (the gradient and the coefficients of the c_k at the
+    # point itself are evaluated first, as columns of one entry)
     graph = ChainGraph(fermat_surface(11, 8))  # its table has 32 terms
-    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 12 * 2 - 1)
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 3 * 2 - 1)
     guard_evaluations(monkeypatch, [(0, 1, 1, 4)])
     with pytest.raises(BudgetExceededError):
         graph._directions([(0, 1, 1, 4)], [4])
-    assert graph.charged == 12 * 2
+    assert graph.charged == 3 * 2
 
 
 def test_solve_drops_terms_that_vanish_on_w():
@@ -1926,3 +2001,86 @@ def test_split_quadric_two_middle_points():
                 assert len(middles) == 2
                 checked += 1
         assert checked > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 97, 1000003, 998244353])
+def test_square_roots_match_sympy(p):
+    # _sqrt_mod against sympy's square roots: a root and its negative, or
+    # None for a non-square; every residue for small p, a sample of squares
+    # and of other residues for the large ones (2^23 divides 998244353 - 1,
+    # so Tonelli-Shanks runs many rounds there, and 13 = 1 mod 4 takes it
+    # too, where 7 = 3 mod 4 takes the closed form)
+    sqrt_mod = pytest.importorskip("sympy.ntheory.residue_ntheory").sqrt_mod
+    rng = random.Random(p)
+    if p < 100:
+        residues = range(p)
+    else:
+        residues = [rng.randrange(p) for _ in range(200)] + [rng.randrange(p) ** 2 % p for _ in range(200)]
+    squares = 0
+    for d in residues:
+        root = finite_geometry._sqrt_mod(d, p)
+        expected = set(sqrt_mod(d, p, all_roots=True))
+        if root is None:
+            assert expected == set(), (d, p)
+        else:
+            assert {root, -root % p} == expected, (d, p)
+            squares += 1
+    assert squares >= (len(residues) - 1) // 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_quadratic_roots_match_brute_force(p):
+    # every a t^2 + b t + c over F_p: its roots, or None when all three
+    # coefficients vanish and every t is a root
+    for a, b, c in itertools.product(range(p), repeat=3):
+        roots = finite_geometry._quadratic_roots(a, b, c, p)
+        expected = [t for t in range(p) if (a * t * t + b * t + c) % p == 0]
+        if not (a or b or c):
+            assert roots is None
+        else:
+            assert sorted(roots) == expected, (a, b, c)
+
+
+def two_planes_meeting(p):
+    """x0*x1 = 0 in P^3: at a point of the line x0 = x1 = 0, c_2 restricted
+    to W = P^2 is y0*y1, which vanishes on two lines of P(W)."""
+    return VarietySpec(PrimeField(p), 3, (HomogPoly(2, ((1, (1, 1, 0, 0)),)),))
+
+
+def double_plane(p):
+    """x0^2 = 0 in P^3: at 0:0:0:1, c_2 restricted to W = P^2 is y0^2, which
+    vanishes on one line of P(W)."""
+    return VarietySpec(PrimeField(p), 3, (HomogPoly(2, ((1, (2, 0, 0, 0)),)),))
+
+
+def binary_cubic(p):
+    """x0^3 + x1^3 = 0 in P^2: at 0:0:1 the gradient vanishes, W is all of
+    v_2 = 0, and c_2 = 3(a_0 v_0^2 + a_1 v_1^2) has no live term."""
+    return VarietySpec(PrimeField(p), 2, (HomogPoly(3, ((1, (3, 0, 0)), (1, (0, 3, 0)))),))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("make, point, lines", [(double_plane, (0, 0, 0, 1), 1), (two_planes_meeting, (0, 0, 0, 1), 2),
+                                                (binary_cubic, (0, 0, 1), None)],
+                         ids=["one_line", "two_lines", "no_live_c2"])
+def test_rooted_solve_where_c2_degenerates(make, point, lines, p, monkeypatch):
+    # where Q vanishes on whole lines of P(W), all their p points are
+    # candidates; where c_2 has no live term, every direction is, and no
+    # line is rooted.  At every cut the directions are those of evaluating
+    # every c_k at every direction (all_directions)
+    spec = make(p)
+    rooted, zeros = [], finite_geometry._zeros
+
+    def recorded(*args):
+        pairs, whole = zeros(*args)
+        rooted.append(len(whole))
+        return pairs, whole
+
+    monkeypatch.setattr(finite_geometry, "_zeros", recorded)
+    for cut in range(len(point) + 1):
+        [found] = ChainGraph(spec)._directions([point], [cut])
+        assert sorted(found) == all_directions(spec, point, cut)
+    if lines:
+        assert rooted[-1] == lines
+    else:
+        assert not any(rooted)

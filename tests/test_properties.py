@@ -6,12 +6,13 @@ failure reproduces.
 
 import itertools
 import math
+import random
 from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from chainlines import chains, chow, finite_geometry  # noqa: E402
 from chainlines.criteria import DefiningData  # noqa: E402
@@ -27,13 +28,17 @@ from chainlines.finite_geometry import (  # noqa: E402
 )
 import naive_poly  # noqa: E402
 from test_finite_geometry import (  # noqa: E402
+    all_directions,
+    binary_cubic,
     bitset_report,
     check_chain_search,
     check_grouped_kernels,
     column_lines,
+    double_plane,
     index_line,
     pairwise_neighbors,
     searched,
+    two_planes_meeting,
 )
 
 PRIMES = (2, 3, 5, 7)
@@ -114,6 +119,25 @@ def test_chain_search_matches_goal_search(spec, rng):
     pairs = list(itertools.product(points, repeat=2))
     pairs = rng.sample(pairs, min(len(pairs), 100)) + [(x, x) for x in points[:1]]
     check_chain_search(spec, pairs, range(1, 5))
+
+
+@SETTINGS
+@given(varieties(), st.randoms(use_true_random=False))
+@example(double_plane(2), random.Random(0))  # Q vanishes on one line of P(W) at 0:0:0:1, over F_2
+@example(two_planes_meeting(5), random.Random(0))  # and on two lines there
+@example(binary_cubic(7), random.Random(0))  # c_2 is 0 on all of W at 0:0:1
+def test_rooted_solve_matches_all_directions(spec, rng):
+    # the solve that roots c_2 first, at all the points at once, with the
+    # cut at N+1 and at a cut drawn per point, against evaluating every c_k
+    # at every direction of P(W), one point at a time (all_directions)
+    points = sorted(finite_geometry.enumerate_points(spec))
+    size = spec.ambient + 1
+    oracle = [all_directions(spec, a, size) for a in points]
+    cuts = [rng.randrange(size + 1) for _ in points]
+    for batch in ([size] * len(points), cuts):
+        found = ChainGraph(spec)._directions(points, batch)
+        assert [sorted(directions) for directions in found] == [
+            [v for v in every if v.index(1) < cut] for every, cut in zip(oracle, batch)]
 
 
 @SETTINGS
