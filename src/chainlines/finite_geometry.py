@@ -32,12 +32,14 @@ points (_form_columns); one elimination of the gradient rows, column-wise
 over all the points, gives each point its linear space W of directions
 and groups the points by the shape of W (_kernels).  c_2 restricted to W
 is a quadratic form, rooted on each line of P(W) by the quadratic
-formula, so the later c_k are evaluated only at its zeros: column-wise,
-on blocks that join the candidates of many points.  Where c_2 vanishes on
-W every direction is a candidate.  A single point is a group of one.  The single-point queries
-lines_through, chain_search and locus check their points on X once, build
-one graph and never enumerate X(F_p).  chain_search and locus run one
-breadth-first search, which solves each level it expands in one batch and
+formula, so the later c_k are evaluated only at its zeros.  That is done
+for a group of points where it costs less than evaluating c_2 at every
+direction; elsewhere, and where c_2 vanishes on W, every direction is a
+candidate.  The candidates are evaluated column-wise, on blocks that join
+those of many points.  A single point is a group of one.  The single-point queries lines_through,
+chain_search and locus check their points on X once, build one graph and
+never enumerate X(F_p).  chain_search and locus run one breadth-first
+search, which solves each level it expands in one batch and
 expands each contained line once, not each pair of its points;
 chain_search also solves L_y once at its goal y, and meets y from y's own
 lines rather than by expanding the last level.
@@ -155,7 +157,7 @@ def _check_terms(degree: int, terms) -> None:
             raise ValueError(
                 f"term {exps} has {len(exps)} exponents, expected {nvars}"
             )
-        if any(e < 0 for e in exps):
+        if min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
         if sum(exps) != degree:
             raise ValueError(
@@ -315,12 +317,12 @@ def _projective_reps(p: int, n: int):
                 yield head + tail
 
 
-def _first_reps(p: int, n: int, count: int):
-    """The first count points of _projective_reps(p, n), lazily."""
-    return itertools.islice(_projective_reps(p, n), count)
-
-
 _T_BLOCK = 1 << 14  # prefixes of an enumeration or of P(W), or directions of L_a, tried together
+# the fixed steps of restricting c_2 to W and rooting it on the lines of
+# P(W), in (direction, term) pairs of evaluating c_2 at every direction
+# instead: a group of points with fewer pairs than the rooting takes plus
+# this many is not rooted (ChainGraph._roots)
+_ROOTING_STEPS = 256
 
 
 def _prefix_points(forms, n: int, p: int) -> set[Point]:
@@ -499,7 +501,7 @@ def _form_columns(forms, coords, p: int):
     A column of x_i^e mod p is made once per coordinate and exponent e > 1
     the terms use, and shared by the forms; each term's column is a product
     of those, and the terms are summed column-wise, all by map in C.  Each
-    sum is stored per term, so no deep chain of lazy maps forms.
+    sum past the first term is stored, so no deep chain of lazy maps forms.
     """
     n = len(coords[0])
     powers: dict[tuple[int, int], list[int]] = {}
@@ -513,7 +515,7 @@ def _form_columns(forms, coords, p: int):
                     if col is None:
                         col = powers[i, e] = list(map(pow, coords[i], repeat(e), repeat(p)))
                     term = map(mul, term, col)
-            total = list(term) if total is None else list(map(add, total, term))
+            total = term if total is None else list(map(add, total, term))
         yield [0] * n if total is None else list(map(mod, total, repeat(p)))
 
 
@@ -545,17 +547,19 @@ def _slots(v, packed: list[int], fmt: str, n: int) -> memoryview:
 def _sqrt_mod(d: int, p: int) -> int | None:
     """A square root of d modulo the prime p, or None if d is not a square.
 
-    The other root is p minus this one.  Euler's criterion decides whether d
-    is a square; the root is d^((p+1)/4) when p = 3 mod 4, and otherwise
-    comes from Tonelli-Shanks with the least non-residue.  Exact and
+    The other root is p minus this one.  When p = 3 mod 4, x = d^((p+1)/4)
+    has x^2 = d^((p-1)/2) d, so it is a root exactly when d is a square.
+    Otherwise Euler's criterion decides whether d is a square, and the
+    root comes from Tonelli-Shanks with the least non-residue.  Exact and
     deterministic, in O(log p)^2 multiplications mod p."""
     d %= p
     if d < 2 or p == 2:
         return d
+    if p % 4 == 3:
+        root = pow(d, (p + 1) // 4, p)
+        return root if root * root % p == d else None
     if pow(d, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(d, (p + 1) // 4, p)
     s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s with q odd
     q = (p - 1) >> s
     z = 2
@@ -599,20 +603,21 @@ def _recipe(free: list[int], entries, size: int):
             else [(position[i], None)] for i in range(size)]
 
 
-def _restricted(factors, coeffs, recipe, m: int, p: int) -> list[list[int]]:
+def _restricted(monomials, coeffs, recipe, m: int, p: int) -> list[list[int]]:
     """The quadratic form Q(y) = c_2(a, sum_s y_s w_s) at every point a of a
     group, column-wise: per s <= t, in the order of
     combinations_with_replacement, the column of the coefficient of
-    y_s y_t.  c_2 is given by its monomials v_i v_k, as the pairs (i, k)
-    of factors (i = k for v_i^2), and their coefficient columns coeffs, the
-    coordinates by their recipe (_recipe).  A monomial v_i v_k adds its
-    coefficient times w_s[i] w_t[k] to the coefficient of y_s y_t for every
-    term (s, w_s) of v_i and (t, w_t) of v_k; for v_i^2 each pair of terms
-    s != t is taken once, twice over."""
+    y_s y_t.  c_2 is given by its monomials v_i v_k, as exponent tuples,
+    and their coefficient columns coeffs, the coordinates by their recipe
+    (_recipe).  A monomial v_i v_k adds its coefficient times w_s[i]
+    w_t[k] to the coefficient of y_s y_t for every term (s, w_s) of v_i and
+    (t, w_t) of v_k; for v_i^2 each pair of terms s != t is taken once,
+    twice over."""
     sums: dict[tuple[int, int], list[int]] = {}
-    for (i, k), col in zip(factors, coeffs):
+    for f, col in zip(monomials, coeffs):
         if not any(col):
             continue
+        i, k = (f.index(2),) * 2 if 2 in f else compress(range(len(f)), f)
         for at, (s, ws) in enumerate(recipe[i]):
             for t, wt in recipe[k][at:] if i == k else recipe[k]:
                 term = col if ws is None else map(mul, col, ws)
@@ -627,40 +632,60 @@ def _restricted(factors, coeffs, recipe, m: int, p: int) -> list[list[int]]:
             for key in itertools.combinations_with_replacement(range(m), 2)]
 
 
-def _zeros(forms, m: int, r: int, lines: int, p: int):
-    """The zeros of quadratic forms Q in m variables, none of them 0, given
-    as (index, Q's coefficients in the order of _restricted), among the
-    canonical points y of P^{m-1}(F_p) that lead before r: (pairs, whole),
-    the pairs (index, y) of the zeros off the lines where Q vanishes, and
-    those lines as (index, prefix z).
+def _zeros(at: list[int], q: list[list[int]], m: int, r: int, lines: int, p: int):
+    """The zeros of quadratic forms Q in m variables, none of them 0, at
+    the indices at, given column-wise by Q's coefficients q (in the order
+    of _restricted), among the canonical points y of P^{m-1}(F_p) that
+    lead before r: the pairs (index, y), made lazily, in pieces of at most
+    _T_BLOCK pairs: per piece, the index of each pair and the columns of
+    its y.
 
     The y with lead < m-1 lie on the lines {(z, t)} through the canonical
     points z of P^{m-2}, and those that lead before r on the first `lines`
-    of them, taken _T_BLOCK at a time.  On such a line Q(z, t) = a t^2 +
-    b t + c, with a the coefficient of y_{m-1}^2, b the sum of those of
-    y_s y_{m-1} times z_s and c = Q(z, 0); its zeros are the roots of that
-    quadratic (_quadratic_roots), or all p points of the line where Q
+    of them.  On such a line Q(z, t) = a t^2 + b t + c, with a the
+    coefficient of y_{m-1}^2, b the sum of those of y_s y_{m-1} times z_s
+    and c = Q(z, 0).  The lines are taken with the indices as in _tiled,
+    at most _T_BLOCK (index, line) pairs at a time; a, b and c are made
+    column-wise over the pairs, and each quadratic is rooted
+    (_quadratic_roots), all p points of a line being zeros where Q
     vanishes on it.  The lone y = e_{m-1}, which leads before r only when
     r = m, is a zero iff a = 0."""
-    # the index in q of the coefficient of y_s y_t, s <= t
-    at = {key: i for i, key in enumerate(itertools.combinations_with_replacement(range(m), 2))}
-    linear = [(s, at[s, m - 1]) for s in range(m - 1)]
-    square = [(s, t, i) for (s, t), i in at.items() if t < m - 1]
-    pairs, whole = [], []
-    prefixes = _first_reps(p, m - 2, lines)
-    while chunk := list(itertools.islice(prefixes, _T_BLOCK)):
-        for k, q in forms:
-            for z in chunk:
-                b = sum([z[s] * q[i] for s, i in linear]) % p
-                c = sum([z[s] * z[t] * q[i] for s, t, i in square]) % p
-                ts = _quadratic_roots(q[-1], b, c, p)
-                if ts:
-                    pairs += [(k, z + (t,)) for t in ts]
-                elif ts is None:
-                    whole.append((k, z))
-    if r == m:  # the lone y = e_{m-1}
-        pairs += [(k, (0,) * (m - 1) + (1,)) for k, q in forms if not q[-1]]
-    return pairs, whole
+    # y_s y_t, s <= t, is coefficient s m - s (s-1)/2 + t - s of q
+    linear = [(s, s * m - s * (s - 1) // 2 + m - 1 - s) for s in range(m - 1)]
+    square = [(s, t, s * m - s * (s - 1) // 2 + t - s) for s in range(m - 1) for t in range(s, m - 1)]
+    owner, ys = [], [[] for _ in range(m)]
+    step = max(1, _T_BLOCK // lines) if lines else len(at)
+    for lo in range(0, len(at) if lines else 0, step):
+        part, qs = at[lo:lo + step], [col[lo:lo + step] for col in q]
+        prefixes = itertools.islice(_projective_reps(p, m - 2), lines)
+        while chunk := list(itertools.islice(prefixes, _T_BLOCK)):
+            width = len(chunk)
+            zs = [list(z) * len(part) for z in zip(*chunk)]
+            a = list(_spread(qs[-1], width))
+            b = c = repeat(0)  # each sum stored, so no deep chain of lazy maps forms
+            for s, i in linear:
+                b = list(map(add, b, map(mul, zs[s], _spread(qs[i], width))))
+            for s, t, i in square:
+                c = list(map(add, c, map(mul, map(mul, zs[s], zs[t]), _spread(qs[i], width))))
+            roots = map(_quadratic_roots, a, map(mod, b, repeat(p)), map(mod, c, repeat(p)), repeat(p))
+            for k, z, ts in zip(_spread(part, width), chunk * len(part), roots):
+                for t in range(p) if ts is None else ts:
+                    owner.append(k)
+                    for col, x in zip(ys, z + (t,)):
+                        col.append(x)
+                    if len(owner) == _T_BLOCK:
+                        yield owner, ys
+                        owner, ys = [], [[] for _ in range(m)]
+    for k, a in zip(at, q[-1]) if r == m else ():  # the lone y = e_{m-1}
+        if not a:
+            owner.append(k)
+            for col, x in zip(ys, (0,) * (m - 1) + (1,)):
+                col.append(x)
+            if len(owner) == _T_BLOCK:
+                yield owner, ys
+                owner, ys = [], [[] for _ in range(m)]
+    if owner:
+        yield owner, ys
 
 
 def _tiled(at: list[int], p: int, n: int, count: int):
@@ -673,17 +698,9 @@ def _tiled(at: list[int], p: int, n: int, count: int):
     step = max(1, _T_BLOCK // count)
     for lo in range(0, len(at), step):
         part = at[lo:lo + step]
-        made = _first_reps(p, n, count)
+        made = itertools.islice(_projective_reps(p, n), count)
         while chunk := list(itertools.islice(made, _T_BLOCK)):
             yield list(_spread(part, len(chunk))), [list(y) * len(part) for y in zip(*chunk)]
-
-
-def _paired(pairs):
-    """The pairs (index, y), lazily made, in pieces of at most _T_BLOCK
-    pairs: per piece, the index of each pair and the columns of its y."""
-    while chunk := list(itertools.islice(pairs, _T_BLOCK)):
-        owner, ys = zip(*chunk)
-        yield list(owner), list(map(list, zip(*ys)))
 
 
 # -- chains of lines ---------------------------------------------------------
@@ -713,23 +730,25 @@ class ChainGraph:
       the echelon basis w_s of W, m = dim W.  Per group: its free columns,
       its number of directions, and the terms of the c_k in a coordinate
       of v that is 0 on all of W (v_j among them), which are dropped;
-    - the first c_2 of the table (_roots) is restricted to W, column-wise
-      over each group's points: Q(y) = c_2(a, sum_s y_s w_s), a quadratic
-      form with m(m+1)/2 coefficients (_restricted).  The canonical points
-      y of P^{m-1}(F_p) lie on the lines {(z, t)} through the canonical
-      points z of P^{m-2}, plus the lone y = e_{m-1}; on each line Q is a
-      quadratic in t, rooted by the quadratic formula (_zeros,
-      _quadratic_roots, _sqrt_mod), all p points of the line where Q
-      vanishes on it.  A point's candidates are those zeros; at a point
-      where that c_2 has no live term or Q is 0, they are all its
-      directions;
-    - the candidates v = sum_s y_s w_s are made column-wise: all the
-      directions of a group's points tiled over them (_tiled), and the
-      zeros, those of the lines where Q vanishes made lazily, as pairs
-      (_paired); the pairs of all the groups are joined into blocks of at
-      most _T_BLOCK (_blocks), and each later c_k is evaluated on a block
-      column-wise, with the coefficients of its point, only at the pairs
-      where the ones before it vanish;
+    - where that is cheaper (_roots), the first c_2 of the table is
+      restricted to W, column-wise over a group's points: Q(y) = c_2(a,
+      sum_s y_s w_s), a quadratic form with m(m+1)/2 coefficients
+      (_restricted).  The canonical points y of P^{m-1}(F_p) lie on the
+      lines {(z, t)} through the canonical points z of P^{m-2}, plus the
+      lone y = e_{m-1}; on each line Q is a quadratic in t, made
+      column-wise over the (point, line) pairs and rooted by the quadratic
+      formula (_zeros, _quadratic_roots, _sqrt_mod), all p points of the
+      line where Q vanishes on it.  A
+      point's candidates are those zeros; at a point of a group not
+      rooted, or where that c_2 has no live term or Q is 0, they are all
+      its directions;
+    - the candidates v = sum_s y_s w_s are made lazily and column-wise:
+      all the directions of a group's points tiled over them (_tiled), and
+      the zeros as they are rooted (_zeros); the pairs of all the groups
+      are joined into blocks of at most _T_BLOCK (_blocks), and each c_k
+      but a rooted c_2 is evaluated on a block column-wise, with the
+      coefficients of its point, only at the pairs where the ones before
+      it vanish;
     - each v at which they all vanish gives the line through a and v, made
       in closed form (_line_at).
 
@@ -737,17 +756,16 @@ class ChainGraph:
     it, or explore lists every line (join_all), never by lines_through or
     at chain_search's goal.
     connectivity_report also charges the graph its bitsets.  Every solve
-    charges the graph its work, each step before it runs: c_2's restriction
-    at its m(m+1)/2 coefficients times its live terms, at every point where
-    it has one; one unit per line of P(W) it roots, at every point where Q
-    is not 0; then each later c_k at the candidates it runs at times its
-    live terms: the first one of each point (or, with none left, the bare
-    candidates) at all of that point's candidates, before the first block,
-    and each later one per block, at the candidates where the ones before
-    it vanish.  So a solve over too large a P(W) is refused before it roots
-    a line or makes a direction.  Every line listed charges its p+1 points
-    before they are built.  The graph raises BudgetExceededError
-    once the sum over its life passes ENUMERATION_BUDGET.  It keeps nothing
+    charges the graph its work, each step before it runs: in a rooted
+    group, c_2's restriction at its m(m+1)/2 coefficients times its live
+    terms, and one unit per line of P(W) it roots, at every point where Q
+    is not 0; then per block, each c_k it evaluates at the candidates of
+    the block where the ones before it vanish times its live terms, and
+    the candidates of a point with no c_k left at 1 each.  So a solve over
+    too many lines of P(W) is refused before it roots one, and a solve
+    holds at most one block of candidates beyond what it has been charged.
+    Every line listed charges its p+1 points before they are built.  The
+    graph raises BudgetExceededError once the sum over its life passes ENUMERATION_BUDGET.  It keeps nothing
     per point, so a second search on it does all the work of the first
     again and is charged again.  Results are deterministic and identical
     to joining a to every other point of X(F_p).
@@ -763,9 +781,6 @@ class ChainGraph:
         self._forms = [form for table in tables for k, form in table.items() if k > 1]
         ks = [k for table in tables for k in table if k > 1]
         self._quadric = ks.index(2) if 2 in ks else None  # the c_2 that a solve roots
-        # the coordinates (i, k) of each monomial v_i v_k of that c_2
-        self._factors = [(f.index(2),) * 2 if 2 in f else tuple(compress(range(len(f)), f))
-                         for f in self._forms[self._quadric]] if self._quadric is not None else []
         # the forms in a that a solve evaluates: the entries of every grad G,
         # dG/dx_i the coefficient of v_i in c_1, then those of the c_k
         self._in_a = []
@@ -852,64 +867,48 @@ class ChainGraph:
         docstring says."""
         p, size = self.spec.field.p, self.spec.ambient + 1
         grads, coefficients = self._columns(points)
-        solves = []  # (first position, points, dim W, r, recipe) per group
+        solves = []  # (first position, points, dim W, r, directions each, recipe) per group
         order = []  # the indices of the points with a direction, group by group
         zeros = []  # per group, the coordinates that are 0 on all of W
         for at, j, cut, entries in self._kernels(grads, points, cuts):
             free = [f for f in range(size) if f != j and f not in entries]
             # a direction sum_s y_s w_s leads where w_s does for the lead s of
             # y, so those that lead before the cut are the y that lead before r
-            r = bisect_left(free, cut)
-            if r:
-                solves.append((len(order), len(at), len(free), r, _recipe(free, entries, size)))
+            r, m = bisect_left(free, cut), len(free)
+            if r:  # the y that lead before r are the first (p^m - p^(m-r))/(p-1) of _projective_reps
+                count = (p ** m - p ** (m - r)) // (p - 1)
+                solves.append((len(order), len(at), m, r, count, _recipe(free, entries, size)))
                 zeros.append([i for i in range(size) if i not in free and not entries.get(i)])
                 order += at
         if len(order) < len(points) or len(solves) > 1:  # the coefficients at those points, group by group
             coefficients = [[list(map(col.__getitem__, order)) for col in cols] for cols in coefficients]
         for (start, n, *_), zero in zip(solves, zeros):
-            for form, cols in zip(self._forms, coefficients) if zero else ():
+            for form, cols in zip(self._forms, coefficients):
                 for f, col in zip(form, cols):
                     if any(map(f.__getitem__, zero)):
                         col[start:start + n] = repeat(0, n)  # v^f is 0 at every direction
         live = [list(map(sub, repeat(len(cols)), map(tuple.count, zip(*cols), repeat(0)))) for cols in coefficients]
-        # the candidates: the zeros of c_2 where it is rooted, and all the
-        # directions elsewhere, the first (p^m - p^(m-r))/(p-1) of _projective_reps
-        counts, pieces = [], []
-        for (start, n, m, r, recipe), (rooted, pairs, whole) in zip(solves, self._roots(solves, coefficients, live)):
-            every = (p ** m - p ** (m - r)) // (p - 1)
-            each = [every] * n
-            for k in rooted:
-                each[k] = 0
-            rest = [k for k, count in enumerate(each) if count]
-            for k, _ in pairs:
-                each[k] += 1
-            for k, _ in whole:
-                each[k] += p
-            counts += each
-            # then the p points z + (t,) of each line where Q vanishes, made lazily
-            made = _paired(itertools.chain(pairs, *(zip(repeat(k), map(add, repeat(z, p), zip(range(p))))
-                                                    for k, z in whole)))
-            if rest:
-                made = itertools.chain(_tiled(rest, p, m - 1, every), made)
+        # the candidates: the zeros of c_2 where it is rooted, made lazily,
+        # and all the directions elsewhere
+        pieces = []
+        for (start, n, m, r, count, recipe), roots in zip(solves, self._roots(solves, coefficients, live)):
+            if roots is None:
+                made = _tiled(range(n), p, m - 1, count)
+            else:
+                rooted, made = roots
+                if len(rooted) < n:
+                    made = itertools.chain(_tiled([k for k in range(n) if k not in rooted], p, m - 1, count), made)
             pieces.append((start, recipe, made))
-        # the c_k evaluated at the candidates: all but the c_2 rooted, which
-        # vanishes there.  Each point's first c_k with a live term is charged
-        # at all of its candidates now (with none left, the bare candidates),
-        # each later one per block (later), at those where the ones before vanish
-        forms = [(form, cols, at) for i, (form, cols, at) in enumerate(zip(self._forms, coefficients, live))
-                 if i != self._quadric]
-        first, later = 0, []
-        pending = [1] * len(order)  # no c_k with a live term yet
-        for _, _, at in forms:
-            first += sum(map(mul, counts, map(mul, pending, at)))
-            later.append(list(map(mul, at, map(not_, pending))))
-            pending = list(map(mul, pending, map(not_, at)))
-        first += sum(map(mul, counts, pending))
-        self._charge(first)
+        # the c_k evaluated at the candidates, each charged per block before
+        # it runs, at the candidates where the ones before it vanish, and
+        # the candidates of a point with no live c_k at 1 each
+        forms = list(zip(self._forms, coefficients, live))
+        bare = list(map(not_, map(any, zip(*live)))) if live else [1] * len(order)
         found: list[list[Point]] = [[] for _ in points]
         for owner, cols in self._blocks(pieces):
-            for (form, coeffs, _), charge in zip(forms, later):
-                one = owner.count(owner[0]) == len(owner)
+            one = owner.count(owner[0]) == len(owner)
+            self._charge(bare[owner[0]] * len(owner) if one else sum(map(bare.__getitem__, owner)))
+            for form, coeffs, at in forms:
                 if one:  # the pairs of one point: its coefficients
                     terms = [(col[owner[0]], f) for f, col in zip(form, coeffs) if col[owner[0]]]
                 else:  # one coefficient per pair, from its point
@@ -917,7 +916,7 @@ class ChainGraph:
                              if any(c := list(map(col.__getitem__, owner)))]
                 if not terms:
                     continue
-                self._charge(charge[owner[0]] * len(owner) if one else sum(map(charge.__getitem__, owner)))
+                self._charge(at[owner[0]] * len(owner) if one else sum(map(at.__getitem__, owner)))
                 [values] = _form_columns([terms], cols, p)
                 kept = list(map(not_, values))
                 owner = list(compress(owner, kept))
@@ -929,32 +928,48 @@ class ChainGraph:
         return found
 
     def _roots(self, solves, coefficients, live):
-        """Per group of the solve, the zeros in P(W) of the c_2 it roots,
-        (rooted, pairs, whole): the indices of the points where that c_2
-        is restricted to a form Q that is not 0 on W, and Q's zeros there
-        (_zeros).  At the other points every direction is a candidate.
+        """Per group of the solve, None where the c_2 it roots is not
+        rooted, and otherwise (rooted, pairs): the indices of the points
+        where that c_2 is restricted to a form Q that is not 0 on W, and
+        Q's zeros there, made lazily in pieces (_zeros).  At the
+        other points every direction is a candidate.
 
-        c_2(a, .) is restricted to W, a quadratic form Q(y) = c_2(a, sum_s
-        y_s w_s) with m(m+1)/2 coefficients, column-wise over each group's
-        points (_restricted), charged before it runs at those coefficients
-        times c_2's live terms.  Then every line of P(W) through a prefix
-        where Q is not 0 is charged one unit, before any is rooted."""
+        A group is rooted where evaluating c_2 at all its directions, their
+        number times c_2's live terms, would cost more than restricting it,
+        rooting its lines and the fixed steps of both, _ROOTING_STEPS; a
+        group with no live c_2 term never is.  There c_2(a, .) is restricted
+        to W, a quadratic form Q(y) = c_2(a, sum_s y_s w_s) with m(m+1)/2
+        coefficients, column-wise over the group's points (_restricted),
+        charged before it runs at those coefficients times c_2's live
+        terms; then every line of P(W) through a prefix where Q is not 0 is
+        charged one unit, before any is rooted.  c_2 vanishes at every
+        candidate of a rooted group, so its coefficients and live terms
+        there are cleared, and it is evaluated only elsewhere."""
         if self._quadric is None:
-            return [([], [], [])] * len(solves)
+            return [None] * len(solves)
         p = self.spec.field.p
         cols, live = coefficients[self._quadric], live[self._quadric]
-        self._charge(sum(m * (m + 1) // 2 * sum(live[start:start + n]) for start, n, m, *_ in solves))
-        quadrics = []  # per group: the (index, Q's coefficients) where Q is not 0, m, r and lines
-        for start, n, m, r, recipe in solves:
-            forms = []
-            if any(live[start:start + n]):
-                group = cols if n == len(live) else [col[start:start + n] for col in cols]
-                forms = [(k, q) for k, q in enumerate(zip(*_restricted(self._factors, group, recipe, m, p))) if any(q)]
+        quadrics = []  # per group rooted: the indices where Q is not 0, Q there, m, r and lines
+        for start, n, m, r, count, recipe in solves:
+            terms = sum(live[start:start + n])
             # the prefixes of P^{m-2} that lead before r: the first (p^(m-1) -
             # p^(m-1-r'))/(p-1) of _projective_reps, r' = min(r, m-1)
-            quadrics.append((forms, m, r, (p ** (m - 1) - p ** (m - 1 - min(r, m - 1))) // (p - 1)))
-        self._charge(sum(len(forms) * lines for forms, *_, lines in quadrics))
-        return [([k for k, _ in group[0]], *(_zeros(*group, p) if group[0] else ([], [])))
+            lines = (p ** (m - 1) - p ** (m - 1 - min(r, m - 1))) // (p - 1)
+            if count * terms <= m * (m + 1) // 2 * terms + lines * n + _ROOTING_STEPS:
+                quadrics.append(None)
+                continue
+            self._charge(m * (m + 1) // 2 * terms)
+            group = cols if n == len(live) else [col[start:start + n] for col in cols]
+            q = _restricted(self._forms[self._quadric], group, recipe, m, p)
+            at = list(compress(range(n), map(any, zip(*q))))
+            quadrics.append((at, [_gather(col, at) for col in q], m, r, lines))
+            for col in cols:
+                col[start:start + n] = repeat(0, n)
+            live[start:start + n] = repeat(0, n)
+        if quadrics.count(None) == len(quadrics):
+            return quadrics
+        self._charge(sum(len(group[0]) * group[-1] for group in quadrics if group))
+        return [group and (set(group[0]), _zeros(*group, p) if group[0] else iter(()))
                 for group in quadrics]
 
     def _blocks(self, solves):
@@ -964,7 +979,7 @@ class ChainGraph:
 
         solves holds per group (start, recipe, pieces): its first position,
         its coordinates as sums over its basis w_s of W (_recipe), and its
-        pairs in pieces of at most _T_BLOCK (_tiled, _paired), each the
+        pairs in pieces of at most _T_BLOCK (_tiled, _zeros), each the
         index in the group of the point of each pair and the columns of the
         y of its direction sum_s y_s w_s: y_s itself at the free column f_s,
         0 at a coordinate that is 0 on W, and at a pivot c the sum over the
@@ -1013,7 +1028,8 @@ class ChainGraph:
         start must be a canonical point of X(F_p), which is not checked
         here: the queries check their points (_point_of) before they build
         the graph.  Each level is made from one L_a solve of the level
-        before it (_directions), charged what one solve per point is.  Each
+        before it (_directions), charged what one solve per point is on
+        the same route (_roots), and what it runs.  Each
         contained line is expanded once, by the first point of the level on
         it, and charged its p+1 points before they are listed; its unvisited
         points take that point as parent, and the new points of each point
@@ -1278,10 +1294,12 @@ def parse_variety(text: str) -> VarietySpec:
 
     Lines starting with ``#`` are comments; blank lines are skipped.
     Every term is checked as HomogPoly checks its terms (_check_terms),
-    those that vanish mod p included; then coefficients are reduced mod p,
-    the terms that vanish are dropped, and the rest is validated by
-    PrimeField, HomogPoly and VarietySpec.  Errors are reported with the
-    number of the line they concern.
+    those that vanish mod p included, and each polynomial's number of
+    variables against the ambient dimension; then coefficients are reduced
+    mod p and the terms that vanish are dropped.  All that HomogPoly and
+    VarietySpec check then holds, so they are made without checking it
+    again (_make).  Errors are reported with the number of the line they
+    concern.
     """
     lines = [
         (no, stripped)
@@ -1322,20 +1340,20 @@ def parse_variety(text: str) -> VarietySpec:
             degree = int(tokens[1])
             terms = []
             for group in rest.split(";"):
-                coeff, *exps = map(int, group.split())
-                terms.append((coeff, tuple(exps)))
-        except ValueError:
+                values = tuple(map(int, group.split()))
+                terms.append((values[0], values[1:]))
+        except (ValueError, IndexError):  # a term that is not all integers, or empty
             raise VarietyParseError(
                 no, f"expected an integer degree and terms '<c> <e0> ... <eN>', got {content!r}"
             ) from None
         _checked(no, _check_terms, degree, terms)
-        terms = [(coeff % p, exps) for coeff, exps in terms if coeff % p]
+        if len(terms[0][1]) != ambient + 1:
+            raise VarietyParseError(no, f"polynomial has {len(terms[0][1])} variables, expected {ambient + 1}")
+        terms = tuple((coeff % p, exps) for coeff, exps in terms if coeff % p)
         if not terms:
             raise VarietyParseError(no, f"polynomial vanishes modulo {p}")
-        poly = _checked(no, HomogPoly, degree, tuple(terms))
-        _checked(no, VarietySpec, field, ambient, (poly,))
-        polys.append(poly)
-    return VarietySpec(field, ambient, tuple(polys))
+        polys.append(HomogPoly._make((degree, terms)))
+    return VarietySpec._make((field, ambient, tuple(polys)))
 
 
 def format_variety(spec: VarietySpec) -> str:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import random
 import struct
@@ -303,24 +304,28 @@ def local_coefficients(spec, a, v):
              for k, form in finite_geometry._local_terms(poly, p).items()} for poly in spec.polys]
 
 
-def all_directions(spec, a, cut):
-    """Reference route for the L_a solve (ChainGraph._directions), one point
-    at a time and with no rooting: every direction v = sum_s y_s w_s of
-    P(W) for the canonical y of P^{m-1}(F_p), W from kernel, kept if it
-    leads before the cut and every c_k of every G vanishes at (a, v).  The
-    package evaluated the c_k this way, at every direction, before it
-    rooted c_2 first; for small p only."""
+def directions_of_w(spec, a):
+    """Every direction v = sum_s y_s w_s of P(W) at a, for the canonical y
+    of P^{m-1}(F_p), W from kernel: the directions the oracles below run
+    over, each with c_k(a, v) for every k of every G (local_coefficients)."""
     p, size, j = spec.field.p, spec.ambient + 1, a.index(1)
     grads = [[values.get(1, 0) for values in local_coefficients(spec, a, tuple(int(i == x) for x in range(size)))]
              for i in range(size)]
     rows = [[0 if i == j else grads[i][g] for i in range(size)] for g in range(len(spec.polys))]
     basis = kernel(rows, size, j, p)
-    found = []
     for y in projective_points(spec.field, len(basis) - 1) if basis else ():
         v = tuple(sum(map(operator.mul, y, column)) % p for column in zip(*basis))
-        if v.index(1) < cut and not any(any(values.values()) for values in local_coefficients(spec, a, v)):
-            found.append(v)
-    return sorted(found)
+        yield v, local_coefficients(spec, a, v)
+
+
+def all_directions(spec, a, cut):
+    """Reference route for the L_a solve (ChainGraph._directions), one point
+    at a time and with no rooting: every direction v of P(W)
+    (directions_of_w), kept if it leads before the cut and every c_k of
+    every G vanishes at (a, v).  The package evaluated the c_k this way,
+    at every direction, before it rooted c_2 first; for small p only."""
+    return sorted(v for v, values in directions_of_w(spec, a)
+                  if v.index(1) < cut and not any(any(c.values()) for c in values))
 
 
 def c2_zeros(spec, a, cut):
@@ -328,18 +333,9 @@ def c2_zeros(spec, a, cut):
     that the solve roots (the first G with a c_2 in its table) vanishes at:
     the candidates the solve evaluates the later c_k at, all of P(W) where
     that c_2 is 0 on W or there is none."""
-    p, size, j = spec.field.p, spec.ambient + 1, a.index(1)
-    grads = [[values.get(1, 0) for values in local_coefficients(spec, a, tuple(int(i == x) for x in range(size)))]
-             for i in range(size)]
-    rows = [[0 if i == j else grads[i][g] for i in range(size)] for g in range(len(spec.polys))]
-    basis = kernel(rows, size, j, p)
+    p = spec.field.p
     rooted = [g for g, poly in enumerate(spec.polys) if 2 in finite_geometry._local_terms(poly, p)][:1]
-    count = 0
-    for y in projective_points(spec.field, len(basis) - 1) if basis else ():
-        v = tuple(sum(map(operator.mul, y, column)) % p for column in zip(*basis))
-        values = local_coefficients(spec, a, v)
-        count += v.index(1) < cut and not any(values[g][2] for g in rooted)
-    return count
+    return sum(v.index(1) < cut and not any(values[g][2] for g in rooted) for v, values in directions_of_w(spec, a))
 
 
 def one_point_solves(spec):
@@ -904,12 +900,22 @@ def test_batched_solve_matches_one_point_solves(spec, block, monkeypatch):
     # L_a at all the points at once, in blocks that join and split the
     # points' candidates, gives each point the directions and the charge of
     # its own solve; with the cut at each point's lead, it keeps those that
-    # lead before it.  The candidates are the directions where the c_2 the
-    # solve roots vanishes (c2_zeros), and no block handed to evaluation
-    # holds more than _T_BLOCK pairs: at 7, those of plane3 join many points
-    # with few directions each, and each point of fermat3fold5 has
-    # p^2 + p + 1 = 31 directions, all of them candidates where c_2 vanishes
-    # on W, more than a block holds
+    # lead before it.  Both routes: c_2 evaluated at every direction, or
+    # rooted at every point where it has a live term (_ROOTING_STEPS
+    # infinite, or minus infinity).  The candidates are every direction, or
+    # those where the c_2 the solve roots vanishes (c2_zeros), and no block
+    # handed to evaluation holds more than _T_BLOCK pairs: at 7, those of
+    # plane3 join many points with few directions each, and each point of
+    # fermat3fold5 has p^2 + p + 1 = 31 directions, all of them candidates
+    # where c_2 vanishes on W, more than a block holds
+    for rooting in (math.inf, -math.inf):
+        with pytest.MonkeyPatch.context() as patch:
+            check_batched_solve(spec, block, rooting, patch)
+
+
+def check_batched_solve(spec, block, rooting, monkeypatch):
+    """test_batched_solve_matches_one_point_solves on one route."""
+    monkeypatch.setattr(finite_geometry, "_ROOTING_STEPS", rooting)
     points = sorted(enumerate_points(spec))
     alone = []
     for a in points:
@@ -933,15 +939,19 @@ def test_batched_solve_matches_one_point_solves(spec, block, monkeypatch):
     # every (point, candidate) pair is made once, in blocks that hold no
     # more than _T_BLOCK
     bases, _ = grouped_bases(ChainGraph(spec), points, [len(a) for a in points])
-    zeros = [c2_zeros(spec, a, len(a)) for a in points]
-    assert sum(map(len, blocks)) == sum(zeros)
+    if rooting > 0:
+        candidates = [count for _, count in bases]
+    else:
+        candidates = [c2_zeros(spec, a, len(a)) for a in points]
+    assert sum(map(len, blocks)) == sum(candidates)
     assert all(0 < len(owner) <= block for owner in blocks)
     if block == 7 and spec is ORACLE_VARIETIES["plane3"]:
         assert any(len(set(owner)) > 1 for owner in blocks)
     if block == 7 and spec is ORACLE_VARIETIES["fermat3fold5"]:
         spans = sorted(Counter(k for owner in blocks for k in set(owner)).values(), reverse=True)
-        assert {count for _, count in bases} == {31} and zeros.count(31) == 10
-        assert min(spans[:10]) >= 5
+        assert {count for _, count in bases} == {31}
+        assert candidates.count(31) == (len(points) if rooting > 0 else 10)
+        assert min(spans[:candidates.count(31)]) >= 5
     cut = ChainGraph(spec)._directions(points, [a.index(1) for a in points])
     for a, kept, (directions, _) in zip(points, cut, alone):
         assert sorted(kept) == [v for v in directions if v.index(1) < a.index(1)]
@@ -1121,10 +1131,18 @@ def test_searches_on_one_graph_are_charged_each_time():
 
 @pytest.mark.parametrize("spec", [split_quadric(5), fermat_cubic(7)], ids=["quadric5", "fermat7"])
 def test_search_without_goal_solves_each_level_at_once(spec, monkeypatch):
+    for rooting in (math.inf, -math.inf):
+        with pytest.MonkeyPatch.context() as patch:
+            check_search_without_goal(spec, rooting, patch)
+
+
+def check_search_without_goal(spec, rooting, monkeypatch):
     # the search solves L_a at a whole level in one call, one call per
     # level it expands; the one-point search, whose goal is never reached,
     # solves one point per call, yet both reach the same points with the
-    # same parents and lines and are charged the same
+    # same parents and lines and, on the same route (c_2 at every
+    # direction, or rooted wherever it has a live term), are charged the same
+    monkeypatch.setattr(finite_geometry, "_ROOTING_STEPS", rooting)
     solves = []
     directions = ChainGraph._directions
 
@@ -1547,15 +1565,20 @@ def test_connectivity_report_exits_match_bitset_oracle(spec, grows, monkeypatch)
 
 # explore --max-length 3 where the closed forms skip the bitsets, charged
 # as when every level ran: the line-free cubic surface is charged its solve
-# at its 7 points with x_0 = 0 (c_2 restricted to W, 57, its lines of P(W)
-# rooted, 13, and c_3 at the zeros, 108: 178) and 43 balls of 6 bytes for
-# the points and for length 1, after which no ball grows (694); the plane
-# x_0 = 0 in P^3 over F_3 its solve (13), its 13 lines of 4 points (52),
-# and 13 balls of 2 bytes for the points and for lengths 1 and 2, where no
-# ball grows past n^2 (143)
-@pytest.mark.parametrize("spec, charge", [(lineless_cubic(), 694), (coordinate_hyperplane(3), 143)],
-                         ids=["lineless7", "plane3"])
-def test_explore_closed_form_exits_keep_their_charge(spec, charge, monkeypatch, tmp_path, capsys):
+# at its 7 points with x_0 = 0 and 43 balls of 6 bytes for the points and
+# for length 1, after which no ball grows: its solve evaluates c_2 at every
+# direction (284), 800 in all, or with c_2 rooted (_ROOTING_STEPS minus
+# infinity) restricts c_2 to W (57), roots its lines of P(W) (13) and
+# evaluates c_3 at the zeros (108), 694 in all; the plane x_0 = 0 in P^3
+# over F_3 its solve (13), its 13 lines of 4 points (52), and 13 balls of
+# 2 bytes for the points and for lengths 1 and 2, where no ball grows past
+# n^2 (143)
+@pytest.mark.parametrize("spec, rooting, charge", [(lineless_cubic(), finite_geometry._ROOTING_STEPS, 800),
+                                                   (lineless_cubic(), -math.inf, 694),
+                                                   (coordinate_hyperplane(3), finite_geometry._ROOTING_STEPS, 143)],
+                         ids=["lineless7", "lineless7_rooted", "plane3"])
+def test_explore_closed_form_exits_keep_their_charge(spec, rooting, charge, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(finite_geometry, "_ROOTING_STEPS", rooting)
     path = tmp_path / "exit.variety"
     path.write_text(format_variety(spec))
     argv = ["explore", "--variety", str(path), "--max-length", "3", "--machine"]
@@ -1606,23 +1629,22 @@ def guard_evaluations(monkeypatch, *point_lists):
 
 
 def test_explore_is_refused_before_it_evaluates(monkeypatch):
-    # explore on the Fermat cubic threefold over F_5 (p^N = 625) charges its
-    # solve of the 31 points with x_0 = 0 step by step, each step before it
-    # runs: c_2 restricted to W, its 6 coefficients times its live terms
-    # (378); one unit per line of P(W) rooted (128); c_3 at the zeros of c_2
-    # (1,090), 1,596 in all.  A budget below a step refuses it before it
-    # runs: no line is rooted (_zeros) below 506, and no direction is made
-    # (_blocks) below 1,596.  The refusals come after the points are grouped
-    # (_kernels)
+    # explore on the Fermat cubic threefold over F_5 (p^N = 625), with c_2
+    # rooted wherever it has a live term (_ROOTING_STEPS minus infinity),
+    # charges its solve of the 31 points with x_0 = 0 step by step, each
+    # step before it runs: c_2 restricted to W, its 6 coefficients times its live terms
+    # (378); one unit per line of P(W) rooted (128); c_3 at the zeros of c_2,
+    # per block of candidates (1,090, one block), 1,596 in all.  A budget
+    # below a step refuses it before it runs: no line is rooted (_zeros)
+    # below 506, and no c_k is evaluated at a direction below 1,596.  The
+    # refusals come after the points are grouped (_kernels)
+    monkeypatch.setattr(finite_geometry, "_ROOTING_STEPS", -math.inf)
     spec = fermat_cubic_threefold(5)
     grouped, kernels = [], ChainGraph._kernels
 
     def recorded(self, grads, points, cuts):
         grouped.append(len(points))
         return kernels(self, grads, points, cuts)
-
-    def no_directions(self, solves):
-        raise AssertionError("directions made past the budget")
 
     zeros = finite_geometry._zeros
 
@@ -1633,8 +1655,18 @@ def test_explore_is_refused_before_it_evaluates(monkeypatch):
 
     points = sorted(enumerate_points(spec))
     section = [a for a in points if a[0] == 0]
+    evaluate, at_section = finite_geometry._form_columns, [tuple(col) for col in zip(*section)]
+
+    def no_directions(forms, coords, p):
+        # the gradients and the coefficients of the c_k at the section, and
+        # the forms at the prefixes of P^3 that enumerate X, run; a c_k at
+        # directions does not
+        if len(coords) == 5 and [tuple(col) for col in coords] != at_section:
+            raise AssertionError("a c_k evaluated at directions past the budget")
+        return evaluate(forms, coords, p)
+
     monkeypatch.setattr(ChainGraph, "_kernels", recorded)
-    monkeypatch.setattr(ChainGraph, "_blocks", no_directions)
+    monkeypatch.setattr(finite_geometry, "_form_columns", no_directions)
     monkeypatch.setattr(finite_geometry, "_zeros", no_lines)
     for budget, charged in ((377, 378), (505, 506), (1595, 1596)):
         graph = ChainGraph(spec)
@@ -1646,7 +1678,7 @@ def test_explore_is_refused_before_it_evaluates(monkeypatch):
         connectivity_report(spec, 1)
     assert grouped == [31] * 4
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 1596)
-    with pytest.raises(AssertionError, match="directions made past the budget"):
+    with pytest.raises(AssertionError, match="a c_k evaluated at directions past the budget"):
         connectivity_report(spec, 1)
 
 
@@ -1673,20 +1705,29 @@ def test_explore_length_budget_refuses_at_once(monkeypatch, tmp_path, capsys):
     assert "max_length 5 exceeds the 4 budget" in captured.err
 
 
-def test_chain_and_locus_pair_budget(monkeypatch, tmp_path, capsys):
-    # on the split quadric over F_3 each L_a solve restricts c_2 = v0*v3 -
-    # v1*v2, one term once v_j = 0, to W (3 coefficients times 1 term),
-    # roots it on the one line of P(W) (1), and keeps its two zeros, with no
-    # c_k left to evaluate there (2): 6; each line listed has 4 points.  One
-    # query sums them: lines takes one solve (6), locus 1 one solve and two
-    # lines (14), locus 2 seven solves and eight lines (74).  The chain
-    # below solves at x (6) and lists x's two lines (8); y is on neither, so
-    # it solves at y (6) and meets y from the first point of level 1 on one
-    # of y's lines, listing none: 20
+def test_chain_and_locus_pair_budget(tmp_path, capsys):
+    for rooting, solve in ((finite_geometry._ROOTING_STEPS, 4), (-math.inf, 6)):
+        with pytest.MonkeyPatch.context() as patch:
+            check_chain_and_locus_pair_budget(rooting, solve, patch, tmp_path, capsys)
+
+
+def check_chain_and_locus_pair_budget(rooting, solve, monkeypatch, tmp_path, capsys):
+    # on the split quadric over F_3 each L_a solve evaluates c_2 = v0*v3 -
+    # v1*v2, one term once v_j = 0, at the 4 directions of P^1 (4 * 1), or,
+    # rooted (_ROOTING_STEPS minus infinity), restricts it to W (3
+    # coefficients times 1 term), roots it on the one line of P(W) (1) and
+    # keeps its two zeros, with no c_k left to evaluate there (2): 6.  Each
+    # line listed has 4 points.  One query sums them: lines takes one solve
+    # (4 or 6), locus 1 one solve and two lines (12 or 14), locus 2 seven
+    # solves and eight lines (60 or 74).  The chain below solves at x and
+    # lists x's two lines (8); y is on neither, so it solves at y and meets
+    # y from the first point of level 1 on one of y's lines, listing none:
+    # 16 or 20
+    monkeypatch.setattr(finite_geometry, "_ROOTING_STEPS", rooting)
     spec = split_quadric(3)
     x, y = (1, 0, 0, 0), (0, 0, 0, 1)
     chain, charged = charged_chain(spec, x, y, 2)
-    assert chain.length == 2 and charged == 6 + 2 * 4 + 6
+    assert chain.length == 2 and charged == solve + 2 * 4 + solve
     monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", charged - 1)
     with pytest.raises(BudgetExceededError):
         chain_search(spec, x, y, 2)
@@ -1803,14 +1844,40 @@ def test_local_table_budget(monkeypatch, tmp_path, capsys):
 
 
 def test_solve_charge_budget(monkeypatch, tmp_path, capsys):
-    # the octic over F_17 at 1:1:3:3, on two of its lines: v_0 = 0 and
-    # dim W = 2, so 18 directions, and c_k keeps the terms in v_1^k, v_2^k
-    # and v_3^k.  c_2 is restricted to W, 3 coefficients times its 3 terms
-    # (3 * 3), and rooted on the one line of P(W) (1): its two zeros are the
-    # directions of the two lines.  Each later c_k is charged, before it
-    # runs, at the zeros where the ones before it vanish: c_3..c_8 at both
-    # (6 * 2 * 3): 46, above the 32 terms of the c_k table, where
-    # evaluating c_2 at all 18 directions was charged 90
+    # the octic over F_11 at 0:1:1:4: v_1 = 0 and dim W = 2, so 12
+    # directions; with a_0 = 0, c_k keeps the terms in v_2^k and v_3^k for
+    # k = 2..7, and c_8 those in v_0^8, v_2^8 and v_3^8.  c_2 at its 12
+    # directions (12 * 2 pairs) costs less than rooting it would, with its
+    # fixed steps (_ROOTING_STEPS), so each c_k is charged, before it runs,
+    # at the directions where the ones before it vanish: c_2 at all 12
+    # (12 * 2), and only (1:0:0:0) is left for c_3..c_7 (5 * 2) and c_8
+    # (3), which rules it out: 37
+    spec = fermat_surface(11, 8)
+    path = tmp_path / "octic11.variety"
+    path.write_text(format_variety(spec))
+    argv = ["lines", "--variety", str(path), "--point", "0:1:1:4"]
+    charge = 12 * 2 + 5 * 2 + 3
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", charge - 1)
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", charge)
+    graph = ChainGraph(spec)
+    graph._directions([(0, 1, 1, 4)], [4])
+    assert graph.charged == charge
+    assert main(argv) == 1  # answered: no line through the point
+    assert "count    0" in capsys.readouterr().out
+
+
+def test_rooted_solve_charge_budget(monkeypatch, tmp_path, capsys):
+    # the octic over F_17 at 1:1:3:3, on two of its lines, with c_2 rooted
+    # (_ROOTING_STEPS minus infinity): v_0 = 0 and dim W = 2, so 18
+    # directions, and c_k keeps the terms in v_1^k, v_2^k and v_3^k.  c_2
+    # is restricted to W, 3 coefficients times its 3 terms (3 * 3), and
+    # rooted on the one line of P(W) (1): its two zeros are the directions
+    # of the two lines.  Each later c_k is charged, before it runs, at the
+    # zeros where the ones before it vanish: c_3..c_8 at both (6 * 2 * 3):
+    # 46, where evaluating c_2 at all 18 directions was charged 90
+    monkeypatch.setattr(finite_geometry, "_ROOTING_STEPS", -math.inf)
     spec = fermat_surface(17, 8)
     path = tmp_path / "octic17.variety"
     path.write_text(format_variety(spec))
@@ -1827,17 +1894,22 @@ def test_solve_charge_budget(monkeypatch, tmp_path, capsys):
     assert "count    2" in capsys.readouterr().out
 
 
-def test_solve_is_refused_before_it_evaluates(monkeypatch):
-    # a budget below the first charge (c_2 restricted to W at the octic
-    # above, 3 * 2) refuses the solve before any c_k is evaluated or any
-    # line rooted (the gradient and the coefficients of the c_k at the
-    # point itself are evaluated first, as columns of one entry)
-    graph = ChainGraph(fermat_surface(11, 8))  # its table has 32 terms
-    monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", 3 * 2 - 1)
-    guard_evaluations(monkeypatch, [(0, 1, 1, 4)])
-    with pytest.raises(BudgetExceededError):
-        graph._directions([(0, 1, 1, 4)], [4])
-    assert graph.charged == 3 * 2
+def test_solve_is_refused_before_it_evaluates():
+    # a budget below the first charge of the solve at the octic over F_11
+    # above refuses it before any c_k is evaluated at a direction or any
+    # line rooted: c_2 at its 12 directions (12 * 2), or, rooted
+    # (_ROOTING_STEPS minus infinity), c_2 restricted to W (3 * 2).  The
+    # gradient and the coefficients of the c_k at the point itself are
+    # evaluated first, as columns of one entry
+    for rooting, first in ((finite_geometry._ROOTING_STEPS, 12 * 2), (-math.inf, 3 * 2)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(finite_geometry, "_ROOTING_STEPS", rooting)
+            graph = ChainGraph(fermat_surface(11, 8))  # its table has 32 terms
+            monkeypatch.setattr(finite_geometry, "ENUMERATION_BUDGET", first - 1)
+            guard_evaluations(monkeypatch, [(0, 1, 1, 4)])
+            with pytest.raises(BudgetExceededError):
+                graph._directions([(0, 1, 1, 4)], [4])
+            assert graph.charged == first
 
 
 def test_solve_drops_terms_that_vanish_on_w():
@@ -2068,19 +2140,22 @@ def test_rooted_solve_where_c2_degenerates(make, point, lines, p, monkeypatch):
     # candidates; where c_2 has no live term, every direction is, and no
     # line is rooted.  At every cut the directions are those of evaluating
     # every c_k at every direction (all_directions)
+    monkeypatch.setattr(finite_geometry, "_ROOTING_STEPS", -math.inf)
     spec = make(p)
-    rooted, zeros = [], finite_geometry._zeros
+    rooted, calls, roots = [], [], finite_geometry._quadratic_roots
 
     def recorded(*args):
-        pairs, whole = zeros(*args)
-        rooted.append(len(whole))
-        return pairs, whole
+        found = roots(*args)
+        calls.append(args)
+        rooted[-1] += found is None  # a line where Q vanishes
+        return found
 
-    monkeypatch.setattr(finite_geometry, "_zeros", recorded)
+    monkeypatch.setattr(finite_geometry, "_quadratic_roots", recorded)
     for cut in range(len(point) + 1):
+        rooted.append(0)
         [found] = ChainGraph(spec)._directions([point], [cut])
         assert sorted(found) == all_directions(spec, point, cut)
     if lines:
         assert rooted[-1] == lines
     else:
-        assert not any(rooted)
+        assert not calls

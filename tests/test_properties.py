@@ -129,15 +129,20 @@ def test_chain_search_matches_goal_search(spec, rng):
 def test_rooted_solve_matches_all_directions(spec, rng):
     # the solve that roots c_2 first, at all the points at once, with the
     # cut at N+1 and at a cut drawn per point, against evaluating every c_k
-    # at every direction of P(W), one point at a time (all_directions)
+    # at every direction of P(W), one point at a time (all_directions): on
+    # either route (c_2 rooted wherever it has a live term, _ROOTING_STEPS
+    # minus infinity, or wherever that is cheaper, its own value)
     points = sorted(finite_geometry.enumerate_points(spec))
     size = spec.ambient + 1
     oracle = [all_directions(spec, a, size) for a in points]
     cuts = [rng.randrange(size + 1) for _ in points]
-    for batch in ([size] * len(points), cuts):
-        found = ChainGraph(spec)._directions(points, batch)
-        assert [sorted(directions) for directions in found] == [
-            [v for v in every if v.index(1) < cut] for every, cut in zip(oracle, batch)]
+    for rooting in (-math.inf, finite_geometry._ROOTING_STEPS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(finite_geometry, "_ROOTING_STEPS", rooting)
+            for batch in ([size] * len(points), cuts):
+                found = ChainGraph(spec)._directions(points, batch)
+                assert [sorted(directions) for directions in found] == [
+                    [v for v in every if v.index(1) < cut] for every, cut in zip(oracle, batch)]
 
 
 @SETTINGS
